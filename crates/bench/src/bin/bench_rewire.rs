@@ -228,7 +228,7 @@ fn run_arena(n: usize) -> Vec<ArenaRecord> {
         let mut cfg = GraphRareConfig::fast().with_seed(11);
         cfg.rewirer = kind;
         let t = Instant::now();
-        let report = graphrare::run(&g, &split, Backbone::Gcn, &cfg);
+        let report = graphrare::run(&g, &split, Backbone::Gcn, &cfg).expect("GraphRARE run failed");
         telemetry::progress!(
             "arena {:<9} val {:.3} test {:.3} homophily {:.3} -> {:.3}  ({:.2}s)",
             kind.name(),
@@ -317,7 +317,7 @@ fn main() {
                 }
 
                 // Reference path: every step rebuilds the graph and its
-                // operators from scratch, exactly what RareDriver::step
+                // operators from scratch, exactly what RareDriver::try_step
                 // did before the incremental engine.
                 let full_total = median_ns(runs, || {
                     let mut state = fresh_state(&inst.topo);

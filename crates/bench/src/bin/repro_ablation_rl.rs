@@ -43,10 +43,16 @@ fn main() {
                     cfg.train.epochs = budget.epochs;
                     cfg.train.patience = budget.patience;
                     match agent {
-                        "GCN-RARE (PPO)" => run(&g, split, Backbone::Gcn, &cfg).test_acc,
+                        "GCN-RARE (PPO)" => {
+                            run(&g, split, Backbone::Gcn, &cfg)
+                                .expect("GraphRARE run failed")
+                                .test_acc
+                        }
                         "GCN-RARE (A2C)" => {
                             cfg.algo = RlAlgo::A2c;
-                            run(&g, split, Backbone::Gcn, &cfg).test_acc
+                            run(&g, split, Backbone::Gcn, &cfg)
+                                .expect("GraphRARE run failed")
+                                .test_acc
                         }
                         _ => run_random_kd(&g, split, Backbone::Gcn, 10, seed, &cfg).test_acc,
                     }

@@ -45,7 +45,8 @@ fn main() {
             cfg.train.epochs = budget.epochs;
             cfg.train.patience = budget.patience;
             gcn_accs.push(run_plain(&g, &split, Backbone::Gcn, &cfg).test_acc);
-            rare_accs.push(run(&g, &split, Backbone::Gcn, &cfg).test_acc);
+            rare_accs
+                .push(run(&g, &split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc);
         }
         graphrare_telemetry::progress!("H={h:.2} done");
         table.row(vec![

@@ -37,7 +37,7 @@ fn main() {
                         cfg.train.epochs = budget.epochs;
                         cfg.train.patience = budget.patience;
                         cfg.entropy.lambda = lambda;
-                        run(&g, split, backbone, &cfg).test_acc
+                        run(&g, split, backbone, &cfg).expect("GraphRARE run failed").test_acc
                     })
                     .collect();
                 graphrare_telemetry::progress!(

@@ -36,24 +36,24 @@ fn run_variant(name: &str, g: &Graph, split: &Split, seed: u64, budget: &Budget)
         "GCN-RA" => {
             let mut cfg = cfg;
             cfg.sequence_mode = SequenceMode::Shuffled { seed: seed.wrapping_add(5) };
-            run(g, split, Backbone::Gcn, &cfg).test_acc
+            run(g, split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc
         }
         "GCN-RARE-add" => {
             let mut cfg = cfg;
             cfg.edit_mode = EditMode::AddOnly;
-            run(g, split, Backbone::Gcn, &cfg).test_acc
+            run(g, split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc
         }
         "GCN-RARE-remove" => {
             let mut cfg = cfg;
             cfg.edit_mode = EditMode::RemoveOnly;
-            run(g, split, Backbone::Gcn, &cfg).test_acc
+            run(g, split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc
         }
         "GCN-RARE-reward" => {
             let mut cfg = cfg;
             cfg.reward = RewardKind::Auc;
-            run(g, split, Backbone::Gcn, &cfg).test_acc
+            run(g, split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc
         }
-        "GCN-RARE" => run(g, split, Backbone::Gcn, &cfg).test_acc,
+        "GCN-RARE" => run(g, split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc,
         other => panic!("unknown variant {other}"),
     }
 }

@@ -88,7 +88,7 @@ fn main() {
             let mut cfg = GraphRareConfig::default().with_seed(opts.seed);
             cfg.steps = 16;
             let start = Instant::now();
-            let _ = run(&g, split, b, &cfg);
+            run(&g, split, b, &cfg).expect("GraphRARE run failed");
             cells.push(fmt_ms(start.elapsed().as_secs_f64() / cfg.steps as f64));
             graphrare_telemetry::progress!("{}-RARE timed on {}", b.name(), d.name());
         }

@@ -225,7 +225,7 @@ pub fn rare_report(
     cfg.steps = budget.rare_steps;
     cfg.train.epochs = budget.epochs;
     cfg.train.patience = budget.patience;
-    run(graph, split, backbone, &cfg)
+    run(graph, split, backbone, &cfg).expect("GraphRARE run failed")
 }
 
 #[cfg(test)]

@@ -39,7 +39,8 @@
 //! temp-then-rename writes — a kill mid-write never corrupts an earlier
 //! checkpoint). `--resume` picks up the highest-step checkpoint in the
 //! directory and continues; a resumed run produces output bit-identical
-//! to an uninterrupted one. `--save-model` persists the trained model
+//! to an uninterrupted one. A checkpoint written under another `--algo`
+//! or `--rewirer` is refused. `--save-model` persists the trained model
 //! (best-validation parameters + optimised topology) as one artifact
 //! file; `--load-model` skips training and re-evaluates such an
 //! artifact on the input graph's split.
@@ -57,7 +58,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use graphrare::{persist, GraphRareConfig, RareDriver, RareReport, RewirerKind, RlAlgo};
+use graphrare::{
+    persist, GraphRareConfig, RareDriver, RareReport, RewireError, RewirerKind, RlAlgo,
+};
 use graphrare_datasets::{stratified_split, Split};
 use graphrare_gnn::{build_model, evaluate, Backbone, GraphTensors, Trainer};
 use graphrare_graph::{io, metrics, Graph};
@@ -298,6 +301,10 @@ fn eval_saved_model(path: &Path, graph: &Graph, split: &Split) -> Result<(), Str
     Ok(())
 }
 
+fn rewire_failed(e: RewireError) -> String {
+    format!("rewire failed: {e}")
+}
+
 /// Runs the DRL loop stepwise, checkpointing every `every` steps, and
 /// returns the final report. `resume` starts from the newest checkpoint
 /// in `dir` when one exists.
@@ -320,7 +327,7 @@ fn run_checkpointed(
         }
         (false, _) => RareDriver::new(graph, split, args.backbone, cfg),
     };
-    while driver.step() {
+    while driver.try_step().map_err(rewire_failed)? {
         let done = driver.step_index();
         if args.checkpoint_every > 0 && done % args.checkpoint_every == 0 {
             let path = dir.join(checkpoint_name(done));
@@ -329,7 +336,7 @@ fn run_checkpointed(
             progress!("checkpoint written: {} ({bytes} bytes)", path.display());
         }
     }
-    Ok(driver.finish())
+    driver.try_finish().map_err(rewire_failed)
 }
 
 fn main() -> ExitCode {
@@ -415,15 +422,16 @@ fn run_main() -> ExitCode {
         args.lambda,
         args.k_cap
     );
-    let report = match &args.checkpoint_dir {
-        Some(dir) => match run_checkpointed(&graph, &split, &args, &cfg, dir) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => graphrare::run(&graph, &split, args.backbone, &cfg),
+    let result = match &args.checkpoint_dir {
+        Some(dir) => run_checkpointed(&graph, &split, &args, &cfg, dir),
+        None => graphrare::run(&graph, &split, args.backbone, &cfg).map_err(rewire_failed),
+    };
+    let report = match result {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
 
     if let Some(summary) = &report.telemetry {

@@ -24,12 +24,25 @@ pub enum SequenceMode {
 /// Which reinforcement-learning algorithm updates the policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RlAlgo {
-    /// Proximal Policy Optimization (the paper's choice).
+    /// Proximal Policy Optimization (the paper's choice), configured by
+    /// [`GraphRareConfig::ppo`].
     Ppo,
-    /// Advantage actor-critic — exercises the paper's remark that "other
-    /// reinforcement learning algorithms can also be conveniently
-    /// applied" (Sec. IV-B); compared in the `repro_ablation_rl` bench.
+    /// Synchronous advantage actor-critic: the same agent under the
+    /// [`PpoConfig::a2c`] preset, seeded from `ppo.seed`. Exercises the
+    /// paper's remark that "other reinforcement learning algorithms can
+    /// also be conveniently applied" (Sec. IV-B); compared in the
+    /// `repro_ablation_rl` bench.
     A2c,
+}
+
+impl RlAlgo {
+    /// Stable lowercase name (CLI value, checkpoint tag).
+    pub fn name(&self) -> &'static str {
+        match self {
+            RlAlgo::Ppo => "ppo",
+            RlAlgo::A2c => "a2c",
+        }
+    }
 }
 
 /// Which policy parameterisation drives the MDP.
@@ -58,7 +71,8 @@ pub struct GraphRareConfig {
     pub model: ModelConfig,
     /// GNN optimisation hyper-parameters.
     pub train: TrainConfig,
-    /// PPO hyper-parameters.
+    /// PPO hyper-parameters (used as given under [`RlAlgo::Ppo`]; only
+    /// the seed carries over to [`RlAlgo::A2c`]).
     pub ppo: PpoConfig,
     /// Reward function (Eq. 11 or the AUC ablation).
     pub reward: RewardKind,
@@ -68,7 +82,7 @@ pub struct GraphRareConfig {
     pub sequence_mode: SequenceMode,
     /// Policy parameterisation.
     pub policy: PolicyKind,
-    /// RL algorithm (PPO per the paper, or A2C).
+    /// RL algorithm (PPO per the paper, or its A2C preset).
     pub algo: RlAlgo,
     /// Which strategy proposes the per-step topology edits: the paper's
     /// DRL module (default), one of the deterministic heuristic

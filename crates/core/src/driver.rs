@@ -60,7 +60,7 @@ pub struct RareReport {
     /// Model parameters at the best-validation checkpoint, in
     /// `model.params()` order (what `--save-model` persists).
     pub model_params: Vec<Matrix>,
-    /// Run-scoped telemetry aggregate (spans, counters, histograms)
+    /// Run-scoped telemetry aggregate (spans, paths, counters)
     /// when the global registry was enabled for the run, else `None`.
     /// Strictly observational: every other field is bit-identical
     /// whether or not telemetry was on.
@@ -134,8 +134,8 @@ pub struct DriverSnapshot {
 ///
 /// ```text
 /// let mut d = RareDriver::new(&graph, &split, backbone, &cfg);
-/// while d.step() { /* checkpoint here if desired */ }
-/// let report = d.finish();
+/// while d.try_step()? { /* checkpoint here if desired */ }
+/// let report = d.try_finish()?;
 /// ```
 ///
 /// [`run`] is the one-shot equivalent. The driver exists so callers can
@@ -413,21 +413,15 @@ impl RareDriver {
         self.num_classes
     }
 
-    /// Runs one outer DRL step (Algorithm 1 lines 8–16). Returns `false`
-    /// without doing anything once all configured steps have run.
+    /// Runs one outer DRL step (Algorithm 1 lines 8–16). Returns
+    /// `Ok(false)` without doing anything once all configured steps have
+    /// run.
     ///
-    /// Panicking wrapper around [`try_step`](Self::try_step) for callers
-    /// whose driver state is known-good (a rewire failure here means
-    /// in-process corruption, not bad input).
-    pub fn step(&mut self) -> bool {
-        self.try_step().expect("rewire failed on driver-owned state")
-    }
-
-    /// [`step`](Self::step), surfacing rewire-engine failures as a typed
-    /// error instead of panicking. A corrupt or version-skewed restored
-    /// state is the realistic trigger; the driver must then be discarded
-    /// (its graph state may be partially transitioned), but the hosting
-    /// process — e.g. a `graphrare-serve` worker — keeps running.
+    /// Rewire-engine failures surface as a typed error, never a panic. A
+    /// corrupt or version-skewed restored state is the realistic trigger;
+    /// the driver must then be discarded (its graph state may be partially
+    /// transitioned), but the hosting process — e.g. a `graphrare-serve`
+    /// worker — keeps running.
     pub fn try_step(&mut self) -> Result<bool, RewireError> {
         if self.is_done() {
             return Ok(false);
@@ -605,24 +599,11 @@ impl RareDriver {
         });
     }
 
-    /// Runs every remaining DRL step.
-    pub fn run_to_end(&mut self) {
-        while self.step() {}
-    }
-
     /// Final convergence phase + report (Algorithm 1's terminal joint
-    /// training). Call after the DRL steps; [`RareDriver::step`] tolerates
-    /// being exhausted, `finish` consumes the driver.
-    ///
-    /// Panicking wrapper around [`try_finish`](Self::try_finish), matching
-    /// [`step`](Self::step)/[`try_step`](Self::try_step).
-    pub fn finish(self) -> RareReport {
-        self.try_finish().expect("rewire failed on driver-owned state")
-    }
-
-    /// [`finish`](Self::finish), surfacing rewire-engine failures as a
-    /// typed error instead of panicking (the terminal resync replays the
-    /// last state transition through the rewire engine).
+    /// training). Call after the DRL steps; [`try_step`](Self::try_step)
+    /// tolerates being exhausted, `try_finish` consumes the driver.
+    /// Rewire-engine failures surface as a typed error (the terminal
+    /// resync replays the last state transition through the engine).
     pub fn try_finish(mut self) -> Result<RareReport, RewireError> {
         // Algorithm 1 trains the GNN and DRL jointly until convergence, but
         // the compressed DRL loop above only fine-tunes the GNN
@@ -883,10 +864,13 @@ fn check_adam_shapes(
 /// Runs the full GraphRARE framework (Algorithm 1) on one data split,
 /// wrapping `backbone`, and reports test accuracy at the best-validation
 /// checkpoint together with the optimised topology.
-pub fn run(graph: &Graph, split: &Split, backbone: Backbone, cfg: &GraphRareConfig) -> RareReport {
-    let mut driver = RareDriver::new(graph, split, backbone, cfg);
-    driver.run_to_end();
-    driver.finish()
+pub fn run(
+    graph: &Graph,
+    split: &Split,
+    backbone: Backbone,
+    cfg: &GraphRareConfig,
+) -> Result<RareReport, RewireError> {
+    run_driver(RareDriver::new(graph, split, backbone, cfg))
 }
 
 /// [`run`] with externally supplied sequences (used by ablations that
@@ -897,10 +881,14 @@ pub fn run_with_sequences(
     split: &Split,
     backbone: Backbone,
     cfg: &GraphRareConfig,
-) -> RareReport {
-    let mut driver = RareDriver::with_sequences(graph, sequences, split, backbone, cfg);
-    driver.run_to_end();
-    driver.finish()
+) -> Result<RareReport, RewireError> {
+    run_driver(RareDriver::with_sequences(graph, sequences, split, backbone, cfg))
+}
+
+/// Runs every remaining step of `driver`, then its final phase.
+fn run_driver(mut driver: RareDriver) -> Result<RareReport, RewireError> {
+    while driver.try_step()? {}
+    driver.try_finish()
 }
 
 #[cfg(test)]
@@ -942,7 +930,7 @@ mod tests {
     fn run_produces_complete_report() {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(1);
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert_eq!(report.backbone, "GCN");
         assert!((0.0..=1.0).contains(&report.test_acc));
         assert!(report.best_val_acc >= 0.0);
@@ -957,8 +945,8 @@ mod tests {
     fn run_is_deterministic_for_fixed_seed() {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(7);
-        let a = run(&g, &split, Backbone::Gcn, &cfg);
-        let b = run(&g, &split, Backbone::Gcn, &cfg);
+        let a = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+        let b = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert_eq!(a.test_acc, b.test_acc);
         assert_eq!(a.traces.episode_rewards, b.traces.episode_rewards);
         assert_eq!(a.optimized_graph.edge_vec(), b.optimized_graph.edge_vec());
@@ -969,7 +957,7 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(2);
         cfg.steps = 24;
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         // Fig. 7's claim: optimised topology is more homophilic. With the
         // entropy ranking favouring same-class pairs this should hold
         // whenever any edit was kept.
@@ -988,7 +976,7 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(3);
         cfg.reset_each_episode = true;
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert_eq!(report.traces.train_acc.len(), cfg.steps);
     }
 
@@ -997,10 +985,14 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(8);
         cfg.algo = crate::config::RlAlgo::A2c;
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert!((0.0..=1.0).contains(&report.test_acc));
-        // A2C reports zero approx-KL (no old policy).
-        assert!(report.traces.ppo_stats.iter().all(|s| s.approx_kl == 0.0));
+        // One update per window, each a single on-policy pass: the ratio
+        // is 1 up to rounding, so the estimated KL stays near zero.
+        assert_eq!(report.traces.ppo_stats.len(), cfg.steps / cfg.update_every);
+        for s in &report.traces.ppo_stats {
+            assert!(s.approx_kl.abs() < 1e-3, "A2C update moved the policy: {s:?}");
+        }
     }
 
     #[test]
@@ -1008,7 +1000,7 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(4);
         cfg.policy = PolicyKind::Shared { hidden: 16 };
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert!((0.0..=1.0).contains(&report.test_acc));
     }
 
@@ -1016,16 +1008,16 @@ mod tests {
     fn stepwise_driver_matches_one_shot_run() {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(11);
-        let one_shot = run(&g, &split, Backbone::Gcn, &cfg);
+        let one_shot = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
         let mut steps = 0;
-        while driver.step() {
+        while driver.try_step().unwrap() {
             steps += 1;
         }
         assert_eq!(steps, cfg.steps);
         assert!(driver.is_done());
-        assert!(!driver.step(), "exhausted driver must refuse further steps");
-        let stepped = driver.finish();
+        assert!(!driver.try_step().unwrap(), "exhausted driver must refuse further steps");
+        let stepped = driver.try_finish().unwrap();
         assert_reports_identical(&one_shot, &stepped);
     }
 
@@ -1034,12 +1026,12 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(13);
 
-        let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg);
+        let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
 
         // Kill the run after 3 steps...
         let mut first = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
         for _ in 0..3 {
-            assert!(first.step());
+            assert!(first.try_step().unwrap());
         }
         let snap = first.snapshot();
         assert_eq!(snap.step, 3);
@@ -1049,8 +1041,7 @@ mod tests {
         let mut resumed = RareDriver::new_for_resume(&g, &split, Backbone::Gcn, &cfg);
         resumed.restore(&snap).unwrap();
         assert_eq!(resumed.step_index(), 3);
-        resumed.run_to_end();
-        let report = resumed.finish();
+        let report = run_driver(resumed).unwrap();
         assert_reports_identical(&uninterrupted, &report);
     }
 
@@ -1059,15 +1050,14 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(17);
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        driver.step();
+        driver.try_step().unwrap();
         let a = driver.snapshot();
         let b = driver.snapshot();
         assert_eq!(a.trainer.rng, b.trainer.rng, "snapshot must not advance RNG streams");
         assert_eq!(a.agent.rng, b.agent.rng);
         assert_eq!(a.trainer.params, b.trainer.params);
         // The driver still finishes normally after snapshotting.
-        driver.run_to_end();
-        let _ = driver.finish();
+        run_driver(driver).unwrap();
     }
 
     #[test]
@@ -1075,7 +1065,7 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(19);
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        driver.step();
+        driver.try_step().unwrap();
         let snap = driver.snapshot();
 
         // Same dataset family, different size -> bounds disagree.
@@ -1111,7 +1101,7 @@ mod tests {
         cfg.entropy_refresh_every = 1;
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
         for _ in 0..3 {
-            assert!(driver.step());
+            assert!(driver.try_step().unwrap());
         }
         // After each step a refresh boundary fired (refresh_every = 1), so
         // the optimiser's rankings must equal a from-scratch build against
@@ -1122,8 +1112,7 @@ mod tests {
         assert_eq!(driver.topo.sequences(), &fresh);
         assert_eq!(driver.topo.base().edge_vec(), current.edge_vec());
         // And the re-anchored optimiser still drives a full run to completion.
-        driver.run_to_end();
-        let report = driver.finish();
+        let report = run_driver(driver).unwrap();
         assert_eq!(report.traces.train_acc.len(), cfg.steps);
         assert_eq!(
             report.original_homophily,
@@ -1137,8 +1126,8 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(29);
         cfg.entropy_refresh_every = 4;
-        let a = run(&g, &split, Backbone::Gcn, &cfg);
-        let b = run(&g, &split, Backbone::Gcn, &cfg);
+        let a = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+        let b = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert_reports_identical(&a, &b);
         assert_eq!(a.traces.train_acc.len(), cfg.steps);
     }
@@ -1149,7 +1138,7 @@ mod tests {
         for kind in [RewirerKind::Dhgr, RewirerKind::Reference, RewirerKind::None] {
             let mut cfg = GraphRareConfig::fast().with_seed(37);
             cfg.rewirer = kind;
-            let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg);
+            let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
             assert_eq!(uninterrupted.traces.train_acc.len(), cfg.steps);
             // Heuristics run no policy update, so no ppo_stats rows.
             assert!(uninterrupted.traces.ppo_stats.is_empty());
@@ -1158,15 +1147,14 @@ mod tests {
 
             let mut first = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
             for _ in 0..3 {
-                assert!(first.step());
+                assert!(first.try_step().unwrap());
             }
             let snap = first.snapshot();
             assert!(snap.agent.params.is_empty(), "{} must export empty agent", kind.name());
             drop(first);
             let mut resumed = RareDriver::new_for_resume(&g, &split, Backbone::Gcn, &cfg);
             resumed.restore(&snap).unwrap();
-            resumed.run_to_end();
-            let report = resumed.finish();
+            let report = run_driver(resumed).unwrap();
             assert_reports_identical(&uninterrupted, &report);
         }
     }
@@ -1176,7 +1164,7 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(41);
         cfg.rewirer = RewirerKind::None;
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         assert_eq!(report.optimized_graph.edge_vec(), g.edge_vec());
         assert_eq!(report.original_homophily, report.optimized_homophily);
     }
@@ -1187,7 +1175,7 @@ mod tests {
         let mut cfg = GraphRareConfig::fast().with_seed(43);
         cfg.rewirer = RewirerKind::Dhgr;
         cfg.steps = 24;
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         if report.optimized_graph.edge_vec() != g.edge_vec() {
             assert!(
                 report.optimized_homophily >= report.original_homophily - 0.02,
@@ -1203,7 +1191,7 @@ mod tests {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(47);
         let mut ppo = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        ppo.step();
+        ppo.try_step().unwrap();
         let snap = ppo.snapshot();
         let mut cfg2 = cfg;
         cfg2.rewirer = RewirerKind::Dhgr;
@@ -1220,7 +1208,7 @@ mod tests {
         let mut cfg = GraphRareConfig::fast().with_seed(31);
         cfg.entropy_refresh_every = 2;
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        driver.step();
+        driver.try_step().unwrap();
         let snap = driver.snapshot();
         let err = driver.restore(&snap).unwrap_err();
         assert!(err.contains("entropy_refresh_every"), "unexpected error: {err}");

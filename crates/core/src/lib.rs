@@ -32,12 +32,13 @@
 //!
 //! let g = generate_mini(Dataset::Texas, 42);
 //! let split = stratified_split(g.labels(), g.num_classes(), 0);
-//! let report = run(&g, &split, Backbone::Gcn, &GraphRareConfig::fast());
+//! let report = run(&g, &split, Backbone::Gcn, &GraphRareConfig::fast())?;
 //! println!("GCN-RARE test accuracy: {:.3}", report.test_acc);
 //! println!(
 //!     "homophily {:.2} -> {:.2}",
 //!     report.original_homophily, report.optimized_homophily
 //! );
+//! # Ok::<(), graphrare::RewireError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -59,7 +60,7 @@ pub use persist::{
     load_model, load_snapshot, resume_driver, save_checkpoint, save_model, ModelArtifact,
 };
 pub use reward::{PerfSnapshot, RewardKind};
-pub use rewire::{RewireDelta, RewiredGraph};
+pub use rewire::{RewireDelta, RewireError, RewiredGraph};
 pub use rewirer::{build_rewirer, Rewirer, RewirerKind};
 pub use state::TopoState;
 pub use topology::{EditMode, TopologyOptimizer};

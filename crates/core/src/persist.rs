@@ -31,8 +31,9 @@ use crate::config::GraphRareConfig;
 use crate::driver::{DriverSnapshot, RareDriver, RareReport, RunTraces};
 use crate::reward::PerfSnapshot;
 
-/// `kind` section contents of a checkpoint container.
-const CHECKPOINT_KIND: &[u8] = b"graphrare.checkpoint.v1";
+/// `kind` section contents of a checkpoint container. v2 added the
+/// required `strategy` section.
+const CHECKPOINT_KIND: &[u8] = b"graphrare.checkpoint.v2";
 /// `kind` section contents of a model-artifact container.
 const MODEL_KIND: &[u8] = b"graphrare.model.v1";
 
@@ -42,6 +43,14 @@ fn named(params: &[Matrix]) -> Vec<(String, Matrix)> {
 
 fn unnamed(params: Vec<(String, Matrix)>) -> Vec<Matrix> {
     params.into_iter().map(|(_, m)| m).collect()
+}
+
+/// `strategy` section contents: the RL algorithm and the rewiring
+/// strategy whose learned state and rollout buffer the checkpoint holds.
+/// PPO and A2C share one agent type, so nothing else tells their
+/// checkpoints apart.
+fn strategy_tag(cfg: &GraphRareConfig) -> String {
+    format!("algo={} rewirer={}", cfg.algo.name(), cfg.rewirer.name())
 }
 
 fn expect_kind(c: &Container, expected: &[u8]) -> Result<(), StoreError> {
@@ -72,6 +81,7 @@ pub fn save_checkpoint(path: &Path, driver: &RareDriver) -> Result<u64, StoreErr
 
     let mut w = ContainerWriter::new();
     w.put_bytes("kind", CHECKPOINT_KIND);
+    w.put_bytes("strategy", strategy_tag(cfg).as_bytes());
     w.put_u64_vec(
         "meta",
         &[
@@ -154,7 +164,8 @@ pub fn save_checkpoint(path: &Path, driver: &RareDriver) -> Result<u64, StoreErr
 }
 
 /// Reads a checkpoint written by [`save_checkpoint`] and cross-checks it
-/// against `cfg` (step budget, update window, seed). The returned
+/// against `cfg` (step budget, update window, seed, RL algorithm and
+/// rewiring strategy). The returned
 /// snapshot still has to pass [`RareDriver::restore`]'s structural
 /// validation — [`resume_driver`] bundles both.
 pub fn load_snapshot(path: &Path, cfg: &GraphRareConfig) -> Result<DriverSnapshot, StoreError> {
@@ -174,6 +185,16 @@ pub fn load_snapshot(path: &Path, cfg: &GraphRareConfig) -> Result<DriverSnapsho
                 "checkpoint was taken with steps={steps} update-every={update_every} \
                  seed={seed}, current config has steps={} update-every={} seed={}",
                 cfg.steps, cfg.update_every, cfg.seed
+            ),
+        });
+    }
+    let strategy = c.bytes("strategy")?;
+    let expected = strategy_tag(cfg);
+    if strategy != expected.as_bytes() {
+        return Err(StoreError::Mismatch {
+            context: format!(
+                "checkpoint was taken with {}, current config has {expected}",
+                String::from_utf8_lossy(strategy)
             ),
         });
     }
@@ -441,11 +462,11 @@ mod tests {
     fn checkpoint_roundtrip_resumes_bit_identically() {
         let (g, split) = fixture();
         let cfg = GraphRareConfig::fast().with_seed(23);
-        let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg);
+        let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
 
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
         for _ in 0..2 {
-            driver.step();
+            driver.try_step().unwrap();
         }
         let path = temp_path("ckpt");
         save_checkpoint(&path, &driver).unwrap();
@@ -453,8 +474,8 @@ mod tests {
 
         let mut resumed = resume_driver(&path, &g, &split, Backbone::Gcn, &cfg).unwrap();
         assert_eq!(resumed.step_index(), 2);
-        resumed.run_to_end();
-        let report = resumed.finish();
+        while resumed.try_step().unwrap() {}
+        let report = resumed.try_finish().unwrap();
         assert_eq!(report.test_acc.to_bits(), uninterrupted.test_acc.to_bits());
         assert_eq!(report.traces.train_acc, uninterrupted.traces.train_acc);
         assert_eq!(report.traces.episode_rewards, uninterrupted.traces.episode_rewards);
@@ -468,7 +489,7 @@ mod tests {
         let (g, split) = fixture();
         let cfg = GraphRareConfig::fast().with_seed(29);
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        driver.step();
+        driver.try_step().unwrap();
         let path = temp_path("cfg-mismatch");
         save_checkpoint(&path, &driver).unwrap();
 
@@ -478,10 +499,33 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_checkpoint_without_strategy() {
+        // A checkpoint that does not record its strategy (the v1 layout)
+        // is a typed error, never read as whatever the caller configured.
+        let cfg = GraphRareConfig::fast().with_seed(43);
+        let meta = [1, cfg.steps as u64, cfg.update_every as u64, cfg.seed, 50, 1];
+        let path = temp_path("no-strategy");
+        let write = |kind: &[u8]| {
+            let mut w = ContainerWriter::new();
+            w.put_bytes("kind", kind);
+            w.put_u64_vec("meta", &meta);
+            w.write_atomic(&path).unwrap();
+        };
+        write(b"graphrare.checkpoint.v1");
+        assert!(matches!(load_snapshot(&path, &cfg), Err(StoreError::Mismatch { .. })));
+        write(CHECKPOINT_KIND);
+        assert!(matches!(
+            load_snapshot(&path, &cfg),
+            Err(StoreError::MissingSection { section }) if section == "strategy"
+        ));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn model_artifact_reproduces_saved_test_accuracy() {
         let (g, split) = fixture();
         let cfg = GraphRareConfig::fast().with_seed(37);
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         let path = temp_path("model");
         save_model(&path, &report).unwrap();
 
@@ -505,7 +549,7 @@ mod tests {
     fn model_file_is_not_a_checkpoint() {
         let (g, split) = fixture();
         let cfg = GraphRareConfig::fast().with_seed(41);
-        let report = run(&g, &split, Backbone::Gcn, &cfg);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
         let path = temp_path("kind");
         save_model(&path, &report).unwrap();
         assert!(matches!(

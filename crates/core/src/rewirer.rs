@@ -13,9 +13,9 @@
 //!
 //! Strategies:
 //!
-//! * [`RewirerKind::Ppo`] — the paper's DRL module (PPO or A2C per
-//!   `cfg.algo`), unchanged: this module merely owns the agent and its
-//!   rollout buffer instead of the driver.
+//! * [`RewirerKind::Ppo`] — the paper's DRL module: one PPO agent, run
+//!   as PPO or under its A2C preset per `cfg.algo`. This module owns the
+//!   agent and its rollout buffer.
 //! * [`RewirerKind::Dhgr`] — DHGR-style similarity rewiring ("Make
 //!   Heterophily Graphs Better Fit GNN"): a candidate edge is accepted
 //!   when its feature/label similarity clears a threshold calibrated on
@@ -34,7 +34,7 @@
 //! [`RewiredGraph`]: crate::rewire::RewiredGraph
 
 use graphrare_rl::{
-    A2cAgent, A2cConfig, AgentState, GlobalPolicy, PpoAgent, PpoStats, RolloutBuffer, SharedPolicy,
+    AgentState, GlobalPolicy, Policy, PpoAgent, PpoConfig, PpoStats, RolloutBuffer, SharedPolicy,
     ValueNet,
 };
 use graphrare_tensor::optim::AdamSnapshot;
@@ -50,7 +50,7 @@ use crate::topology::TopologyOptimizer;
 /// Which rewiring strategy proposes the per-step edits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RewirerKind {
-    /// The paper's DRL module (PPO/A2C per `cfg.algo`).
+    /// The paper's DRL module (PPO, or its A2C preset, per `cfg.algo`).
     Ppo,
     /// DHGR-style feature/label-similarity rewiring.
     Dhgr,
@@ -184,107 +184,8 @@ pub fn build_rewirer(
 }
 
 // ---------------------------------------------------------------------------
-// PPO / A2C
+// PPO (and its A2C preset)
 // ---------------------------------------------------------------------------
-
-enum AgentBox {
-    PpoGlobal(PpoAgent<GlobalPolicy>),
-    PpoShared(PpoAgent<SharedPolicy>),
-    A2cGlobal(A2cAgent<GlobalPolicy>),
-    A2cShared(A2cAgent<SharedPolicy>),
-}
-
-impl AgentBox {
-    fn new(kind: PolicyKind, num_nodes: usize, cfg: &GraphRareConfig) -> Self {
-        let state_dim = 2 * num_nodes;
-        let a2c = A2cConfig { seed: cfg.ppo.seed, ..Default::default() };
-        match (cfg.algo, kind) {
-            (RlAlgo::Ppo, PolicyKind::Global { hidden }) => {
-                let policy = GlobalPolicy::new(state_dim, hidden, 2 * num_nodes, cfg.ppo.seed);
-                let value = ValueNet::new(state_dim, hidden, cfg.ppo.seed.wrapping_add(17));
-                AgentBox::PpoGlobal(PpoAgent::new(policy, value, cfg.ppo))
-            }
-            (RlAlgo::Ppo, PolicyKind::Shared { hidden }) => {
-                let policy = SharedPolicy::new(num_nodes, 2, hidden, cfg.ppo.seed);
-                let value = ValueNet::new(state_dim, hidden, cfg.ppo.seed.wrapping_add(17));
-                AgentBox::PpoShared(PpoAgent::new(policy, value, cfg.ppo))
-            }
-            (RlAlgo::A2c, PolicyKind::Global { hidden }) => {
-                let policy = GlobalPolicy::new(state_dim, hidden, 2 * num_nodes, cfg.ppo.seed);
-                let value = ValueNet::new(state_dim, hidden, cfg.ppo.seed.wrapping_add(17));
-                AgentBox::A2cGlobal(A2cAgent::new(policy, value, a2c))
-            }
-            (RlAlgo::A2c, PolicyKind::Shared { hidden }) => {
-                let policy = SharedPolicy::new(num_nodes, 2, hidden, cfg.ppo.seed);
-                let value = ValueNet::new(state_dim, hidden, cfg.ppo.seed.wrapping_add(17));
-                AgentBox::A2cShared(A2cAgent::new(policy, value, a2c))
-            }
-        }
-    }
-
-    fn act(&mut self, state: &[f32]) -> (Vec<u8>, f32, f32) {
-        match self {
-            AgentBox::PpoGlobal(a) => a.act(state),
-            AgentBox::PpoShared(a) => a.act(state),
-            AgentBox::A2cGlobal(a) => a.act(state),
-            AgentBox::A2cShared(a) => a.act(state),
-        }
-    }
-
-    fn value_of(&self, state: &[f32]) -> f32 {
-        match self {
-            AgentBox::PpoGlobal(a) => a.value_of(state),
-            AgentBox::PpoShared(a) => a.value_of(state),
-            AgentBox::A2cGlobal(a) => a.value_of(state),
-            AgentBox::A2cShared(a) => a.value_of(state),
-        }
-    }
-
-    /// Runs the agent's update; A2C stats are reported through the same
-    /// `PpoStats` shape (approx_kl stays 0 — there is no old policy).
-    fn update(&mut self, buffer: &RolloutBuffer, last_value: f32) -> PpoStats {
-        match self {
-            AgentBox::PpoGlobal(a) => a.update(buffer, last_value),
-            AgentBox::PpoShared(a) => a.update(buffer, last_value),
-            AgentBox::A2cGlobal(a) => {
-                let s = a.update(buffer, last_value);
-                PpoStats {
-                    policy_loss: s.policy_loss,
-                    value_loss: s.value_loss,
-                    entropy: s.entropy,
-                    approx_kl: 0.0,
-                }
-            }
-            AgentBox::A2cShared(a) => {
-                let s = a.update(buffer, last_value);
-                PpoStats {
-                    policy_loss: s.policy_loss,
-                    value_loss: s.value_loss,
-                    entropy: s.entropy,
-                    approx_kl: 0.0,
-                }
-            }
-        }
-    }
-
-    fn export_state(&self) -> AgentState {
-        match self {
-            AgentBox::PpoGlobal(a) => a.export_state(),
-            AgentBox::PpoShared(a) => a.export_state(),
-            AgentBox::A2cGlobal(a) => a.export_state(),
-            AgentBox::A2cShared(a) => a.export_state(),
-        }
-    }
-
-    fn import_state(&mut self, state: &AgentState) {
-        match self {
-            AgentBox::PpoGlobal(a) => a.import_state(state),
-            AgentBox::PpoShared(a) => a.import_state(state),
-            AgentBox::A2cGlobal(a) => a.import_state(state),
-            AgentBox::A2cShared(a) => a.import_state(state),
-        }
-    }
-}
 
 /// One in-flight transition between `propose` and `feedback`.
 struct Pending {
@@ -294,20 +195,34 @@ struct Pending {
     value: f32,
 }
 
-/// The paper's DRL strategy: a PPO (or A2C) agent over the normalised
-/// `[k, d]` counters, updated every `update_every` steps from the rollout
-/// buffer. Call-for-call identical to the agent the driver used to own,
-/// so existing runs and checkpoints stay bit-identical.
+/// The paper's DRL strategy: a PPO agent over the normalised `[k, d]`
+/// counters, updated every `update_every` steps from the rollout buffer.
+/// `RlAlgo::A2c` runs the same agent under the [`PpoConfig::a2c`] preset.
 struct PpoRewirer {
-    agent: AgentBox,
+    agent: PpoAgent,
     buffer: RolloutBuffer,
     pending: Option<Pending>,
 }
 
 impl PpoRewirer {
     fn new(num_nodes: usize, cfg: &GraphRareConfig) -> Self {
+        let state_dim = 2 * num_nodes;
+        let seed = cfg.ppo.seed;
+        let (policy, hidden): (Box<dyn Policy>, usize) = match cfg.policy {
+            PolicyKind::Global { hidden } => {
+                (Box::new(GlobalPolicy::new(state_dim, hidden, 2 * num_nodes, seed)), hidden)
+            }
+            PolicyKind::Shared { hidden } => {
+                (Box::new(SharedPolicy::new(num_nodes, 2, hidden, seed)), hidden)
+            }
+        };
+        let value = ValueNet::new(state_dim, hidden, seed.wrapping_add(17));
+        let agent_cfg = match cfg.algo {
+            RlAlgo::Ppo => cfg.ppo,
+            RlAlgo::A2c => PpoConfig::a2c(seed),
+        };
         Self {
-            agent: AgentBox::new(cfg.policy, num_nodes, cfg),
+            agent: PpoAgent::new(policy, value, agent_cfg),
             buffer: RolloutBuffer::new(),
             pending: None,
         }

@@ -74,14 +74,14 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
 
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
-    let off = run(&g, &split, Backbone::Gcn, &cfg);
+    let off = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     assert!(off.telemetry.is_none(), "disabled run must not carry an aggregate");
 
     telemetry::reset();
     let (sink, events) = telemetry::VecSink::new();
     telemetry::add_sink(Box::new(sink));
     telemetry::set_enabled(true);
-    let on = run(&g, &split, Backbone::Gcn, &cfg);
+    let on = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
 
@@ -159,7 +159,7 @@ fn jsonl_stream_is_schema_valid_with_one_iter_event_per_step() {
     telemetry::clear_sinks();
     telemetry::add_sink(Box::new(telemetry::JsonlSink::create(&path).unwrap()));
     telemetry::set_enabled(true);
-    let report = run(&g, &split, Backbone::Gcn, &cfg);
+    let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
 

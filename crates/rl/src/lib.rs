@@ -9,8 +9,8 @@
 //!   ([`policy::SharedPolicy`]) that scales to large graphs, plus the
 //!   critic ([`policy::ValueNet`]).
 //! * [`buffer`] — rollout storage and GAE(λ) advantage estimation.
-//! * [`ppo`] — the clipped-surrogate PPO update ([`ppo::PpoAgent`]).
-//! * [`a2c`] — a vanilla advantage actor-critic ([`a2c::A2cAgent`]),
+//! * [`ppo`] — the clipped-surrogate PPO update ([`ppo::PpoAgent`]). The
+//!   [`PpoConfig::a2c`] preset turns the same agent into synchronous A2C,
 //!   demonstrating the paper's claim that the framework is agnostic to
 //!   the RL algorithm.
 //!
@@ -20,13 +20,11 @@
 
 #![warn(missing_docs)]
 
-pub mod a2c;
 pub mod buffer;
 pub mod policy;
 pub mod ppo;
 pub mod snapshot;
 
-pub use a2c::{A2cAgent, A2cConfig, A2cStats};
 pub use buffer::{gae, normalize, RolloutBuffer};
 pub use policy::{GlobalPolicy, Policy, SharedPolicy, ValueNet, ACTION_ARITY};
 pub use ppo::{PpoAgent, PpoConfig, PpoStats};

@@ -5,6 +5,11 @@
 //! clipped surrogate objective, GAE(λ) advantages, a squared-error value
 //! loss and an entropy bonus, optimised with Adam over shuffled
 //! minibatches for several epochs per update.
+//!
+//! The paper remarks that "other reinforcement learning algorithms can
+//! also be conveniently applied" to the framework. Synchronous A2C is one
+//! of them, and needs no second agent: [`PpoConfig::a2c`] is the PPO
+//! configuration that performs A2C's update.
 
 use std::rc::Rc;
 
@@ -61,6 +66,30 @@ impl Default for PpoConfig {
     }
 }
 
+impl PpoConfig {
+    /// Synchronous advantage actor-critic (A2C) as a PPO preset: one epoch
+    /// over a single full-batch minibatch, A2C's customary learning rate
+    /// and Monte-Carlo advantages (GAE λ = 1). Every other field keeps its
+    /// PPO default.
+    ///
+    /// With one on-policy pass, the parameters that score the rollout are
+    /// the ones that sampled it, so the ratio `π/π_old` is 1 up to
+    /// rounding. Clipping never engages and the surrogate's gradient is
+    /// A2C's `−mean(logπ(a|s) · Â)`; advantage normalisation, the value
+    /// loss, the entropy bonus, gradient-norm clipping and Adam are shared
+    /// unchanged.
+    pub fn a2c(seed: u64) -> Self {
+        Self {
+            gae_lambda: 1.0,
+            lr: 7e-4,
+            epochs: 1,
+            minibatch: usize::MAX,
+            seed,
+            ..Self::default()
+        }
+    }
+}
+
 /// Diagnostics of one [`PpoAgent::update`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PpoStats {
@@ -75,8 +104,8 @@ pub struct PpoStats {
 }
 
 /// A PPO agent: stochastic multi-discrete policy plus critic.
-pub struct PpoAgent<P: Policy> {
-    policy: P,
+pub struct PpoAgent {
+    policy: Box<dyn Policy>,
     value: ValueNet,
     cfg: PpoConfig,
     opt: Adam,
@@ -84,9 +113,9 @@ pub struct PpoAgent<P: Policy> {
     params: Vec<Param>,
 }
 
-impl<P: Policy> PpoAgent<P> {
+impl PpoAgent {
     /// Creates an agent from a policy, a critic and a config.
-    pub fn new(policy: P, value: ValueNet, cfg: PpoConfig) -> Self {
+    pub fn new(policy: Box<dyn Policy>, value: ValueNet, cfg: PpoConfig) -> Self {
         let mut params = policy.params();
         params.extend(value.params());
         Self {
@@ -97,11 +126,6 @@ impl<P: Policy> PpoAgent<P> {
             cfg,
             params,
         }
-    }
-
-    /// The wrapped policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
     }
 
     /// Exports the complete mutable state of the agent — policy + critic
@@ -133,7 +157,12 @@ impl<P: Policy> PpoAgent<P> {
     /// Samples an action for `state`. Returns the per-head action indices,
     /// the joint log-probability and the critic's value estimate.
     pub fn act(&mut self, state: &[f32]) -> (Vec<u8>, f32, f32) {
-        let (logits, value) = self.forward_single(state);
+        let mut tape = Tape::new();
+        let s = tape.constant(Matrix::row_vector(state));
+        let l = self.policy.logits(&mut tape, s);
+        let v = self.value.forward(&mut tape, s);
+        let logits = tape.value(l).row(0);
+        let value = tape.value(v).scalar_value();
         let heads = self.policy.heads();
         let mut actions = Vec::with_capacity(heads);
         let mut log_prob = 0.0f32;
@@ -149,27 +178,12 @@ impl<P: Policy> PpoAgent<P> {
         (actions, log_prob, value)
     }
 
-    /// Greedy (argmax per head) action for `state`.
-    pub fn act_deterministic(&mut self, state: &[f32]) -> Vec<u8> {
-        let (logits, _) = self.forward_single(state);
-        let heads = self.policy.heads();
-        (0..heads).map(|h| greedy_head(&logits[h * ACTION_ARITY..(h + 1) * ACTION_ARITY])).collect()
-    }
-
     /// Critic value of `state`.
     pub fn value_of(&self, state: &[f32]) -> f32 {
         let mut tape = Tape::new();
         let s = tape.constant(Matrix::row_vector(state));
         let v = self.value.forward(&mut tape, s);
         tape.value(v).scalar_value()
-    }
-
-    fn forward_single(&self, state: &[f32]) -> (Vec<f32>, f32) {
-        let mut tape = Tape::new();
-        let s = tape.constant(Matrix::row_vector(state));
-        let l = self.policy.logits(&mut tape, s);
-        let v = self.value.forward(&mut tape, s);
-        (tape.value(l).row(0).to_vec(), tape.value(v).scalar_value())
     }
 
     /// Runs the clipped-surrogate update on a collected rollout.
@@ -268,15 +282,6 @@ impl<P: Policy> PpoAgent<P> {
     }
 }
 
-/// Greedy argmax over one head's logit row. `total_cmp` keeps the
-/// ordering total: a NaN logit (e.g. from a checkpoint corrupted
-/// upstream of the tape's finiteness gate) must yield a deterministic
-/// pick, never a comparator panic mid-episode.
-#[inline]
-fn greedy_head(row: &[f32]) -> u8 {
-    row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i as u8).unwrap_or(1)
-}
-
 /// Inverse-CDF sample over one head's softmax probabilities.
 ///
 /// Floating-point rounding can leave the cumulative sum a few ULPs below
@@ -317,10 +322,32 @@ mod tests {
     use super::*;
     use crate::policy::GlobalPolicy;
 
-    fn make_agent(state_dim: usize, heads: usize, seed: u64) -> PpoAgent<GlobalPolicy> {
-        let policy = GlobalPolicy::new(state_dim, 32, heads, seed);
-        let value = ValueNet::new(state_dim, 32, seed + 1);
-        PpoAgent::new(policy, value, PpoConfig { seed, ..Default::default() })
+    fn agent_with(state_dim: usize, heads: usize, cfg: PpoConfig) -> PpoAgent {
+        let policy = GlobalPolicy::new(state_dim, 32, heads, cfg.seed);
+        let value = ValueNet::new(state_dim, 32, cfg.seed + 1);
+        PpoAgent::new(Box::new(policy), value, cfg)
+    }
+
+    fn make_agent(state_dim: usize, heads: usize, seed: u64) -> PpoAgent {
+        agent_with(state_dim, heads, PpoConfig { seed, ..Default::default() })
+    }
+
+    /// Trains `agent` on a contextual bandit that rewards action 2 on
+    /// every head (0 otherwise) and returns the last round's mean reward.
+    fn bandit_final_mean(agent: &mut PpoAgent, heads: usize, rounds: usize) -> f32 {
+        let state = vec![1.0f32, -1.0];
+        let mut final_mean = 0.0;
+        for _round in 0..rounds {
+            let mut buffer = RolloutBuffer::new();
+            for _ in 0..32 {
+                let (actions, logp, value) = agent.act(&state);
+                let reward = actions.iter().filter(|&&a| a == 2).count() as f32 / heads as f32;
+                buffer.push(state.clone(), actions, logp, value, reward, true);
+            }
+            final_mean = buffer.mean_reward();
+            agent.update(&buffer, 0.0);
+        }
+        final_mean
     }
 
     #[test]
@@ -332,25 +359,6 @@ mod tests {
         assert!(logp < 0.0, "log-probability must be negative, got {logp}");
         // Near-uniform initial policy: logp ≈ 3 * ln(1/3).
         assert!((logp - 3.0 * (1.0f32 / 3.0).ln()).abs() < 0.3);
-    }
-
-    #[test]
-    fn deterministic_action_is_stable() {
-        let mut agent = make_agent(4, 2, 1);
-        let s = [0.5, -0.5, 0.2, 0.0];
-        assert_eq!(agent.act_deterministic(&s), agent.act_deterministic(&s));
-    }
-
-    #[test]
-    fn greedy_argmax_tolerates_nan_logits() {
-        // The per-head argmax used to panic through
-        // `partial_cmp(..).unwrap()` on any NaN logit; `total_cmp`
-        // keeps the pick total and deterministic. (The tape refuses
-        // non-finite inputs, so NaN rows are injected directly.)
-        assert_eq!(greedy_head(&[f32::NAN, 0.5, -0.5]), 0); // +NaN sorts above finite
-        assert_eq!(greedy_head(&[0.5, f32::NAN, -0.5]), 1);
-        assert_eq!(greedy_head(&[f32::NAN, f32::NAN, f32::NAN]), 2); // last wins ties
-        assert_eq!(greedy_head(&[1.0, 3.0, 2.0]), 1);
     }
 
     #[test]
@@ -386,25 +394,21 @@ mod tests {
         assert_eq!(sample_head(&uniform, 0.8), 2);
     }
 
-    /// A contextual bandit: reward 1 for picking action 2 on every head,
-    /// 0 otherwise. PPO must learn to always pick action 2.
+    /// PPO must learn to always pick the rewarded action.
     #[test]
     fn ppo_solves_multi_discrete_bandit() {
-        let heads = 3;
-        let mut agent = make_agent(2, heads, 7);
-        let state = vec![1.0f32, -1.0];
-        let mut final_mean = 0.0;
-        for _round in 0..60 {
-            let mut buffer = RolloutBuffer::new();
-            for _ in 0..32 {
-                let (actions, logp, value) = agent.act(&state);
-                let reward = actions.iter().filter(|&&a| a == 2).count() as f32 / heads as f32;
-                buffer.push(state.clone(), actions, logp, value, reward, true);
-            }
-            final_mean = buffer.mean_reward();
-            agent.update(&buffer, 0.0);
-        }
+        let mut agent = make_agent(2, 3, 7);
+        let final_mean = bandit_final_mean(&mut agent, 3, 60);
         assert!(final_mean > 0.85, "bandit mean reward only reached {final_mean}");
+    }
+
+    /// The A2C preset learns the same bandit with its single, smaller
+    /// step per rollout (hence the longer schedule).
+    #[test]
+    fn a2c_preset_solves_multi_discrete_bandit() {
+        let mut agent = agent_with(2, 3, PpoConfig::a2c(5));
+        let final_mean = bandit_final_mean(&mut agent, 3, 150);
+        assert!(final_mean > 0.8, "bandit mean reward only reached {final_mean}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Checkpointable agent state.
 //!
-//! Both agents ([`PpoAgent`](crate::PpoAgent), [`A2cAgent`](crate::A2cAgent))
-//! carry three pieces of mutable state: the parameter values of the policy
-//! and the critic, the Adam moment estimates, and the action-sampling RNG
-//! stream. [`AgentState`] captures all three so that an agent rebuilt from
+//! A [`PpoAgent`](crate::PpoAgent) carries three pieces of mutable state:
+//! the parameter values of the policy and the critic, the Adam moment
+//! estimates, and the action-sampling RNG stream. [`AgentState`] captures all three so that an agent rebuilt from
 //! the same configuration and restored from a snapshot continues its
 //! trajectory — actions sampled, gradients applied — bit-for-bit.
 

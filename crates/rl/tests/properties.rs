@@ -78,7 +78,8 @@ proptest! {
     fn initial_policy_explores_every_action(seed in 0u64..500) {
         let policy = GlobalPolicy::new(4, 16, 2, seed);
         let value = ValueNet::new(4, 16, seed + 1);
-        let mut agent = PpoAgent::new(policy, value, PpoConfig { seed, ..Default::default() });
+        let mut agent =
+            PpoAgent::new(Box::new(policy), value, PpoConfig { seed, ..Default::default() });
         let state = [0.2f32, -0.1, 0.5, 0.0];
         let mut seen = [false; ACTION_ARITY];
         for _ in 0..64 {

@@ -62,7 +62,7 @@ fn solo_artifact(dir: &Path, run_spec: &RunSpec) -> Vec<u8> {
     let graph = io::read_graph(&PathBuf::from(&run_spec.input)).unwrap();
     let split = stratified_split(graph.labels(), graph.num_classes(), run_spec.split_seed);
     let cfg = run_spec.to_config();
-    let report = graphrare::run(&graph, &split, run_spec.backbone, &cfg);
+    let report = graphrare::run(&graph, &split, run_spec.backbone, &cfg).unwrap();
     let path = dir.join(format!("solo-{}.grrs", run_spec.seed));
     persist::save_model(&path, &report).unwrap();
     std::fs::read(&path).unwrap()

@@ -1,16 +1,15 @@
 //! # graphrare-telemetry
 //!
 //! Zero-dependency (std-only) observability for the GraphRARE
-//! workspace: lightweight spans with wall-clock timing, counters and
-//! fixed-bucket histograms aggregated per span, and structured
-//! training/kernel event streams with a stable, versioned JSONL
-//! schema.
+//! workspace: lightweight spans with wall-clock timing and counters
+//! aggregated per span, and structured training/kernel event streams
+//! with a stable, versioned JSONL schema.
 //!
 //! ## Model
 //!
 //! * **Spans** ([`span`], [`SpanGuard`]) measure wall time with RAII
-//!   guards, aggregate per name (count / total / min / max plus a
-//!   duration histogram), and are **hierarchical**: a per-thread span
+//!   guards, aggregate per name (count / total / min / max), and are
+//!   **hierarchical**: a per-thread span
 //!   stack gives every span a `span_id`/`parent_id` and a call *path*
 //!   aggregated in per-path profiles with self time and exact
 //!   reservoir-sampled p50/p90/p99 percentiles.
@@ -56,7 +55,7 @@ pub mod sink;
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use event::{escape_json_str, Event, Value, SCHEMA_VERSION};
 pub use metrics::{
-    Histogram, MetricsStore, PathStats, PathSummary, Reservoir, SpanStats, SpanSummary, Summary,
+    MetricsStore, PathStats, PathSummary, Reservoir, SpanStats, SpanSummary, Summary,
 };
 pub use registry::{
     add_sink, clear_sinks, counter, current_run_id, emit, emit_with, enabled, flush, gauge_max,

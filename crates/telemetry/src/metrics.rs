@@ -1,5 +1,5 @@
-//! Aggregated metrics: counters, fixed-bucket histograms, per-span
-//! duration statistics and hierarchical per-path profiles.
+//! Aggregated metrics: counters, per-span duration statistics and
+//! hierarchical per-path profiles.
 //!
 //! Everything here is plain data — the global registry
 //! ([`crate::registry`]) owns one [`MetricsStore`] behind a mutex and
@@ -19,67 +19,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Upper bounds (inclusive, nanoseconds) of the fixed duration buckets;
-/// one decade per bucket from 1µs to 10s, with an overflow bucket after
-/// the last bound.
-pub const DURATION_BUCKET_BOUNDS_NS: [u64; 8] =
-    [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000];
-
-/// Number of histogram buckets (the bounds plus one overflow bucket).
-pub const NUM_BUCKETS: usize = DURATION_BUCKET_BOUNDS_NS.len() + 1;
-
 /// Capacity of the per-path duration reservoir. Percentiles are exact
 /// while a path has at most this many observations and an unbiased
 /// uniform sample beyond it.
 pub const RESERVOIR_CAP: usize = 512;
-
-/// A fixed-bucket histogram over nanosecond durations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
-    counts: [u64; NUM_BUCKETS],
-}
-
-impl Histogram {
-    /// Records one observation. Durations above the last bound land in
-    /// the overflow bucket (including `u64::MAX`); bucket counts
-    /// saturate instead of wrapping.
-    pub fn record(&mut self, ns: u64) {
-        let idx = DURATION_BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&bound| ns <= bound)
-            .unwrap_or(NUM_BUCKETS - 1);
-        self.counts[idx] = self.counts[idx].saturating_add(1);
-    }
-
-    /// Merges another histogram into this one (bucket-wise saturating
-    /// addition).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// Per-bucket counts; index `i` counts observations in
-    /// `(bound[i-1], bound[i]]`, the last bucket everything above.
-    pub fn counts(&self) -> &[u64; NUM_BUCKETS] {
-        &self.counts
-    }
-
-    /// Total number of observations (saturating).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c))
-    }
-
-    /// Bucket-wise saturating difference (`self` minus `earlier`); used
-    /// for run-scoped aggregation against a baseline snapshot.
-    pub fn saturating_diff(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::default();
-        for (i, (a, b)) in self.counts.iter().zip(earlier.counts.iter()).enumerate() {
-            out.counts[i] = a.saturating_sub(*b);
-        }
-        out
-    }
-}
 
 /// Fixed-capacity uniform reservoir of exact span durations
 /// (Vitter's Algorithm R with a deterministic splitmix64 stream, so two
@@ -171,8 +114,6 @@ pub struct SpanStats {
     pub min_ns: u64,
     /// Longest observation.
     pub max_ns: u64,
-    /// Duration histogram over [`DURATION_BUCKET_BOUNDS_NS`].
-    pub hist: Histogram,
 }
 
 impl SpanStats {
@@ -187,7 +128,6 @@ impl SpanStats {
         }
         self.count = self.count.saturating_add(1);
         self.total_ns = self.total_ns.saturating_add(ns);
-        self.hist.record(ns);
     }
 
     /// Mean duration in nanoseconds (0 when empty; an under-estimate
@@ -310,7 +250,6 @@ impl MetricsStore {
                     total_ns: v.total_ns,
                     min_ns: v.min_ns,
                     max_ns: v.max_ns,
-                    buckets: *v.hist.counts(),
                 })
                 .collect(),
             paths: self
@@ -354,8 +293,6 @@ pub struct SpanSummary {
     pub min_ns: u64,
     /// Longest observation (from the later snapshot when diffed).
     pub max_ns: u64,
-    /// Histogram bucket counts.
-    pub buckets: [u64; NUM_BUCKETS],
 }
 
 /// Read-only summary of one span path, as surfaced in [`Summary`].
@@ -433,8 +370,8 @@ impl Summary {
     }
 
     /// Run-scoped view: this snapshot minus an `earlier` baseline.
-    /// Counters, span counts, totals, self times, allocation totals and
-    /// histogram buckets subtract; `min_ns`/`max_ns`, percentiles and
+    /// Counters, span counts, totals, self times and allocation totals
+    /// subtract; `min_ns`/`max_ns`, percentiles and
     /// peak bytes are kept from `self` (extrema, reservoirs and peaks
     /// are not diffable). Entries that did not change are dropped.
     pub fn since(&self, earlier: &Summary) -> Summary {
@@ -455,17 +392,12 @@ impl Summary {
                 if count == 0 {
                     return None;
                 }
-                let mut buckets = [0u64; NUM_BUCKETS];
-                for (i, slot) in buckets.iter_mut().enumerate() {
-                    *slot = s.buckets[i].saturating_sub(base.map_or(0, |b| b.buckets[i]));
-                }
                 Some(SpanSummary {
                     name: s.name.clone(),
                     count,
                     total_ns: s.total_ns.saturating_sub(base.map_or(0, |b| b.total_ns)),
                     min_ns: s.min_ns,
                     max_ns: s.max_ns,
-                    buckets,
                 })
             })
             .collect();
@@ -559,64 +491,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_observations_by_bound() {
-        let mut h = Histogram::default();
-        h.record(0); // <= 1µs -> bucket 0
-        h.record(1_000); // inclusive bound -> bucket 0
-        h.record(1_001); // -> bucket 1
-        h.record(5_000_000); // -> bucket 4 (<= 10ms)
-        h.record(u64::MAX); // overflow bucket
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[1], 1);
-        assert_eq!(h.counts()[4], 1);
-        assert_eq!(h.counts()[NUM_BUCKETS - 1], 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_merge_adds_bucketwise() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        a.record(10);
-        a.record(2_000);
-        b.record(10);
-        b.record(20_000_000_000);
-        a.merge(&b);
-        assert_eq!(a.counts()[0], 2);
-        assert_eq!(a.counts()[1], 1);
-        assert_eq!(a.counts()[NUM_BUCKETS - 1], 1);
-        assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    fn histogram_saturates_instead_of_wrapping() {
-        let mut a = Histogram::default();
-        a.counts[NUM_BUCKETS - 1] = u64::MAX;
-        a.record(u64::MAX); // overflow bucket already saturated
-        assert_eq!(a.counts()[NUM_BUCKETS - 1], u64::MAX);
-        let mut b = Histogram::default();
-        b.record(u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.counts()[NUM_BUCKETS - 1], u64::MAX);
-        // total() over saturated buckets must not wrap either.
-        a.counts[0] = u64::MAX;
-        assert_eq!(a.total(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_diff_subtracts() {
-        let mut early = Histogram::default();
-        early.record(10);
-        let mut late = early;
-        late.record(10);
-        late.record(5_000);
-        let d = late.saturating_diff(&early);
-        assert_eq!(d.counts()[0], 1);
-        assert_eq!(d.counts()[1], 1);
-        assert_eq!(d.total(), 2);
-    }
-
-    #[test]
     fn span_stats_track_extrema_and_mean() {
         let mut s = SpanStats::default();
         s.record(100);
@@ -640,7 +514,6 @@ mod tests {
         assert_eq!(s.total_ns, u64::MAX);
         assert_eq!(s.max_ns, u64::MAX);
         assert_eq!(s.mean_ns(), u64::MAX / 2);
-        assert_eq!(s.hist.counts()[NUM_BUCKETS - 1], 2);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl GnnModel for Appnp {
     }
 }
 
-fn main() {
+fn main() -> Result<(), graphrare::RewireError> {
     let seed = 3;
     let graph = generate_mini(Dataset::Chameleon, seed);
     let split = stratified_split(graph.labels(), graph.num_classes(), seed);
@@ -99,7 +99,7 @@ fn main() {
     let cfg = GraphRareConfig::default().with_seed(seed);
     let table = RelativeEntropyTable::new(&graph, &cfg.entropy);
     let seqs = EntropySequences::build(&graph, &table, &SequenceConfig::default());
-    let search = run_with_sequences(&graph, seqs, &split, graphrare_gnn::Backbone::Gcn, &cfg);
+    let search = run_with_sequences(&graph, seqs, &split, graphrare_gnn::Backbone::Gcn, &cfg)?;
     println!(
         "GCN-driven topology search: homophily {:.3} -> {:.3}",
         search.original_homophily, search.optimized_homophily
@@ -118,4 +118,5 @@ fn main() {
         100.0 * enhanced.test_acc,
         100.0 * (enhanced.test_acc - plain.test_acc)
     );
+    Ok(())
 }

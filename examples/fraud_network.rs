@@ -59,7 +59,7 @@ fn build_network(seed: u64) -> Graph {
     g
 }
 
-fn main() {
+fn main() -> Result<(), graphrare::RewireError> {
     let seed = 7;
     let graph = build_network(seed);
     let split = stratified_split(graph.labels(), graph.num_classes(), seed);
@@ -91,7 +91,7 @@ fn main() {
     println!("\nPlain GCN fraud-detection accuracy:   {:.2}%", 100.0 * plain.test_acc);
 
     let cfg = GraphRareConfig::default().with_seed(seed);
-    let report = run(&graph, &split, Backbone::Gcn, &cfg);
+    let report = run(&graph, &split, Backbone::Gcn, &cfg)?;
     println!("GCN-RARE fraud-detection accuracy:    {:.2}%", 100.0 * report.test_acc);
     println!(
         "Rewired homophily: {:.3} -> {:.3} ({} edges in optimised graph)",
@@ -116,4 +116,5 @@ fn main() {
     println!(
         "Fraud-fraud edges: {fraud_links_before} before optimisation, {fraud_links_after} after."
     );
+    Ok(())
 }

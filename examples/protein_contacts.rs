@@ -62,7 +62,7 @@ fn build_contact_graph(seed: u64) -> Graph {
     g
 }
 
-fn main() {
+fn main() -> Result<(), graphrare::RewireError> {
     let seed = 11;
     let graph = build_contact_graph(seed);
     println!(
@@ -93,7 +93,7 @@ fn main() {
     println!("\nCategory classification with GraphRARE-enhanced backbones:");
     for backbone in [Backbone::Gcn, Backbone::Sage, Backbone::Gat, Backbone::H2gcn] {
         let cfg = GraphRareConfig::default().with_seed(seed);
-        let report = run(&graph, &split, backbone, &cfg);
+        let report = run(&graph, &split, backbone, &cfg)?;
         println!(
             "  {:<10} test acc {:.2}%   homophily {:.3} -> {:.3}",
             format!("{}-RARE", backbone.name()),
@@ -102,4 +102,5 @@ fn main() {
             report.optimized_homophily
         );
     }
+    Ok(())
 }

@@ -10,7 +10,7 @@ use graphrare::{run, GraphRareConfig};
 use graphrare_datasets::{generate_mini, stratified_split, Dataset};
 use graphrare_gnn::{build_model, fit, Backbone, GraphTensors, ModelConfig, TrainConfig};
 
-fn main() {
+fn main() -> Result<(), graphrare::RewireError> {
     let seed = 42;
     println!("Generating the Texas benchmark (Table II: 183 nodes, H = 0.11)...");
     let graph = generate_mini(Dataset::Texas, seed);
@@ -34,7 +34,7 @@ fn main() {
     // 2. GraphRARE-enhanced GCN: entropy ranking + PPO topology edits.
     println!("Training GCN-RARE (joint GNN + PPO topology optimisation)...");
     let cfg = GraphRareConfig::default().with_seed(seed);
-    let report = run(&graph, &split, Backbone::Gcn, &cfg);
+    let report = run(&graph, &split, Backbone::Gcn, &cfg)?;
     println!("  test accuracy: {:.2}%", 100.0 * report.test_acc);
     println!(
         "  homophily ratio: {:.3} -> {:.3}",
@@ -47,4 +47,5 @@ fn main() {
 
     let delta = 100.0 * (report.test_acc - plain.test_acc);
     println!("\nGCN-RARE vs GCN: {delta:+.2} accuracy points on this split.");
+    Ok(())
 }

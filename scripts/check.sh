@@ -76,6 +76,31 @@ target/release/graphrare \
     > "$smoke_dir/resumed.out"
 diff "$smoke_dir/full.out" "$smoke_dir/resumed.out"
 target/release/store_dump "$smoke_dir/ckpts/step-000006.grrs"
+# The same kill-and-resume under --algo a2c. Twelve steps put the A2C
+# update (every 10 steps) after the step-8 resume point.
+target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 12 --seed 1 --quiet --algo a2c \
+    --checkpoint-every 4 --checkpoint-dir "$smoke_dir/ckpts_a2c" \
+    > "$smoke_dir/full_a2c.out"
+rm "$smoke_dir/ckpts_a2c/step-000012.grrs"
+target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 12 --seed 1 --quiet --algo a2c \
+    --checkpoint-every 4 --checkpoint-dir "$smoke_dir/ckpts_a2c" --resume \
+    > "$smoke_dir/resumed_a2c.out"
+diff "$smoke_dir/full_a2c.out" "$smoke_dir/resumed_a2c.out"
+# Checkpoints record the strategy: resuming A2C checkpoints as PPO fails.
+if target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 12 --seed 1 --quiet --algo ppo \
+    --checkpoint-every 4 --checkpoint-dir "$smoke_dir/ckpts_a2c" --resume \
+    > /dev/null 2> "$smoke_dir/cross_resume.err"; then
+    echo "an --algo a2c checkpoint resumed under --algo ppo" >&2
+    exit 1
+fi
+grep -q 'algo=a2c' "$smoke_dir/cross_resume.err" ||
+    { echo "cross-strategy resume failed without naming the strategy" >&2; exit 1; }
 
 echo "==> trace profiler smoke (flame/percentiles parse; self-diff gates at 0%)"
 cargo build -q --release -p graphrare-trace --bin graphrare-trace

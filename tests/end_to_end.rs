@@ -46,7 +46,7 @@ fn graphrare_beats_plain_gcn_on_heterophilic_graph() {
         let train = TrainConfig { epochs: 60, seed: s, ..Default::default() };
         plain_total +=
             fit(model.as_ref(), &GraphTensors::new(&g), &labels, &split, &train).test_acc;
-        rare_total += run(&g, &split, Backbone::Gcn, &quick_cfg(s)).test_acc;
+        rare_total += run(&g, &split, Backbone::Gcn, &quick_cfg(s)).unwrap().test_acc;
     }
     assert!(
         rare_total > plain_total,
@@ -61,8 +61,8 @@ fn full_pipeline_is_reproducible() {
     let g = heterophilic_graph(2);
     let split = stratified_split(g.labels(), g.num_classes(), 0);
     let cfg = quick_cfg(9);
-    let a = run(&g, &split, Backbone::Gcn, &cfg);
-    let b = run(&g, &split, Backbone::Gcn, &cfg);
+    let a = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+    let b = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     assert_eq!(a.test_acc, b.test_acc);
     assert_eq!(a.best_val_acc, b.best_val_acc);
     assert_eq!(a.optimized_graph.edge_vec(), b.optimized_graph.edge_vec());
@@ -77,7 +77,7 @@ fn every_backbone_survives_the_full_loop() {
         let mut cfg = quick_cfg(4);
         cfg.steps = 8;
         cfg.update_every = 4;
-        let report = run(&g, &split, backbone, &cfg);
+        let report = run(&g, &split, backbone, &cfg).unwrap();
         assert!(
             (0.0..=1.0).contains(&report.test_acc),
             "{}: invalid accuracy {}",
@@ -97,13 +97,13 @@ fn ablation_modes_respect_edit_constraints() {
     cfg.steps = 12;
 
     cfg.edit_mode = EditMode::AddOnly;
-    let add_only = run(&g, &split, Backbone::Gcn, &cfg);
+    let add_only = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     for (u, v) in g.edge_vec() {
         assert!(add_only.optimized_graph.has_edge(u, v), "AddOnly removed edge ({u},{v})");
     }
 
     cfg.edit_mode = EditMode::RemoveOnly;
-    let remove_only = run(&g, &split, Backbone::Gcn, &cfg);
+    let remove_only = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     for (u, v) in remove_only.optimized_graph.edge_vec() {
         assert!(g.has_edge(u, v), "RemoveOnly added edge ({u},{v})");
     }
@@ -114,10 +114,10 @@ fn shuffled_sequences_change_the_outcome() {
     let g = heterophilic_graph(5);
     let split = stratified_split(g.labels(), g.num_classes(), 3);
     let cfg = quick_cfg(6);
-    let entropy_run = run(&g, &split, Backbone::Gcn, &cfg);
+    let entropy_run = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     let mut shuffled_cfg = cfg;
     shuffled_cfg.sequence_mode = SequenceMode::Shuffled { seed: 123 };
-    let shuffled_run = run(&g, &split, Backbone::Gcn, &shuffled_cfg);
+    let shuffled_run = run(&g, &split, Backbone::Gcn, &shuffled_cfg).unwrap();
     // The runs must differ somewhere (same seeds otherwise).
     assert!(
         entropy_run.optimized_graph.edge_vec() != shuffled_run.optimized_graph.edge_vec()
@@ -131,7 +131,7 @@ fn traces_are_internally_consistent() {
     let g = heterophilic_graph(6);
     let split = stratified_split(g.labels(), g.num_classes(), 4);
     let cfg = quick_cfg(7);
-    let report = run(&g, &split, Backbone::Gcn, &cfg);
+    let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     assert_eq!(report.traces.train_acc.len(), cfg.steps);
     assert_eq!(report.traces.val_acc.len(), cfg.steps);
     assert_eq!(report.traces.homophily.len(), cfg.steps);

@@ -34,7 +34,7 @@ fn flame_root_total_matches_driver_run_within_one_percent() {
     telemetry::clear_sinks();
     telemetry::add_sink(Box::new(telemetry::JsonlSink::create(&path).unwrap()));
     telemetry::set_enabled(true);
-    let _ = run(&g, &split, Backbone::Gcn, &cfg);
+    run(&g, &split, Backbone::Gcn, &cfg).unwrap();
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
 
