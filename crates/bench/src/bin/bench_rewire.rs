@@ -37,6 +37,7 @@
 //! regime GraphRARE targets) so deletion prefixes are non-trivial and
 //! the "never isolate an endpoint" guard is exercised.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -352,17 +353,20 @@ fn main() {
                 });
 
                 // Where the incremental path spends its time, summed over
-                // all timed replays of this cell (the `rewire.apply`
-                // total is the whole engine; the sub-spans partition it).
-                for s in telemetry::snapshot().since(&pre_inc).spans {
-                    if s.name.starts_with("rewire.") {
-                        telemetry::progress!(
-                            "    {:<20} count {:>5}  total {:>8.2} ms",
-                            s.name,
-                            s.count,
-                            s.total_ns as f64 / 1e6
-                        );
-                    }
+                // all timed replays of this cell and over the paths that
+                // end in each span name (the `rewire.apply` total is the
+                // whole engine; the sub-spans partition it).
+                let delta = telemetry::snapshot().since(&pre_inc);
+                let mut by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+                for p in delta.paths.iter().filter(|p| p.name().starts_with("rewire.")) {
+                    let slot = by_name.entry(p.name()).or_default();
+                    *slot = (slot.0.saturating_add(p.count), slot.1.saturating_add(p.total_ns));
+                }
+                for (name, (count, total_ns)) in by_name {
+                    telemetry::progress!(
+                        "    {name:<20} count {count:>5}  total {:>8.2} ms",
+                        total_ns as f64 / 1e6
+                    );
                 }
 
                 let full_ns_per_step = full_total / steps as u128;

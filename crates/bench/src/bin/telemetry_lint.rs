@@ -5,14 +5,15 @@
 //! telemetry_lint --make-fixture PREFIX  # write a small graph bundle
 //! ```
 //!
-//! The validator re-uses the schema checks of
-//! [`graphrare_telemetry::json`]: every line must parse as RFC 8259
-//! JSON and carry an accepted `"v"` schema version (v1–v3) plus an
-//! `"event"` kind. `span` events additionally must carry well-formed
-//! `span_id`/`parent_id`/`path`/`ns` fields, the optional v3 `run_id`
-//! tag must be a positive integer, and the stream as a whole must form
-//! a closed span tree — a `parent_id` that never appears as a
-//! `span_id` (a truncated trace) fails the lint. `--make-fixture`
+//! The validator is [`graphrare_telemetry::json::validate_jsonl`], the
+//! same check `graphrare-trace` runs before analysing a stream: every
+//! line must parse as RFC 8259 JSON and carry the schema version `"v":3`
+//! plus an `"event"` kind. `span` events additionally must carry
+//! well-formed `name`/`span_id`/`parent_id`/`path`/`ns`/`self_ns`/
+//! `start_ns` fields, the optional `run_id` tag must be a positive
+//! integer, and the stream as a whole must form a closed span tree — a
+//! `parent_id` that never appears as a `span_id` (a truncated trace)
+//! fails the lint. `--make-fixture`
 //! exists so `scripts/check.sh` can smoke the CLI's `--telemetry-out`
 //! flag without shipping a data file.
 
@@ -21,7 +22,7 @@ use std::process::ExitCode;
 
 use graphrare_datasets::{generate_spec, DatasetSpec};
 use graphrare_graph::io;
-use graphrare_telemetry::json;
+use graphrare_telemetry::{json, SCHEMA_VERSION};
 
 fn usage() -> ! {
     eprintln!("usage: telemetry_lint EVENTS.jsonl | telemetry_lint --make-fixture PREFIX");
@@ -56,9 +57,7 @@ fn main() -> ExitCode {
         [flag, prefix] if flag == "--make-fixture" => make_fixture(&PathBuf::from(prefix)),
         [path] if !path.starts_with("--") => match json::validate_jsonl_file(Path::new(path)) {
             Ok(n) => {
-                let accepted: Vec<String> =
-                    json::ACCEPTED_VERSIONS.iter().map(|v| format!("v{v}")).collect();
-                println!("{path}: {n} events, span tree closed, schema {}", accepted.join("/"));
+                println!("{path}: {n} events, span tree closed, schema v{SCHEMA_VERSION}");
                 ExitCode::SUCCESS
             }
             Err(e) => {

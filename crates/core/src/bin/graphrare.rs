@@ -233,33 +233,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Checkpoint file name for one step count.
-fn checkpoint_name(step: usize) -> String {
-    format!("step-{step:06}.grrs")
-}
-
-/// Finds the highest-step `step-NNNNNN.grrs` in `dir`, if any.
-fn latest_checkpoint(dir: &Path) -> Option<(usize, PathBuf)> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut best: Option<(usize, PathBuf)> = None;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let step: usize = match name.strip_prefix("step-").and_then(|s| s.strip_suffix(".grrs")) {
-            Some(digits) => match digits.parse() {
-                Ok(s) => s,
-                Err(_) => continue,
-            },
-            None => continue,
-        };
-        match best {
-            Some((b, _)) if step <= b => {}
-            _ => best = Some((step, entry.path())),
-        }
-    }
-    best
-}
-
 /// Evaluates a saved model artifact on the input graph without training.
 fn eval_saved_model(path: &Path, graph: &Graph, split: &Split) -> Result<(), String> {
     let artifact = persist::load_model(path).map_err(|e| e.to_string())?;
@@ -315,7 +288,7 @@ fn run_checkpointed(
     cfg: &GraphRareConfig,
     dir: &Path,
 ) -> Result<RareReport, String> {
-    let mut driver = match (args.resume, latest_checkpoint(dir)) {
+    let mut driver = match (args.resume, persist::latest_checkpoint(dir)) {
         (true, Some((step, path))) => {
             progress!("resuming from {} (step {step})", path.display());
             persist::resume_driver(&path, graph, split, args.backbone, cfg)
@@ -330,7 +303,7 @@ fn run_checkpointed(
     while driver.try_step().map_err(rewire_failed)? {
         let done = driver.step_index();
         if args.checkpoint_every > 0 && done % args.checkpoint_every == 0 {
-            let path = dir.join(checkpoint_name(done));
+            let path = persist::checkpoint_path(dir, done);
             let bytes = persist::save_checkpoint(&path, &driver)
                 .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
             progress!("checkpoint written: {} ({bytes} bytes)", path.display());

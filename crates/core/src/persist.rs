@@ -8,7 +8,10 @@
 //!   loop. A run killed between steps and resumed from its last
 //!   checkpoint produces a final report **bit-identical** to an
 //!   uninterrupted run — floats travel as raw IEEE-754 bits and both
-//!   RNG streams resume mid-sequence.
+//!   RNG streams resume mid-sequence. A run's checkpoints share one
+//!   directory under [`checkpoint_path`] names; [`latest_checkpoint`]
+//!   finds the one to resume from (the CLI's `--resume` and the
+//!   serving daemon both scan through it).
 //! * **Model artifacts** (`save_model` / `load_model`) carry the
 //!   best-validation parameters and optimised topology of a finished
 //!   run, enough to re-evaluate the model without retraining.
@@ -17,7 +20,7 @@
 //! then cross-checks the artifact against the config/graph it is being
 //! restored into; all failures are typed [`StoreError`]s, never panics.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use graphrare_datasets::Split;
 use graphrare_gnn::{Backbone, Trainer, TrainerState};
@@ -337,6 +340,27 @@ pub fn resume_driver(
     Ok(driver)
 }
 
+/// The checkpoint file for `step` completed steps in `dir`:
+/// `step-NNNNNN.grrs`, zero-padded so names sort by step.
+pub fn checkpoint_path(dir: &Path, step: usize) -> PathBuf {
+    dir.join(format!("step-{step:06}.grrs"))
+}
+
+/// The highest-step checkpoint in `dir` as `(step, path)`; `None` when
+/// the directory is missing or holds none. Names other than
+/// `step-<digits>.grrs` are skipped.
+pub fn latest_checkpoint(dir: &Path) -> Option<(usize, PathBuf)> {
+    std::fs::read_dir(dir)
+        .ok()?
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name();
+            let step = name.to_str()?.strip_prefix("step-")?.strip_suffix(".grrs")?.parse().ok()?;
+            Some((step, entry.path()))
+        })
+        .max()
+}
+
 // ---------------------------------------------------------------------------
 // Model artifacts
 // ---------------------------------------------------------------------------
@@ -456,6 +480,24 @@ mod tests {
         std::env::temp_dir()
             .join(format!("grr-persist-{tag}-{}", std::process::id()))
             .join("file.grrs")
+    }
+
+    #[test]
+    fn latest_checkpoint_takes_the_highest_step_and_skips_other_names() {
+        let dir = temp_path("scan").parent().unwrap().to_path_buf();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(latest_checkpoint(&dir), None, "a missing directory holds no checkpoint");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(latest_checkpoint(&dir), None);
+        for step in [2, 10, 4] {
+            std::fs::write(checkpoint_path(&dir, step), b"").unwrap();
+        }
+        for other in ["step-abc.grrs", "step-000099.tmp", "spec.grrs", "result.grrs", "step-"] {
+            std::fs::write(dir.join(other), b"").unwrap();
+        }
+        assert_eq!(checkpoint_path(&dir, 10), dir.join("step-000010.grrs"));
+        assert_eq!(latest_checkpoint(&dir), Some((10, checkpoint_path(&dir, 10))));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! [`RewiredGraph`] keeps the current `G_t` alive and applies only the
 //! *delta* between two [`TopoState`]s, updating the graph, the operator
-//! caches (row-wise, via [`GraphTensors::apply_edits`]) and the homophily
+//! caches (row-wise, via [`GraphTensors::apply_flips`]) and the homophily
 //! numerator in `O(changed)` time. The contract is exactness: after
 //! `apply(topo, s)` the held graph is bit-identical to
 //! `topo.materialize(&s)` and every operator is bit-identical to a fresh

@@ -163,9 +163,8 @@ impl IncrementalEntropy {
             return EntropyRefreshStats::default();
         }
         // Open the guard only once genuine work is known to happen, so
-        // no-op calls record no refresh span (matching the old direct
-        // `record_span` semantics). A wholesale fallback's full
-        // sequence rebuild nests under this span in the trace.
+        // no-op calls record no refresh span. A wholesale fallback's
+        // full sequence rebuild nests under this span in the trace.
         let _span = graphrare_telemetry::span("entropy.incremental_refresh");
 
         let mut endpoints: Vec<usize> = genuine.iter().flat_map(|&(u, v, _)| [u, v]).collect();

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
-use graphrare_graph::{ops, EdgeEdit, Graph};
+use graphrare_graph::{ops, Graph};
 use graphrare_tensor::{AdjList, CsrMatrix, Matrix, Param, Tape, Var};
 
 /// A snapshot of one graph topology with lazily built propagation
@@ -19,10 +19,9 @@ pub struct GraphTensors {
     graph: Graph,
     features: Rc<Matrix>,
     /// Incrementally maintained `d̂^{-1/2}` vector: only edit endpoints
-    /// change degree, so [`apply_edits`](GraphTensors::apply_edits) /
-    /// [`apply_flips`](GraphTensors::apply_flips) re-derive just those
-    /// entries and `gcn_norm` (re)builds skip their from-scratch degree
-    /// pass.
+    /// change degree, so [`apply_flips`](GraphTensors::apply_flips)
+    /// re-derives just those entries and `gcn_norm` (re)builds skip
+    /// their from-scratch degree pass.
     inv_sqrt: Vec<f32>,
     gcn: OnceCell<Rc<CsrMatrix>>,
     row: OnceCell<Rc<CsrMatrix>>,
@@ -105,28 +104,33 @@ impl GraphTensors {
         self.attn.get_or_init(|| Rc::new(ops::attention_lists(&self.graph))).clone()
     }
 
-    /// Applies a batch of topology edits in place, rebuilding only the
-    /// operator rows the edits touch.
+    /// Applies a batch of edge presence flips in place, rebuilding only
+    /// the operator rows the flips touch. `flips` must be distinct
+    /// in-bounds non-loop edges in ascending edge-key order, each
+    /// genuinely changing presence (see [`Graph::apply_flips_sorted`]);
+    /// the incremental rewiring engine's reconciliation produces exactly
+    /// this, so the hot path skips any dedup sort or per-edge membership
+    /// check.
     ///
     /// This is the incremental-rewiring counterpart of building a fresh
     /// `GraphTensors` from the edited graph: the internal snapshot graph
-    /// applies the whole batch in one CSR splice (`Graph::apply_edits`),
-    /// and every *already built* operator cache is patched row-wise via
-    /// the per-row builders in `graphrare_graph::ops`, which yields
-    /// bit-identical operators at O(touched rows) instead of O(N+E) cost.
-    /// Patches go through `Rc::make_mut` + `apply_rows`: rows whose nnz is
+    /// applies the whole batch in one CSR splice, and every *already
+    /// built* operator cache is patched row-wise via the per-row
+    /// builders in `graphrare_graph::ops`, which yields bit-identical
+    /// operators at O(touched rows) instead of O(N+E) cost. Patches go
+    /// through `Rc::make_mut` + `apply_rows`: rows whose nnz is
     /// unchanged by the batch (neighbour rows that only re-weight — the
-    /// bulk of a typical batch) are written in place with no splice and no
-    /// reallocation, and only the resized rows (the edit endpoints) go
-    /// through one splice. A batch dirtying more than half the rows
-    /// instead rebuilds the operator wholesale with the full builder — the
-    /// same bits (the full and per-row builders agree row by row) without
-    /// per-row merge overhead. Operators not built yet stay lazy and will
-    /// build from the edited graph on first use. Features are untouched —
-    /// rewiring never changes `X`. Outstanding `Rc` handles from before
-    /// the call keep observing the pre-edit operator (`make_mut` clones a
-    /// shared cache before writing — snapshot semantics), only this cache
-    /// moves.
+    /// bulk of a typical batch) are written in place with no splice and
+    /// no reallocation, and only the resized rows (the flip endpoints)
+    /// go through one splice. A batch dirtying more than half the rows
+    /// instead rebuilds the operator wholesale with the full builder —
+    /// the same bits (the full and per-row builders agree row by row)
+    /// without per-row merge overhead. Operators not built yet stay lazy
+    /// and will build from the edited graph on first use. Features are
+    /// untouched — rewiring never changes `X`. Outstanding `Rc` handles
+    /// from before the call keep observing the pre-edit operator
+    /// (`make_mut` clones a shared cache before writing — snapshot
+    /// semantics), only this cache moves.
     ///
     /// Dirty-row analysis per operator:
     /// * `gcn_norm` — an endpoint's degree change re-weights its whole row
@@ -134,32 +138,6 @@ impl GraphTensors {
     /// * `two_hop` — rings reach distance 2: endpoints ∪ N(endpoints)
     ///   (removed neighbours are themselves endpoints of this batch);
     /// * `row_norm` / `attention` — only the endpoints' own rows.
-    pub fn apply_edits(&mut self, removed: &[(usize, usize)], added: &[(usize, usize)]) {
-        if removed.is_empty() && added.is_empty() {
-            return;
-        }
-        // One batched CSR splice. Removals are listed first so an edge
-        // named on both sides resolves to "added" (last edit wins),
-        // matching the former remove-then-add call order.
-        let mut edits: Vec<(usize, usize, EdgeEdit)> =
-            Vec::with_capacity(removed.len() + added.len());
-        edits.extend(removed.iter().map(|&(u, v)| (u, v, EdgeEdit::Remove)));
-        edits.extend(added.iter().map(|&(u, v)| (u, v, EdgeEdit::Add)));
-        self.graph.apply_edits(&edits);
-        self.refresh_inv_sqrt(edits.iter().map(|&(u, v, _)| (u, v)));
-        if edits.len() * 2 > self.graph.num_nodes() {
-            self.rebuild_built_operators();
-        } else {
-            self.patch_operator_rows(removed.iter().chain(added).copied());
-        }
-    }
-
-    /// [`apply_edits`](GraphTensors::apply_edits) for callers that already
-    /// know each edge's presence flip: `flips` must be distinct in-bounds
-    /// non-loop edges in ascending edge-key order, each genuinely changing
-    /// presence (see [`Graph::apply_flips_sorted`]). The incremental
-    /// rewiring engine's reconciliation produces exactly this, so the hot
-    /// path skips the dedup sort and per-edge membership checks.
     pub fn apply_flips(&mut self, flips: &[(usize, usize, bool)]) {
         if flips.is_empty() {
             return;
@@ -416,33 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_edits_patches_all_built_operators() {
+    fn apply_flips_patches_all_built_operators() {
         let mut gt = GraphTensors::new(&toy());
         // Build every cache so all four take the patch path.
-        gt.gcn_norm();
-        gt.row_norm();
-        gt.two_hop();
-        gt.attention();
-        gt.apply_edits(&[(1, 2)], &[(0, 3), (0, 2)]);
-        assert_eq!(gt.graph().num_edges(), 4);
-        assert_matches_fresh(&gt);
-        // A second batch on the already-patched cache.
-        gt.apply_edits(&[(0, 2), (2, 3)], &[]);
-        assert_matches_fresh(&gt);
-    }
-
-    #[test]
-    fn apply_edits_leaves_unbuilt_operators_lazy() {
-        let mut gt = GraphTensors::new(&toy());
-        gt.gcn_norm(); // only this one is built
-        gt.apply_edits(&[], &[(0, 3)]);
-        // Built cache was patched; the rest build lazily from the edited graph.
-        assert_matches_fresh(&gt);
-    }
-
-    #[test]
-    fn apply_flips_matches_fresh() {
-        let mut gt = GraphTensors::new(&toy());
         gt.gcn_norm();
         gt.row_norm();
         gt.two_hop();
@@ -451,9 +405,23 @@ mod tests {
         gt.apply_flips(&[(0, 2, true), (2, 3, false)]);
         assert_eq!(gt.graph().num_edges(), 3);
         assert_matches_fresh(&gt);
+        // A second small batch on the already-patched cache.
+        gt.apply_flips(&[(0, 3, true), (1, 2, false)]);
+        assert_eq!(gt.graph().num_edges(), 3);
+        assert_matches_fresh(&gt);
         // Large batch (2 * flips > n on the 4-node toy): wholesale rebuild.
-        gt.apply_flips(&[(0, 2, false), (0, 3, true), (2, 3, true)]);
+        gt.apply_flips(&[(0, 2, false), (1, 3, true), (2, 3, true)]);
         assert_eq!(gt.graph().num_edges(), 4);
+        assert_matches_fresh(&gt);
+    }
+
+    #[test]
+    fn apply_flips_leaves_unbuilt_operators_lazy() {
+        let mut gt = GraphTensors::new(&toy());
+        gt.gcn_norm(); // only this one is built
+        gt.apply_flips(&[(0, 3, true)]);
+        assert!(gt.row.get().is_none() && gt.two_hop.get().is_none() && gt.attn.get().is_none());
+        // Built cache was patched; the rest build lazily from the edited graph.
         assert_matches_fresh(&gt);
     }
 
@@ -461,9 +429,9 @@ mod tests {
     fn inv_sqrt_cache_tracks_degrees_bit_exactly() {
         let mut gt = GraphTensors::new(&toy());
         gt.gcn_norm();
-        // Batches with genuine flips, no-op edits, and a wholesale-sized
-        // batch; the cached vector must always equal the from-scratch pass.
-        gt.apply_edits(&[(1, 2)], &[(0, 3), (0, 1)]);
+        // A row-patch batch and a wholesale-sized batch; the cached
+        // vector must always equal the from-scratch pass.
+        gt.apply_flips(&[(0, 3, true), (1, 2, false)]);
         let check = |gt: &GraphTensors| {
             let fresh = graphrare_graph::ops::inv_sqrt_degrees(gt.graph());
             assert_eq!(gt.inv_sqrt.len(), fresh.len());
@@ -478,37 +446,38 @@ mod tests {
     }
 
     #[test]
-    fn apply_edits_empty_batch_keeps_cache_pointers() {
+    fn apply_flips_empty_batch_keeps_cache_pointers() {
         let mut gt = GraphTensors::new(&toy());
         let before = gt.gcn_norm();
-        gt.apply_edits(&[], &[]);
+        gt.apply_flips(&[]);
         assert!(Rc::ptr_eq(&before, &gt.gcn_norm()));
     }
 
     #[test]
-    fn apply_edits_preserves_outstanding_snapshots() {
+    fn apply_flips_preserves_outstanding_snapshots() {
         // An Rc handed out before the patch must keep observing the
         // pre-edit operator (Rc::make_mut clones the shared cache).
         let mut gt = GraphTensors::new(&toy());
         let before = gt.gcn_norm();
         let before_bits = (*before).clone();
-        gt.apply_edits(&[], &[(0, 2)]);
+        gt.apply_flips(&[(0, 2, true)]);
         assert_eq!(*before, before_bits, "outstanding snapshot changed");
         assert!(!Rc::ptr_eq(&before, &gt.gcn_norm()));
         assert_matches_fresh(&gt);
     }
 
     #[test]
-    fn apply_edits_isolating_and_reconnecting_node() {
+    fn apply_flips_isolating_and_reconnecting_node() {
         // Remove node 3's only edge (isolated row), then reconnect it.
         let mut gt = GraphTensors::new(&toy());
         gt.gcn_norm();
         gt.row_norm();
         gt.two_hop();
         gt.attention();
-        gt.apply_edits(&[(2, 3)], &[]);
+        gt.apply_flips(&[(2, 3, false)]);
+        assert_eq!(gt.graph().degree(3), 0);
         assert_matches_fresh(&gt);
-        gt.apply_edits(&[], &[(1, 3)]);
+        gt.apply_flips(&[(1, 3, true)]);
         assert_matches_fresh(&gt);
     }
 }

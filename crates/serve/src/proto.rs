@@ -407,7 +407,9 @@ impl RunState {
         !matches!(self, RunState::Queued | RunState::Running)
     }
 
-    fn tag(self) -> u8 {
+    /// One-byte tag: the state's wire encoding, and the value the
+    /// daemon keeps in each run's atomic state cell.
+    pub(crate) fn tag(self) -> u8 {
         match self {
             RunState::Queued => 0,
             RunState::Running => 1,
@@ -418,7 +420,8 @@ impl RunState {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, ProtoError> {
+    /// Inverse of [`RunState::tag`]; an unknown tag is corrupt input.
+    pub(crate) fn from_tag(tag: u8) -> Result<Self, ProtoError> {
         Ok(match tag {
             0 => RunState::Queued,
             1 => RunState::Running,

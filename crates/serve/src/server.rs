@@ -120,7 +120,7 @@ struct RunCtl {
 impl RunCtl {
     fn new(state: RunState) -> Self {
         RunCtl {
-            state: AtomicU8::new(state_tag(state)),
+            state: AtomicU8::new(state.tag()),
             step: AtomicU64::new(0),
             budget: AtomicU64::new(0),
             cancel: AtomicBool::new(false),
@@ -133,38 +133,17 @@ impl RunCtl {
     }
 
     fn state(&self) -> RunState {
-        state_from_tag(self.state.load(Ordering::SeqCst))
+        // Only `RunState::tag` values are ever stored, so this decodes.
+        RunState::from_tag(self.state.load(Ordering::SeqCst)).unwrap_or(RunState::Interrupted)
     }
 
     fn set_state(&self, s: RunState) {
-        self.state.store(state_tag(s), Ordering::SeqCst);
+        self.state.store(s.tag(), Ordering::SeqCst);
     }
 
     fn fail(&self, message: String) {
         *self.error.lock().unwrap() = message;
         self.set_state(RunState::Failed);
-    }
-}
-
-fn state_tag(s: RunState) -> u8 {
-    match s {
-        RunState::Queued => 0,
-        RunState::Running => 1,
-        RunState::Done => 2,
-        RunState::Failed => 3,
-        RunState::Cancelled => 4,
-        RunState::Interrupted => 5,
-    }
-}
-
-fn state_from_tag(tag: u8) -> RunState {
-    match tag {
-        0 => RunState::Queued,
-        1 => RunState::Running,
-        2 => RunState::Done,
-        3 => RunState::Failed,
-        4 => RunState::Cancelled,
-        _ => RunState::Interrupted,
     }
 }
 
@@ -217,29 +196,6 @@ fn read_spec(dir: &Path) -> Result<RunSpec, String> {
     let spec = decode_spec(&mut r).map_err(|e| e.to_string())?;
     r.expect_exhausted("serve run spec").map_err(|e| e.to_string())?;
     Ok(spec)
-}
-
-/// Finds the highest-step `step-NNNNNN.grrs` in `dir`, if any
-/// (mirrors the CLI's resume scan).
-fn latest_checkpoint(dir: &Path) -> Option<(usize, PathBuf)> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut best: Option<(usize, PathBuf)> = None;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let step: usize = match name.strip_prefix("step-").and_then(|s| s.strip_suffix(".grrs")) {
-            Some(digits) => match digits.parse() {
-                Ok(s) => s,
-                Err(_) => continue,
-            },
-            None => continue,
-        };
-        match best {
-            Some((b, _)) if step <= b => {}
-            _ => best = Some((step, entry.path())),
-        }
-    }
-    best
 }
 
 /// The serving daemon. Construct with [`Server::start`]; stop with
@@ -371,7 +327,7 @@ fn recover_state(shared: &Arc<Shared>) -> Result<(), String> {
         max_id = max_id.max(run_id);
 
         let ctl = Arc::new(RunCtl::new(RunState::Queued));
-        if let Some((step, _)) = latest_checkpoint(&dir) {
+        if let Some((step, _)) = persist::latest_checkpoint(&dir) {
             ctl.step.store(step as u64, Ordering::SeqCst);
             ctl.last_checkpoint.store(step as u64, Ordering::SeqCst);
         }
@@ -451,7 +407,7 @@ fn run_one(
     let split = stratified_split(graph.labels(), graph.num_classes(), spec.split_seed);
     let cfg = spec.to_config();
 
-    let mut driver = match latest_checkpoint(dir) {
+    let mut driver = match persist::latest_checkpoint(dir) {
         Some((step, path)) => {
             telemetry::progress!("resuming from {} (step {step})", path.display());
             persist::resume_driver(&path, &graph, &split, spec.backbone, &cfg)
@@ -461,7 +417,7 @@ fn run_one(
     };
 
     let checkpoint = |driver: &RareDriver, done: usize| -> Result<(), String> {
-        let path = dir.join(format!("step-{done:06}.grrs"));
+        let path = persist::checkpoint_path(dir, done);
         persist::save_checkpoint(&path, driver)
             .map(|_| ())
             .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 /// `parent_id`, `path`, `ns`, `self_ns`, `start_ns`, optional
 /// `alloc_n`/`alloc_bytes`); v3 — adds the optional `run_id` field on
 /// every event kind, tagging events of a run multiplexed through the
-/// serving daemon. Consumers accept all three.
+/// serving daemon. Consumers accept v3 only.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// A single telemetry field value.

@@ -251,29 +251,25 @@ impl Parser<'_> {
     }
 }
 
-/// Schema versions a consumer accepts: v1 (flat events), v2 (adds the
-/// hierarchical `span` event) and v3 (adds the optional `run_id`
-/// tag). See [`SCHEMA_VERSION`] history.
-pub const ACCEPTED_VERSIONS: [u32; 3] = [1, 2, SCHEMA_VERSION];
-
 /// Reads a field as a non-negative integer (the schema emits all ids,
 /// counts and durations as u64, well below 2^53).
-fn get_u64(value: &Json, key: &str) -> Option<u64> {
+pub fn get_u64(value: &Json, key: &str) -> Option<u64> {
     let x = value.get(key)?.as_f64()?;
     (x.is_finite() && x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
 }
 
 /// Validates one JSONL event line: parses it, checks it is an object
-/// carrying an accepted `"v"` schema version and an `"event"` string,
-/// checks the optional v3 `run_id` tag (when present it must be a
-/// positive integer on any event kind), and — for `span` events —
-/// checks the required span fields (`name`, `span_id`, `path`, `ns`;
-/// `parent_id` when present must be a positive integer).
+/// carrying the `"v"` schema version [`SCHEMA_VERSION`] (the only one
+/// accepted) and an `"event"` string, checks the optional `run_id` tag
+/// (when present it must be a positive integer on any event kind), and
+/// — for `span` events — checks the span fields every consumer reads:
+/// `name` and `path` strings, a positive `span_id`, integer `ns`,
+/// `self_ns` and `start_ns`, and a positive `parent_id` when present.
 pub fn validate_event_line(line: &str) -> Result<Json, String> {
     let value = parse(line)?;
     match value.get("v").and_then(Json::as_f64) {
-        Some(v) if ACCEPTED_VERSIONS.iter().any(|&a| v == a as f64) => {}
-        Some(v) => return Err(format!("schema version {v} not in {ACCEPTED_VERSIONS:?}")),
+        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
+        Some(v) => return Err(format!("schema version {v} is not v{SCHEMA_VERSION}")),
         None => return Err("missing \"v\" schema-version field".into()),
     }
     let kind = match value.get("event").and_then(Json::as_str) {
@@ -298,19 +294,21 @@ pub fn validate_event_line(line: &str) -> Result<Json, String> {
         if value.get("path").and_then(Json::as_str).is_none() {
             return Err("span event: missing string \"path\"".into());
         }
-        if get_u64(&value, "ns").is_none() {
-            return Err("span event: missing integer \"ns\"".into());
+        for key in ["ns", "self_ns", "start_ns"] {
+            if get_u64(&value, key).is_none() {
+                return Err(format!("span event: missing integer \"{key}\""));
+            }
         }
     }
     Ok(value)
 }
 
 /// Validates a whole JSONL event stream (already split into parsed
-/// lines by [`validate_jsonl_file`]): every `parent_id` must refer to a
+/// lines by [`validate_jsonl`]): every `parent_id` must refer to a
 /// `span_id` that appears somewhere in the stream. Children drop (and
 /// therefore emit) before their parents, so a truncated trace — parent
 /// never emitted — is detected here as an orphaned parent id.
-pub fn validate_span_stream(events: &[Json]) -> Result<(), String> {
+fn validate_span_stream(events: &[Json]) -> Result<(), String> {
     let mut ids = std::collections::BTreeSet::new();
     for e in events {
         if e.get("event").and_then(Json::as_str) == Some("span") {
@@ -333,20 +331,28 @@ pub fn validate_span_stream(events: &[Json]) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a whole JSONL file — every line an accepted event, no
-/// blank lines, no orphaned span parent ids — and returns the number
-/// of events, or the first offending line's error.
+/// Validates a whole JSONL stream — every line an accepted event, no
+/// blank lines, no orphaned span parent ids — and returns the parsed
+/// events in stream order, or the first offending line's error.
+pub fn validate_jsonl(text: &str) -> Result<Vec<Json>, String> {
+    let events = text
+        .lines()
+        .enumerate()
+        .map(|(idx, line)| validate_event_line(line).map_err(|e| format!("line {}: {e}", idx + 1)))
+        .collect::<Result<Vec<_>, _>>()?;
+    validate_span_stream(&events)?;
+    Ok(events)
+}
+
+/// [`validate_jsonl`] over a file that must hold at least one event;
+/// returns the number of events.
 pub fn validate_jsonl_file(path: &Path) -> Result<usize, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        events.push(validate_event_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
-    }
+    let events = validate_jsonl(&text)?;
     if events.is_empty() {
         return Err(format!("{}: no events", path.display()));
     }
-    validate_span_stream(&events)?;
     Ok(events.len())
 }
 
@@ -407,22 +413,25 @@ mod tests {
     fn validate_rejects_wrong_version_and_missing_kind() {
         assert!(validate_event_line("{\"v\":999,\"event\":\"x\"}").is_err());
         assert!(validate_event_line("{\"event\":\"x\"}").is_err());
-        assert!(validate_event_line("{\"v\":1}").is_err());
+        assert!(validate_event_line("{\"v\":3}").is_err());
         assert!(validate_event_line("not json").is_err());
     }
 
     #[test]
-    fn validate_accepts_all_schema_versions() {
-        assert!(validate_event_line("{\"v\":1,\"event\":\"iter\",\"step\":3}").is_ok());
-        assert!(validate_event_line("{\"v\":2,\"event\":\"iter\",\"step\":3}").is_ok());
+    fn validate_accepts_only_the_current_schema_version() {
         assert!(validate_event_line("{\"v\":3,\"event\":\"iter\",\"step\":3}").is_ok());
+        for old in [1, 2] {
+            let line = format!("{{\"v\":{old},\"event\":\"iter\",\"step\":3}}");
+            let err = validate_event_line(&line).unwrap_err();
+            assert!(err.contains("is not v3"), "v{old}: {err}");
+        }
     }
 
     #[test]
     fn validate_checks_run_id_tags() {
         assert!(validate_event_line("{\"v\":3,\"event\":\"iter\",\"run_id\":7}").is_ok());
         let span = "{\"v\":3,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\
-                    \"path\":\"a\",\"ns\":1,\"run_id\":2}";
+                    \"path\":\"a\",\"ns\":1,\"self_ns\":1,\"start_ns\":0,\"run_id\":2}";
         assert!(validate_event_line(span).is_ok());
         for (bad, why) in [
             ("{\"v\":3,\"event\":\"iter\",\"run_id\":0}", "zero run_id"),
@@ -434,27 +443,49 @@ mod tests {
         }
     }
 
+    /// A span line with every required field, minus the field `drop`.
+    fn span_line_without(drop: &str) -> String {
+        let fields = [
+            ("name", "\"a\""),
+            ("span_id", "1"),
+            ("path", "\"a\""),
+            ("ns", "100"),
+            ("self_ns", "100"),
+            ("start_ns", "0"),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .filter(|(k, _)| *k != drop)
+            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        format!("{{\"v\":3,\"event\":\"span\",{}}}", body.join(","))
+    }
+
     #[test]
     fn validate_checks_span_event_fields() {
-        let ok = "{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"span_id\":3,\
+        let ok = "{\"v\":3,\"event\":\"span\",\"name\":\"a\",\"span_id\":3,\
                   \"parent_id\":1,\"path\":\"r/a\",\"ns\":42,\"self_ns\":42,\"start_ns\":7}";
         assert!(validate_event_line(ok).is_ok());
-        let root = "{\"v\":2,\"event\":\"span\",\"name\":\"r\",\"span_id\":1,\
-                    \"path\":\"r\",\"ns\":100}";
-        assert!(validate_event_line(root).is_ok(), "parent_id is optional for roots");
+        assert!(validate_event_line(&span_line_without("")).is_ok(), "parent_id is optional");
+        for key in ["name", "span_id", "path", "ns", "self_ns", "start_ns"] {
+            let err = validate_event_line(&span_line_without(key)).unwrap_err();
+            assert!(err.contains(key), "missing {key}: {err}");
+        }
         for (bad, why) in [
-            ("{\"v\":2,\"event\":\"span\",\"span_id\":1,\"path\":\"a\",\"ns\":1}", "no name"),
-            ("{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"path\":\"a\",\"ns\":1}", "no span_id"),
             (
-                "{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"span_id\":0,\"path\":\"a\",\"ns\":1}",
+                "{\"v\":3,\"event\":\"span\",\"name\":\"a\",\"span_id\":0,\"path\":\"a\",\
+                 \"ns\":1,\"self_ns\":1,\"start_ns\":0}",
                 "zero span_id",
             ),
-            ("{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\"ns\":1}", "no path"),
-            ("{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\"path\":\"a\"}", "no ns"),
             (
-                "{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\
-                 \"parent_id\":1.5,\"path\":\"a\",\"ns\":1}",
+                "{\"v\":3,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\"parent_id\":1.5,\
+                 \"path\":\"a\",\"ns\":1,\"self_ns\":1,\"start_ns\":0}",
                 "fractional parent_id",
+            ),
+            (
+                "{\"v\":3,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\"path\":\"a\",\
+                 \"ns\":1,\"self_ns\":-1,\"start_ns\":0}",
+                "negative self_ns",
             ),
         ] {
             assert!(validate_event_line(bad).is_err(), "accepted span with {why}");
@@ -463,21 +494,21 @@ mod tests {
 
     #[test]
     fn span_stream_validation_rejects_orphans() {
-        let parse_all = |lines: &[&str]| -> Vec<Json> {
-            lines.iter().map(|l| validate_event_line(l).unwrap()).collect()
+        let span = |id: u64, parent: &str, path: &str| {
+            format!(
+                "{{\"v\":3,\"event\":\"span\",\"name\":\"x\",\"span_id\":{id},{parent}\
+                 \"path\":\"{path}\",\"ns\":5,\"self_ns\":5,\"start_ns\":0}}"
+            )
         };
-        let complete = parse_all(&[
-            "{\"v\":2,\"event\":\"span\",\"name\":\"b\",\"span_id\":2,\
-             \"parent_id\":1,\"path\":\"a/b\",\"ns\":5}",
-            "{\"v\":2,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\"path\":\"a\",\"ns\":9}",
-            "{\"v\":2,\"event\":\"run_end\",\"steps\":1}",
-        ]);
-        assert!(validate_span_stream(&complete).is_ok());
+        let complete = [
+            span(2, "\"parent_id\":1,", "a/b"),
+            span(1, "", "a"),
+            "{\"v\":3,\"event\":\"run_end\",\"steps\":1}".to_owned(),
+        ];
+        assert_eq!(validate_jsonl(&complete.join("\n")).map(|e| e.len()), Ok(3));
         // Truncated trace: the parent span never emitted (still open at
         // the crash), so its id appears only as a parent_id.
-        let truncated = parse_all(&["{\"v\":2,\"event\":\"span\",\"name\":\"b\",\"span_id\":2,\
-             \"parent_id\":1,\"path\":\"a/b\",\"ns\":5}"]);
-        let err = validate_span_stream(&truncated).unwrap_err();
+        let err = validate_jsonl(&span(2, "\"parent_id\":1,", "a/b")).unwrap_err();
         assert!(err.contains("orphaned parent_id 1"), "{err}");
     }
 }

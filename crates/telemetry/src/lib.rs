@@ -1,18 +1,17 @@
 //! # graphrare-telemetry
 //!
 //! Zero-dependency (std-only) observability for the GraphRARE
-//! workspace: lightweight spans with wall-clock timing and counters
-//! aggregated per span, and structured training/kernel event streams
+//! workspace: lightweight spans with wall-clock timing aggregated per
+//! call path, counters, and structured training/kernel event streams
 //! with a stable, versioned JSONL schema.
 //!
 //! ## Model
 //!
 //! * **Spans** ([`span`], [`SpanGuard`]) measure wall time with RAII
-//!   guards, aggregate per name (count / total / min / max), and are
-//!   **hierarchical**: a per-thread span
-//!   stack gives every span a `span_id`/`parent_id` and a call *path*
-//!   aggregated in per-path profiles with self time and exact
-//!   reservoir-sampled p50/p90/p99 percentiles.
+//!   guards and are **hierarchical**: a per-thread span stack gives
+//!   every span a `span_id`/`parent_id` and a call *path*, aggregated
+//!   in per-path profiles ([`PathSummary`]) with count / total / self
+//!   time / min / max and reservoir-sampled p50/p90/p99 percentiles.
 //! * **Counters** ([`counter`], [`gauge_max`]) are monotonic `u64`
 //!   aggregates keyed by static names — the tensor runtime counts
 //!   kernel calls, rows and threads through them.
@@ -23,11 +22,12 @@
 //! * **Events** ([`Event`], [`emit_with`]) are structured records
 //!   fanned out to pluggable [`Sink`]s: a human-readable stderr sink
 //!   and a machine-readable JSONL sink with schema version
-//!   [`SCHEMA_VERSION`]; completed spans emit `span` events consumed
-//!   offline by the `graphrare-trace` CLI (flamegraphs, timelines,
-//!   percentile tables, run diffs). Threads driving one of many
-//!   multiplexed runs (the serving daemon) tag every event with a
-//!   `run_id` via [`set_run_id`].
+//!   [`SCHEMA_VERSION`] (the only version [`json`] accepts); completed
+//!   spans emit `span` events consumed offline by the `graphrare-trace`
+//!   CLI (flamegraphs, timelines, percentile tables, run diffs), which
+//!   shares the [`PathSummary`] row and its [`render_paths`] table.
+//!   Threads driving one of many multiplexed runs (the serving daemon)
+//!   tag every event with a `run_id` via [`set_run_id`].
 //! * The **registry** ([`registry`]) is global and thread-safe,
 //!   controlled by the `GRAPHRARE_TELEMETRY` environment variable
 //!   ([`init_from_env`]) or CLI flags, and costs one relaxed atomic
@@ -41,7 +41,7 @@
 //! any numeric result. Instrumentation only reads values the
 //! computation already produced and never touches an RNG, so a run
 //! with telemetry on is bit-identical to the same run with telemetry
-//! off (asserted by `crates/core/tests/telemetry.rs`).
+//! off (asserted by the root `tests/telemetry_contract.rs`).
 
 #![warn(missing_docs)]
 
@@ -54,13 +54,11 @@ pub mod sink;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use event::{escape_json_str, Event, Value, SCHEMA_VERSION};
-pub use metrics::{
-    MetricsStore, PathStats, PathSummary, Reservoir, SpanStats, SpanSummary, Summary,
-};
+pub use metrics::{render_paths, MetricsStore, PathStats, PathSummary, Reservoir, Summary};
 pub use registry::{
     add_sink, clear_sinks, counter, current_run_id, emit, emit_with, enabled, flush, gauge_max,
-    init_from_env, install_panic_hook, progress_args, quiet, record_span, reset, set_enabled,
-    set_quiet, set_run_id, snapshot, span, SpanGuard, Stopwatch,
+    init_from_env, install_panic_hook, progress_args, quiet, reset, set_enabled, set_quiet,
+    set_run_id, snapshot, span, SpanGuard, Stopwatch,
 };
 pub use sink::{JsonlSink, Sink, StderrSink, VecSink};
 
@@ -87,7 +85,7 @@ mod tests {
         }
         let s = snapshot();
         assert_eq!(s.counter("test.disabled"), 0);
-        assert!(s.span("test.disabled.span").is_none());
+        assert!(s.path("test.disabled.span").is_none());
     }
 
     #[test]
@@ -99,18 +97,18 @@ mod tests {
         counter("test.calls", 3);
         gauge_max("test.max", 7);
         gauge_max("test.max", 4);
-        {
+        for _ in 0..2 {
             let _span = span("test.span");
-            std::hint::black_box(());
+            std::thread::sleep(std::time::Duration::from_micros(500));
         }
-        record_span("test.span", 1_000);
         let s = snapshot();
         set_enabled(false);
         assert_eq!(s.counter("test.calls"), 5);
         assert_eq!(s.counter("test.max"), 7);
-        let sp = s.span("test.span").unwrap();
+        let sp = s.path("test.span").unwrap();
         assert_eq!(sp.count, 2);
-        assert!(sp.total_ns >= 1_000);
+        assert!(sp.total_ns >= 1_000_000);
+        assert!(sp.min_ns <= sp.max_ns && sp.max_ns <= sp.total_ns);
     }
 
     #[test]
@@ -129,13 +127,33 @@ mod tests {
         }
         let s = snapshot();
         set_enabled(false);
-        assert_eq!(s.span("test.outer").unwrap().count, 1);
-        assert_eq!(s.span("test.inner").unwrap().count, 2);
+        let outer = s.path("test.outer").unwrap();
+        let inner = s.path("test.outer/test.inner").unwrap();
+        assert_eq!((outer.count, inner.count), (1, 2));
+        assert_eq!(s.paths.len(), 2, "each span records under its own path only");
         // The outer span covers both inner spans.
-        assert!(
-            s.span("test.outer").unwrap().total_ns >= s.span("test.inner").unwrap().total_ns,
-            "outer shorter than the inners it encloses"
-        );
+        assert!(outer.total_ns >= inner.total_ns, "outer shorter than the inners it encloses");
+    }
+
+    #[test]
+    fn guard_dropped_out_of_order_records_nothing() {
+        let _x = exclusive();
+        set_enabled(true);
+        reset();
+        // A thread of its own: the out-of-order drop leaves the outer
+        // frame on that thread's stack.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let outer = span("test.ooo.outer");
+                let inner = span("test.ooo.inner");
+                drop(outer);
+                drop(inner);
+            });
+        });
+        let s = snapshot();
+        set_enabled(false);
+        assert!(s.path("test.ooo.outer").is_none(), "a non-top guard must record nothing");
+        assert_eq!(s.path("test.ooo.outer/test.ooo.inner").map(|p| p.count), Some(1));
     }
 
     #[test]
@@ -237,8 +255,9 @@ mod tests {
                 let _child = span("test.h.child");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            // A self-measured duration counts as a child of the open span.
-            record_span("test.h.direct", 500);
+            {
+                let _sibling = span("test.h.sibling");
+            }
         }
         let s = snapshot();
         set_enabled(false);
@@ -246,18 +265,20 @@ mod tests {
 
         let root = s.path("test.h.root").expect("root path recorded");
         let child = s.path("test.h.root/test.h.child").expect("child path recorded");
-        let direct = s.path("test.h.root/test.h.direct").expect("direct path recorded");
-        assert_eq!((root.count, child.count, direct.count), (1, 1, 1));
-        assert!(root.total_ns >= child.total_ns, "parent covers its child");
-        // Self time excludes both the nested guard and the direct span.
-        assert!(
-            root.self_ns <= root.total_ns - child.total_ns - 500,
-            "self {} vs total {} child {}",
+        let sibling = s.path("test.h.root/test.h.sibling").expect("sibling path recorded");
+        assert_eq!((root.count, child.count, sibling.count), (1, 1, 1));
+        assert!(root.total_ns >= child.total_ns + sibling.total_ns, "parent covers its children");
+        // Self time excludes both nested guards.
+        assert_eq!(
+            root.self_ns,
+            root.total_ns - child.total_ns - sibling.total_ns,
+            "self {} vs total {} children {} + {}",
             root.self_ns,
             root.total_ns,
-            child.total_ns
+            child.total_ns,
+            sibling.total_ns
         );
-        assert_eq!(direct.self_ns, 500);
+        assert_eq!(sibling.self_ns, sibling.total_ns, "a leaf's self time is its wall time");
         // One observation: the percentiles are that observation, exactly.
         assert_eq!(child.p50_ns, child.total_ns);
         assert_eq!(child.p99_ns, child.total_ns);
@@ -269,7 +290,7 @@ mod tests {
         assert_eq!(spans.len(), 3, "one span event per completed span");
         // Children complete (and emit) before their parent.
         assert_eq!(event_str(spans[0], "name"), Some("test.h.child"));
-        assert_eq!(event_str(spans[1], "name"), Some("test.h.direct"));
+        assert_eq!(event_str(spans[1], "name"), Some("test.h.sibling"));
         assert_eq!(event_str(spans[2], "name"), Some("test.h.root"));
         let root_id = event_u64(spans[2], "span_id").unwrap();
         assert!(root_id > 0);
@@ -302,7 +323,6 @@ mod tests {
         {
             let _s = span("test.run.tagged");
         }
-        record_span("test.run.direct", 10);
         // Another thread is untagged: run ids never leak across workers.
         std::thread::scope(|scope| {
             scope.spawn(|| {

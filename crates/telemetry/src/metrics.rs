@@ -1,20 +1,19 @@
-//! Aggregated metrics: counters, per-span duration statistics and
-//! hierarchical per-path profiles.
+//! Aggregated metrics: counters and hierarchical per-path span
+//! profiles.
 //!
 //! Everything here is plain data — the global registry
 //! ([`crate::registry`]) owns one [`MetricsStore`] behind a mutex and
 //! the driver surfaces run-scoped [`Summary`] diffs in its report.
 //!
-//! Two aggregation granularities coexist:
-//!
-//! * **flat spans** ([`SpanStats`], keyed by the span's static name) —
-//!   the schema-v1 view, cheap and allocation-free;
-//! * **paths** ([`PathStats`], keyed by the call path the hierarchical
-//!   span stack produces, e.g. `driver.run/driver.step/rewire.apply`)
-//!   — carrying *self time* (total minus enclosed child spans), an
-//!   exact-duration reservoir for true p50/p90/p99 percentiles, and
-//!   allocation attribution from the opt-in counting allocator
-//!   ([`crate::alloc`]).
+//! Spans aggregate per *path* ([`PathStats`], keyed by the call path
+//! the hierarchical span stack produces, e.g.
+//! `driver.run/driver.step/rewire.apply`), carrying *self time* (total
+//! minus enclosed child spans), an exact-duration reservoir for true
+//! p50/p90/p99 percentiles, and allocation attribution from the opt-in
+//! counting allocator ([`crate::alloc`]). [`PathSummary`] is the row
+//! type of both this in-process aggregate and the offline
+//! `graphrare-trace` analyzer, and [`render_paths`] is their one table
+//! renderer.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -102,41 +101,6 @@ pub fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Aggregated statistics of one named span.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of completed spans (saturating).
-    pub count: u64,
-    /// Summed wall time (saturating — a saturated total under-reports,
-    /// it never wraps).
-    pub total_ns: u64,
-    /// Shortest observation (0 when `count == 0`).
-    pub min_ns: u64,
-    /// Longest observation.
-    pub max_ns: u64,
-}
-
-impl SpanStats {
-    /// Folds one completed span into the stats.
-    pub fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count = self.count.saturating_add(1);
-        self.total_ns = self.total_ns.saturating_add(ns);
-    }
-
-    /// Mean duration in nanoseconds (0 when empty; an under-estimate
-    /// once `total_ns` has saturated, never a panic or a wrap).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// Aggregated statistics of one span *path* (the `/`-joined call chain
 /// the hierarchical span stack produces).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -184,16 +148,14 @@ impl PathStats {
     }
 }
 
-/// The mutable aggregation state: counters and flat spans keyed by
-/// static names (hot paths never allocate for them), plus per-path
-/// profiles keyed by owned path strings (built only when a span
-/// completes with telemetry enabled).
+/// The mutable aggregation state: counters keyed by static names (hot
+/// paths never allocate for them), plus per-path profiles keyed by
+/// owned path strings (built only when a span completes with telemetry
+/// enabled).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsStore {
     /// Monotonic counters.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Per-span aggregates (flat, by name).
-    pub spans: BTreeMap<&'static str, SpanStats>,
     /// Per-path aggregates (hierarchical).
     pub paths: BTreeMap<String, PathStats>,
 }
@@ -210,11 +172,6 @@ impl MetricsStore {
     pub fn raise(&mut self, name: &'static str, value: u64) {
         let slot = self.counters.entry(name).or_insert(0);
         *slot = (*slot).max(value);
-    }
-
-    /// Records a completed span duration into the flat aggregate.
-    pub fn record_span(&mut self, name: &'static str, ns: u64) {
-        self.spans.entry(name).or_default().record(ns);
     }
 
     /// Records a completed span into the per-path profile.
@@ -241,17 +198,6 @@ impl MetricsStore {
     pub fn summary(&self) -> Summary {
         Summary {
             counters: self.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            spans: self
-                .spans
-                .iter()
-                .map(|(&k, &v)| SpanSummary {
-                    name: k.to_string(),
-                    count: v.count,
-                    total_ns: v.total_ns,
-                    min_ns: v.min_ns,
-                    max_ns: v.max_ns,
-                })
-                .collect(),
             paths: self
                 .paths
                 .iter()
@@ -280,22 +226,8 @@ impl MetricsStore {
     }
 }
 
-/// Read-only summary of one span, as surfaced in [`Summary`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Span name.
-    pub name: String,
-    /// Completed spans.
-    pub count: u64,
-    /// Summed wall time.
-    pub total_ns: u64,
-    /// Shortest observation (from the later snapshot when diffed).
-    pub min_ns: u64,
-    /// Longest observation (from the later snapshot when diffed).
-    pub max_ns: u64,
-}
-
-/// Read-only summary of one span path, as surfaced in [`Summary`].
+/// Read-only summary of one span path: a row of [`Summary`] (reservoir
+/// percentiles) and of the offline analyzer (exact percentiles).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathSummary {
     /// The `/`-joined call path, e.g. `driver.run/driver.step`.
@@ -334,14 +266,12 @@ impl PathSummary {
     }
 }
 
-/// A point-in-time (or run-scoped, when diffed) copy of every counter,
-/// span aggregate and path profile, sorted by name/path.
+/// A point-in-time (or run-scoped, when diffed) copy of every counter
+/// and path profile, sorted by name/path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
     /// `(name, value)` counter pairs.
     pub counters: Vec<(String, u64)>,
-    /// Per-span aggregates (flat, by name).
-    pub spans: Vec<SpanSummary>,
     /// Per-path aggregates (hierarchical) with exact percentiles and
     /// allocation attribution.
     pub paths: Vec<PathSummary>,
@@ -351,11 +281,6 @@ impl Summary {
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Span summary by name.
-    pub fn span(&self, name: &str) -> Option<&SpanSummary> {
-        self.spans.iter().find(|s| s.name == name)
     }
 
     /// Path summary by exact path.
@@ -370,10 +295,10 @@ impl Summary {
     }
 
     /// Run-scoped view: this snapshot minus an `earlier` baseline.
-    /// Counters, span counts, totals, self times and allocation totals
-    /// subtract; `min_ns`/`max_ns`, percentiles and
-    /// peak bytes are kept from `self` (extrema, reservoirs and peaks
-    /// are not diffable). Entries that did not change are dropped.
+    /// Counters, path counts, totals, self times and allocation totals
+    /// subtract; `min_ns`/`max_ns`, percentiles and peak bytes are kept
+    /// from `self` (extrema, reservoirs and peaks are not diffable).
+    /// Entries that did not change are dropped.
     pub fn since(&self, earlier: &Summary) -> Summary {
         let counters = self
             .counters
@@ -381,24 +306,6 @@ impl Summary {
             .filter_map(|(name, value)| {
                 let delta = value.saturating_sub(earlier.counter(name));
                 (delta > 0).then(|| (name.clone(), delta))
-            })
-            .collect();
-        let spans = self
-            .spans
-            .iter()
-            .filter_map(|s| {
-                let base = earlier.span(&s.name);
-                let count = s.count.saturating_sub(base.map_or(0, |b| b.count));
-                if count == 0 {
-                    return None;
-                }
-                Some(SpanSummary {
-                    name: s.name.clone(),
-                    count,
-                    total_ns: s.total_ns.saturating_sub(base.map_or(0, |b| b.total_ns)),
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                })
             })
             .collect();
         let paths = self
@@ -420,61 +327,15 @@ impl Summary {
                 })
             })
             .collect();
-        Summary { counters, spans, paths }
+        Summary { counters, paths }
     }
 
-    /// Renders the summary as an aligned, human-readable text table
-    /// (paths first, then flat spans, then counters) for the repro
-    /// binaries.
+    /// Renders the summary as aligned, human-readable text: the path
+    /// table ([`render_paths`]), then the counters.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         if !self.paths.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<52} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>10}",
-                "path",
-                "count",
-                "total_ms",
-                "self_ms",
-                "p50_us",
-                "p90_us",
-                "p99_us",
-                "allocs",
-                "alloc_kb"
-            );
-            for p in &self.paths {
-                let _ = writeln!(
-                    out,
-                    "{:<52} {:>7} {:>10.3} {:>10.3} {:>9.1} {:>9.1} {:>9.1} {:>9} {:>10.1}",
-                    p.path,
-                    p.count,
-                    p.total_ns as f64 / 1e6,
-                    p.self_ns as f64 / 1e6,
-                    p.p50_ns as f64 / 1e3,
-                    p.p90_ns as f64 / 1e3,
-                    p.p99_ns as f64 / 1e3,
-                    p.alloc_count,
-                    p.alloc_bytes as f64 / 1e3,
-                );
-            }
-        }
-        if !self.spans.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>9} {:>12} {:>12} {:>12}",
-                "span", "count", "total_ms", "mean_us", "max_us"
-            );
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "{:<28} {:>9} {:>12.3} {:>12.1} {:>12.1}",
-                    s.name,
-                    s.count,
-                    s.total_ns as f64 / 1e6,
-                    if s.count == 0 { 0.0 } else { s.total_ns as f64 / s.count as f64 / 1e3 },
-                    s.max_ns as f64 / 1e3,
-                );
-            }
+            out.push_str(&render_paths(&self.paths));
         }
         if !self.counters.is_empty() {
             let _ = writeln!(out, "{:<42} {:>16}", "counter", "value");
@@ -486,41 +347,52 @@ impl Summary {
     }
 }
 
+/// Aligned table of path rows, one per path in the given order: counts,
+/// wall and self time, p50/p90/p99 and attributed allocations. The
+/// path column is as wide as the longest path.
+pub fn render_paths(paths: &[PathSummary]) -> String {
+    let width = paths.iter().map(|p| p.path.len()).max().unwrap_or(0).max(4);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<width$} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "path", "count", "total_ms", "self_ms", "p50_us", "p90_us", "p99_us", "allocs", "alloc_kb"
+    );
+    for p in paths {
+        let _ = writeln!(
+            out,
+            "{:<width$} {:>7} {:>10.3} {:>10.3} {:>9.1} {:>9.1} {:>9.1} {:>9} {:>10.1}",
+            p.path,
+            p.count,
+            p.total_ns as f64 / 1e6,
+            p.self_ns as f64 / 1e6,
+            p.p50_ns as f64 / 1e3,
+            p.p90_ns as f64 / 1e3,
+            p.p99_ns as f64 / 1e3,
+            p.alloc_count,
+            p.alloc_bytes as f64 / 1e3,
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn span_stats_track_extrema_and_mean() {
-        let mut s = SpanStats::default();
-        s.record(100);
-        s.record(300);
-        s.record(200);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.total_ns, 600);
-        assert_eq!(s.min_ns, 100);
-        assert_eq!(s.max_ns, 300);
-        assert_eq!(s.mean_ns(), 200);
-    }
-
-    #[test]
-    fn span_stats_saturate_near_u64_max() {
-        let mut s = SpanStats::default();
-        s.record(u64::MAX);
-        s.record(u64::MAX);
-        // Totals saturate (no wrap to a tiny number), extrema stay exact,
-        // and the mean under-reports instead of panicking.
+    fn path_stats_saturate_near_u64_max() {
+        let mut s = PathStats::default();
+        s.record(u64::MAX, u64::MAX, u64::MAX, u64::MAX);
+        s.record(u64::MAX, u64::MAX, u64::MAX, u64::MAX);
+        // Sums saturate (no wrap to a tiny number) and extrema stay exact.
         assert_eq!(s.count, 2);
         assert_eq!(s.total_ns, u64::MAX);
-        assert_eq!(s.max_ns, u64::MAX);
-        assert_eq!(s.mean_ns(), u64::MAX / 2);
-    }
-
-    #[test]
-    fn zero_count_mean_is_zero() {
-        assert_eq!(SpanStats::default().mean_ns(), 0);
-        let saturated = SpanStats { count: 0, total_ns: u64::MAX, ..Default::default() };
-        assert_eq!(saturated.mean_ns(), 0, "zero-count mean must not divide");
+        assert_eq!(s.self_ns, u64::MAX);
+        assert_eq!(s.alloc_count, u64::MAX);
+        assert_eq!(s.alloc_bytes, u64::MAX);
+        assert_eq!((s.min_ns, s.max_ns), (u64::MAX, u64::MAX));
+        assert_eq!(s.reservoir.percentile(50.0), u64::MAX);
     }
 
     #[test]
@@ -618,6 +490,7 @@ mod tests {
         assert_eq!(p.count, 2);
         assert_eq!(p.total_ns, 4_000);
         assert_eq!(p.self_ns, 3_400);
+        assert_eq!((p.min_ns, p.max_ns), (1_000, 3_000));
         assert_eq!(p.alloc_count, 4);
         assert_eq!(p.alloc_bytes, 320);
         assert_eq!(p.alloc_peak_bytes, 1_024);
@@ -654,20 +527,17 @@ mod tests {
         let mut m = MetricsStore::default();
         m.add("a", 1);
         m.add("b", 2);
-        m.record_span("s", 50);
         m.record_path("s", 50, 50, 0, 0, None);
+        m.record_path("u", 7, 7, 0, 0, None);
         let before = m.summary();
         m.add("a", 4);
-        m.record_span("s", 150);
-        m.record_span("t", 9);
         m.record_path("s", 150, 100, 2, 32, None);
+        m.record_path("t", 9, 9, 0, 0, None);
         let delta = m.summary().since(&before);
         assert_eq!(delta.counter("a"), 4);
         assert!(delta.counters.iter().all(|(k, _)| k != "b"), "unchanged counter kept");
-        let s = delta.span("s").unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.total_ns, 150);
-        assert_eq!(delta.span("t").unwrap().count, 1);
+        assert!(delta.path("u").is_none(), "unchanged path kept");
+        assert_eq!(delta.path("t").unwrap().count, 1, "new path dropped");
         let p = delta.path("s").unwrap();
         assert_eq!(p.count, 1);
         assert_eq!(p.total_ns, 150);
@@ -680,12 +550,24 @@ mod tests {
     fn render_table_mentions_every_entry() {
         let mut m = MetricsStore::default();
         m.add("kernel.matmul.calls", 7);
-        m.record_span("train.epoch", 1_500);
-        m.record_path("driver.run/train.epoch", 1_500, 1_500, 0, 0, None);
+        m.record_path("driver.run/train.epoch", 1_500, 1_500, 3, 2_048, None);
         let text = m.summary().render_table();
         assert!(text.contains("kernel.matmul.calls"));
-        assert!(text.contains("train.epoch"));
         assert!(text.contains("driver.run/train.epoch"));
-        assert!(text.contains("p99_us"));
+        assert!(text.contains("p99_us") && text.contains("alloc_kb"));
+    }
+
+    #[test]
+    fn render_paths_aligns_long_paths() {
+        let mut m = MetricsStore::default();
+        let long = "driver.run/driver.step/train.finetune/train.epoch/kernel.matmul_tn";
+        m.record_path("a", 10, 10, 0, 0, None);
+        m.record_path(long, 20, 20, 0, 0, None);
+        let text = render_paths(&m.summary().paths);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "header plus one row per path");
+        // The path column fits the longest path, so every row lines up.
+        assert!(lines.iter().all(|l| l.len() == lines[0].len()), "{text}");
+        assert!(lines[2].starts_with(long));
     }
 }

@@ -12,12 +12,12 @@
 //! Spans are **hierarchical**: each thread keeps a stack of open
 //! spans, so a [`SpanGuard`] knows its parent and its call *path*
 //! (`driver.run/driver.step/rewire.apply`). On drop it folds wall time
-//! into both the flat per-name aggregate and the per-path profile
-//! (with *self time* — wall time minus enclosed children — exact
-//! reservoir percentiles, and allocation deltas from [`crate::alloc`]
-//! when the counting allocator is installed), and emits a schema-v2
-//! `span` event carrying `span_id`/`parent_id`/`path` for offline
-//! analysis by `graphrare-trace`.
+//! into the per-path profile (with *self time* — wall time minus
+//! enclosed children — exact reservoir percentiles, and allocation
+//! deltas from [`crate::alloc`] when the counting allocator is
+//! installed), and emits a `span` event carrying
+//! `span_id`/`parent_id`/`path` for offline analysis by
+//! `graphrare-trace`.
 //!
 //! Control surface:
 //! * programmatic — [`set_enabled`], [`add_sink`], [`reset`];
@@ -246,7 +246,7 @@ pub fn install_panic_hook() {
     });
 }
 
-/// Zeroes all counters and span/path aggregates. Sinks stay installed.
+/// Zeroes all counters and path aggregates. Sinks stay installed.
 pub fn reset() {
     with_state(|s| s.metrics = MetricsStore::default());
 }
@@ -266,71 +266,6 @@ pub fn gauge_max(name: &'static str, value: u64) {
     if enabled() {
         with_state(|s| s.metrics.raise(name, value));
     }
-}
-
-/// Records a completed span duration directly (for call sites that
-/// measure themselves). The duration is attributed under the current
-/// thread's open span path — it counts as a *child* of the enclosing
-/// span, with all of `ns` as self time — and emitted as a `span` event
-/// with a synthesised id. No-op while disabled.
-#[inline]
-pub fn record_span(name: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let (parent_id, path) = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        match stack.last_mut() {
-            Some(top) => {
-                top.child_ns = top.child_ns.saturating_add(ns);
-                (Some(top.span_id), format!("{}/{name}", top.path))
-            }
-            None => (None, name.to_string()),
-        }
-    });
-    let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let end_offset_ns = epoch().elapsed().as_nanos() as u64;
-    with_state(|s| {
-        s.metrics.record_span(name, ns);
-        s.metrics.record_path(&path, ns, ns, 0, 0, None);
-        let event = tag_run(span_event(
-            name,
-            span_id,
-            parent_id,
-            &path,
-            ns,
-            ns,
-            end_offset_ns.saturating_sub(ns),
-            0,
-            0,
-        ));
-        for sink in &mut s.sinks {
-            sink.emit(&event);
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn span_event(
-    name: &'static str,
-    span_id: u64,
-    parent_id: Option<u64>,
-    path: &str,
-    ns: u64,
-    self_ns: u64,
-    start_ns: u64,
-    alloc_n: u64,
-    alloc_bytes: u64,
-) -> Event {
-    let mut event = Event::new("span").str("name", name).u64("span_id", span_id);
-    if let Some(pid) = parent_id {
-        event = event.u64("parent_id", pid);
-    }
-    event = event.str("path", path).u64("ns", ns).u64("self_ns", self_ns).u64("start_ns", start_ns);
-    if alloc_n > 0 || alloc_bytes > 0 {
-        event = event.u64("alloc_n", alloc_n).u64("alloc_bytes", alloc_bytes);
-    }
-    event
 }
 
 /// Sends a pre-built event to every sink. Prefer [`emit_with`], which
@@ -357,18 +292,17 @@ pub fn emit_with(build: impl FnOnce() -> Event) {
     }
 }
 
-/// Point-in-time copy of all counters, span aggregates and path
-/// profiles.
+/// Point-in-time copy of all counters and path profiles.
 pub fn snapshot() -> Summary {
     with_state(|s| s.metrics.summary())
 }
 
 /// RAII span: measures wall time from construction to drop, tracks its
 /// position in the per-thread span stack, and on drop folds the
-/// duration into the flat aggregate and the per-path profile (self
-/// time, percentile reservoir, allocation deltas) while emitting a
-/// schema-v2 `span` event. When telemetry is disabled at construction
-/// the guard holds no clock and drop is a no-op.
+/// duration into the per-path profile (self time, percentile
+/// reservoir, allocation deltas) while emitting a `span` event. When
+/// telemetry is disabled at construction the guard holds no clock and
+/// drop is a no-op.
 #[must_use = "a span measures until it is dropped"]
 pub struct SpanGuard {
     name: &'static str,
@@ -389,8 +323,8 @@ impl Drop for SpanGuard {
         let ns = start.elapsed().as_nanos() as u64;
         // Pop our frame. Guards are stack-shaped by construction
         // (RAII), so our frame is the top one; if it is not — the guard
-        // migrated threads or a child was leaked — fall back to the
-        // flat aggregate only rather than corrupting the stack.
+        // migrated threads or a child was leaked — record nothing rather
+        // than corrupting the stack.
         let frame = STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             if stack.last().is_some_and(|f| f.span_id == self.span_id) {
@@ -403,40 +337,34 @@ impl Drop for SpanGuard {
                 None
             }
         });
-        if !enabled() {
-            return;
+        let Some(frame) = frame.filter(|_| enabled()) else { return };
+        let self_ns = ns.saturating_sub(frame.child_ns);
+        let alloc_now = alloc::snapshot();
+        let alloc_n = alloc_now.count.saturating_sub(frame.alloc_start.count);
+        let alloc_bytes = alloc_now.bytes.saturating_sub(frame.alloc_start.bytes);
+        // Attribute the process-wide live-heap peak to this path only if
+        // a new peak was set while we were open.
+        let peak =
+            (alloc_now.peak_bytes > frame.alloc_start.peak_bytes).then_some(alloc_now.peak_bytes);
+        let mut event = Event::new("span").str("name", self.name).u64("span_id", frame.span_id);
+        if let Some(pid) = frame.parent_id {
+            event = event.u64("parent_id", pid);
         }
-        match frame {
-            None => with_state(|s| s.metrics.record_span(self.name, ns)),
-            Some(frame) => {
-                let self_ns = ns.saturating_sub(frame.child_ns);
-                let alloc_now = alloc::snapshot();
-                let alloc_n = alloc_now.count.saturating_sub(frame.alloc_start.count);
-                let alloc_bytes = alloc_now.bytes.saturating_sub(frame.alloc_start.bytes);
-                // Attribute the process-wide live-heap peak to this
-                // path only if a new peak was set while we were open.
-                let peak = (alloc_now.peak_bytes > frame.alloc_start.peak_bytes)
-                    .then_some(alloc_now.peak_bytes);
-                with_state(|s| {
-                    s.metrics.record_span(self.name, ns);
-                    s.metrics.record_path(&frame.path, ns, self_ns, alloc_n, alloc_bytes, peak);
-                    let event = tag_run(span_event(
-                        self.name,
-                        frame.span_id,
-                        frame.parent_id,
-                        &frame.path,
-                        ns,
-                        self_ns,
-                        frame.start_offset_ns,
-                        alloc_n,
-                        alloc_bytes,
-                    ));
-                    for sink in &mut s.sinks {
-                        sink.emit(&event);
-                    }
-                });
+        event = event
+            .str("path", frame.path.as_str())
+            .u64("ns", ns)
+            .u64("self_ns", self_ns)
+            .u64("start_ns", frame.start_offset_ns);
+        if alloc_n > 0 || alloc_bytes > 0 {
+            event = event.u64("alloc_n", alloc_n).u64("alloc_bytes", alloc_bytes);
+        }
+        let event = tag_run(event);
+        with_state(|s| {
+            s.metrics.record_path(&frame.path, ns, self_ns, alloc_n, alloc_bytes, peak);
+            for sink in &mut s.sinks {
+                sink.emit(&event);
             }
-        }
+        });
     }
 }
 

@@ -27,7 +27,7 @@ pub trait Sink: Send {
 /// Writes every event as one JSON line to a file.
 ///
 /// Writes are buffered (hierarchical spans emit one event per guard, a
-/// much higher volume than the v1 stream), so producers must call
+/// much higher volume than the other event kinds), so producers must call
 /// [`crate::flush`] / [`crate::clear_sinks`] before reading the file or
 /// exiting — statics never drop. The registry's panic hook
 /// ([`crate::install_panic_hook`]) flushes on crashes, keeping traces

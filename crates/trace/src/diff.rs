@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::model::Span;
+use crate::percentiles::percentile_rows;
 
 /// One path's baseline-vs-candidate comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,15 +54,6 @@ pub fn filter_by_prefix(spans: Vec<Span>, prefix: &str) -> Vec<Span> {
     spans.into_iter().filter(|s| s.path.split('/').any(|f| f.starts_with(prefix))).collect()
 }
 
-fn totals_by_path(spans: &[Span]) -> BTreeMap<String, u64> {
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for span in spans {
-        let slot = totals.entry(span.path.clone()).or_insert(0);
-        *slot = slot.saturating_add(span.ns);
-    }
-    totals
-}
-
 /// Compares per-path summed wall time of a candidate run against a
 /// baseline. A path regresses when its baseline total is at least
 /// `min_total_ns` (noise floor — sub-threshold paths jitter too much
@@ -75,8 +67,11 @@ pub fn diff(
     max_regress: f64,
     min_total_ns: u64,
 ) -> DiffReport {
-    let base = totals_by_path(baseline);
-    let cand = totals_by_path(candidate);
+    let totals = |spans: &[Span]| -> BTreeMap<String, u64> {
+        percentile_rows(spans).into_iter().map(|row| (row.path, row.total_ns)).collect()
+    };
+    let base = totals(baseline);
+    let cand = totals(candidate);
     let mut paths: Vec<&String> = base.keys().chain(cand.keys()).collect();
     paths.sort();
     paths.dedup();

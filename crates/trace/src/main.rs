@@ -8,19 +8,22 @@
 //! ```
 //!
 //! `flame` writes folded stacks (`a;b;c SELF_NS`) for flamegraph
-//! renderers; `percentiles` prints exact per-path p50/p90/p99 over the
-//! whole stream; `diff` compares per-path totals of two runs and exits
-//! non-zero when any path regresses past the threshold (default 10%),
-//! which is how `scripts/check.sh` uses it as a perf gate. `--run-id`
-//! keeps only spans tagged with that run (schema v3), separating one
-//! run out of a daemon-multiplexed stream.
+//! renderers; `percentiles` prints exact per-path p50/p90/p99 (and
+//! attributed allocations) over the whole stream, in the same table the
+//! CLI's `--telemetry` summary uses; `diff` compares per-path totals of
+//! two runs and exits non-zero when any path regresses past the
+//! threshold (default 10%), which is how `scripts/check.sh` uses it as
+//! a perf gate. `--run-id`
+//! keeps only spans tagged with that run, separating one run out of a
+//! daemon-multiplexed stream.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use graphrare_telemetry::render_paths;
 use graphrare_trace::{
     diff, filter_by_prefix, filter_run, folded_stacks, parse_spans_file, percentile_rows,
-    render_diff, render_folded, render_percentiles, render_timeline, Span,
+    render_diff, render_folded, render_timeline, Span,
 };
 
 fn usage() -> ExitCode {
@@ -162,7 +165,7 @@ fn main() -> ExitCode {
                 if !rest.is_empty() {
                     return Err(format!("unknown percentiles option {}", rest[0]));
                 }
-                emit(&render_percentiles(&percentile_rows(&load_spans(file, run_id)?)))?;
+                emit(&render_paths(&percentile_rows(&load_spans(file, run_id)?)))?;
                 Ok(ExitCode::SUCCESS)
             })
         }

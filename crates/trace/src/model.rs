@@ -1,11 +1,10 @@
 //! Span extraction from a validated telemetry JSONL stream.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
-use graphrare_telemetry::json::{self, Json};
+use graphrare_telemetry::json::{self, get_u64, Json};
 
-/// One closed span, as reconstructed from a v2 `span` event.
+/// One closed span, as reconstructed from a `span` event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Process-unique id, allocated at guard creation.
@@ -29,8 +28,8 @@ pub struct Span {
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
     /// The run this span belongs to when the stream multiplexes
-    /// several (schema-v3 tag from the serving daemon); `None` for
-    /// solo-run streams.
+    /// several (the serving daemon's `run_id` tag); `None` for solo-run
+    /// streams.
     pub run_id: Option<u64>,
 }
 
@@ -41,72 +40,45 @@ impl Span {
     }
 }
 
-fn u64_field(event: &Json, key: &str) -> Option<u64> {
-    let x = event.get(key)?.as_f64()?;
-    (x.is_finite() && x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
-}
-
-fn span_from_event(line_no: usize, event: &Json) -> Result<Span, String> {
-    let field = |key: &str| {
-        u64_field(event, key).ok_or_else(|| format!("line {line_no}: span missing u64 {key}"))
-    };
-    let text = |key: &str| {
-        event
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("line {line_no}: span missing string {key}"))
-    };
-    Ok(Span {
-        span_id: field("span_id")?,
-        parent_id: event.get("parent_id").map(|_| field("parent_id")).transpose()?,
-        name: text("name")?,
-        path: text("path")?,
-        ns: field("ns")?,
-        self_ns: field("self_ns")?,
-        start_ns: field("start_ns")?,
-        alloc_count: u64_field(event, "alloc_n").unwrap_or(0),
-        alloc_bytes: u64_field(event, "alloc_bytes").unwrap_or(0),
-        run_id: u64_field(event, "run_id"),
-    })
+/// Builds a span from an event that passed [`json::validate_event_line`],
+/// which guarantees every field read here except the optional
+/// `parent_id`, `alloc_n`, `alloc_bytes` and `run_id`.
+fn span_from_event(event: &Json) -> Span {
+    let num = |key: &str| get_u64(event, key).unwrap_or(0);
+    let text = |key: &str| event.get(key).and_then(Json::as_str).unwrap_or_default().to_owned();
+    Span {
+        span_id: num("span_id"),
+        parent_id: get_u64(event, "parent_id"),
+        name: text("name"),
+        path: text("path"),
+        ns: num("ns"),
+        self_ns: num("self_ns"),
+        start_ns: num("start_ns"),
+        alloc_count: num("alloc_n"),
+        alloc_bytes: num("alloc_bytes"),
+        run_id: get_u64(event, "run_id"),
+    }
 }
 
 /// Keeps only the spans tagged with `run_id` — how the analyzers
 /// separate one run out of a daemon-multiplexed stream. Untagged spans
-/// (solo-run streams, pre-v3 events) never match a filter.
+/// (solo-run streams) never match a filter.
 pub fn filter_run(spans: &[Span], run_id: u64) -> Vec<Span> {
     spans.iter().filter(|s| s.run_id == Some(run_id)).cloned().collect()
 }
 
 /// Parses a telemetry JSONL stream and returns its spans, in stream
-/// order. Every line is schema-validated (v1 or v2); non-span events
-/// are skipped. The spans must form a closed forest: a `parent_id`
-/// that never appears as a `span_id` — the signature of a truncated
-/// trace — is an error.
+/// order. The whole stream must pass [`json::validate_jsonl`] — the
+/// same check `telemetry_lint` applies, including the closed-forest
+/// rule (a `parent_id` that never appears as a `span_id` is the
+/// signature of a truncated trace); non-span events are skipped.
 pub fn parse_spans(text: &str) -> Result<Vec<Span>, String> {
-    let mut spans = Vec::new();
-    let mut ids = BTreeSet::new();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let event = json::validate_event_line(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        if event.get("event").and_then(Json::as_str) != Some("span") {
-            continue;
-        }
-        let span = span_from_event(line_no, &event)?;
-        ids.insert(span.span_id);
-        spans.push(span);
-    }
-    for span in &spans {
-        if let Some(parent) = span.parent_id {
-            if !ids.contains(&parent) {
-                return Err(format!(
-                    "span {} ({}): orphaned parent_id {parent} (truncated trace?)",
-                    span.span_id, span.path
-                ));
-            }
-        }
-    }
-    Ok(spans)
+    let events = json::validate_jsonl(text)?;
+    Ok(events
+        .iter()
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("span"))
+        .map(span_from_event)
+        .collect())
 }
 
 /// [`parse_spans`] over a file.
@@ -124,14 +96,14 @@ mod tests {
         let name = path.rsplit('/').next().unwrap();
         let parent = parent.map(|p| format!("\"parent_id\":{p},")).unwrap_or_default();
         format!(
-            "{{\"v\":2,\"event\":\"span\",\"name\":\"{name}\",\"span_id\":{id},{parent}\"path\":\"{path}\",\"ns\":{ns},\"self_ns\":{ns},\"start_ns\":0}}"
+            "{{\"v\":3,\"event\":\"span\",\"name\":\"{name}\",\"span_id\":{id},{parent}\"path\":\"{path}\",\"ns\":{ns},\"self_ns\":{ns},\"start_ns\":0}}"
         )
     }
 
     #[test]
     fn parses_spans_and_skips_other_events() {
         let text = format!(
-            "{{\"v\":1,\"event\":\"run_start\",\"seed\":7}}\n{}\n{}\n",
+            "{{\"v\":3,\"event\":\"run_start\",\"seed\":7}}\n{}\n{}\n",
             line(1, None, "a", 100),
             line(2, Some(1), "a/b", 40)
         );
@@ -152,6 +124,6 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         assert!(parse_spans("not json\n").is_err());
-        assert!(parse_spans("{\"v\":2,\"event\":\"span\",\"name\":\"x\"}\n").is_err());
+        assert!(parse_spans("{\"v\":3,\"event\":\"span\",\"name\":\"x\"}\n").is_err());
     }
 }

@@ -1,84 +1,51 @@
-//! Exact per-path duration percentiles over a full trace.
+//! Exact per-path statistics over a full trace.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use graphrare_telemetry::metrics::percentile_of_sorted;
+use graphrare_telemetry::PathSummary;
 
 use crate::model::Span;
 
-/// Aggregated statistics for one call path.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PathRow {
-    /// `/`-joined call path.
-    pub path: String,
-    /// Number of spans on this path.
-    pub count: u64,
-    /// Summed wall time.
-    pub total_ns: u64,
-    /// Summed self time.
-    pub self_ns: u64,
-    /// Exact nearest-rank percentiles of the wall-time distribution.
-    pub p50_ns: u64,
-    /// 90th percentile.
-    pub p90_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-}
-
-/// Groups span durations by path and computes exact nearest-rank
-/// p50/p90/p99 over every sample. The offline analyzer holds the full
-/// stream, so — unlike the in-process reservoir, which is capped —
-/// these are exact at any count.
-pub fn percentile_rows(spans: &[Span]) -> Vec<PathRow> {
-    let mut by_path: BTreeMap<&str, (Vec<u64>, u64)> = BTreeMap::new();
+/// Groups spans by path into the same [`PathSummary`] rows the
+/// in-process registry reports, sorted by path. The offline analyzer
+/// holds the full stream, so — unlike the in-process reservoir, which
+/// is capped — p50/p90/p99 are exact nearest-rank values over every
+/// sample (`sampled == count`). Counts, sums, extrema and allocation
+/// totals come from the stream; `alloc_peak_bytes` is not in it and
+/// reads 0.
+pub fn percentile_rows(spans: &[Span]) -> Vec<PathSummary> {
+    let mut by_path: BTreeMap<&str, Vec<&Span>> = BTreeMap::new();
     for span in spans {
-        let (durations, self_ns) = by_path.entry(&span.path).or_default();
-        durations.push(span.ns);
-        *self_ns = self_ns.saturating_add(span.self_ns);
+        by_path.entry(&span.path).or_default().push(span);
     }
     by_path
         .into_iter()
-        .map(|(path, (mut durations, self_ns))| {
-            let total_ns = durations.iter().fold(0u64, |a, &b| a.saturating_add(b));
-            // One sort per path; the three quantile reads share it.
+        .map(|(path, group)| {
+            let sum = |field: fn(&Span) -> u64| {
+                group.iter().fold(0u64, |acc, s| acc.saturating_add(field(s)))
+            };
+            // One sort per path; every order statistic reads it.
+            let mut durations: Vec<u64> = group.iter().map(|s| s.ns).collect();
             durations.sort_unstable();
-            PathRow {
+            let count = durations.len() as u64;
+            PathSummary {
                 path: path.to_owned(),
-                count: durations.len() as u64,
-                total_ns,
-                self_ns,
+                count,
+                total_ns: sum(|s| s.ns),
+                self_ns: sum(|s| s.self_ns),
+                min_ns: percentile_of_sorted(&durations, 0.0),
+                max_ns: percentile_of_sorted(&durations, 100.0),
                 p50_ns: percentile_of_sorted(&durations, 50.0),
                 p90_ns: percentile_of_sorted(&durations, 90.0),
                 p99_ns: percentile_of_sorted(&durations, 99.0),
+                sampled: count,
+                alloc_count: sum(|s| s.alloc_count),
+                alloc_bytes: sum(|s| s.alloc_bytes),
+                alloc_peak_bytes: 0,
             }
         })
         .collect()
-}
-
-/// Aligned table, one row per path, sorted by path.
-pub fn render_percentiles(rows: &[PathRow]) -> String {
-    let width = rows.iter().map(|r| r.path.len()).max().unwrap_or(4).max(4);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<width$} {:>8} {:>12} {:>12} {:>10} {:>10} {:>10}",
-        "path", "count", "total_ms", "self_ms", "p50_us", "p90_us", "p99_us"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<width$} {:>8} {:>12.3} {:>12.3} {:>10.1} {:>10.1} {:>10.1}",
-            r.path,
-            r.count,
-            r.total_ns as f64 / 1e6,
-            r.self_ns as f64 / 1e6,
-            r.p50_ns as f64 / 1e3,
-            r.p90_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -96,8 +63,8 @@ mod tests {
                 ns: i * 1000,
                 self_ns: i * 500,
                 start_ns: i,
-                alloc_count: 0,
-                alloc_bytes: 0,
+                alloc_count: i % 2,
+                alloc_bytes: 64,
                 run_id: None,
             })
             .collect();
@@ -105,11 +72,14 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.count, 100);
+        assert_eq!(r.sampled, r.count, "offline percentiles are exact");
         assert_eq!(r.p50_ns, 50_000);
         assert_eq!(r.p90_ns, 90_000);
         assert_eq!(r.p99_ns, 99_000);
+        assert_eq!((r.min_ns, r.max_ns), (1_000, 100_000));
         assert_eq!(r.total_ns, 5_050_000);
         assert_eq!(r.self_ns, 2_525_000);
-        assert!(render_percentiles(&rows).contains("step"));
+        assert_eq!((r.alloc_count, r.alloc_bytes, r.alloc_peak_bytes), (50, 6_400, 0));
+        assert!(graphrare_telemetry::render_paths(&rows).contains("step"));
     }
 }

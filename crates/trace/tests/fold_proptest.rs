@@ -49,7 +49,7 @@ fn jsonl(nodes: &[Node], shuffle_seed: u64) -> String {
             let name = n.path.rsplit('/').next().unwrap();
             let parent = n.parent.map(|p| format!("\"parent_id\":{},", p + 1)).unwrap_or_default();
             format!(
-                "{{\"v\":2,\"event\":\"span\",\"name\":\"{name}\",\"span_id\":{},{parent}\"path\":\"{}\",\"ns\":{},\"self_ns\":{},\"start_ns\":{}}}",
+                "{{\"v\":3,\"event\":\"span\",\"name\":\"{name}\",\"span_id\":{},{parent}\"path\":\"{}\",\"ns\":{},\"self_ns\":{},\"start_ns\":{}}}",
                 i + 1,
                 n.path,
                 n.ns,
@@ -59,7 +59,7 @@ fn jsonl(nodes: &[Node], shuffle_seed: u64) -> String {
         })
         .collect();
     // Interleave a non-span event the parser must skip.
-    lines.push("{\"v\":2,\"event\":\"iter\",\"step\":0}".to_owned());
+    lines.push("{\"v\":3,\"event\":\"iter\",\"step\":0}".to_owned());
     // Deterministic Fisher–Yates driven by a splitmix64 stream: the
     // stream order carries no information the parser may rely on.
     let mut state = shuffle_seed;

@@ -1,4 +1,4 @@
-//! Golden-fixture contract for the trace analyzer: a checked-in v2
+//! Golden-fixture contract for the trace analyzer: a checked-in v3
 //! JSONL stream with a known span tree must reconstruct exactly, fold
 //! into stacks whose root totals telescope to the root span's wall
 //! time, yield exact percentiles, and drive the diff gate's exit code
@@ -7,10 +7,13 @@
 use std::path::Path;
 use std::process::Command;
 
-use graphrare_trace::{diff, folded_stacks, parse_spans_file, percentile_rows, root_totals};
+use graphrare_telemetry::{json, render_paths};
+use graphrare_trace::{
+    diff, folded_stacks, parse_spans, parse_spans_file, percentile_rows, root_totals,
+};
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v2.jsonl");
-const SLOW: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v2_slow.jsonl");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v3.jsonl");
+const SLOW: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v3_slow.jsonl");
 
 #[test]
 fn golden_fixture_reconstructs_the_span_tree() {
@@ -55,6 +58,10 @@ fn percentiles_are_exact_nearest_rank() {
     assert_eq!(step.self_ns, 130_000);
     assert_eq!(step.p50_ns, 100_000);
     assert_eq!(step.p99_ns, 150_000);
+    assert_eq!((step.min_ns, step.max_ns), (100_000, 150_000));
+    assert_eq!(step.sampled, step.count, "offline percentiles are exact");
+    assert_eq!(step.alloc_count, 120 + 90, "allocations sum over the stream");
+    assert_eq!(step.alloc_bytes, 4096 + 2048);
 }
 
 #[test]
@@ -87,9 +94,11 @@ fn binary_exit_codes_implement_the_perf_gate() {
     }
     assert!(stdout.contains("driver.run;driver.step;rewire.apply 50000"), "{stdout}");
 
+    // The percentile table is the registry's own path table.
     let pct = run(&["percentiles", GOLDEN]);
     assert!(pct.status.success());
-    assert!(String::from_utf8(pct.stdout).unwrap().contains("p99_us"));
+    let rows = percentile_rows(&parse_spans_file(Path::new(GOLDEN)).unwrap());
+    assert_eq!(String::from_utf8(pct.stdout).unwrap(), render_paths(&rows));
 
     let timeline = run(&["timeline", GOLDEN]);
     assert!(timeline.status.success());
@@ -103,4 +112,26 @@ fn binary_exit_codes_implement_the_perf_gate() {
 
     // Malformed input is a hard error, not a pass.
     assert!(!run(&["flame", "/nonexistent.jsonl"]).status.success());
+}
+
+#[test]
+fn trace_and_lint_validators_agree() {
+    // `telemetry_lint` and the analyzer accept exactly the same streams:
+    // schema v3 only, with the `self_ns`/`start_ns` the analyzer reads
+    // on every span, and no orphaned parent.
+    let good = "{\"v\":3,\"event\":\"span\",\"name\":\"a\",\"span_id\":1,\"path\":\"a\",\
+                \"ns\":100,\"self_ns\":100,\"start_ns\":0}";
+    let streams = [
+        good.to_owned(),
+        good.replace(",\"self_ns\":100", ""),
+        good.replace(",\"start_ns\":0", ""),
+        good.replace("\"v\":3", "\"v\":2"),
+        good.replace("\"span_id\":1,", "\"span_id\":2,\"parent_id\":1,"),
+    ];
+    for (i, text) in streams.iter().enumerate() {
+        let lint = json::validate_jsonl(text);
+        let trace = parse_spans(text);
+        assert_eq!(lint.is_ok(), trace.is_ok(), "validators disagree on {text}");
+        assert_eq!(lint.is_ok(), i == 0, "only the complete v3 span is valid: {text}");
+    }
 }

@@ -33,7 +33,7 @@ cargo test --workspace -q
 
 echo "==> telemetry suite"
 cargo test -q -p graphrare-telemetry
-cargo test -q -p graphrare --test telemetry
+cargo test -q -p graphrare-suite --test telemetry_contract
 
 echo "==> CLI telemetry smoke (--telemetry-out JSONL must validate)"
 cargo build -q --release -p graphrare --bin graphrare
