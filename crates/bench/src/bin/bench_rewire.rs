@@ -17,9 +17,11 @@
 //!   moves most counters; heuristics march every node toward its
 //!   target);
 //! * `sparse` — a seeded ~2% per-step node mask on top of the proposals,
-//!   the converged-policy regime where almost every counter holds.
-//!   Incremental rewiring is O(changed nodes), so this is where the
-//!   asymptotic win shows.
+//!   the converged-policy regime where almost every counter holds. The
+//!   delta scan is O(changed nodes) here, but the operator refresh still
+//!   rebuilds `gcn_norm` at O(N + E) per step, so the incremental path
+//!   wins by skipping `materialize`'s clone-and-replay, not by touching
+//!   fewer operator rows.
 //!
 //! Every cell first replays its whole trace once with *both* engines in
 //! lock-step and asserts bit-identical results (edge sets, edge counts,

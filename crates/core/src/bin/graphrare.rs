@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! graphrare --input data/mygraph --output out/mygraph-optimized \
-//!           [--backbone gcn|sage|gat|h2gcn] [--lambda 1.0] [--steps 160]
+//!           [--backbone gcn|sage|gat|h2gcn|mlp] [--lambda 1.0] [--steps 160]
 //!           [--seed 42] [--split-seed 0] [--k-cap 10] [--algo ppo|a2c]
 //!           [--rewirer ppo|dhgr|reference|none]
 //!           [--entropy-refresh-every N]
@@ -98,7 +98,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: graphrare --input <prefix> [--output <prefix>] \
-         [--backbone gcn|sage|gat|h2gcn] [--lambda F] [--steps N] \
+         [--backbone gcn|sage|gat|h2gcn|mlp] [--lambda F] [--steps N] \
          [--seed N] [--split-seed N] [--k-cap N] [--algo ppo|a2c] \
          [--rewirer ppo|dhgr|reference|none] [--entropy-refresh-every N] \
          [--threads N] [--quiet] [--telemetry] [--telemetry-out PATH] \
@@ -147,16 +147,11 @@ fn parse_args() -> Args {
             }
             "--output" => args.output = Some(PathBuf::from(value(&mut i))),
             "--backbone" => {
-                args.backbone = match value(&mut i).to_lowercase().as_str() {
-                    "gcn" => Backbone::Gcn,
-                    "sage" | "graphsage" => Backbone::Sage,
-                    "gat" => Backbone::Gat,
-                    "h2gcn" => Backbone::H2gcn,
-                    other => {
-                        eprintln!("unknown backbone {other}");
-                        usage()
-                    }
-                }
+                let v = value(&mut i);
+                args.backbone = Backbone::parse(&v).unwrap_or_else(|| {
+                    eprintln!("unknown backbone {v}");
+                    usage()
+                })
             }
             "--lambda" => args.lambda = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--steps" => args.steps = value(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -185,14 +180,11 @@ fn parse_args() -> Args {
                 }
             },
             "--algo" => {
-                args.algo = match value(&mut i).to_lowercase().as_str() {
-                    "ppo" => RlAlgo::Ppo,
-                    "a2c" => RlAlgo::A2c,
-                    other => {
-                        eprintln!("unknown algorithm {other}");
-                        usage()
-                    }
-                }
+                let v = value(&mut i).to_lowercase();
+                args.algo = RlAlgo::parse(&v).unwrap_or_else(|| {
+                    eprintln!("unknown algorithm {v}");
+                    usage()
+                })
             }
             "--rewirer" => {
                 let v = value(&mut i).to_lowercase();
@@ -236,14 +228,8 @@ fn parse_args() -> Args {
 /// Evaluates a saved model artifact on the input graph without training.
 fn eval_saved_model(path: &Path, graph: &Graph, split: &Split) -> Result<(), String> {
     let artifact = persist::load_model(path).map_err(|e| e.to_string())?;
-    let backbone = match artifact.backbone.to_lowercase().as_str() {
-        "mlp" => Backbone::Mlp,
-        "gcn" => Backbone::Gcn,
-        "graphsage" | "sage" => Backbone::Sage,
-        "gat" => Backbone::Gat,
-        "h2gcn" => Backbone::H2gcn,
-        other => return Err(format!("artifact names unknown backbone {other:?}")),
-    };
+    let backbone = Backbone::parse(&artifact.backbone)
+        .ok_or_else(|| format!("artifact names unknown backbone {:?}", artifact.backbone))?;
     let opt_graph = artifact.topology.to_graph(graph).map_err(|e| e.to_string())?;
     let cfg = GraphRareConfig::default();
     let model = build_model(backbone, graph.feat_dim(), graph.num_classes(), &cfg.model);

@@ -43,6 +43,11 @@ impl RlAlgo {
             RlAlgo::A2c => "a2c",
         }
     }
+
+    /// Parses a CLI value produced by [`RlAlgo::name`].
+    pub fn parse(s: &str) -> Option<Self> {
+        [RlAlgo::Ppo, RlAlgo::A2c].into_iter().find(|a| a.name() == s)
+    }
 }
 
 /// Which policy parameterisation drives the MDP.
@@ -200,6 +205,14 @@ mod tests {
         assert_ne!(a.model.seed, b.model.seed);
         assert_ne!(a.ppo.seed, b.ppo.seed);
         assert_ne!(a.model.seed, a.ppo.seed);
+    }
+
+    #[test]
+    fn algo_names_round_trip() {
+        for algo in [RlAlgo::Ppo, RlAlgo::A2c] {
+            assert_eq!(RlAlgo::parse(algo.name()), Some(algo));
+        }
+        assert_eq!(RlAlgo::parse("sac"), None);
     }
 
     #[test]

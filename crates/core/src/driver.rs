@@ -170,7 +170,9 @@ pub struct RareDriver {
     max_acc: f64,
     best_val: f64,
     best_params: Vec<Matrix>,
-    best_graph: Graph,
+    /// Edge list of the best-validation graph, refilled in place on each
+    /// improvement; `try_finish` rebuilds the `Graph` from it once.
+    best_edges: Vec<(u32, u32)>,
     traces: RunTraces,
     window_reward: f32,
     window_steps: usize,
@@ -287,7 +289,7 @@ impl RareDriver {
         let state = TopoState::new(topo.k_bounds(cfg.k_cap), topo.d_bounds(cfg.k_cap));
         // The persistent G_t: starts at the base graph (S_0) and is edited
         // incrementally per step; its operator caches warm up here and are
-        // row-patched from then on.
+        // rebuilt in place from then on.
         let rewired = RewiredGraph::new(&topo);
 
         let model = build_model(backbone, graph.feat_dim(), num_classes, &cfg.model);
@@ -349,7 +351,7 @@ impl RareDriver {
         };
         let max_acc = prev.accuracy;
         let best_params = trainer.snapshot();
-        let best_graph = topo.base().clone();
+        let best_edges = topo.base().edges().map(|(u, v)| (u as u32, v as u32)).collect();
         let base_edges = topo.base().num_edges();
         let original = engine.is_some().then(|| graph.clone());
 
@@ -372,7 +374,7 @@ impl RareDriver {
             max_acc,
             best_val,
             best_params,
-            best_graph,
+            best_edges,
             traces: RunTraces::default(),
             window_reward: 0.0,
             window_steps: 0,
@@ -492,7 +494,8 @@ impl RareDriver {
         if val_eval.accuracy > self.best_val {
             self.best_val = val_eval.accuracy;
             self.best_params = self.trainer.snapshot();
-            self.best_graph = self.rewired.graph().clone();
+            self.best_edges.clear();
+            self.best_edges.extend(self.rewired.graph().edges().map(|(u, v)| (u as u32, v as u32)));
         }
 
         // One structured event per outer iteration. Emitted before the
@@ -614,13 +617,24 @@ impl RareDriver {
         // better-validating (graph, parameters) pair wins. The guard means a
         // mid-training mis-selection of a rewired graph can never leave the
         // enhanced model below its own backbone at convergence.
-        let mut winner_graph = self.best_graph.clone();
+        let original = self.original_graph();
+        let edges: Vec<(usize, usize)> =
+            self.best_edges.iter().map(|&(u, v)| (u as usize, v as usize)).collect();
+        let best_graph = Graph::from_edges(
+            original.num_nodes(),
+            &edges,
+            original.features().clone(),
+            original.labels().to_vec(),
+            self.num_classes,
+        );
+        let best_edges = best_graph.edge_vec();
+        let mut winner = 0;
         let mut winner_params = self.best_params.clone();
         // Each candidate resumes from the checkpoint trained on *its own*
         // topology: the selected graph from the RL loop's best snapshot, the
         // base graph from the warm-up snapshot (so the fallback path is the
         // plain backbone's own trajectory).
-        let mut candidates = vec![(self.best_graph.clone(), self.best_params.clone())];
+        let mut candidates = vec![(best_graph, self.best_params.clone())];
         // The terminal topology G_T carries the most accumulated rewiring
         // (homophily converges late, Fig. 6b); the mid-run best-val snapshot
         // often under-rewires because it was judged with a semi-trained model.
@@ -628,15 +642,15 @@ impl RareDriver {
         // postdate the last incremental apply.
         self.rewired.apply_into(&self.topo, &self.state, &mut self.delta)?;
         let final_graph = self.rewired.graph().clone();
-        if final_graph.edge_vec() != self.best_graph.edge_vec() {
+        if final_graph.edge_vec() != best_edges {
             candidates.push((final_graph, self.best_params.clone()));
         }
-        if self.best_graph.edge_vec() != self.original_graph().edge_vec() {
+        if best_edges != self.original_graph().edge_vec() {
             candidates.push((self.original_graph().clone(), self.warm_params.clone()));
         }
-        for (candidate, checkpoint) in candidates {
-            self.trainer.restore(&checkpoint);
-            let gt = GraphTensors::new(&candidate);
+        for (i, (candidate, checkpoint)) in candidates.iter().enumerate() {
+            self.trainer.restore(checkpoint);
+            let gt = GraphTensors::new(candidate);
             let mut since_best = 0usize;
             for _ in 0..self.cfg.train.epochs {
                 self.trainer.train_epoch(self.model.as_ref(), &gt, &self.labels, &self.split.train);
@@ -644,7 +658,7 @@ impl RareDriver {
                 if val_eval.accuracy > self.best_val {
                     self.best_val = val_eval.accuracy;
                     winner_params = self.trainer.snapshot();
-                    winner_graph = candidate.clone();
+                    winner = i;
                     since_best = 0;
                 } else {
                     since_best += 1;
@@ -656,6 +670,7 @@ impl RareDriver {
         }
 
         // Test at the best-validation checkpoint (paper Sec. V-C).
+        let winner_graph = candidates.swap_remove(winner).0;
         self.trainer.restore(&winner_params);
         let best_gt = GraphTensors::new(&winner_graph);
         let test_eval = evaluate(self.model.as_ref(), &best_gt, &self.labels, &self.split.test);
@@ -703,12 +718,7 @@ impl RareDriver {
             best_val: self.best_val,
             warm_params: self.warm_params.clone(),
             best_params: self.best_params.clone(),
-            best_graph_edges: self
-                .best_graph
-                .edge_vec()
-                .into_iter()
-                .map(|(u, v)| (u as u32, v as u32))
-                .collect(),
+            best_graph_edges: self.best_edges.clone(),
             buffer: self.rewirer.export_buffer(),
             traces: self.traces.clone(),
             window_reward: self.window_reward,
@@ -798,16 +808,7 @@ impl RareDriver {
         self.best_val = snap.best_val;
         self.warm_params = snap.warm_params.clone();
         self.best_params = snap.best_params.clone();
-        let edges: Vec<(usize, usize)> =
-            snap.best_graph_edges.iter().map(|&(u, v)| (u as usize, v as usize)).collect();
-        let base = self.topo.base();
-        self.best_graph = Graph::from_edges(
-            n,
-            &edges,
-            base.features().clone(),
-            base.labels().to_vec(),
-            self.num_classes,
-        );
+        self.best_edges = snap.best_graph_edges.clone();
         self.traces = snap.traces.clone();
         self.window_reward = snap.window_reward;
         self.window_steps = snap.window_steps as usize;

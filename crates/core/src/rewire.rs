@@ -7,9 +7,10 @@
 //! one DRL step moves each per-node counter by at most one.
 //!
 //! [`RewiredGraph`] keeps the current `G_t` alive and applies only the
-//! *delta* between two [`TopoState`]s, updating the graph, the operator
-//! caches (row-wise, via [`GraphTensors::apply_flips`]) and the homophily
-//! numerator in `O(changed)` time. The contract is exactness: after
+//! *delta* between two [`TopoState`]s: the flip set and the homophily
+//! numerator cost `O(changed)`, the graph absorbs the flips in one CSR
+//! splice, and [`GraphTensors::apply_flips`] rebuilds every built operator
+//! in place into its existing storage. The contract is exactness: after
 //! `apply(topo, s)` the held graph is bit-identical to
 //! `topo.materialize(&s)` and every operator is bit-identical to a fresh
 //! build — enforced by the `rewire_equivalence` property suite.
@@ -409,7 +410,8 @@ pub struct RewiredGraph {
     kept_cache: FxHashMap<usize, KeptEntry>,
     /// Same-label edge count of the live graph (homophily numerator).
     same_label: usize,
-    /// The live graph plus row-patched propagation operators.
+    /// The live graph plus its propagation operators, rebuilt in place
+    /// on edits.
     tensors: GraphTensors,
     /// Reused per-step working memory.
     scratch: ApplyScratch,
@@ -614,7 +616,8 @@ impl RewiredGraph {
         self.tensors.graph()
     }
 
-    /// The live operator cache (lazy per operator, row-patched on edits).
+    /// The live operator cache (lazy per operator, rebuilt in place on
+    /// edits).
     pub fn tensors(&self) -> &GraphTensors {
         &self.tensors
     }
@@ -1053,7 +1056,7 @@ mod tests {
     fn additions_and_reversal() {
         let topo = path_optimizer(EditMode::Both);
         let mut rw = RewiredGraph::new(&topo);
-        // Operators built up-front so every transition exercises patching.
+        // Operators built up-front so every transition refreshes them.
         rw.tensors().gcn_norm();
         rw.tensors().two_hop();
         let mut state = TopoState::new(topo.k_bounds(8), topo.d_bounds(8));

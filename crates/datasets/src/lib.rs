@@ -31,4 +31,4 @@ pub mod splits;
 
 pub use generator::{generate, generate_mini, generate_spec};
 pub use spec::{Dataset, DatasetSpec};
-pub use splits::{stratified_split, ten_splits, try_stratified_split, Split, SplitError};
+pub use splits::{stratified_split, ten_splits, Split};

@@ -5,47 +5,8 @@
 //! this module reproduces the *procedure*: per-class stratified 60/20/20
 //! splits drawn from a seeded RNG, ten per dataset.
 
-use std::fmt;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Why a split could not be drawn from the given labels.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SplitError {
-    /// `num_classes` was zero while labels were provided: every label
-    /// would be out of range, and the "split" would be silently empty.
-    NoClasses {
-        /// Number of labels that were provided.
-        num_labels: usize,
-    },
-    /// A label was `>= num_classes` (this used to be an
-    /// index-out-of-bounds panic deep inside the bucketing loop).
-    LabelOutOfRange {
-        /// Index of the offending node.
-        node: usize,
-        /// The out-of-range label value.
-        label: usize,
-        /// The declared number of classes.
-        num_classes: usize,
-    },
-}
-
-impl fmt::Display for SplitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SplitError::NoClasses { num_labels } => {
-                write!(f, "cannot stratify {num_labels} labels over zero classes")
-            }
-            SplitError::LabelOutOfRange { node, label, num_classes } => write!(
-                f,
-                "node {node} has label {label}, outside the declared {num_classes} classes"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SplitError {}
 
 /// One train/validation/test partition of node indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,30 +38,21 @@ impl Split {
 /// train largest).
 ///
 /// # Panics
-/// Panics with the [`SplitError`] message when the labels are
-/// inconsistent with `num_classes`; use [`try_stratified_split`] to
-/// handle malformed inputs (e.g. user-supplied datasets) gracefully.
+/// Panics when the labels are inconsistent with `num_classes`: a label
+/// `>= num_classes`, or `num_classes == 0` with labels present (which
+/// would otherwise yield a silently empty split). Outside input reaches
+/// this already checked: `graphrare_graph::io` bounds every label by the
+/// node count and derives `num_classes` from them.
 pub fn stratified_split(labels: &[usize], num_classes: usize, seed: u64) -> Split {
-    match try_stratified_split(labels, num_classes, seed) {
-        Ok(split) => split,
-        Err(e) => panic!("stratified_split: {e}"),
-    }
-}
-
-/// [`stratified_split`], returning a typed error instead of panicking on
-/// inconsistent inputs: a label `>= num_classes` (previously an
-/// index-out-of-bounds panic) or `num_classes == 0` with labels present
-/// (previously a silently empty split).
-pub fn try_stratified_split(
-    labels: &[usize],
-    num_classes: usize,
-    seed: u64,
-) -> Result<Split, SplitError> {
-    if num_classes == 0 && !labels.is_empty() {
-        return Err(SplitError::NoClasses { num_labels: labels.len() });
-    }
+    assert!(
+        num_classes > 0 || labels.is_empty(),
+        "stratified_split: cannot stratify {} labels over zero classes",
+        labels.len()
+    );
     if let Some((node, &label)) = labels.iter().enumerate().find(|&(_, &l)| l >= num_classes) {
-        return Err(SplitError::LabelOutOfRange { node, label, num_classes });
+        panic!(
+            "stratified_split: node {node} has label {label}, outside the declared {num_classes} classes"
+        );
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
@@ -125,7 +77,7 @@ pub fn try_stratified_split(
     split.train.sort_unstable();
     split.val.sort_unstable();
     split.test.sort_unstable();
-    Ok(split)
+    split
 }
 
 /// The paper's protocol: ten stratified splits with distinct seeds derived
@@ -192,34 +144,23 @@ mod tests {
     }
 
     #[test]
-    fn label_out_of_range_is_a_typed_error() {
-        // `labels[2] == 5` with 4 declared classes used to panic with a
-        // bare index-out-of-bounds inside the bucketing loop.
-        let l = vec![0usize, 1, 5, 2];
-        let err = try_stratified_split(&l, 4, 0).unwrap_err();
-        assert_eq!(err, SplitError::LabelOutOfRange { node: 2, label: 5, num_classes: 4 });
-        assert!(err.to_string().contains("label 5"));
+    #[should_panic(expected = "node 2 has label 5, outside the declared 4 classes")]
+    fn label_out_of_range_panics_with_its_node_and_label() {
+        // Without the check this would be a bare index-out-of-bounds
+        // inside the bucketing loop.
+        let _ = stratified_split(&[0, 1, 5, 2], 4, 0);
     }
 
     #[test]
-    fn zero_classes_with_labels_is_a_typed_error() {
-        // Previously this silently produced an empty split.
-        let err = try_stratified_split(&[0, 0, 0], 0, 0).unwrap_err();
-        assert_eq!(err, SplitError::NoClasses { num_labels: 3 });
-        // No labels over no classes is a degenerate-but-consistent input.
-        assert!(try_stratified_split(&[], 0, 0).unwrap().is_empty());
+    #[should_panic(expected = "cannot stratify 3 labels over zero classes")]
+    fn zero_classes_with_labels_panics() {
+        // Without the check this would be a silently empty split.
+        let _ = stratified_split(&[0, 0, 0], 0, 0);
     }
 
     #[test]
-    #[should_panic(expected = "outside the declared 2 classes")]
-    fn panicking_wrapper_carries_the_error_message() {
-        let _ = stratified_split(&[0, 3], 2, 0);
-    }
-
-    #[test]
-    fn try_split_matches_panicking_split_on_valid_input() {
-        let l = labels();
-        assert_eq!(try_stratified_split(&l, 4, 6).unwrap(), stratified_split(&l, 4, 6));
+    fn no_labels_over_no_classes_is_an_empty_split() {
+        assert!(stratified_split(&[], 0, 0).is_empty());
     }
 
     #[test]

@@ -8,13 +8,14 @@ use rand::rngs::StdRng;
 use graphrare_graph::{ops, Graph};
 use graphrare_tensor::{AdjList, CsrMatrix, Matrix, Param, Tape, Var};
 
-/// A snapshot of one graph topology with lazily built propagation
-/// operators.
+/// One graph topology with lazily built propagation operators.
 ///
 /// GraphRARE re-trains the GNN on a *changing* topology (`G_t`, `G_{t+1}`,
-/// …); every snapshot gets its own `GraphTensors` so cached operators can
-/// never leak across topologies. Operators are built on first use: a GCN
-/// never pays for the two-hop operator H2GCN needs.
+/// …). A `GraphTensors` either snapshots one topology, or follows the
+/// rewired graph through [`apply_flips`](GraphTensors::apply_flips), which
+/// rebuilds every operator built so far in place after each flip batch.
+/// Operators are built on first use: a GCN never pays for the two-hop
+/// operator H2GCN needs.
 pub struct GraphTensors {
     graph: Graph,
     features: Rc<Matrix>,
@@ -27,12 +28,9 @@ pub struct GraphTensors {
     row: OnceCell<Rc<CsrMatrix>>,
     two_hop: OnceCell<Rc<CsrMatrix>>,
     attn: OnceCell<Rc<AdjList>>,
-    /// Reusable scratch for the in-place operator rebuilds and the
-    /// row-patch analysis, so steady-state topology updates allocate
-    /// nothing in the dense regime.
+    /// Reusable scratch for the in-place operator rebuilds, so warm
+    /// topology updates allocate nothing.
     op_scratch: ops::OperatorScratch,
-    touched: Vec<usize>,
-    wide: Vec<usize>,
 }
 
 impl GraphTensors {
@@ -47,8 +45,6 @@ impl GraphTensors {
             two_hop: OnceCell::new(),
             attn: OnceCell::new(),
             op_scratch: ops::OperatorScratch::default(),
-            touched: Vec::new(),
-            wide: Vec::new(),
         }
     }
 
@@ -104,66 +100,31 @@ impl GraphTensors {
         self.attn.get_or_init(|| Rc::new(ops::attention_lists(&self.graph))).clone()
     }
 
-    /// Applies a batch of edge presence flips in place, rebuilding only
-    /// the operator rows the flips touch. `flips` must be distinct
-    /// in-bounds non-loop edges in ascending edge-key order, each
+    /// Applies a batch of edge presence flips in place. `flips` must be
+    /// distinct in-bounds non-loop edges in ascending edge-key order, each
     /// genuinely changing presence (see [`Graph::apply_flips_sorted`]);
     /// the incremental rewiring engine's reconciliation produces exactly
     /// this, so the hot path skips any dedup sort or per-edge membership
     /// check.
     ///
     /// This is the incremental-rewiring counterpart of building a fresh
-    /// `GraphTensors` from the edited graph: the internal snapshot graph
-    /// applies the whole batch in one CSR splice, and every *already
-    /// built* operator cache is patched row-wise via the per-row
-    /// builders in `graphrare_graph::ops`, which yields bit-identical
-    /// operators at O(touched rows) instead of O(N+E) cost. Patches go
-    /// through `Rc::make_mut` + `apply_rows`: rows whose nnz is
-    /// unchanged by the batch (neighbour rows that only re-weight — the
-    /// bulk of a typical batch) are written in place with no splice and
-    /// no reallocation, and only the resized rows (the flip endpoints)
-    /// go through one splice. A batch dirtying more than half the rows
-    /// instead rebuilds the operator wholesale with the full builder —
-    /// the same bits (the full and per-row builders agree row by row)
-    /// without per-row merge overhead. Operators not built yet stay lazy
-    /// and will build from the edited graph on first use. Features are
-    /// untouched — rewiring never changes `X`. Outstanding `Rc` handles
-    /// from before the call keep observing the pre-edit operator
-    /// (`make_mut` clones a shared cache before writing — snapshot
-    /// semantics), only this cache moves.
-    ///
-    /// Dirty-row analysis per operator:
-    /// * `gcn_norm` — an endpoint's degree change re-weights its whole row
-    ///   *and* the rows of all its neighbours: endpoints ∪ N(endpoints);
-    /// * `two_hop` — rings reach distance 2: endpoints ∪ N(endpoints)
-    ///   (removed neighbours are themselves endpoints of this batch);
-    /// * `row_norm` / `attention` — only the endpoints' own rows.
+    /// `GraphTensors` from the edited graph, with bit-identical operators:
+    /// the snapshot graph applies the whole batch in one CSR splice, the
+    /// `d̂^{-1/2}` entries of the flip endpoints are re-derived, and every
+    /// *already built* operator is rebuilt by its `ops::*_into` builder.
+    /// Each rebuild goes through `Rc::make_mut`: at refcount 1 (the steady
+    /// state — tapes drop their operator handles between steps) the cached
+    /// storage is refilled in place with zero allocations, while an
+    /// outstanding handle from before the call triggers a copy-on-write
+    /// clone first and keeps observing the pre-edit operator. Operators
+    /// not built yet stay lazy and build from the edited graph on first
+    /// use. Features are untouched — rewiring never changes `X`.
     pub fn apply_flips(&mut self, flips: &[(usize, usize, bool)]) {
         if flips.is_empty() {
             return;
         }
         self.graph.apply_flips_sorted(flips);
         self.refresh_inv_sqrt(flips.iter().map(|&(u, v, _)| (u, v)));
-        if flips.len() * 2 > self.graph.num_nodes() {
-            self.rebuild_built_operators();
-        } else {
-            self.patch_operator_rows(flips.iter().map(|&(u, v, _)| (u, v)));
-        }
-    }
-
-    /// Wholesale rebuild of every *built* operator from the (already
-    /// edited) snapshot graph. Taken when a batch names more than half the
-    /// nodes twice over: the raw edit count bounds the dirty-row sets from
-    /// above, so the per-row sort/dedup analysis would be pure overhead —
-    /// the dense exploration regime lands here every step.
-    ///
-    /// Each rebuild goes through `Rc::make_mut` + the `*_into` builders:
-    /// at refcount 1 (the steady state — tapes drop their operator
-    /// handles between steps) the cached CSR storage is refilled in place
-    /// with zero allocations, while outstanding snapshot handles still
-    /// trigger a copy-on-write clone first, preserving snapshot
-    /// semantics.
-    fn rebuild_built_operators(&mut self) {
         let mut rebuilds = 0u64;
         if let Some(rc) = self.gcn.get_mut() {
             rebuilds += 1;
@@ -186,107 +147,6 @@ impl GraphTensors {
             rebuilds += 1;
             ops::attention_lists_into(&self.graph, Rc::make_mut(rc));
         }
-        graphrare_telemetry::counter("rewire.operator_rebuilds", rebuilds);
-    }
-
-    /// Row-patches every built operator for a batch whose undirected
-    /// endpoint pairs are `pairs`. Per operator, a batch still dirtying
-    /// more than half the rows rebuilds wholesale instead — bit-identical
-    /// either way because the full and per-row builders agree row by row.
-    fn patch_operator_rows(&mut self, pairs: impl Iterator<Item = (usize, usize)>) {
-        self.touched.clear();
-        for (u, v) in pairs {
-            self.touched.push(u);
-            self.touched.push(v);
-        }
-        self.touched.sort_unstable();
-        self.touched.dedup();
-        let mut rows_patched = 0u64;
-        let mut rows_inplace = 0u64;
-        let mut rows_spliced = 0u64;
-        let mut rebuilds = 0u64;
-        let need_wide = self.gcn.get().is_some() || self.two_hop.get().is_some();
-        self.wide.clear();
-        if need_wide {
-            for &v in &self.touched {
-                self.wide.push(v);
-                self.wide.extend(self.graph.neighbor_slice(v).iter().map(|&u| u as usize));
-            }
-            self.wide.sort_unstable();
-            self.wide.dedup();
-        }
-        let n = self.graph.num_nodes();
-        let dense_wide = self.wide.len() * 2 > n;
-        let dense_touched = self.touched.len() * 2 > n;
-        if let Some(rc) = self.gcn.get_mut() {
-            if dense_wide {
-                rebuilds += 1;
-                ops::gcn_norm_with_inv_into(
-                    &self.graph,
-                    &self.inv_sqrt,
-                    Rc::make_mut(rc),
-                    &mut self.op_scratch,
-                );
-            } else {
-                let rows: Vec<(usize, Vec<(usize, f32)>)> = self
-                    .wide
-                    .iter()
-                    .map(|&v| (v, ops::gcn_norm_row_with_inv(&self.graph, &self.inv_sqrt, v)))
-                    .collect();
-                rows_patched += rows.len() as u64;
-                let n_in = Rc::make_mut(rc).apply_rows(&rows) as u64;
-                rows_inplace += n_in;
-                rows_spliced += rows.len() as u64 - n_in;
-            }
-        }
-        if let Some(rc) = self.two_hop.get_mut() {
-            if dense_wide {
-                rebuilds += 1;
-                ops::row_norm_two_hop_into(&self.graph, Rc::make_mut(rc), &mut self.op_scratch);
-            } else {
-                let rows: Vec<(usize, Vec<(usize, f32)>)> = self
-                    .wide
-                    .iter()
-                    .map(|&v| (v, ops::row_norm_two_hop_row(&self.graph, v)))
-                    .collect();
-                rows_patched += rows.len() as u64;
-                let n_in = Rc::make_mut(rc).apply_rows(&rows) as u64;
-                rows_inplace += n_in;
-                rows_spliced += rows.len() as u64 - n_in;
-            }
-        }
-        if let Some(rc) = self.row.get_mut() {
-            if dense_touched {
-                rebuilds += 1;
-                ops::row_norm_adj_into(&self.graph, Rc::make_mut(rc), &mut self.op_scratch);
-            } else {
-                let rows: Vec<(usize, Vec<(usize, f32)>)> = self
-                    .touched
-                    .iter()
-                    .map(|&v| (v, ops::row_norm_adj_row(&self.graph, v)))
-                    .collect();
-                rows_patched += rows.len() as u64;
-                let n_in = Rc::make_mut(rc).apply_rows(&rows) as u64;
-                rows_inplace += n_in;
-                rows_spliced += rows.len() as u64 - n_in;
-            }
-        }
-        if let Some(rc) = self.attn.get_mut() {
-            if dense_touched {
-                rebuilds += 1;
-                ops::attention_lists_into(&self.graph, Rc::make_mut(rc));
-            } else {
-                let rows: Vec<(usize, Vec<usize>)> =
-                    self.touched.iter().map(|&v| (v, ops::attention_row(&self.graph, v))).collect();
-                rows_patched += rows.len() as u64;
-                let n_in = Rc::make_mut(rc).apply_rows(&rows) as u64;
-                rows_inplace += n_in;
-                rows_spliced += rows.len() as u64 - n_in;
-            }
-        }
-        graphrare_telemetry::counter("rewire.rows_patched", rows_patched);
-        graphrare_telemetry::counter("rewire.rows_inplace", rows_inplace);
-        graphrare_telemetry::counter("rewire.rows_spliced", rows_spliced);
         graphrare_telemetry::counter("rewire.operator_rebuilds", rebuilds);
     }
 }
@@ -345,6 +205,15 @@ impl Backbone {
             Backbone::H2gcn => "H2GCN",
         }
     }
+
+    /// Parses a [`name`](Backbone::name) case-insensitively; `sage` is
+    /// accepted as short for `graphsage`.
+    pub fn parse(s: &str) -> Option<Self> {
+        if s.eq_ignore_ascii_case("sage") {
+            return Some(Backbone::Sage);
+        }
+        Backbone::ALL.into_iter().find(|b| b.name().eq_ignore_ascii_case(s))
+    }
 }
 
 #[cfg(test)]
@@ -385,6 +254,16 @@ mod tests {
         assert_eq!(Backbone::ALL.len(), 5);
     }
 
+    #[test]
+    fn backbone_names_round_trip() {
+        for b in Backbone::ALL {
+            assert_eq!(Backbone::parse(b.name()), Some(b));
+            assert_eq!(Backbone::parse(&b.name().to_lowercase()), Some(b));
+        }
+        assert_eq!(Backbone::parse("sage"), Some(Backbone::Sage));
+        assert_eq!(Backbone::parse("gin"), None);
+    }
+
     fn assert_matches_fresh(gt: &GraphTensors) {
         let fresh = GraphTensors::new(gt.graph());
         assert_eq!(*gt.gcn_norm(), *fresh.gcn_norm(), "gcn_norm");
@@ -396,20 +275,18 @@ mod tests {
     #[test]
     fn apply_flips_patches_all_built_operators() {
         let mut gt = GraphTensors::new(&toy());
-        // Build every cache so all four take the patch path.
+        // Build every cache so all four are rebuilt by each batch.
         gt.gcn_norm();
         gt.row_norm();
         gt.two_hop();
         gt.attention();
-        // Small batch: the row-patch path.
         gt.apply_flips(&[(0, 2, true), (2, 3, false)]);
         assert_eq!(gt.graph().num_edges(), 3);
         assert_matches_fresh(&gt);
-        // A second small batch on the already-patched cache.
+        // Successive batches refill the already-rebuilt caches.
         gt.apply_flips(&[(0, 3, true), (1, 2, false)]);
         assert_eq!(gt.graph().num_edges(), 3);
         assert_matches_fresh(&gt);
-        // Large batch (2 * flips > n on the 4-node toy): wholesale rebuild.
         gt.apply_flips(&[(0, 2, false), (1, 3, true), (2, 3, true)]);
         assert_eq!(gt.graph().num_edges(), 4);
         assert_matches_fresh(&gt);
@@ -421,7 +298,7 @@ mod tests {
         gt.gcn_norm(); // only this one is built
         gt.apply_flips(&[(0, 3, true)]);
         assert!(gt.row.get().is_none() && gt.two_hop.get().is_none() && gt.attn.get().is_none());
-        // Built cache was patched; the rest build lazily from the edited graph.
+        // Built cache was rebuilt; the rest build lazily from the edited graph.
         assert_matches_fresh(&gt);
     }
 
@@ -429,8 +306,8 @@ mod tests {
     fn inv_sqrt_cache_tracks_degrees_bit_exactly() {
         let mut gt = GraphTensors::new(&toy());
         gt.gcn_norm();
-        // A row-patch batch and a wholesale-sized batch; the cached
-        // vector must always equal the from-scratch pass.
+        // Two successive batches; the cached vector must always equal
+        // the from-scratch pass.
         gt.apply_flips(&[(0, 3, true), (1, 2, false)]);
         let check = |gt: &GraphTensors| {
             let fresh = graphrare_graph::ops::inv_sqrt_degrees(gt.graph());
@@ -455,7 +332,7 @@ mod tests {
 
     #[test]
     fn apply_flips_preserves_outstanding_snapshots() {
-        // An Rc handed out before the patch must keep observing the
+        // An Rc handed out before the batch must keep observing the
         // pre-edit operator (Rc::make_mut clones the shared cache).
         let mut gt = GraphTensors::new(&toy());
         let before = gt.gcn_norm();

@@ -47,27 +47,6 @@ pub fn unkey(key: u64) -> (usize, usize) {
 /// `u32`, so node indices must fit that id space.
 pub const MAX_NODES: usize = u32::MAX as usize;
 
-/// Typed constructor error: the requested node count exceeds the `u32`
-/// id space of the CSR layout. Without this bound the `as u32` casts in
-/// the splice paths would silently truncate ids at N ≥ 2³².
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeCountOverflow {
-    /// The node count that was requested.
-    pub requested: usize,
-}
-
-impl std::fmt::Display for NodeCountOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "node count {} exceeds the CsrAdjacency u32 id space (max {MAX_NODES} nodes)",
-            self.requested
-        )
-    }
-}
-
-impl std::error::Error for NodeCountOverflow {}
-
 /// Compressed-sparse-row adjacency: `offsets[v]..offsets[v + 1]` indexes
 /// the sorted neighbour slice of node `v` inside `targets`.
 #[derive(Debug, Default)]
@@ -100,31 +79,23 @@ impl PartialEq for CsrAdjacency {
 impl Eq for CsrAdjacency {}
 
 impl CsrAdjacency {
-    fn check_node_count(n: usize) -> Result<(), NodeCountOverflow> {
-        if n <= MAX_NODES {
-            Ok(())
-        } else {
-            Err(NodeCountOverflow { requested: n })
-        }
+    /// Rejects node counts beyond the `u32` id space before anything is
+    /// allocated: without this bound the `as u32` casts in the splice
+    /// paths would silently truncate ids at N ≥ 2³².
+    fn check_node_count(n: usize) {
+        assert!(
+            n <= MAX_NODES,
+            "node count {n} exceeds the CsrAdjacency u32 id space (max {MAX_NODES} nodes)"
+        );
     }
 
     /// Adjacency of `n` isolated nodes.
     ///
     /// # Panics
-    /// Panics when `n` exceeds [`MAX_NODES`]; use
-    /// [`try_new`](Self::try_new) to handle that as a typed error.
+    /// Panics when `n` exceeds [`MAX_NODES`].
     pub fn new(n: usize) -> Self {
-        match Self::try_new(n) {
-            Ok(adj) => adj,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Checked [`new`](Self::new): rejects node counts beyond the `u32`
-    /// id space before allocating anything.
-    pub fn try_new(n: usize) -> Result<Self, NodeCountOverflow> {
-        Self::check_node_count(n)?;
-        Ok(Self { offsets: vec![0; n + 1], ..Self::default() })
+        Self::check_node_count(n);
+        Self { offsets: vec![0; n + 1], ..Self::default() }
     }
 
     /// Builds from an undirected edge list; duplicates, self-loops and
@@ -132,23 +103,9 @@ impl CsrAdjacency {
     /// number of distinct undirected edges kept.
     ///
     /// # Panics
-    /// Panics when `n` exceeds [`MAX_NODES`]; use
-    /// [`try_from_edges`](Self::try_from_edges) to handle that as a
-    /// typed error.
+    /// Panics when `n` exceeds [`MAX_NODES`].
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> (Self, usize) {
-        match Self::try_from_edges(n, edges) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Checked [`from_edges`](Self::from_edges): rejects node counts
-    /// beyond the `u32` id space before allocating anything.
-    pub fn try_from_edges(
-        n: usize,
-        edges: &[(usize, usize)],
-    ) -> Result<(Self, usize), NodeCountOverflow> {
-        Self::check_node_count(n)?;
+        Self::check_node_count(n);
         let mut keys: Vec<u64> = edges
             .iter()
             .filter(|&&(u, v)| u != v && u < n && v < n)
@@ -184,7 +141,7 @@ impl CsrAdjacency {
         for v in 0..n {
             targets[counts[v]..counts[v + 1]].sort_unstable();
         }
-        Ok((Self { offsets: counts, targets, ..Self::default() }, num_edges))
+        (Self { offsets: counts, targets, ..Self::default() }, num_edges)
     }
 
     /// Number of nodes.
@@ -477,15 +434,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_node_counts_beyond_u32_ids() {
-        let err = CsrAdjacency::try_new(MAX_NODES + 1).unwrap_err();
-        assert_eq!(err, NodeCountOverflow { requested: MAX_NODES + 1 });
-        assert!(err.to_string().contains("u32 id space"));
-        assert!(CsrAdjacency::try_from_edges(MAX_NODES + 7, &[]).is_err());
-        // In-bounds counts still construct.
-        assert_eq!(CsrAdjacency::try_new(3).unwrap().len(), 3);
-        let (adj, m) = CsrAdjacency::try_from_edges(3, &[(0, 2)]).unwrap();
-        assert_eq!((adj.len(), m), (3, 1));
+    #[should_panic(expected = "exceeds the CsrAdjacency u32 id space")]
+    fn new_rejects_node_counts_beyond_u32_ids() {
+        let _ = CsrAdjacency::new(MAX_NODES + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the CsrAdjacency u32 id space")]
+    fn from_edges_rejects_node_counts_beyond_u32_ids() {
+        let _ = CsrAdjacency::from_edges(MAX_NODES + 7, &[]);
     }
 
     #[test]

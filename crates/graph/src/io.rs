@@ -159,6 +159,14 @@ pub fn assemble(
     if let Some(&(u, v)) = edges.iter().find(|&&(u, v)| u >= n || v >= n) {
         return Err(IoError::Inconsistent(format!("edge ({u},{v}) references a node >= {n}")));
     }
+    // `n` nodes carry at most `n` classes. Bounding labels by the node
+    // count keeps `max + 1` from wrapping and keeps per-class buckets
+    // (splits, metrics) sized by the input.
+    if let Some((v, &l)) = labels.iter().enumerate().find(|&(_, &l)| l >= n) {
+        return Err(IoError::Inconsistent(format!(
+            "node {v} has label {l}, but labels must be below the node count {n}"
+        )));
+    }
     let num_classes = labels.iter().copied().max().map_or(1, |m| m + 1);
     Ok(Graph::from_edges(n, &edges, features, labels, num_classes))
 }
@@ -296,7 +304,26 @@ mod tests {
 
     #[test]
     fn num_classes_inferred_from_labels() {
-        let g = assemble(vec![(0, 1)], Matrix::zeros(2, 1), vec![0, 4]).unwrap();
+        let g = assemble(vec![(0, 1)], Matrix::zeros(5, 1), vec![0, 4, 0, 1, 4]).unwrap();
         assert_eq!(g.num_classes(), 5);
+    }
+
+    fn label_error(labels: Vec<usize>) -> String {
+        let n = labels.len();
+        match assemble(vec![(0, 1)], Matrix::zeros(n, 1), labels) {
+            Err(IoError::Inconsistent(m)) => m,
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn labels_at_or_above_the_node_count_are_rejected() {
+        // Five classes cannot live on two nodes.
+        assert!(label_error(vec![0, 4]).contains("node 1 has label 4"));
+        // `max + 1` would wrap to zero classes.
+        let m = label_error(vec![0, 1, usize::MAX, 0]);
+        assert!(m.contains(&format!("node 2 has label {}", usize::MAX)), "{m}");
+        // Would size three billion per-class split buckets.
+        assert!(label_error(vec![3_000_000_000, 0, 1, 0]).contains("label 3000000000"));
     }
 }

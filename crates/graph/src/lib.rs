@@ -38,5 +38,5 @@ pub mod metrics;
 pub mod ops;
 pub mod traversal;
 
-pub use adjacency::{edge_key, unkey, CsrAdjacency, EdgeEdit, NodeCountOverflow};
+pub use adjacency::{edge_key, unkey, CsrAdjacency, EdgeEdit};
 pub use graph::Graph;

@@ -2,17 +2,18 @@
 //!
 //! GNN layers do not consume adjacency directly; they consume normalised
 //! sparse operators (`Â`, `D⁻¹A`, two-hop masks, attention neighbour
-//! lists). This module builds those operators once per topology and the GNN
-//! crate caches them for the lifetime of one graph snapshot.
+//! lists). Each operator has one builder; its `*_into` form refills an
+//! existing operator's storage in place, which is how the GNN crate's
+//! cached operators follow the rewired topology after every flip batch.
 
 use graphrare_tensor::{AdjList, CsrMatrix};
 
 use crate::graph::Graph;
 
 /// Reusable scratch for the `*_into` operator builders. Holding one of
-/// these across topology updates lets the dense-regime operator refresh
-/// rebuild every cached operator without heap allocation once the
-/// buffers have warmed up to the graph's size.
+/// these across topology updates lets the operator refresh rebuild every
+/// cached operator without heap allocation once the buffers have warmed
+/// up to the graph's size.
 #[derive(Clone, Debug, Default)]
 pub struct OperatorScratch {
     /// Per-row `(col, value)` assembly buffer shared by all CSR builders.
@@ -31,73 +32,17 @@ pub fn inv_sqrt_degree(g: &Graph, v: usize) -> f32 {
     1.0 / ((g.degree(v) + 1) as f32).sqrt()
 }
 
-#[inline]
-fn inv_sqrt_deg(g: &Graph, v: usize) -> f32 {
-    inv_sqrt_degree(g, v)
-}
-
 /// The full `d̂^{-1/2}` vector — the from-scratch degree pass [`gcn_norm`]
 /// runs when no cached copy is supplied.
 pub fn inv_sqrt_degrees(g: &Graph) -> Vec<f32> {
-    (0..g.num_nodes()).map(|v| inv_sqrt_deg(g, v)).collect()
-}
-
-/// One row of [`gcn_norm`], sorted by column: the diagonal self-loop entry
-/// plus one entry per neighbour, each `1/sqrt(d̂_v d̂_u)`. Exposed so
-/// incremental topology updates can rebuild only the rows an edit touched;
-/// by construction the row equals the full builder's.
-pub fn gcn_norm_row(g: &Graph, v: usize) -> Vec<(usize, f32)> {
-    let iv = inv_sqrt_deg(g, v);
-    let mut row = Vec::with_capacity(g.degree(v) + 1);
-    let mut self_placed = false;
-    for u in g.neighbors(v) {
-        if !self_placed && u > v {
-            row.push((v, iv * iv));
-            self_placed = true;
-        }
-        row.push((u, iv * inv_sqrt_deg(g, u)));
-    }
-    if !self_placed {
-        row.push((v, iv * iv));
-    }
-    row
-}
-
-/// [`gcn_norm_row`] fed by a caller-supplied `d̂^{-1/2}` vector (must
-/// equal [`inv_sqrt_degrees`] of `g`), so row patches reuse the cached
-/// degree factors instead of recomputing one per entry.
-pub fn gcn_norm_row_with_inv(g: &Graph, inv: &[f32], v: usize) -> Vec<(usize, f32)> {
-    let mut row = Vec::with_capacity(g.degree(v) + 1);
-    gcn_fill_row_with_inv(g, inv, v, &mut row);
-    row
-}
-
-/// Shared row-assembly body for [`gcn_norm_row_with_inv`],
-/// [`gcn_norm_with_inv`], and [`gcn_norm_with_inv_into`] — one
-/// implementation, so full, row, and in-place builds stay bit-identical.
-#[inline]
-fn gcn_fill_row_with_inv(g: &Graph, inv: &[f32], v: usize, out: &mut Vec<(usize, f32)>) {
-    let iv = inv[v];
-    let mut self_placed = false;
-    for &u in g.neighbor_slice(v) {
-        let u = u as usize;
-        if !self_placed && u > v {
-            out.push((v, iv * iv));
-            self_placed = true;
-        }
-        out.push((u, iv * inv[u]));
-    }
-    if !self_placed {
-        out.push((v, iv * iv));
-    }
+    (0..g.num_nodes()).map(|v| inv_sqrt_degree(g, v)).collect()
 }
 
 /// Symmetric GCN normalisation `D̂^{-1/2} (A + I) D̂^{-1/2}` with self-loops
 /// (Kipf & Welling 2017), the operator used by GCN and as the default
 /// propagation matrix elsewhere.
 ///
-/// The full build precomputes `d̂^{-1/2}` per node (the same f32 expression
-/// [`gcn_norm_row`] evaluates per entry, so entries stay bit-identical) and
+/// The build precomputes `d̂^{-1/2}` per node ([`inv_sqrt_degrees`]) and
 /// assembles rows directly into CSR storage.
 pub fn gcn_norm(g: &Graph) -> CsrMatrix {
     gcn_norm_with_inv(g, &inv_sqrt_degrees(g))
@@ -123,19 +68,20 @@ pub fn gcn_norm_with_inv_into(
     let n = g.num_nodes();
     debug_assert_eq!(inv.len(), n, "inv_sqrt vector length mismatch");
     out.rebuild_from_row_builder(n, n, &mut scratch.row, |v, row| {
-        gcn_fill_row_with_inv(g, inv, v, row);
+        let iv = inv[v];
+        let mut self_placed = false;
+        for &u in g.neighbor_slice(v) {
+            let u = u as usize;
+            if !self_placed && u > v {
+                row.push((v, iv * iv));
+                self_placed = true;
+            }
+            row.push((u, iv * inv[u]));
+        }
+        if !self_placed {
+            row.push((v, iv * iv));
+        }
     });
-}
-
-/// One row of [`row_norm_adj`], sorted by column (empty for isolated
-/// nodes). Row-rebuild counterpart used by incremental topology updates.
-pub fn row_norm_adj_row(g: &Graph, v: usize) -> Vec<(usize, f32)> {
-    let deg = g.degree(v);
-    if deg == 0 {
-        return Vec::new();
-    }
-    let w = 1.0 / deg as f32;
-    g.neighbors(v).map(|u| (u, w)).collect()
 }
 
 /// Row-normalised adjacency `D^{-1} A` (mean aggregation without the ego
@@ -167,27 +113,6 @@ pub fn adjacency(g: &Graph) -> CsrMatrix {
     CsrMatrix::from_row_builder(n, n, |v, out| {
         out.extend(g.neighbor_slice(v).iter().map(|&u| (u as usize, 1.0)));
     })
-}
-
-/// One row of [`row_norm_two_hop`], sorted by column. Row-rebuild
-/// counterpart used by incremental topology updates.
-pub fn row_norm_two_hop_row(g: &Graph, v: usize) -> Vec<(usize, f32)> {
-    use std::collections::BTreeSet;
-    let mut ring: BTreeSet<usize> = BTreeSet::new();
-    for u in g.neighbors(v) {
-        for w in g.neighbors(u) {
-            ring.insert(w);
-        }
-    }
-    ring.remove(&v);
-    for u in g.neighbors(v) {
-        ring.remove(&u);
-    }
-    if ring.is_empty() {
-        return Vec::new();
-    }
-    let w = 1.0 / ring.len() as f32;
-    ring.into_iter().map(|r| (r, w)).collect()
 }
 
 /// Strict two-hop neighbourhood operator used by H2GCN: `N_2(v)` contains
@@ -278,12 +203,6 @@ pub fn gcn_norm_power(g: &Graph, k: usize, threshold: f32) -> CsrMatrix {
     current
 }
 
-/// One node's attention list (`{v} ∪ N_1(v)`, self first) as used by
-/// [`attention_lists`]. Row-rebuild counterpart for incremental updates.
-pub fn attention_row(g: &Graph, v: usize) -> Vec<usize> {
-    std::iter::once(v).chain(g.neighbors(v)).collect()
-}
-
 /// Neighbour lists with self-loops for GAT attention: node `i` attends over
 /// `{i} ∪ N_1(i)`.
 pub fn attention_lists(g: &Graph) -> AdjList {
@@ -312,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn gcn_norm_rows_and_symmetry() {
+    fn gcn_norm_is_symmetric_with_known_entries() {
         let g = triangle_plus_tail();
         let m = gcn_norm(&g);
         assert!(m.is_symmetric(1e-6));
@@ -372,24 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn row_builders_match_full_builders() {
-        let g = triangle_plus_tail();
-        let gcn = gcn_norm(&g);
-        let row = row_norm_adj(&g);
-        let two = row_norm_two_hop(&g);
-        let attn = attention_lists(&g);
-        for v in 0..g.num_nodes() {
-            let gcn_row: Vec<(usize, f32)> = gcn.row_entries(v).collect();
-            assert_eq!(gcn_norm_row(&g, v), gcn_row, "gcn row {v}");
-            let rn_row: Vec<(usize, f32)> = row.row_entries(v).collect();
-            assert_eq!(row_norm_adj_row(&g, v), rn_row, "row-norm row {v}");
-            let th_row: Vec<(usize, f32)> = two.row_entries(v).collect();
-            assert_eq!(row_norm_two_hop_row(&g, v), th_row, "two-hop row {v}");
-            assert_eq!(attention_row(&g, v), attn.neighbors(v), "attention row {v}");
-        }
-    }
-
-    #[test]
     fn with_inv_variants_match_base_builders() {
         let g = triangle_plus_tail();
         let inv = inv_sqrt_degrees(&g);
@@ -397,9 +298,6 @@ mod tests {
             assert_eq!(iv.to_bits(), inv_sqrt_degree(&g, v).to_bits());
         }
         assert_eq!(gcn_norm_with_inv(&g, &inv), gcn_norm(&g));
-        for v in 0..g.num_nodes() {
-            assert_eq!(gcn_norm_row_with_inv(&g, &inv, v), gcn_norm_row(&g, v), "row {v}");
-        }
     }
 
     #[test]

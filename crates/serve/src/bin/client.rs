@@ -93,14 +93,9 @@ fn parse_spec(args: &[String]) -> Result<RunSpec, String> {
         match args[i].as_str() {
             "--input" => spec.input = value(&mut i)?,
             "--backbone" => {
-                spec.backbone = match value(&mut i)?.to_lowercase().as_str() {
-                    "mlp" => Backbone::Mlp,
-                    "gcn" => Backbone::Gcn,
-                    "sage" | "graphsage" => Backbone::Sage,
-                    "gat" => Backbone::Gat,
-                    "h2gcn" => Backbone::H2gcn,
-                    other => return Err(format!("unknown backbone {other}")),
-                }
+                let v = value(&mut i)?;
+                spec.backbone =
+                    Backbone::parse(&v).ok_or_else(|| format!("unknown backbone {v}"))?;
             }
             "--lambda" => spec.lambda = parse_num(&value(&mut i)?, "--lambda")?,
             "--steps" => spec.steps = parse_num(&value(&mut i)?, "--steps")?,
@@ -109,11 +104,8 @@ fn parse_spec(args: &[String]) -> Result<RunSpec, String> {
             "--k-cap" => spec.k_cap = parse_num(&value(&mut i)?, "--k-cap")?,
             "--threads" => spec.threads = parse_num(&value(&mut i)?, "--threads")?,
             "--algo" => {
-                spec.algo = match value(&mut i)?.to_lowercase().as_str() {
-                    "ppo" => RlAlgo::Ppo,
-                    "a2c" => RlAlgo::A2c,
-                    other => return Err(format!("unknown algorithm {other}")),
-                }
+                let v = value(&mut i)?.to_lowercase();
+                spec.algo = RlAlgo::parse(&v).ok_or_else(|| format!("unknown algorithm {v}"))?;
             }
             "--rewirer" => {
                 let v = value(&mut i)?.to_lowercase();

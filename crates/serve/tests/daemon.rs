@@ -379,6 +379,45 @@ fn corrupted_checkpoint_fails_the_run_but_daemon_keeps_serving() {
 }
 
 #[test]
+fn out_of_range_label_fails_the_run_and_frees_its_slot() {
+    let dir = fixture_dir("bad-label");
+    let bad = dir.join("bad");
+    std::fs::write(bad.with_extension("edges"), "0 1\n1 2\n2 3\n").unwrap();
+    std::fs::write(bad.with_extension("features"), "1 0\n0 1\n1 1\n0 0\n").unwrap();
+    std::fs::write(bad.with_extension("labels"), format!("0\n1\n{}\n0\n", u64::MAX)).unwrap();
+    let good = dir.join("toy");
+    io::write_graph(&small_graph(), &good).unwrap();
+
+    let mut cfg = ServeConfig::new(dir.join("state"));
+    cfg.max_runs = 1; // a leaked slot would deadlock the fresh run below
+    let server = Server::start(cfg, &[]).unwrap();
+    let run_id = submit_ok(&server, spec(&bad, 1, 4, false));
+    assert_eq!(wait_terminal(&server, run_id), RunState::Failed);
+    match server.handle(Request::Status(run_id)) {
+        Response::RunStatus(info) => {
+            assert!(
+                info.error.contains(&u64::MAX.to_string()),
+                "error must name the label: {}",
+                info.error
+            );
+        }
+        other => panic!("status of failed run: {other:?}"),
+    }
+
+    // With one slot, the fresh run only starts once the failed run's
+    // slot is free again.
+    let fresh = submit_ok(&server, spec(&good, 3, 4, false));
+    assert_eq!(wait_terminal(&server, fresh), RunState::Done);
+    match server.handle(Request::ServerStats) {
+        Response::Stats(stats) => assert_eq!(stats.failed, 1, "{stats:?}"),
+        other => panic!("stats failed: {other:?}"),
+    }
+    server.request_shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn listen_parse_accepts_and_rejects() {
     assert_eq!(Listen::parse("unix:/tmp/x.sock"), Ok(Listen::Unix(PathBuf::from("/tmp/x.sock"))));
     assert_eq!(Listen::parse("/tmp/x.sock"), Ok(Listen::Unix(PathBuf::from("/tmp/x.sock"))));

@@ -113,7 +113,7 @@ impl CsrMatrix {
     /// builder, reusing the existing CSR storage (and the caller's row
     /// `scratch`) instead of allocating fresh arrays — once capacities
     /// have warmed up this performs zero heap allocations, which is what
-    /// the incremental rewiring engine's dense-regime operator refresh
+    /// the incremental rewiring engine's per-step operator refresh
     /// relies on. The result is identical to
     /// [`from_row_builder`](CsrMatrix::from_row_builder) with the same
     /// closure; the same per-row ordering contract applies.
@@ -291,129 +291,6 @@ impl CsrMatrix {
         true
     }
 
-    /// Returns a copy of the matrix with the listed rows replaced by new
-    /// `(column, value)` contents, splicing the CSR arrays in one pass.
-    ///
-    /// Unchanged rows are copied verbatim (`memcpy`-sized block copies),
-    /// which is what makes incremental operator updates — rebuild only the
-    /// rows a topology edit touched — cheaper than a full
-    /// [`CsrMatrix::from_triplets`] rebuild. The result is identical to
-    /// building the whole matrix from scratch with the same rows.
-    ///
-    /// `replacements` must be sorted by row index without duplicates, and
-    /// each row's entries must be sorted by column without duplicates.
-    ///
-    /// # Panics
-    /// Panics if a row or column index is out of bounds or the ordering
-    /// contract is violated.
-    pub fn with_rows_replaced(&self, replacements: &[(usize, Vec<(usize, f32)>)]) -> CsrMatrix {
-        for w in replacements.windows(2) {
-            assert!(w[0].0 < w[1].0, "replacement rows must be sorted and unique");
-        }
-        let mut new_nnz = self.nnz();
-        for (r, entries) in replacements {
-            assert!(*r < self.rows, "replacement row {r} out of bounds for {} rows", self.rows);
-            for w in entries.windows(2) {
-                assert!(w[0].0 < w[1].0, "row {r} entries must be sorted by column and unique");
-            }
-            if let Some(&(c, _)) = entries.last() {
-                assert!(c < self.cols, "column {c} out of bounds for {} cols", self.cols);
-            }
-            new_nnz = new_nnz - self.row_nnz(*r) + entries.len();
-        }
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        let mut col_idx = Vec::with_capacity(new_nnz);
-        let mut values = Vec::with_capacity(new_nnz);
-        row_ptr.push(0);
-        let mut next = replacements.iter().peekable();
-        let mut r = 0;
-        while r < self.rows {
-            if let Some(&&(rep_row, ref entries)) = next.peek() {
-                if rep_row == r {
-                    col_idx.extend(entries.iter().map(|&(c, _)| c));
-                    values.extend(entries.iter().map(|&(_, v)| v));
-                    row_ptr.push(col_idx.len());
-                    next.next();
-                    r += 1;
-                    continue;
-                }
-                // Copy the untouched span [r, rep_row) as one block.
-                let lo = self.row_ptr[r];
-                let hi = self.row_ptr[rep_row];
-                col_idx.extend_from_slice(&self.col_idx[lo..hi]);
-                values.extend_from_slice(&self.values[lo..hi]);
-                let base = col_idx.len() - (hi - lo);
-                for rr in r..rep_row {
-                    row_ptr.push(base + self.row_ptr[rr + 1] - lo);
-                }
-                r = rep_row;
-            } else {
-                // Tail: no replacements left.
-                let lo = self.row_ptr[r];
-                let hi = self.row_ptr[self.rows];
-                col_idx.extend_from_slice(&self.col_idx[lo..hi]);
-                values.extend_from_slice(&self.values[lo..hi]);
-                let base = col_idx.len() - (hi - lo);
-                for rr in r..self.rows {
-                    row_ptr.push(base + self.row_ptr[rr + 1] - lo);
-                }
-                r = self.rows;
-            }
-        }
-        CsrMatrix { rows: self.rows, cols: self.cols, row_ptr, col_idx, values }
-    }
-
-    /// Applies row replacements, patching `col_idx`/`values` **in place**
-    /// for every replaced row that keeps its non-zero count — the common
-    /// incremental-rewiring case where the neighbour rows of an edit only
-    /// re-weight — and routing only the rows that grow or shrink through
-    /// one [`with_rows_replaced`](CsrMatrix::with_rows_replaced) splice.
-    /// Returns how many rows took the in-place path; the result is always
-    /// identical to `with_rows_replaced` on the full input.
-    ///
-    /// Callers holding the matrix behind a shared handle must go through
-    /// `Rc::make_mut` (copy-on-write) so outstanding snapshots keep
-    /// observing the pre-edit operator.
-    ///
-    /// `replacements` obeys the same ordering contract as
-    /// `with_rows_replaced`.
-    ///
-    /// # Panics
-    /// Panics if a row or column index is out of bounds or the ordering
-    /// contract is violated.
-    pub fn apply_rows(&mut self, replacements: &[(usize, Vec<(usize, f32)>)]) -> usize {
-        for w in replacements.windows(2) {
-            assert!(w[0].0 < w[1].0, "replacement rows must be sorted and unique");
-        }
-        let mut resized: Vec<(usize, Vec<(usize, f32)>)> = Vec::new();
-        let mut in_place = 0usize;
-        for (r, entries) in replacements {
-            assert!(*r < self.rows, "row {r} out of bounds for {} rows", self.rows);
-            for w in entries.windows(2) {
-                assert!(w[0].0 < w[1].0, "row {r} entries must be sorted by column and unique");
-            }
-            if let Some(&(c, _)) = entries.last() {
-                assert!(c < self.cols, "column {c} out of bounds for {} cols", self.cols);
-            }
-            if self.row_nnz(*r) == entries.len() {
-                let lo = self.row_ptr[*r];
-                for (i, &(c, v)) in entries.iter().enumerate() {
-                    self.col_idx[lo + i] = c;
-                    self.values[lo + i] = v;
-                }
-                in_place += 1;
-            } else {
-                resized.push((*r, entries.clone()));
-            }
-        }
-        if !resized.is_empty() {
-            // The splice reads the already-patched storage; the row sets
-            // are disjoint, so the order of the two phases cannot matter.
-            *self = self.with_rows_replaced(&resized);
-        }
-        in_place
-    }
-
     /// Value at `(r, c)` if stored.
     pub fn get(&self, r: usize, c: usize) -> Option<f32> {
         let lo = self.row_ptr[r];
@@ -498,79 +375,10 @@ mod tests {
     }
 
     #[test]
-    fn rows_replaced_matches_full_rebuild() {
-        let m = sample();
-        // Replace row 1 (grow) and row 2 (shrink to empty).
-        let got = m.with_rows_replaced(&[(1, vec![(0, 9.0), (2, 4.0)]), (2, vec![])]);
-        let want =
-            CsrMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (0, 2, -1.0), (1, 0, 9.0), (1, 2, 4.0)]);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn rows_replaced_noop_and_all() {
-        let m = sample();
-        assert_eq!(m.with_rows_replaced(&[]), m);
-        let rows: Vec<(usize, Vec<(usize, f32)>)> =
-            (0..3).map(|r| (r, m.row_entries(r).collect())).collect();
-        assert_eq!(m.with_rows_replaced(&rows), m);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn rows_replaced_rejects_unsorted_rows() {
-        let m = sample();
-        let _ = m.with_rows_replaced(&[(2, vec![]), (1, vec![])]);
-    }
-
-    #[test]
     fn from_row_builder_matches_triplets() {
         let m = sample();
         let rows: Vec<Vec<(usize, f32)>> = (0..3).map(|r| m.row_entries(r).collect()).collect();
         let rebuilt = CsrMatrix::from_row_builder(3, 3, |r, out| out.extend(rows[r].iter()));
         assert_eq!(rebuilt, m);
-    }
-
-    #[test]
-    fn apply_rows_in_place_when_nnz_unchanged() {
-        let mut m = sample();
-        // Row 0 has nnz 2: same count, different columns and values.
-        let patch = vec![(0usize, vec![(0usize, 7.0f32), (1, 8.0)])];
-        let want = m.with_rows_replaced(&patch);
-        assert_eq!(m.apply_rows(&patch), 1, "same-nnz patch must take the in-place path");
-        assert_eq!(m, want);
-    }
-
-    #[test]
-    fn apply_rows_mixes_in_place_and_splice() {
-        let mut m = sample();
-        // Row 0 shrinks (2 -> 1, spliced); row 1 keeps nnz 1 (in place);
-        // row 2 grows (1 -> 2, spliced). The mix must equal one splice of
-        // the full batch.
-        let patch = vec![
-            (0usize, vec![(2usize, 4.0f32)]),
-            (1, vec![(2, 9.0)]),
-            (2, vec![(0, 1.0), (1, 2.0)]),
-        ];
-        let want = m.with_rows_replaced(&patch);
-        assert_eq!(m.apply_rows(&patch), 1, "exactly row 1 keeps its nnz");
-        assert_eq!(m, want);
-    }
-
-    #[test]
-    fn apply_rows_splices_on_nnz_change() {
-        let mut m = sample();
-        let patch = vec![(0usize, vec![(2usize, 4.0f32)]), (2, vec![(0, 1.0), (1, 2.0)])];
-        let want = m.with_rows_replaced(&patch);
-        assert_eq!(m.apply_rows(&patch), 0, "every row resized: nothing in place");
-        assert_eq!(m, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn apply_rows_rejects_unsorted_rows() {
-        let mut m = sample();
-        // Both rows keep their nnz so the in-place path is reached.
-        let _ = m.apply_rows(&[(2, vec![(0, 1.0)]), (1, vec![(1, 1.0)])]);
     }
 }

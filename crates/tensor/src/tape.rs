@@ -89,91 +89,6 @@ impl AdjList {
     pub fn num_entries(&self) -> usize {
         self.targets.len()
     }
-
-    /// Returns a copy with the listed source nodes' neighbour lists
-    /// replaced, splicing the offset/target arrays in one pass (the
-    /// [`AdjList`] analogue of `CsrMatrix::with_rows_replaced`, used by
-    /// incremental topology updates).
-    ///
-    /// `replacements` must be sorted by node index without duplicates.
-    ///
-    /// # Panics
-    /// Panics if a node index is out of bounds or the ordering contract is
-    /// violated.
-    pub fn with_rows_replaced(&self, replacements: &[(usize, Vec<usize>)]) -> AdjList {
-        for w in replacements.windows(2) {
-            assert!(w[0].0 < w[1].0, "replacement rows must be sorted and unique");
-        }
-        let n = self.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len());
-        offsets.push(0);
-        let mut next = replacements.iter().peekable();
-        let mut i = 0;
-        while i < n {
-            match next.peek() {
-                Some(&&(row, ref list)) if row == i => {
-                    assert!(row < n, "replacement row {row} out of bounds for {n} nodes");
-                    targets.extend_from_slice(list);
-                    offsets.push(targets.len());
-                    next.next();
-                    i += 1;
-                }
-                other => {
-                    let stop = match other {
-                        Some(&&(row, _)) => {
-                            assert!(row < n, "replacement row {row} out of bounds for {n} nodes");
-                            row
-                        }
-                        None => n,
-                    };
-                    let lo = self.offsets[i];
-                    let hi = self.offsets[stop];
-                    targets.extend_from_slice(&self.targets[lo..hi]);
-                    let base = targets.len() - (hi - lo);
-                    for j in i..stop {
-                        offsets.push(base + self.offsets[j + 1] - lo);
-                    }
-                    i = stop;
-                }
-            }
-        }
-        AdjList { offsets, targets }
-    }
-
-    /// Applies row replacements, patching `targets` in place for every
-    /// replaced list that keeps its length (the common case when a
-    /// topology batch only re-orders or re-weights a neighbourhood) and
-    /// routing only the lists that grow or shrink through one
-    /// [`with_rows_replaced`](AdjList::with_rows_replaced) splice. Returns
-    /// how many rows took the in-place path. The result is always
-    /// identical to `with_rows_replaced` on the full input.
-    ///
-    /// Callers holding the list behind a shared handle must go through
-    /// `Rc::make_mut` (copy-on-write) so outstanding snapshots keep
-    /// observing the pre-edit list.
-    pub fn apply_rows(&mut self, replacements: &[(usize, Vec<usize>)]) -> usize {
-        for w in replacements.windows(2) {
-            assert!(w[0].0 < w[1].0, "replacement rows must be sorted and unique");
-        }
-        let mut resized: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut in_place = 0usize;
-        for (i, list) in replacements {
-            assert!(*i < self.len(), "row {i} out of bounds");
-            if self.offsets[*i + 1] - self.offsets[*i] == list.len() {
-                self.targets[self.offsets[*i]..self.offsets[*i + 1]].copy_from_slice(list);
-                in_place += 1;
-            } else {
-                resized.push((*i, list.clone()));
-            }
-        }
-        if !resized.is_empty() {
-            // Disjoint row sets: the in-place writes and the splice of
-            // the resized rows cannot interact.
-            *self = self.with_rows_replaced(&resized);
-        }
-        in_place
-    }
 }
 
 /// Handle to a node on a [`Tape`].
@@ -1054,31 +969,6 @@ mod tests {
     use crate::gradcheck::check_grad;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn adjlist_apply_rows_mixes_in_place_and_splice() {
-        let al = AdjList::from_neighbor_lists(&[vec![0, 1, 2], vec![1, 0], vec![2, 1, 0]]);
-        // Row 1 keeps its length (in place); row 0 shrinks (spliced).
-        let patch = vec![(0, vec![2]), (1, vec![0, 2])];
-        let want = al.with_rows_replaced(&patch);
-        let mut got = al.clone();
-        assert_eq!(got.apply_rows(&patch), 1, "exactly row 1 keeps its length");
-        assert_eq!(got, want);
-        // A pure re-write batch is all in-place.
-        let rewrite = vec![(2, vec![0, 1, 2])];
-        let want = got.with_rows_replaced(&rewrite);
-        assert_eq!(got.apply_rows(&rewrite), 1);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn adjlist_rows_replaced_matches_rebuild() {
-        let al = AdjList::from_neighbor_lists(&[vec![0, 1, 2], vec![1, 0], vec![2, 1, 0]]);
-        let got = al.with_rows_replaced(&[(0, vec![0]), (2, vec![2, 0, 1, 1])]);
-        let want = AdjList::from_neighbor_lists(&[vec![0], vec![1, 0], vec![2, 0, 1, 1]]);
-        assert_eq!(got, want);
-        assert_eq!(al.with_rows_replaced(&[]), al);
-    }
 
     #[test]
     fn matmul_forward_and_grad() {

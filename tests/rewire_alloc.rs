@@ -1,7 +1,8 @@
 //! Steady-state allocation regression: a warmed-up [`RewiredGraph`]
-//! must run dense-regime transitions — delta scan, guard (including the
-//! localized replay and kept-cache), reconcile and the in-place operator
-//! rebuild — with **zero** heap allocations.
+//! must run transitions — delta scan, guard (including the localized
+//! replay and kept-cache), reconcile and the in-place operator rebuild —
+//! with **zero** heap allocations, both for dense batches that flip most
+//! of the graph and for batches that flip a single edge.
 //!
 //! The counting allocator's counters are process-wide, so this file
 //! holds exactly one `#[test]`: the test binary is effectively
@@ -44,8 +45,27 @@ fn dense_optimizer(n: usize) -> TopologyOptimizer {
     TopologyOptimizer::new(g, seqs, EditMode::Both)
 }
 
+type StateEdit = Box<dyn Fn(&mut TopoState)>;
+
+/// Runs `cycle` once and returns the `(allocations, bytes)` it made.
+fn measure_cycle(
+    topo: &TopologyOptimizer,
+    rw: &mut RewiredGraph,
+    state: &mut TopoState,
+    delta: &mut RewireDelta,
+    cycle: &[StateEdit],
+) -> (u64, u64) {
+    let before = alloc::snapshot();
+    for set in cycle {
+        set(state);
+        rw.apply_into(topo, state, delta).unwrap();
+    }
+    let after = alloc::snapshot();
+    (after.count - before.count, after.bytes - before.bytes)
+}
+
 #[test]
-fn warm_dense_steps_do_not_allocate() {
+fn warm_dense_and_single_flip_steps_do_not_allocate() {
     assert!(alloc::active(), "counting allocator must be installed in this binary");
 
     let n = 40;
@@ -57,8 +77,8 @@ fn warm_dense_steps_do_not_allocate() {
 
     let mut rw = RewiredGraph::new(&topo);
     // Build all four operators up-front and drop the handles: with a
-    // refcount of one, the dense rebuild refills the cached storage in
-    // place instead of cloning.
+    // refcount of one, the operator rebuild refills the cached storage
+    // in place instead of cloning.
     rw.tensors().gcn_norm();
     rw.tensors().row_norm();
     rw.tensors().two_hop();
@@ -68,9 +88,8 @@ fn warm_dense_steps_do_not_allocate() {
     // the risky census never empties (the kept-cache is never dropped)
     // and every step takes the resimulation path; state B additionally
     // shrinks one node's prefix so the cycle exercises both kept-cache
-    // hits and in-place re-derivations. The k swings flip enough edges
-    // per step to stay in the dense operator-rebuild regime.
-    type StateEdit = Box<dyn Fn(&mut TopoState)>;
+    // hits and in-place re-derivations. The k swings flip more than
+    // half the node count in edges per step.
     let cycle: Vec<StateEdit> = vec![
         Box::new(|s: &mut TopoState| {
             for v in 0..40 {
@@ -103,24 +122,37 @@ fn warm_dense_steps_do_not_allocate() {
             assert!(delta.resimulated, "trace must keep the risky census populated");
             assert!(
                 2 * (delta.added.len() + delta.removed.len()) > n,
-                "trace must stay in the dense operator regime"
+                "trace must flip more than half the node count in edges"
             );
         }
     }
 
     // Measured window: one full steady-state cycle.
-    let before = alloc::snapshot();
-    for set in &cycle {
-        set(&mut state);
-        rw.apply_into(&topo, &state, &mut delta).unwrap();
+    let (count, bytes) = measure_cycle(&topo, &mut rw, &mut state, &mut delta, &cycle);
+    assert_eq!(count, 0, "steady-state dense apply allocated ({count} allocs, {bytes} bytes)");
+
+    // A four-state single-flip cycle on top of the last dense state:
+    // deletion prefixes stay maxed, and each step moves one node's
+    // addition prefix by one, so every batch flips exactly one edge —
+    // the batch size sparse rewirers produce.
+    let (a, b) = (3, 20);
+    let single: Vec<StateEdit> = vec![
+        Box::new(move |s: &mut TopoState| s.set_k(a, s.k(a) + 1)),
+        Box::new(move |s: &mut TopoState| s.set_k(b, s.k(b) + 1)),
+        Box::new(move |s: &mut TopoState| s.set_k(a, s.k(a) - 1)),
+        Box::new(move |s: &mut TopoState| s.set_k(b, s.k(b) - 1)),
+    ];
+    for _ in 0..2 {
+        for set in &single {
+            set(&mut state);
+            rw.apply_into(&topo, &state, &mut delta).unwrap();
+            assert_eq!(delta.added.len() + delta.removed.len(), 1, "trace must flip one edge");
+        }
     }
-    let after = alloc::snapshot();
+    let (count, bytes) = measure_cycle(&topo, &mut rw, &mut state, &mut delta, &single);
     assert_eq!(
-        after.count - before.count,
-        0,
-        "steady-state dense apply allocated ({} allocs, {} bytes)",
-        after.count - before.count,
-        after.bytes - before.bytes
+        count, 0,
+        "steady-state single-flip apply allocated ({count} allocs, {bytes} bytes)"
     );
 
     // And the allocation-free path still lands on the reference output.

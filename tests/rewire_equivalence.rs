@@ -72,7 +72,7 @@ fn run_trace(
     reset_every: usize,
 ) {
     let mut rw = RewiredGraph::new(topo);
-    // Build all operators up-front so each step exercises row patching.
+    // Build all operators up-front so each step refreshes all four.
     rw.tensors().gcn_norm();
     rw.tensors().row_norm();
     rw.tensors().two_hop();
@@ -149,9 +149,7 @@ fn dense_edges(n: usize) -> Vec<(usize, usize)> {
 
 /// Dense-regime trace: every node's `k` **and** `d` counter moves every
 /// step (no holds), the same shape `bench_rewire`'s Dense regime drives.
-/// Each step's batch re-weights far more neighbour rows than it resizes,
-/// so the per-row patch repeatedly takes the in-place nnz-unchanged path
-/// — and with `d` bounds covering every neighbour the risky census stays
+/// With `d` bounds covering every neighbour the risky census stays
 /// populated, so the kept-cache sees both reuse and invalidation as
 /// prefixes move. Episodic resets slam every deletion prefix to zero and
 /// grow it back, covering cache invalidation in both directions. The
