@@ -84,13 +84,21 @@ impl OperatorGnn {
         Self { name, ops, combine, l1, l2, dropout }
     }
 
-    fn layer(&self, tape: &mut Tape, x: Var, linears: &[Linear], combine: Combine) -> Var {
+    /// One layer: each branch projects the input with `project` (given
+    /// the branch's `Linear`), then applies its operator.
+    fn layer(
+        &self,
+        tape: &mut Tape,
+        linears: &[Linear],
+        combine: Combine,
+        project: impl Fn(&Linear, &mut Tape) -> Var,
+    ) -> Var {
         let branches: Vec<Var> = self
             .ops
             .iter()
             .zip(linears)
             .map(|(op, lin)| {
-                let projected = lin.forward(tape, x);
+                let projected = project(lin, tape);
                 op.apply(tape, projected)
             })
             .collect();
@@ -115,18 +123,15 @@ impl OperatorGnn {
 
 impl GnnModel for OperatorGnn {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let h = self.layer(tape, x, &self.l1, self.combine);
+        let x = gt.input(train, self.dropout, rng);
+        let h = self.layer(tape, &self.l1, self.combine, |lin, t| lin.forward_sparse(t, x.clone()));
         let mut h = tape.relu(h);
         if train && self.dropout > 0.0 {
             h = tape.dropout(h, self.dropout, rng);
         }
         // The output layer always sums its branches so logits stay
         // `out_dim`-wide regardless of the hidden-layer combine mode.
-        self.layer(tape, h, &self.l2, Combine::Sum)
+        self.layer(tape, &self.l2, Combine::Sum, |lin, t| lin.forward(t, h))
     }
 
     fn params(&self) -> Vec<Param> {

@@ -1,8 +1,10 @@
 //! A dense affine layer shared by all models.
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 
-use graphrare_tensor::{init, Matrix, Param, Tape, Var};
+use graphrare_tensor::{init, CsrMatrix, Matrix, Param, Tape, Var};
 
 /// `y = x W + b` with Glorot-initialised weights.
 #[derive(Clone)]
@@ -36,6 +38,20 @@ impl Linear {
     pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
         let w = tape.param(&self.weight);
         let y = tape.matmul(x, w);
+        self.add_bias(tape, y)
+    }
+
+    /// Applies the layer to a constant sparse input, such as the node
+    /// features from [`GraphTensors::input`](crate::GraphTensors::input):
+    /// `spmm(x, W) + b`, bit-identical to [`forward`](Linear::forward)
+    /// on the densified input.
+    pub fn forward_sparse(&self, tape: &mut Tape, x: Rc<CsrMatrix>) -> Var {
+        let w = tape.param(&self.weight);
+        let y = tape.spmm(x, w);
+        self.add_bias(tape, y)
+    }
+
+    fn add_bias(&self, tape: &mut Tape, y: Var) -> Var {
         match &self.bias {
             Some(b) => {
                 let vb = tape.param(b);

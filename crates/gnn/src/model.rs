@@ -6,9 +6,10 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 
 use graphrare_graph::{ops, Graph};
-use graphrare_tensor::{AdjList, CsrMatrix, Matrix, Param, Tape, Var};
+use graphrare_tensor::{AdjList, CsrMatrix, Param, Tape, Var};
 
-/// One graph topology with lazily built propagation operators.
+/// One graph topology with lazily built propagation operators, plus the
+/// node features as the models consume them.
 ///
 /// GraphRARE re-trains the GNN on a *changing* topology (`G_t`, `G_{t+1}`,
 /// …). A `GraphTensors` either snapshots one topology, or follows the
@@ -16,9 +17,14 @@ use graphrare_tensor::{AdjList, CsrMatrix, Matrix, Param, Tape, Var};
 /// rebuilds every operator built so far in place after each flip batch.
 /// Operators are built on first use: a GCN never pays for the two-hop
 /// operator H2GCN needs.
+///
+/// Models read the features only in CSR form, through
+/// [`input`](GraphTensors::input): bag-of-words features are mostly
+/// zeros, so a model's first projection `X · W` is
+/// `tape.spmm(input, W)`.
 pub struct GraphTensors {
     graph: Graph,
-    features: Rc<Matrix>,
+    features: Rc<CsrMatrix>,
     /// Incrementally maintained `d̂^{-1/2}` vector: only edit endpoints
     /// change degree, so [`apply_flips`](GraphTensors::apply_flips)
     /// re-derives just those entries and `gcn_norm` (re)builds skip
@@ -38,7 +44,7 @@ impl GraphTensors {
     pub fn new(g: &Graph) -> Self {
         Self {
             graph: g.clone(),
-            features: Rc::new(g.features().clone()),
+            features: Rc::new(CsrMatrix::from_dense(g.features())),
             inv_sqrt: ops::inv_sqrt_degrees(g),
             gcn: OnceCell::new(),
             row: OnceCell::new(),
@@ -73,9 +79,20 @@ impl GraphTensors {
         &self.graph
     }
 
-    /// Node features (shared).
-    pub fn features(&self) -> Rc<Matrix> {
-        self.features.clone()
+    /// The node features a forward pass starts from.
+    ///
+    /// Evaluation (`train == false`) and `p == 0` get the cached matrix
+    /// itself, so eval forwards copy no features. Training with `p > 0`
+    /// gets a fresh [`CsrMatrix::dropout`] copy, which draws from `rng`
+    /// exactly what `Tape::dropout` draws on the dense features; its
+    /// projection `tape.spmm(input, W)` is bit-identical to the dense
+    /// `matmul` (see [`CsrMatrix::from_dense`]).
+    pub fn input(&self, train: bool, p: f32, rng: &mut StdRng) -> Rc<CsrMatrix> {
+        if train && p > 0.0 {
+            Rc::new(self.features.dropout(p, rng))
+        } else {
+            self.features.clone()
+        }
     }
 
     /// GCN-normalised operator `D̂^{-1/2}(A+I)D̂^{-1/2}`.
@@ -219,6 +236,7 @@ impl Backbone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphrare_tensor::Matrix;
 
     fn toy() -> Graph {
         Graph::from_edges(
@@ -246,6 +264,43 @@ mod tests {
         g.add_edge(0, 3);
         // The snapshot's operator is unaffected by later edits.
         assert_eq!(*before, *GraphTensors::new(&toy()).gcn_norm());
+    }
+
+    #[test]
+    fn eval_input_is_the_cached_feature_matrix() {
+        use rand::{Rng, SeedableRng};
+        let gt = GraphTensors::new(&toy());
+        let mut rng = StdRng::seed_from_u64(5);
+        let a = gt.input(false, 0.5, &mut rng);
+        assert!(Rc::ptr_eq(&a, &gt.input(false, 0.5, &mut rng)), "eval forwards copy features");
+        assert!(Rc::ptr_eq(&a, &gt.input(true, 0.0, &mut rng)), "p = 0 copies features");
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(5).gen::<u64>(), "eval drew from rng");
+        assert_eq!(a.to_dense(), *toy().features());
+    }
+
+    #[test]
+    fn training_input_matches_dense_tape_dropout() {
+        use rand::{Rng, SeedableRng};
+        // An empty row (3), an empty column (1) and negative entries.
+        let feats = Matrix::from_fn(4, 5, |r, c| match (r, c) {
+            (3, _) | (_, 1) => 0.0,
+            _ if (r + c) % 2 == 0 => -(1.0 + r as f32) * 0.75,
+            _ => 0.5 + c as f32,
+        });
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2)], feats.clone(), vec![0, 1, 0, 1], 2);
+        let gt = GraphTensors::new(&g);
+        for p in [0.2, 0.5] {
+            for seed in 0..6 {
+                let (mut dense_rng, mut sparse_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut t = Tape::new();
+                let x = t.constant(feats.clone());
+                let x = t.dropout(x, p, &mut dense_rng);
+                let input = gt.input(true, p, &mut sparse_rng);
+                assert_eq!(input.to_dense(), *t.value(x), "p={p} seed={seed}");
+                assert_eq!(dense_rng.gen::<u64>(), sparse_rng.gen::<u64>(), "p={p} seed={seed}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Graph Attention Network (Veličković et al., ICLR 2018).
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use graphrare_tensor::{init, Matrix, Param, Tape, Var};
+use graphrare_tensor::{init, CsrMatrix, Matrix, Param, Tape, Var};
 
 use crate::model::{GnnModel, GraphTensors};
 
@@ -26,9 +28,22 @@ impl Head {
         }
     }
 
+    /// The head over a dense input: attention over `x · W`.
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, x: Var) -> Var {
         let w = tape.param(&self.w);
         let wh = tape.matmul(x, w);
+        self.attend(tape, gt, wh)
+    }
+
+    /// The head over the sparse node features: attention over `x · W`.
+    fn forward_sparse(&self, tape: &mut Tape, gt: &GraphTensors, x: Rc<CsrMatrix>) -> Var {
+        let w = tape.param(&self.w);
+        let wh = tape.spmm(x, w);
+        self.attend(tape, gt, wh)
+    }
+
+    /// Attention over the projected features `wh`.
+    fn attend(&self, tape: &mut Tape, gt: &GraphTensors, wh: Var) -> Var {
         let al = tape.param(&self.a_l);
         let ar = tape.param(&self.a_r);
         let sl = tape.matmul(wh, al);
@@ -82,19 +97,17 @@ impl Gat {
     /// (diagnostic helper; re-runs a forward pass without dropout).
     pub fn first_layer_logits(&self, gt: &GraphTensors) -> Matrix {
         let mut tape = Tape::new();
-        let x = tape.constant((*gt.features()).clone());
-        let h = self.heads[0].forward(&mut tape, gt, x);
+        let x = gt.input(false, 0.0, &mut StdRng::seed_from_u64(0));
+        let h = self.heads[0].forward_sparse(&mut tape, gt, x);
         tape.value(h).clone()
     }
 }
 
 impl GnnModel for Gat {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let head_outs: Vec<Var> = self.heads.iter().map(|h| h.forward(tape, gt, x)).collect();
+        let x = gt.input(train, self.dropout, rng);
+        let head_outs: Vec<Var> =
+            self.heads.iter().map(|h| h.forward_sparse(tape, gt, x.clone())).collect();
         let cat = if head_outs.len() == 1 { head_outs[0] } else { tape.concat_cols(&head_outs) };
         let mut h = tape.elu(cat, 1.0);
         if train && self.dropout > 0.0 {

@@ -30,13 +30,10 @@ impl Gcn {
 impl GnnModel for Gcn {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
         let a_hat = gt.gcn_norm();
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
+        let x = gt.input(train, self.dropout, rng);
         // Layer 1: project then propagate (projection first is cheaper when
         // in_dim >> hidden, and algebraically identical).
-        let xw = self.l1.forward(tape, x);
+        let xw = self.l1.forward_sparse(tape, x);
         let h = tape.spmm(a_hat.clone(), xw);
         let mut h = tape.relu(h);
         if train && self.dropout > 0.0 {

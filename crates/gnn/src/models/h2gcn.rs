@@ -71,11 +71,8 @@ impl GnnModel for H2gcn {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
         let one_hop = gt.row_norm();
         let two_hop = gt.two_hop();
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let ego = self.embed.forward(tape, x);
+        let x = gt.input(train, self.dropout, rng);
+        let ego = self.embed.forward_sparse(tape, x);
         let ego = tape.relu(ego);
 
         let mut reps = vec![ego];

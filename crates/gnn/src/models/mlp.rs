@@ -30,11 +30,8 @@ impl Mlp {
 
 impl GnnModel for Mlp {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let h = self.l1.forward(tape, x);
+        let x = gt.input(train, self.dropout, rng);
+        let h = self.l1.forward_sparse(tape, x);
         let mut h = tape.relu(h);
         if train && self.dropout > 0.0 {
             h = tape.dropout(h, self.dropout, rng);

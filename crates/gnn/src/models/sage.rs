@@ -32,33 +32,31 @@ impl GraphSage {
         }
     }
 
-    fn layer(
-        &self,
-        tape: &mut Tape,
-        gt: &GraphTensors,
-        x: Var,
-        self_lin: &Linear,
-        nbr_lin: &Linear,
-    ) -> Var {
-        let mean_nbr = tape.spmm(gt.row_norm(), x);
-        let a = self_lin.forward(tape, x);
+    /// `self_h + W_nbr · mean_nbr`, where `self_h` is the layer's
+    /// projected self branch.
+    fn combine(tape: &mut Tape, self_h: Var, mean_nbr: Var, nbr_lin: &Linear) -> Var {
         let b = nbr_lin.forward(tape, mean_nbr);
-        tape.add(a, b)
+        tape.add(self_h, b)
     }
 }
 
 impl GnnModel for GraphSage {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let h = self.layer(tape, gt, x, &self.self1, &self.nbr1);
+        let row_norm = gt.row_norm();
+        let x = gt.input(train, self.dropout, rng);
+        // The neighbour mean of the features is dense anyway, so the input
+        // is densified once for it; the self branch projects it sparsely.
+        let dense = tape.constant(x.to_dense());
+        let mean_nbr = tape.spmm(row_norm.clone(), dense);
+        let self_h = self.self1.forward_sparse(tape, x);
+        let h = Self::combine(tape, self_h, mean_nbr, &self.nbr1);
         let mut h = tape.relu(h);
         if train && self.dropout > 0.0 {
             h = tape.dropout(h, self.dropout, rng);
         }
-        self.layer(tape, gt, h, &self.self2, &self.nbr2)
+        let mean_nbr = tape.spmm(row_norm, h);
+        let self_h = self.self2.forward(tape, h);
+        Self::combine(tape, self_h, mean_nbr, &self.nbr2)
     }
 
     fn params(&self) -> Vec<Param> {

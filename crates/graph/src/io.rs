@@ -112,7 +112,9 @@ pub fn parse_labels(text: &str) -> Result<Vec<usize>, IoError> {
     Ok(labels)
 }
 
-/// Parses a features file (whitespace-separated floats, equal-width rows).
+/// Parses a features file (whitespace-separated finite floats,
+/// equal-width rows). `NaN`, `inf` and `-inf` are rejected: they would
+/// poison training, and the sparse feature path assumes finite inputs.
 pub fn parse_features(text: &str) -> Result<Matrix, IoError> {
     let mut rows: Vec<Vec<f32>> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -120,12 +122,15 @@ pub fn parse_features(text: &str) -> Result<Matrix, IoError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let row: Result<Vec<f32>, _> = line.split_whitespace().map(str::parse).collect();
-        let row = row.map_err(|e| IoError::Parse {
-            file: "features",
-            line: i + 1,
-            message: format!("bad float: {e}"),
-        })?;
+        let bad = |message: String| IoError::Parse { file: "features", line: i + 1, message };
+        let row = line
+            .split_whitespace()
+            .map(|tok| match tok.parse::<f32>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(_) => Err(bad(format!("non-finite value {tok:?}"))),
+                Err(e) => Err(bad(format!("bad float: {e}"))),
+            })
+            .collect::<Result<Vec<f32>, _>>()?;
         if let Some(first) = rows.first() {
             if row.len() != first.len() {
                 return Err(IoError::Parse {
@@ -287,6 +292,21 @@ mod tests {
             parse_features("1.0 2.0\n3.0\n"),
             Err(IoError::Parse { file: "features", line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn features_reject_non_finite_values() {
+        // Rust's float parser accepts all of these, and `1e39` overflows
+        // f32 to infinity.
+        for tok in ["NaN", "nan", "inf", "-inf", "infinity", "1e39"] {
+            match parse_features(&format!("# header\n0 1\n0.5 {tok}\n")) {
+                Err(IoError::Parse { file: "features", line: 3, message }) => {
+                    assert!(message.contains(tok), "{tok}: message {message:?} names no token");
+                }
+                other => panic!("{tok}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert_eq!(parse_features("0 -1.5e3\n").unwrap().row(0), &[0.0, -1500.0]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`Matrix`] — a row-major dense `f32` matrix with the ops GNNs need
 //!   (matmul, transpose-fused products, softmax, concatenation, …).
 //! * [`CsrMatrix`] — compressed sparse row matrices for graph propagation
-//!   operators, treated as constants by autograd.
+//!   operators and the mostly-zero node features, treated as constants
+//!   by autograd.
 //! * [`Tape`]/[`Var`] — a tape-based autograd engine with a closed op set,
 //!   each backward rule validated against finite differences.
 //! * [`Param`] — shared trainable weights consumed by [`optim`] optimisers

@@ -2,9 +2,13 @@
 //!
 //! Graph adjacency operators (`Â = D^-1/2 (A+I) D^-1/2`, `D^-1 A`, `A²`, …)
 //! are stored in CSR form and multiplied against dense feature matrices with
-//! [`CsrMatrix::spmm`]. The autograd tape treats a CSR operand as a constant:
-//! gradients only flow through the dense side, which matches how GNN
-//! propagation matrices are used in the paper.
+//! [`CsrMatrix::spmm`]. The mostly-zero bag-of-words node features are
+//! held in CSR form too, and projected with the same kernel (`X · W`).
+//! The autograd tape treats a CSR operand as a constant: gradients only
+//! flow through the dense side, which matches how GNN propagation
+//! matrices and input features are used in the paper.
+
+use rand::Rng;
 
 use crate::matrix::Matrix;
 use crate::parallel;
@@ -101,6 +105,58 @@ impl CsrMatrix {
         let mut scratch: Vec<(usize, f32)> = Vec::new();
         out.rebuild_from_row_builder(rows, cols, &mut scratch, build);
         out
+    }
+
+    /// The non-zero entries of a dense matrix (entries equal to `0.0`,
+    /// either sign, are left out).
+    ///
+    /// `from_dense(m).spmm(w)` is bit-identical to `m.matmul(w)`: both
+    /// add `m[r][k] · w[k]` over the row's non-zero `k` in ascending
+    /// order, since [`Matrix::matmul`] skips zero entries of its left
+    /// operand. Likewise `spmm_t` matches `matmul_tn`.
+    pub fn from_dense(m: &Matrix) -> Self {
+        Self::from_row_builder(m.rows(), m.cols(), |r, out| {
+            out.extend(
+                m.row(r).iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(c, &v)| (c, v)),
+            );
+        })
+    }
+
+    /// Inverted dropout with keep-probability `1 - p`, applied to the
+    /// dense matrix this one stores: the sparse counterpart of
+    /// [`Tape::dropout`](crate::Tape::dropout) on a constant.
+    ///
+    /// It draws one `rng.gen::<f32>()` per `(row, col)` position in
+    /// row-major order, stored or not, which is exactly the stream
+    /// `Tape::dropout` draws for its mask, so both leave `rng` in the
+    /// same state. A stored `v` survives as `v * (1 / keep)` when its
+    /// draw is below `keep` and that product is non-zero; for finite
+    /// inputs [`to_dense`](CsrMatrix::to_dense) of the result equals the
+    /// dense dropout output up to the sign of its zeros.
+    ///
+    /// # Panics
+    /// Panics unless `p` lies in `[0, 1)`.
+    pub fn dropout(&self, p: f32, rng: &mut impl Rng) -> CsrMatrix {
+        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
+        let keep = 1.0 - p;
+        let scale = 1.0 / keep;
+        Self::from_row_builder(self.rows, self.cols, |r, out| {
+            let mut next = 0;
+            for (c, v) in self.row_entries_inner(r) {
+                // Draws for the unstored positions before `c`.
+                for _ in next..c {
+                    rng.gen::<f32>();
+                }
+                next = c + 1;
+                let kept = v * scale;
+                if rng.gen::<f32>() < keep && kept != 0.0 {
+                    out.push((c, kept));
+                }
+            }
+            for _ in next..self.cols {
+                rng.gen::<f32>();
+            }
+        })
     }
 
     /// An empty `0 x 0` matrix, the seed for
@@ -264,7 +320,8 @@ impl CsrMatrix {
         parallel::par_map(self.rows, |r| self.row_entries_inner(r).map(|(c, w)| w * v[c]).sum())
     }
 
-    /// Converts to a dense matrix (test/debug helper).
+    /// Converts to a dense matrix. GraphSAGE densifies its (dropped)
+    /// sparse input once per forward this way, for the neighbour mean.
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
@@ -372,6 +429,82 @@ mod tests {
         let sym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
         assert!(sym.is_symmetric(1e-9));
         assert!(!sample().is_symmetric(1e-9));
+    }
+
+    /// 5 x 6 with an empty row (2), an empty column (4) and negative
+    /// entries (rows 0 and 1).
+    fn ragged() -> Matrix {
+        Matrix::from_fn(5, 6, |r, c| {
+            if r == 2 || c == 4 || (r + 2 * c) % 3 == 0 {
+                0.0
+            } else {
+                (r as f32 - 1.5) * (c as f32 + 0.5)
+            }
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn from_dense_keeps_exactly_the_nonzeros() {
+        let mut dense = ragged();
+        dense.set(3, 0, -0.0);
+        let m = CsrMatrix::from_dense(&dense);
+        assert_eq!(m.nnz(), dense.as_slice().iter().filter(|&&v| v != 0.0).count());
+        assert_eq!(m.row_nnz(2), 0);
+        assert_eq!(m.get(3, 0), None);
+        assert_eq!(m.to_dense(), dense);
+    }
+
+    /// The sparse input path against the dense one it replaces: the
+    /// dropout draws the same stream and keeps the same values, and
+    /// `spmm` plus its backward match `matmul` / `matmul_tn` bit for bit.
+    #[test]
+    fn sparse_input_path_matches_the_dense_path_bit_for_bit() {
+        use crate::Tape;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::rc::Rc;
+
+        let dense = ragged();
+        let csr = CsrMatrix::from_dense(&dense);
+        let w = Matrix::from_fn(6, 3, |r, c| 0.3 * r as f32 - 0.7 * c as f32 + 0.11);
+        let g = Rc::new(Matrix::from_fn(5, 3, |r, c| (r as f32 + 0.5) * 0.25 - c as f32));
+        for p in [0.2, 0.5] {
+            for seed in 0..8 {
+                let (mut dense_rng, mut sparse_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut td = Tape::new();
+                let x = td.constant(dense.clone());
+                let x = td.dropout(x, p, &mut dense_rng);
+                let dropped = csr.dropout(p, &mut sparse_rng);
+                assert_eq!(dense_rng.gen::<u64>(), sparse_rng.gen::<u64>(), "p={p} seed={seed}");
+                // Equal values; a dropped negative entry is -0.0 densely
+                // and absent (+0.0) sparsely, which `matmul` skips alike.
+                assert_eq!(dropped.to_dense(), *td.value(x), "p={p} seed={seed}");
+                assert!(dropped.row_nnz(2) == 0 && dropped.nnz() <= csr.nnz());
+
+                let wd = td.leaf(w.clone());
+                let yd = td.matmul(x, wd);
+                let ld = td.mul_const(yd, g.clone());
+                let ld = td.sum_all(ld);
+                td.backward(ld);
+
+                let mut ts = Tape::new();
+                let ws = ts.leaf(w.clone());
+                let ys = ts.spmm(Rc::new(dropped), ws);
+                let ls = ts.mul_const(ys, g.clone());
+                let ls = ts.sum_all(ls);
+                ts.backward(ls);
+
+                assert_eq!(bits(ts.value(ys)), bits(td.value(yd)), "forward p={p} seed={seed}");
+                let (gs, gd) = (ts.grad(ws).unwrap(), td.grad(wd).unwrap());
+                assert_eq!(bits(gs), bits(gd), "W gradient p={p} seed={seed}");
+                assert_eq!(bits(gd), bits(&td.value(x).matmul_tn(&g)));
+            }
+        }
     }
 
     #[test]

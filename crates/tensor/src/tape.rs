@@ -537,7 +537,7 @@ impl Tape {
         nbrs: Rc<AdjList>,
         slope: f32,
     ) -> Var {
-        let (out, _) = edge_attention_forward(
+        let out = edge_attention_forward(
             self.val(wh.idx),
             self.val(sl.idx),
             self.val(sr.idx),
@@ -631,9 +631,7 @@ impl Tape {
             let contributions = self.backward_step(i, &g);
             self.nodes[i].grad = Some(g);
             for (parent, grad) in contributions {
-                if !self.nodes[parent].needs_grad {
-                    continue;
-                }
+                debug_assert!(self.nodes[parent].needs_grad, "gradient built for a constant");
                 match &mut self.nodes[parent].grad {
                     Some(acc) => acc.add_assign(&grad),
                     slot @ None => *slot = Some(grad),
@@ -647,43 +645,47 @@ impl Tape {
         }
     }
 
-    /// Gradient contributions of node `i` (with output gradient `g`) to its
-    /// parents.
+    /// Gradient contributions of node `i` (with output gradient `g`) to
+    /// those of its parents that need a gradient.
+    ///
+    /// Only multi-parent ops can have a constant parent: a single-parent
+    /// node inherits `needs_grad` from its parent and is skipped by
+    /// [`Tape::backward`] when that parent is constant. The multi-parent
+    /// arms go through [`Tape::needed`], so a constant operand such as a
+    /// feature matrix or a PPO state batch costs nothing here.
     fn backward_step(&self, i: usize, g: &Matrix) -> Vec<(usize, Matrix)> {
         let out_val = &self.nodes[i].value;
         match &self.nodes[i].op {
             Op::Leaf => Vec::new(),
-            Op::MatMul(a, b) => {
-                let da = g.matmul_nt(self.val(*b));
-                let db = self.val(*a).matmul_tn(g);
-                vec![(*a, da), (*b, db)]
-            }
+            Op::MatMul(a, b) => self
+                .needed([(*a, &|| g.matmul_nt(self.val(*b))), (*b, &|| self.val(*a).matmul_tn(g))]),
             Op::SpMM { m, x } => vec![(*x, m.spmm_t(g))],
-            Op::Add(a, b) => vec![(*a, g.clone()), (*b, g.clone())],
-            Op::Sub(a, b) => vec![(*a, g.clone()), (*b, g.map(|v| -v))],
-            Op::Mul(a, b) => {
-                let da = g.mul_elem(self.val(*b));
-                let db = g.mul_elem(self.val(*a));
-                vec![(*a, da), (*b, db)]
-            }
+            Op::Add(a, b) => self.needed([(*a, &|| g.clone()), (*b, &|| g.clone())]),
+            Op::Sub(a, b) => self.needed([(*a, &|| g.clone()), (*b, &|| g.map(|v| -v))]),
+            Op::Mul(a, b) => self
+                .needed([(*a, &|| g.mul_elem(self.val(*b))), (*b, &|| g.mul_elem(self.val(*a)))]),
             Op::Div(a, b) => {
                 let bv = self.val(*b);
-                let da = g.zip(bv, |gi, bi| gi / bi);
-                let db = g.zip(self.val(*a), |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi));
-                vec![(*a, da), (*b, db)]
+                self.needed([
+                    (*a, &|| g.zip(bv, |gi, bi| gi / bi)),
+                    (*b, &|| g.zip(self.val(*a), |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi))),
+                ])
             }
             Op::Neg(a) => vec![(*a, g.map(|v| -v))],
             Op::Scale(a, c) => vec![(*a, g.scale(*c))],
             Op::AddScalar(a) => vec![(*a, g.clone())],
-            Op::AddBias { x, bias } => {
-                let mut db = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (o, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *o += v;
+            Op::AddBias { x, bias } => self.needed([
+                (*x, &|| g.clone()),
+                (*bias, &|| {
+                    let mut db = Matrix::zeros(1, g.cols());
+                    for r in 0..g.rows() {
+                        for (o, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                            *o += v;
+                        }
                     }
-                }
-                vec![(*x, g.clone()), (*bias, db)]
-            }
+                    db
+                }),
+            ]),
             Op::Relu(a) => vec![(*a, g.zip(self.val(*a), |gi, x| if x > 0.0 { gi } else { 0.0 }))],
             Op::LeakyRelu(a, s) => {
                 vec![(*a, g.zip(self.val(*a), |gi, x| if x > 0.0 { gi } else { gi * s }))]
@@ -713,16 +715,26 @@ impl Tape {
             Op::MinElem(a, b) => {
                 let av = self.val(*a);
                 let bv = self.val(*b);
-                let da = g.zip(&av.zip(bv, |x, y| if x <= y { 1.0 } else { 0.0 }), |gi, m| gi * m);
-                let db = g.zip(&av.zip(bv, |x, y| if x <= y { 0.0 } else { 1.0 }), |gi, m| gi * m);
-                vec![(*a, da), (*b, db)]
+                self.needed([
+                    (*a, &|| {
+                        g.zip(&av.zip(bv, |x, y| if x <= y { 1.0 } else { 0.0 }), |gi, m| gi * m)
+                    }),
+                    (*b, &|| {
+                        g.zip(&av.zip(bv, |x, y| if x <= y { 0.0 } else { 1.0 }), |gi, m| gi * m)
+                    }),
+                ])
             }
             Op::MaxElem(a, b) => {
                 let av = self.val(*a);
                 let bv = self.val(*b);
-                let da = g.zip(&av.zip(bv, |x, y| if x >= y { 1.0 } else { 0.0 }), |gi, m| gi * m);
-                let db = g.zip(&av.zip(bv, |x, y| if x >= y { 0.0 } else { 1.0 }), |gi, m| gi * m);
-                vec![(*a, da), (*b, db)]
+                self.needed([
+                    (*a, &|| {
+                        g.zip(&av.zip(bv, |x, y| if x >= y { 1.0 } else { 0.0 }), |gi, m| gi * m)
+                    }),
+                    (*b, &|| {
+                        g.zip(&av.zip(bv, |x, y| if x >= y { 0.0 } else { 1.0 }), |gi, m| gi * m)
+                    }),
+                ])
             }
             Op::LogSoftmaxRows(a) => {
                 // dx = g − softmax(x) * rowsum(g); softmax(x) = exp(out).
@@ -755,11 +767,13 @@ impl Tape {
                 let mut start = 0;
                 for &p in parts {
                     let w = self.val(p).cols();
-                    let mut dp = Matrix::zeros(g.rows(), w);
-                    for r in 0..g.rows() {
-                        dp.row_mut(r).copy_from_slice(&g.row(r)[start..start + w]);
+                    if self.nodes[p].needs_grad {
+                        let mut dp = Matrix::zeros(g.rows(), w);
+                        for r in 0..g.rows() {
+                            dp.row_mut(r).copy_from_slice(&g.row(r)[start..start + w]);
+                        }
+                        out.push((p, dp));
                     }
-                    out.push((p, dp));
                     start += w;
                 }
                 out
@@ -812,6 +826,7 @@ impl Tape {
                 vec![(*logp, dl)]
             }
             Op::EdgeAttention { wh, sl, sr, nbrs, slope } => {
+                let need = |p: usize| self.nodes[p].needs_grad;
                 let (dwh, dsl, dsr) = edge_attention_backward(
                     self.val(*wh),
                     self.val(*sl),
@@ -819,8 +834,12 @@ impl Tape {
                     nbrs,
                     *slope,
                     g,
+                    [need(*wh), need(*sl), need(*sr)],
                 );
-                vec![(*wh, dwh), (*sl, dsl), (*sr, dsr)]
+                [(*wh, dwh), (*sl, dsl), (*sr, dsr)]
+                    .into_iter()
+                    .filter_map(|(p, d)| Some((p, d?)))
+                    .collect()
             }
             Op::MultiDiscreteLogProb { logits, arity, actions } => {
                 let lg = self.val(*logits);
@@ -879,49 +898,70 @@ impl Tape {
             }
         }
     }
+
+    /// `(parent, grad())` for each listed parent that needs a gradient,
+    /// in list order; the gradient of a constant parent is never built.
+    fn needed<const K: usize>(
+        &self,
+        parts: [(usize, &dyn Fn() -> Matrix); K],
+    ) -> Vec<(usize, Matrix)> {
+        parts
+            .into_iter()
+            .filter(|&(p, _)| self.nodes[p].needs_grad)
+            .map(|(p, f)| (p, f()))
+            .collect()
+    }
 }
 
-/// Shared forward path of the fused GAT attention op. Returns the output and
-/// the per-node attention rows (used by tests).
+/// Attention rows `α_i· = softmax_j(LeakyReLU(sl_i + sr_j))` over each
+/// node's neighbour list, shared by the forward and backward passes.
+fn attention_rows(sl: &Matrix, sr: &Matrix, nbrs: &AdjList, slope: f32) -> Vec<Vec<f32>> {
+    (0..nbrs.len())
+        .map(|i| {
+            let mut e: Vec<f32> = nbrs
+                .neighbors(i)
+                .iter()
+                .map(|&j| {
+                    let x = sl.get(i, 0) + sr.get(j, 0);
+                    if x > 0.0 {
+                        x
+                    } else {
+                        slope * x
+                    }
+                })
+                .collect();
+            softmax_slice(&mut e);
+            e
+        })
+        .collect()
+}
+
+/// Forward pass of the fused GAT attention op.
 fn edge_attention_forward(
     wh: &Matrix,
     sl: &Matrix,
     sr: &Matrix,
     nbrs: &AdjList,
     slope: f32,
-) -> (Matrix, Vec<Vec<f32>>) {
+) -> Matrix {
     let n = nbrs.len();
     assert_eq!(wh.rows(), n, "edge_attention: wh row mismatch");
     assert_eq!(sl.shape(), (n, 1), "edge_attention: sl must be n x 1");
     assert_eq!(sr.shape(), (n, 1), "edge_attention: sr must be n x 1");
-    let h = wh.cols();
-    let mut out = Matrix::zeros(n, h);
-    let mut alphas = Vec::with_capacity(n);
-    for i in 0..n {
-        let neigh = nbrs.neighbors(i);
-        let mut e: Vec<f32> = neigh
-            .iter()
-            .map(|&j| {
-                let x = sl.get(i, 0) + sr.get(j, 0);
-                if x > 0.0 {
-                    x
-                } else {
-                    slope * x
-                }
-            })
-            .collect();
-        softmax_slice(&mut e);
+    let mut out = Matrix::zeros(n, wh.cols());
+    for (i, alpha) in attention_rows(sl, sr, nbrs, slope).iter().enumerate() {
         let out_row = out.row_mut(i);
-        for (&j, &a) in neigh.iter().zip(&e) {
+        for (&j, &a) in nbrs.neighbors(i).iter().zip(alpha) {
             for (o, &w) in out_row.iter_mut().zip(wh.row(j)) {
                 *o += a * w;
             }
         }
-        alphas.push(e);
     }
-    (out, alphas)
+    out
 }
 
+/// Backward pass of the fused GAT attention op: the gradients of `wh`,
+/// `sl` and `sr`, each computed only when its `need` flag is set.
 fn edge_attention_backward(
     wh: &Matrix,
     sl: &Matrix,
@@ -929,35 +969,49 @@ fn edge_attention_backward(
     nbrs: &AdjList,
     slope: f32,
     g: &Matrix,
-) -> (Matrix, Matrix, Matrix) {
+    need: [bool; 3],
+) -> (Option<Matrix>, Option<Matrix>, Option<Matrix>) {
     let n = nbrs.len();
-    let (_, alphas) = edge_attention_forward(wh, sl, sr, nbrs, slope);
-    let mut dwh = Matrix::zeros(wh.rows(), wh.cols());
-    let mut dsl = Matrix::zeros(n, 1);
-    let mut dsr = Matrix::zeros(n, 1);
-    for (i, alpha) in alphas.iter().enumerate() {
+    let [need_wh, need_sl, need_sr] = need;
+    let mut dwh = need_wh.then(|| Matrix::zeros(wh.rows(), wh.cols()));
+    let mut dsl = need_sl.then(|| Matrix::zeros(n, 1));
+    let mut dsr = need_sr.then(|| Matrix::zeros(n, 1));
+    let mut dalpha: Vec<f32> = Vec::new();
+    for (i, alpha) in attention_rows(sl, sr, nbrs, slope).iter().enumerate() {
         let neigh = nbrs.neighbors(i);
         let g_row = g.row(i);
-        // dL/dα_ij = g_i · wh_j ; dL/dwh_j += α_ij g_i
-        let mut dalpha: Vec<f32> = Vec::with_capacity(neigh.len());
-        for (&j, &a) in neigh.iter().zip(alpha) {
-            let mut dot = 0.0;
-            let wh_row = wh.row(j);
-            let dwh_row = dwh.row_mut(j);
-            for ((&gv, &wv), dw) in g_row.iter().zip(wh_row).zip(dwh_row) {
-                dot += gv * wv;
-                *dw += a * gv;
+        // dL/dwh_j += α_ij g_i
+        if let Some(dwh) = &mut dwh {
+            for (&j, &a) in neigh.iter().zip(alpha) {
+                for (dw, &gv) in dwh.row_mut(j).iter_mut().zip(g_row) {
+                    *dw += a * gv;
+                }
             }
-            dalpha.push(dot);
         }
+        if !(need_sl || need_sr) {
+            continue;
+        }
+        // dL/dα_ij = g_i · wh_j
+        dalpha.clear();
+        dalpha.extend(neigh.iter().map(|&j| {
+            let mut dot = 0.0;
+            for (&gv, &wv) in g_row.iter().zip(wh.row(j)) {
+                dot += gv * wv;
+            }
+            dot
+        }));
         // softmax backward: de_j = α_j (dα_j − Σ_k α_k dα_k)
         let mix: f32 = alpha.iter().zip(&dalpha).map(|(&a, &d)| a * d).sum();
         for ((&j, &a), &da) in neigh.iter().zip(alpha).zip(&dalpha) {
             let de = a * (da - mix);
             let x = sl.get(i, 0) + sr.get(j, 0);
             let de = if x > 0.0 { de } else { de * slope };
-            dsl.add_at(i, 0, de);
-            dsr.add_at(j, 0, de);
+            if let Some(dsl) = &mut dsl {
+                dsl.add_at(i, 0, de);
+            }
+            if let Some(dsr) = &mut dsr {
+                dsr.add_at(j, 0, de);
+            }
         }
     }
     (dwh, dsl, dsr)

@@ -44,11 +44,8 @@ impl Appnp {
 impl GnnModel for Appnp {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
         let a_hat = gt.gcn_norm();
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let h = self.l1.forward(tape, x);
+        let x = gt.input(train, self.dropout, rng);
+        let h = self.l1.forward_sparse(tape, x);
         let h = tape.relu(h);
         let h0 = self.l2.forward(tape, h);
         // Personalised-PageRank propagation of the predictions.

@@ -1,8 +1,9 @@
-//! End-to-end daemon behaviour: concurrent served runs are
+//! The serving contract, end to end: concurrent served runs are
 //! bit-identical to solo runs, admission control refuses overload with
 //! a typed `Busy`, corrupt connections are dropped without harming the
-//! daemon, and a shutdown/restart cycle resumes interrupted runs from
-//! their checkpoints to the same bits.
+//! daemon, a shutdown/restart cycle resumes interrupted runs from their
+//! checkpoints to the same bits, and a bad input bundle fails its own
+//! run with a typed error and frees its slot.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -378,13 +379,21 @@ fn corrupted_checkpoint_fails_the_run_but_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[test]
-fn out_of_range_label_fails_the_run_and_frees_its_slot() {
-    let dir = fixture_dir("bad-label");
+/// Serves a 4-node bundle with the given feature and label files on a
+/// one-slot daemon: the run must end `Failed` with an error containing
+/// every `error_parts` entry, and a fresh good run must then get the
+/// freed slot and finish.
+fn bad_bundle_fails_and_frees_its_slot(
+    name: &str,
+    features: &str,
+    labels: &str,
+    error_parts: &[&str],
+) {
+    let dir = fixture_dir(name);
     let bad = dir.join("bad");
     std::fs::write(bad.with_extension("edges"), "0 1\n1 2\n2 3\n").unwrap();
-    std::fs::write(bad.with_extension("features"), "1 0\n0 1\n1 1\n0 0\n").unwrap();
-    std::fs::write(bad.with_extension("labels"), format!("0\n1\n{}\n0\n", u64::MAX)).unwrap();
+    std::fs::write(bad.with_extension("features"), features).unwrap();
+    std::fs::write(bad.with_extension("labels"), labels).unwrap();
     let good = dir.join("toy");
     io::write_graph(&small_graph(), &good).unwrap();
 
@@ -395,11 +404,9 @@ fn out_of_range_label_fails_the_run_and_frees_its_slot() {
     assert_eq!(wait_terminal(&server, run_id), RunState::Failed);
     match server.handle(Request::Status(run_id)) {
         Response::RunStatus(info) => {
-            assert!(
-                info.error.contains(&u64::MAX.to_string()),
-                "error must name the label: {}",
-                info.error
-            );
+            for part in error_parts {
+                assert!(info.error.contains(part), "error must name {part:?}: {}", info.error);
+            }
         }
         other => panic!("status of failed run: {other:?}"),
     }
@@ -415,6 +422,27 @@ fn out_of_range_label_fails_the_run_and_frees_its_slot() {
     server.request_shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn out_of_range_label_fails_the_run_and_frees_its_slot() {
+    let labels = format!("0\n1\n{}\n0\n", u64::MAX);
+    bad_bundle_fails_and_frees_its_slot(
+        "bad-label",
+        "1 0\n0 1\n1 1\n0 0\n",
+        &labels,
+        &[&u64::MAX.to_string()],
+    );
+}
+
+#[test]
+fn non_finite_feature_fails_the_run_and_frees_its_slot() {
+    bad_bundle_fails_and_frees_its_slot(
+        "nan-feature",
+        "1 0\n0 NaN\n1 1\n0 0\n",
+        "0\n1\n0\n1\n",
+        &["features", "line 2", "NaN"],
+    );
 }
 
 #[test]
