@@ -20,10 +20,6 @@
 //! `--seed N` and `--datasets a,b,...`; defaults run the mini-scaled
 //! datasets with 3 splits. Outputs are printed as aligned text tables and
 //! written as CSV under `results/`.
-//!
-//! Criterion microbenches (`cargo bench`) cover the hot kernels: entropy
-//! computation, sparse propagation, GNN epochs, PPO updates and topology
-//! rebuilds.
 
 #![warn(missing_docs)]
 

@@ -50,25 +50,10 @@ impl RlAlgo {
     }
 }
 
-/// Which policy parameterisation drives the MDP.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// MLP over the whole `2N` state (the paper's configuration).
-    Global {
-        /// Hidden width.
-        hidden: usize,
-    },
-    /// Weight-shared per-node MLP (scales to large `N`).
-    Shared {
-        /// Hidden width.
-        hidden: usize,
-    },
-}
-
 /// Full configuration of one GraphRARE run.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphRareConfig {
-    /// Relative-entropy computation (λ, embedding, normaliser).
+    /// Relative-entropy computation (λ).
     pub entropy: RelativeEntropyConfig,
     /// Candidate-pool and ranking construction.
     pub sequences: SequenceConfig,
@@ -85,8 +70,6 @@ pub struct GraphRareConfig {
     pub edit_mode: EditMode,
     /// Entropy vs shuffled rankings.
     pub sequence_mode: SequenceMode,
-    /// Policy parameterisation.
-    pub policy: PolicyKind,
     /// RL algorithm (PPO per the paper, or its A2C preset).
     pub algo: RlAlgo,
     /// Which strategy proposes the per-step topology edits: the paper's
@@ -142,7 +125,6 @@ impl Default for GraphRareConfig {
             reward: RewardKind::default(),
             edit_mode: EditMode::Both,
             sequence_mode: SequenceMode::Entropy,
-            policy: PolicyKind::Global { hidden: 64 },
             algo: RlAlgo::Ppo,
             rewirer: RewirerKind::Ppo,
             steps: 160,

@@ -895,7 +895,6 @@ fn run_driver(mut driver: RareDriver) -> Result<RareReport, RewireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PolicyKind;
     use crate::rewirer::RewirerKind;
     use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
 
@@ -994,15 +993,6 @@ mod tests {
         for s in &report.traces.ppo_stats {
             assert!(s.approx_kl.abs() < 1e-3, "A2C update moved the policy: {s:?}");
         }
-    }
-
-    #[test]
-    fn shared_policy_variant_runs() {
-        let (g, split) = heterophilic_fixture();
-        let mut cfg = GraphRareConfig::fast().with_seed(4);
-        cfg.policy = PolicyKind::Shared { hidden: 16 };
-        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
-        assert!((0.0..=1.0).contains(&report.test_acc));
     }
 
     #[test]

@@ -34,15 +34,14 @@
 //! [`RewiredGraph`]: crate::rewire::RewiredGraph
 
 use graphrare_rl::{
-    AgentState, GlobalPolicy, Policy, PpoAgent, PpoConfig, PpoStats, RolloutBuffer, SharedPolicy,
-    ValueNet,
+    AgentState, GlobalPolicy, PpoAgent, PpoConfig, PpoStats, RolloutBuffer, ValueNet,
 };
 use graphrare_tensor::optim::AdamSnapshot;
 use graphrare_tensor::Matrix;
 
 use graphrare_graph::edge_key;
 
-use crate::config::{GraphRareConfig, PolicyKind, RlAlgo};
+use crate::config::{GraphRareConfig, RlAlgo};
 use crate::fxmap::FxHashSet;
 use crate::state::TopoState;
 use crate::topology::TopologyOptimizer;
@@ -187,6 +186,9 @@ pub fn build_rewirer(
 // PPO (and its A2C preset)
 // ---------------------------------------------------------------------------
 
+/// Hidden width of the policy and critic MLPs.
+const HIDDEN: usize = 64;
+
 /// One in-flight transition between `propose` and `feedback`.
 struct Pending {
     features: Vec<f32>,
@@ -208,15 +210,8 @@ impl PpoRewirer {
     fn new(num_nodes: usize, cfg: &GraphRareConfig) -> Self {
         let state_dim = 2 * num_nodes;
         let seed = cfg.ppo.seed;
-        let (policy, hidden): (Box<dyn Policy>, usize) = match cfg.policy {
-            PolicyKind::Global { hidden } => {
-                (Box::new(GlobalPolicy::new(state_dim, hidden, 2 * num_nodes, seed)), hidden)
-            }
-            PolicyKind::Shared { hidden } => {
-                (Box::new(SharedPolicy::new(num_nodes, 2, hidden, seed)), hidden)
-            }
-        };
-        let value = ValueNet::new(state_dim, hidden, seed.wrapping_add(17));
+        let policy = GlobalPolicy::new(state_dim, HIDDEN, 2 * num_nodes, seed);
+        let value = ValueNet::new(state_dim, HIDDEN, seed.wrapping_add(17));
         let agent_cfg = match cfg.algo {
             RlAlgo::Ppo => cfg.ppo,
             RlAlgo::A2c => PpoConfig::a2c(seed),

@@ -86,10 +86,8 @@ impl TopoState {
     }
 
     /// Policy-network features: node-interleaved `(k_v / k_max_v,
-    /// d_v / d_max_v)` pairs, so the layout matches both
-    /// [`GlobalPolicy`](graphrare_rl::GlobalPolicy) (as one flat vector)
-    /// and [`SharedPolicy`](graphrare_rl::SharedPolicy) (two features per
-    /// node).
+    /// d_v / d_max_v)` pairs, the flat state vector of
+    /// [`GlobalPolicy`](graphrare_rl::GlobalPolicy).
     pub fn features(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(2 * self.k.len());
         for v in 0..self.k.len() {

@@ -46,8 +46,8 @@
 //!
 //! When the sequence-dirty fraction exceeds a threshold (default 0.5),
 //! per-row bookkeeping costs more than it saves and the engine rebuilds
-//! the structural table and sequences outright — still skipping the
-//! feature table and its frozen rescale range, which no flip can
+//! the structural table and sequences outright — still reusing the
+//! feature rows and their frozen rescale range, which no flip can
 //! invalidate.
 
 use rand::rngs::StdRng;

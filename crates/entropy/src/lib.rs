@@ -2,12 +2,12 @@
 //!
 //! The node relative entropy of the GraphRARE paper (Sec. IV-A):
 //!
-//! * [`feature`] — node feature entropy `H_f` (Eqs. 3–4): softmax-normalised
-//!   embedding dot products, `−P log P`.
 //! * [`structural`] — node structural entropy `H_s` (Eqs. 5–8):
 //!   `1 − JS(p(v) ‖ p(u))` over normalised local degree profiles.
 //! * [`relative`] — the combined metric `H = H_f + λ·H_s` (Eq. 9),
-//!   precomputed once before training.
+//!   precomputed once before training. The feature entropy `H_f` (Eqs.
+//!   3–4) is the min–max rescale of the pairwise feature dots, which
+//!   orders pairs exactly as Eq. 4's `−P log P` does.
 //! * [`sequences`] — per-node ranked addition/deletion candidate lists
 //!   (Sec. IV-A.4), the interface consumed by the topology optimiser.
 //! * [`incremental`] — maintains the table + sequences pair under edge
@@ -33,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod feature;
 pub mod incremental;
 pub mod relative;
 pub mod sequences;
@@ -41,7 +40,6 @@ pub mod structural;
 
 /// Convenient re-exports of the main types.
 pub mod prelude {
-    pub use crate::feature::{Embedding, FeatureEntropyTable, Normalization};
     pub use crate::incremental::{EntropyRefreshStats, IncrementalEntropy};
     pub use crate::relative::{RelativeEntropyConfig, RelativeEntropyTable};
     pub use crate::sequences::{CandidatePool, EntropySequences, SequenceConfig};

@@ -1,11 +1,20 @@
 //! Node relative entropy `H(v, u) = H_f(v, u) + λ·H_s(v, u)` (Eq. 9).
+//!
+//! The feature entropy of Eq. 4, `−P log P` with `P` a softmax over all
+//! pairwise feature dots (Eq. 3, `φ = id`), is monotone in `P` (every pair's
+//! `P` is far below `1/e`) and `P` is monotone in the pair's dot. So
+//! `H_f` is taken as the dot's min–max rescale to `[0, 1]` over the
+//! graph's off-diagonal pairs: the same order as Eq. 4, spread evenly so
+//! that `λ` weighs it against `H_s ∈ [0, 1]` as Table IV's sweep assumes.
+//! A rescale of `log P` would be the same thing, because the softmax
+//! normaliser is one constant shift that the rescale cancels; it is
+//! therefore never computed.
 
 use graphrare_graph::Graph;
 use graphrare_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::feature::{Embedding, FeatureEntropyTable, Normalization};
 use crate::structural::StructuralEntropyTable;
 
 /// Configuration of the relative-entropy computation.
@@ -14,43 +23,22 @@ pub struct RelativeEntropyConfig {
     /// The paper's `λ` (Eq. 9) weighting structural entropy; Table IV
     /// sweeps {0.1, 0.5, 1.0, 10.0} and settles on 1.0.
     pub lambda: f64,
-    /// Embedding function `φ` of Eq. (3).
-    pub embedding: Embedding,
-    /// Normaliser strategy for the global pair softmax.
-    pub normalization: Normalization,
-    /// Rescale the feature entropy to `[0, 1]` over the graph so that
-    /// `λ = 1` weighs the two terms comparably. `H_s` is already in
-    /// `[0, 1]` by construction (Eq. 8), while raw `H_f = −P log P`
-    /// values scale like `(log N²)/N²` — without rescaling the λ-sweep
-    /// semantics of Table IV (λ=0.1 ≈ feature-only, λ=10 ≈
-    /// structure-only) cannot hold. The rescale is min–max in the *log*
-    /// domain (`log P`, i.e. the pairwise dot products), which orders
-    /// pairs identically to Eq. 4 but spreads them evenly instead of
-    /// letting one high-dot pair exponentially squash all others.
-    /// Enabled by default.
-    pub rescale_feature: bool,
 }
 
 impl Default for RelativeEntropyConfig {
     fn default() -> Self {
-        Self {
-            lambda: 1.0,
-            embedding: Embedding::Identity,
-            normalization: Normalization::Auto,
-            rescale_feature: true,
-        }
+        Self { lambda: 1.0 }
     }
 }
 
 /// Precomputed pairwise node relative entropy.
 ///
-/// Built once before training (Algorithm 1, lines 1–5); queries are `O(h +
+/// Built once before training (Algorithm 1, lines 1–5); queries are `O(F +
 /// M)` per pair.
 pub struct RelativeEntropyTable {
-    feature: FeatureEntropyTable,
+    features: Matrix,
     structural: StructuralEntropyTable,
     lambda: f64,
-    rescaled: bool,
     f_offset: f64,
     f_scale: f64,
 }
@@ -61,9 +49,9 @@ impl RelativeEntropyTable {
         // Scoped guards give each build phase its own node in the span
         // tree; the stopwatch laps only feed the summary event below.
         let mut clock = graphrare_telemetry::Stopwatch::start();
-        let feature = {
+        let features = {
             let _span = graphrare_telemetry::span("entropy.feature_table");
-            FeatureEntropyTable::new(g, cfg.embedding, cfg.normalization)
+            g.features().clone()
         };
         let feature_ns = clock.lap_ns();
         let structural = {
@@ -73,11 +61,7 @@ impl RelativeEntropyTable {
         let structural_ns = clock.lap_ns();
         let (f_offset, f_scale) = {
             let _span = graphrare_telemetry::span("entropy.feature_range");
-            if cfg.rescale_feature {
-                feature_range(&feature, g.num_nodes())
-            } else {
-                (0.0, 1.0)
-            }
+            feature_range(&features)
         };
         let range_ns = clock.lap_ns();
         graphrare_telemetry::emit_with(|| {
@@ -87,14 +71,7 @@ impl RelativeEntropyTable {
                 .u64("structural_ns", structural_ns)
                 .u64("range_ns", range_ns)
         });
-        Self {
-            feature,
-            structural,
-            lambda: cfg.lambda,
-            rescaled: cfg.rescale_feature,
-            f_offset,
-            f_scale,
-        }
+        Self { features, structural, lambda: cfg.lambda, f_offset, f_scale }
     }
 
     /// Number of nodes covered.
@@ -112,15 +89,11 @@ impl RelativeEntropyTable {
         self.lambda
     }
 
-    /// Feature entropy `H_f(v, u)` after optional rescaling (see
-    /// [`RelativeEntropyConfig::rescale_feature`]); without rescaling this
-    /// is exactly Eq. 4's `−P log P`.
+    /// Feature entropy `H_f(v, u) ∈ [0, 1]` (Eq. 4 under the rescale in
+    /// the module docs). Symmetric; larger means more similar features.
     pub fn feature_entropy(&self, v: usize, u: usize) -> f64 {
-        if self.rescaled {
-            ((self.feature.log_prob(v, u) - self.f_offset) * self.f_scale).clamp(0.0, 1.0)
-        } else {
-            self.feature.entropy(v, u)
-        }
+        let d = dot(self.features.row(v), self.features.row(u));
+        ((d - self.f_offset) * self.f_scale).clamp(0.0, 1.0)
     }
 
     /// Structural entropy `H_s(v, u)` (Eq. 8).
@@ -177,15 +150,22 @@ impl RelativeEntropyTable {
     }
 }
 
-/// Min–max range of `log P` over the graph's off-diagonal pairs: exact
-/// for small graphs, estimated from 100k sampled pairs otherwise.
-/// Returns `(offset, scale)` such that `(log_p - offset) * scale ∈ [0, 1]`.
+fn dot(a: &[f32], b: &[f32]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum()
+}
+
+/// Min–max range of the feature dots over the graph's off-diagonal pairs:
+/// exact for small graphs, estimated from 100k sampled pairs otherwise.
+/// Returns `(offset, scale)` such that `(dot - offset) * scale ∈ [0, 1]`;
+/// a degenerate range gives `(0, 0)`, so every pair's `H_f` is 0.
 ///
 /// The exact branch is a parallel min/max fold over the row index; min
 /// and max are exactly associative, so the result is bit-identical for
 /// any thread count. The sampled branch keeps its single sequential RNG
 /// stream (it is cheap and its determinism depends on draw order).
-fn feature_range(feature: &FeatureEntropyTable, n: usize) -> (f64, f64) {
+fn feature_range(features: &Matrix) -> (f64, f64) {
+    let n = features.rows();
+    let pair_dot = |v: usize, u: usize| dot(features.row(v), features.row(u));
     // The diagonal is excluded: self-dots of sparse bag-of-words features
     // are far larger than any cross-pair dot and would squash every real
     // candidate pair into a sliver of the unit interval.
@@ -195,9 +175,9 @@ fn feature_range(feature: &FeatureEntropyTable, n: usize) -> (f64, f64) {
             || (f64::INFINITY, f64::NEG_INFINITY),
             |(mut lo, mut hi), v| {
                 for u in (v + 1)..n {
-                    let h = feature.log_prob(v, u);
-                    lo = lo.min(h);
-                    hi = hi.max(h);
+                    let d = pair_dot(v, u);
+                    lo = lo.min(d);
+                    hi = hi.max(d);
                 }
                 (lo, hi)
             },
@@ -211,15 +191,15 @@ fn feature_range(feature: &FeatureEntropyTable, n: usize) -> (f64, f64) {
             let v = rng.gen_range(0..n);
             let u = rng.gen_range(0..n);
             if v != u {
-                let h = feature.log_prob(v, u);
-                lo = lo.min(h);
-                hi = hi.max(h);
+                let d = pair_dot(v, u);
+                lo = lo.min(d);
+                hi = hi.max(d);
             }
         }
         (lo, hi)
     };
     if !lo.is_finite() || !hi.is_finite() || hi - lo < 1e-300 {
-        (0.0, 1.0)
+        (0.0, 0.0)
     } else {
         (lo, 1.0 / (hi - lo))
     }
@@ -250,10 +230,32 @@ mod tests {
         )
     }
 
+    /// Nodes 0 and 1 nearly identical, node 2 different, node 3 zero;
+    /// 0 and 1 (and 0 and 2) are structurally alike.
+    fn near_duplicate_graph() -> Graph {
+        let feats = Matrix::from_vec(
+            4,
+            3,
+            vec![
+                1.0, 1.0, 0.0, //
+                1.0, 0.9, 0.1, //
+                0.0, 0.0, 1.0, //
+                0.0, 0.0, 0.0,
+            ],
+        );
+        Graph::from_edges(4, &[(0, 2), (1, 3)], feats, vec![0, 0, 1, 1], 2)
+    }
+
+    /// A bag-of-words row whose self-dot dwarfs every other dot.
+    fn huge_dot_graph() -> Graph {
+        let feats = Matrix::from_vec(3, 2, vec![1e4, 1e4, 1.0, 0.0, 0.0, 1.0]);
+        Graph::from_edges(3, &[(0, 1)], feats, vec![0, 1, 1], 2)
+    }
+
     #[test]
     fn entropy_combines_components_linearly() {
         let g = two_block_graph();
-        let cfg = RelativeEntropyConfig { lambda: 2.0, ..Default::default() };
+        let cfg = RelativeEntropyConfig { lambda: 2.0 };
         let t = RelativeEntropyTable::new(&g, &cfg);
         let h = t.entropy(0, 1);
         let want = t.feature_entropy(0, 1) + 2.0 * t.structural_entropy(0, 1);
@@ -262,24 +264,46 @@ mod tests {
 
     #[test]
     fn same_block_pairs_rank_higher() {
-        let g = two_block_graph();
-        let t = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
-        assert!(
-            t.entropy(0, 1) > t.entropy(0, 4),
-            "same-block {} vs cross-block {}",
-            t.entropy(0, 1),
-            t.entropy(0, 4)
-        );
+        // (graph, similar pair, dissimilar pair)
+        let cases = [(two_block_graph(), (0, 1), (0, 4)), (near_duplicate_graph(), (0, 1), (0, 2))];
+        for (g, similar, dissimilar) in cases {
+            let t = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
+            let (hs, hd) = (t.entropy(similar.0, similar.1), t.entropy(dissimilar.0, dissimilar.1));
+            assert!(hs > hd, "similar {similar:?} {hs} vs dissimilar {dissimilar:?} {hd}");
+        }
     }
 
     #[test]
     fn rescaled_feature_entropy_in_unit_interval() {
-        let g = two_block_graph();
-        let t = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
-        for v in 0..6 {
-            for u in 0..6 {
-                let f = t.feature_entropy(v, u);
-                assert!((0.0..=1.0).contains(&f), "H_f({v},{u}) = {f}");
+        for g in [two_block_graph(), near_duplicate_graph(), huge_dot_graph()] {
+            let t = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
+            let n = g.num_nodes();
+            for v in 0..n {
+                for u in 0..n {
+                    let f = t.feature_entropy(v, u);
+                    assert!((0.0..=1.0).contains(&f), "H_f({v},{u}) = {f}");
+                    assert_eq!(f.to_bits(), t.feature_entropy(u, v).to_bits(), "({v},{u})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_feature_ranges_give_zero_feature_entropy() {
+        let cases = [
+            ("all rows equal", Matrix::from_fn(5, 3, |_, c| c as f32 + 0.5)),
+            ("one-hot rows", Matrix::from_fn(4, 4, |r, c| if r == c { 1.0 } else { 0.0 })),
+            ("single node", Matrix::from_vec(1, 3, vec![2.0, 0.0, 1.0])),
+        ];
+        for (name, feats) in cases {
+            let n = feats.rows();
+            let g = Graph::from_edges(n, &[], feats, vec![0; n], 1);
+            let t = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
+            for v in 0..n {
+                for u in 0..n {
+                    let f = t.feature_entropy(v, u);
+                    assert_eq!(f.to_bits(), 0, "{name}: H_f({v},{u}) = {f}");
+                }
             }
         }
     }
@@ -287,7 +311,7 @@ mod tests {
     #[test]
     fn lambda_zero_is_feature_only() {
         let g = two_block_graph();
-        let cfg = RelativeEntropyConfig { lambda: 0.0, ..Default::default() };
+        let cfg = RelativeEntropyConfig { lambda: 0.0 };
         let t = RelativeEntropyTable::new(&g, &cfg);
         for v in 0..6 {
             for u in 0..6 {

@@ -380,8 +380,8 @@ mod tests {
 
     #[test]
     fn non_finite_entropies_sort_without_panicking() {
-        // An infinite feature against a zero row drives the pair softmax
-        // to NaN (0 x inf inside the dot product), which used to panic the
+        // An infinite feature against a zero row drives the pair's feature
+        // entropy to NaN (0 x inf inside the dot product), which used to panic the
         // `partial_cmp(..).unwrap()` ranking comparators. `total_cmp`
         // keeps the order total: the build must succeed and still cover
         // every neighbour / candidate deterministically.

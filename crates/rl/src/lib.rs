@@ -4,10 +4,9 @@
 //! Policy Optimization implementation over multi-discrete action spaces,
 //! replacing the paper's OpenAI Gym + Stable-Baselines3 stack.
 //!
-//! * [`policy`] — multi-discrete stochastic policies: the paper's global
-//!   MLP ([`policy::GlobalPolicy`]) and a weight-shared per-node variant
-//!   ([`policy::SharedPolicy`]) that scales to large graphs, plus the
-//!   critic ([`policy::ValueNet`]).
+//! * [`policy`] — the multi-discrete stochastic policy, the paper's
+//!   MLP over the whole state ([`policy::GlobalPolicy`]), and the critic
+//!   ([`policy::ValueNet`]).
 //! * [`buffer`] — rollout storage and GAE(λ) advantage estimation.
 //! * [`ppo`] — the clipped-surrogate PPO update ([`ppo::PpoAgent`]). The
 //!   [`PpoConfig::a2c`] preset turns the same agent into synchronous A2C,
@@ -26,6 +25,6 @@ pub mod ppo;
 pub mod snapshot;
 
 pub use buffer::{gae, normalize, RolloutBuffer};
-pub use policy::{GlobalPolicy, Policy, SharedPolicy, ValueNet, ACTION_ARITY};
+pub use policy::{GlobalPolicy, ValueNet, ACTION_ARITY};
 pub use ppo::{PpoAgent, PpoConfig, PpoStats};
 pub use snapshot::AgentState;

@@ -1,17 +1,12 @@
-//! Multi-discrete stochastic policies.
+//! The multi-discrete stochastic policy and its critic.
 //!
 //! GraphRARE's action space is multi-discrete (Sec. IV-B): one
 //! `{−1, 0, +1}` head per state component (`k_i` and `d_i` for every
-//! node). Two policy parameterisations are provided:
+//! node). [`GlobalPolicy`] is an MLP over the *entire* state vector
+//! producing all head logits at once; this matches the paper's
+//! Stable-Baselines3 `MlpPolicy` over the flattened multi-discrete state.
 //!
-//! * [`GlobalPolicy`] — an MLP over the *entire* state vector producing
-//!   all head logits at once; this matches the paper's Stable-Baselines3
-//!   `MlpPolicy` over the flattened multi-discrete state.
-//! * [`SharedPolicy`] — one small MLP applied per node (weight sharing
-//!   across nodes), producing that node's `k` and `d` heads. Scales to
-//!   large graphs where the global MLP's first layer would be `O(N²)`.
-//!
-//! Both emit logits in the layout consumed by
+//! It emits logits in the layout consumed by
 //! [`Tape::multi_discrete_log_prob`]: heads are interleaved per node —
 //! head `2i` is node `i`'s `k` head, head `2i+1` its `d` head.
 
@@ -22,22 +17,6 @@ use graphrare_tensor::{init, Param, Tape, Var};
 
 /// Number of choices per head: decrement, keep, increment.
 pub const ACTION_ARITY: usize = 3;
-
-/// A differentiable mapping from batched states to multi-discrete logits.
-pub trait Policy {
-    /// Produces `B x (heads · ACTION_ARITY)` logits for `B x state_dim`
-    /// states already on the tape.
-    fn logits(&self, tape: &mut Tape, states: Var) -> Var;
-
-    /// Trainable parameters.
-    fn params(&self) -> Vec<Param>;
-
-    /// Number of action heads.
-    fn heads(&self) -> usize;
-
-    /// Dimensionality of the state vector this policy consumes.
-    fn state_dim(&self) -> usize;
-}
 
 /// MLP over the full state vector (the paper's configuration).
 pub struct GlobalPolicy {
@@ -62,10 +41,10 @@ impl GlobalPolicy {
             heads,
         }
     }
-}
 
-impl Policy for GlobalPolicy {
-    fn logits(&self, tape: &mut Tape, states: Var) -> Var {
+    /// Produces `B x (heads · ACTION_ARITY)` logits for `B x state_dim`
+    /// states already on the tape.
+    pub fn logits(&self, tape: &mut Tape, states: Var) -> Var {
         let w1 = tape.param(&self.w1);
         let b1 = tape.param(&self.b1);
         let w2 = tape.param(&self.w2);
@@ -77,78 +56,19 @@ impl Policy for GlobalPolicy {
         tape.add_bias(o, b2)
     }
 
-    fn params(&self) -> Vec<Param> {
+    /// Trainable parameters.
+    pub fn params(&self) -> Vec<Param> {
         vec![self.w1.clone(), self.b1.clone(), self.w2.clone(), self.b2.clone()]
     }
 
-    fn heads(&self) -> usize {
+    /// Number of action heads.
+    pub fn heads(&self) -> usize {
         self.heads
     }
 
-    fn state_dim(&self) -> usize {
+    /// Dimensionality of the state vector this policy consumes.
+    pub fn state_dim(&self) -> usize {
         self.w1.shape().0
-    }
-}
-
-/// Weight-shared per-node policy.
-///
-/// The state is interpreted as `nodes` blocks of `node_feat` consecutive
-/// entries; the same MLP maps each block to its node's `2 · ACTION_ARITY`
-/// logits (a `k` head and a `d` head).
-pub struct SharedPolicy {
-    w1: Param,
-    b1: Param,
-    w2: Param,
-    b2: Param,
-    nodes: usize,
-    node_feat: usize,
-}
-
-impl SharedPolicy {
-    /// Creates a shared policy for `nodes` nodes with `node_feat` features
-    /// per node.
-    pub fn new(nodes: usize, node_feat: usize, hidden: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = 2 * ACTION_ARITY;
-        Self {
-            w1: Param::new("shared.w1", init::glorot_uniform(&mut rng, node_feat, hidden)),
-            b1: Param::new("shared.b1", graphrare_tensor::Matrix::zeros(1, hidden)),
-            w2: Param::new("shared.w2", init::scaled_normal(&mut rng, hidden, out, 0.01)),
-            b2: Param::new("shared.b2", graphrare_tensor::Matrix::zeros(1, out)),
-            nodes,
-            node_feat,
-        }
-    }
-}
-
-impl Policy for SharedPolicy {
-    fn logits(&self, tape: &mut Tape, states: Var) -> Var {
-        let batch = tape.value(states).rows();
-        // (B, N·F) -> (B·N, F): row-major reinterpretation.
-        let per_node = tape.reshape(states, batch * self.nodes, self.node_feat);
-        let w1 = tape.param(&self.w1);
-        let b1 = tape.param(&self.b1);
-        let w2 = tape.param(&self.w2);
-        let b2 = tape.param(&self.b2);
-        let h = tape.matmul(per_node, w1);
-        let h = tape.add_bias(h, b1);
-        let h = tape.tanh(h);
-        let o = tape.matmul(h, w2);
-        let o = tape.add_bias(o, b2);
-        // (B·N, 6) -> (B, N·6): node-interleaved head layout.
-        tape.reshape(o, batch, self.nodes * 2 * ACTION_ARITY)
-    }
-
-    fn params(&self) -> Vec<Param> {
-        vec![self.w1.clone(), self.b1.clone(), self.w2.clone(), self.b2.clone()]
-    }
-
-    fn heads(&self) -> usize {
-        self.nodes * 2
-    }
-
-    fn state_dim(&self) -> usize {
-        self.nodes * self.node_feat
     }
 }
 
@@ -215,22 +135,6 @@ mod tests {
         let l = p.logits(&mut t, s);
         // Tiny output gain: logits near zero, so distribution near uniform.
         assert!(t.value(l).as_slice().iter().all(|&v| v.abs() < 0.2));
-    }
-
-    #[test]
-    fn shared_policy_shapes_and_weight_sharing() {
-        let p = SharedPolicy::new(4, 2, 8, 0);
-        assert_eq!(p.heads(), 8);
-        assert_eq!(p.state_dim(), 8);
-        let mut t = Tape::new();
-        // Two identical node-blocks must get identical logits.
-        let s = t.constant(Matrix::from_vec(1, 8, vec![1.0, 2.0, 1.0, 2.0, 0.0, 0.0, 3.0, 1.0]));
-        let l = p.logits(&mut t, s);
-        let lv = t.value(l);
-        assert_eq!(lv.shape(), (1, 24));
-        let node0 = &lv.row(0)[0..6];
-        let node1 = &lv.row(0)[6..12];
-        assert_eq!(node0, node1, "shared weights must give equal logits for equal inputs");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use graphrare_tensor::param::{clip_grad_norm, zero_grads, Param};
 use graphrare_tensor::{Matrix, Tape};
 
 use crate::buffer::{gae, normalize, RolloutBuffer};
-use crate::policy::{Policy, ValueNet, ACTION_ARITY};
+use crate::policy::{GlobalPolicy, ValueNet, ACTION_ARITY};
 use crate::snapshot::AgentState;
 
 /// PPO hyper-parameters (defaults follow Stable-Baselines3).
@@ -105,7 +105,7 @@ pub struct PpoStats {
 
 /// A PPO agent: stochastic multi-discrete policy plus critic.
 pub struct PpoAgent {
-    policy: Box<dyn Policy>,
+    policy: GlobalPolicy,
     value: ValueNet,
     cfg: PpoConfig,
     opt: Adam,
@@ -115,7 +115,7 @@ pub struct PpoAgent {
 
 impl PpoAgent {
     /// Creates an agent from a policy, a critic and a config.
-    pub fn new(policy: Box<dyn Policy>, value: ValueNet, cfg: PpoConfig) -> Self {
+    pub fn new(policy: GlobalPolicy, value: ValueNet, cfg: PpoConfig) -> Self {
         let mut params = policy.params();
         params.extend(value.params());
         Self {
@@ -320,12 +320,11 @@ fn softmax3(logits: &[f32], out: &mut [f32; ACTION_ARITY]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::GlobalPolicy;
 
     fn agent_with(state_dim: usize, heads: usize, cfg: PpoConfig) -> PpoAgent {
         let policy = GlobalPolicy::new(state_dim, 32, heads, cfg.seed);
         let value = ValueNet::new(state_dim, 32, cfg.seed + 1);
-        PpoAgent::new(Box::new(policy), value, cfg)
+        PpoAgent::new(policy, value, cfg)
     }
 
     fn make_agent(state_dim: usize, heads: usize, seed: u64) -> PpoAgent {

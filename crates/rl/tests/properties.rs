@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 
-use graphrare_rl::{
-    gae, normalize, GlobalPolicy, Policy, PpoAgent, PpoConfig, ValueNet, ACTION_ARITY,
-};
+use graphrare_rl::{gae, normalize, GlobalPolicy, PpoAgent, PpoConfig, ValueNet, ACTION_ARITY};
 use graphrare_tensor::{Matrix, Tape};
 
 proptest! {
@@ -79,7 +77,7 @@ proptest! {
         let policy = GlobalPolicy::new(4, 16, 2, seed);
         let value = ValueNet::new(4, 16, seed + 1);
         let mut agent =
-            PpoAgent::new(Box::new(policy), value, PpoConfig { seed, ..Default::default() });
+            PpoAgent::new(policy, value, PpoConfig { seed, ..Default::default() });
         let state = [0.2f32, -0.1, 0.5, 0.0];
         let mut seen = [false; ACTION_ARITY];
         for _ in 0..64 {

@@ -234,12 +234,18 @@ impl Server {
         for listen in listens {
             match listen {
                 Listen::Unix(path) => {
-                    // A previous daemon's socket file blocks bind;
-                    // stale files are safe to clear because a live
-                    // daemon would still answer on it.
-                    let _ = std::fs::remove_file(path);
-                    let listener = std::os::unix::net::UnixListener::bind(path)
-                        .map_err(|e| format!("cannot bind {}: {e}", path.display()))?;
+                    // Bind beside `path` and rename onto it once the
+                    // socket listens, so `path` never names a socket
+                    // that refuses connections. The rename replaces a
+                    // socket file left behind by a killed daemon.
+                    let mut tmp = path.clone().into_os_string();
+                    tmp.push(".tmp");
+                    let tmp = PathBuf::from(tmp);
+                    let _ = std::fs::remove_file(&tmp);
+                    let listener = std::os::unix::net::UnixListener::bind(&tmp)
+                        .map_err(|e| format!("cannot bind {}: {e}", tmp.display()))?;
+                    std::fs::rename(&tmp, path)
+                        .map_err(|e| format!("cannot move socket to {}: {e}", path.display()))?;
                     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
                     socket_files.push(path.clone());
                     let shared = Arc::clone(&shared);

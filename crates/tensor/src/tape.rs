@@ -137,7 +137,6 @@ enum Op {
     EdgeAttention { wh: usize, sl: usize, sr: usize, nbrs: Rc<AdjList>, slope: f32 },
     MultiDiscreteLogProb { logits: usize, arity: usize, actions: Rc<Vec<u8>> },
     MultiDiscreteEntropy { logits: usize, arity: usize },
-    Reshape { x: usize },
 }
 
 struct Node {
@@ -463,16 +462,6 @@ impl Tape {
         let v = Matrix::from_vec(src.rows(), 1, data);
         let ng = self.ng(x);
         self.push(v, Op::PickPerRow { x: x.idx, idx }, ng)
-    }
-
-    /// Reinterprets `x` as a `rows x cols` matrix (row-major order is
-    /// preserved; element count must match).
-    pub fn reshape(&mut self, x: Var, rows: usize, cols: usize) -> Var {
-        let src = self.val(x.idx);
-        assert_eq!(src.len(), rows * cols, "reshape: element count mismatch");
-        let v = Matrix::from_vec(rows, cols, src.as_slice().to_vec());
-        let ng = self.ng(x);
-        self.push(v, Op::Reshape { x: x.idx }, ng)
     }
 
     /// Sum of all elements as a `1 x 1` scalar.
@@ -864,10 +853,6 @@ impl Tape {
                     }
                 }
                 vec![(*logits, dl)]
-            }
-            Op::Reshape { x } => {
-                let src = self.val(*x);
-                vec![(*x, Matrix::from_vec(src.rows(), src.cols(), g.as_slice().to_vec()))]
             }
             Op::MultiDiscreteEntropy { logits, arity } => {
                 // dH/dz_k = -p_k (log p_k + H) for each head.
@@ -1287,20 +1272,6 @@ mod tests {
         let s = t.sum_all(y);
         t.backward(s);
         assert_eq!(t.grad(x).unwrap().as_slice(), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn gradcheck_reshape() {
-        let x0 = Matrix::from_vec(
-            2,
-            6,
-            vec![0.3, -0.1, 0.8, 0.2, 0.5, -0.7, 1.0, 0.0, -0.4, -0.2, 0.6, 0.9],
-        );
-        check_grad(&x0, 1e-2, |t, x| {
-            let r = t.reshape(x, 4, 3);
-            let s = t.square(r);
-            t.mean_all(s)
-        });
     }
 
     #[test]

@@ -213,6 +213,9 @@ done
 [ "$step" = 4 ] || { echo "run $run3 never reached step 4" >&2; exit 1; }
 kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
+# The killed daemon leaves its socket file behind; remove it so the wait
+# below waits for the restarted daemon's socket.
+rm -f "$sock"
 
 # Daemon lifetime 2 over the same state dir: run 3 comes back from its
 # newest checkpoint and finishes bit-identical to an uninterrupted solo

@@ -4,8 +4,7 @@
 
 use graphrare_datasets::{generate_spec, DatasetSpec};
 use graphrare_entropy::{
-    CandidatePool, Embedding, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable,
-    SequenceConfig,
+    CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
 };
 use graphrare_graph::Graph;
 
@@ -68,19 +67,7 @@ fn feature_only_and_structure_only_bracket_the_default() {
     // λ = 0 is pure feature ranking: with informative features it must
     // still beat chance.
     let g = strong_signal_graph(3);
-    let cfg = RelativeEntropyConfig { lambda: 0.0, ..Default::default() };
-    let table = RelativeEntropyTable::new(&g, &cfg);
-    let seqs = EntropySequences::build(&g, &table, &SequenceConfig::default());
-    assert!(precision_at_5(&g, &seqs) > 0.5);
-}
-
-#[test]
-fn random_projection_embedding_preserves_ranking_quality() {
-    let g = strong_signal_graph(4);
-    let cfg = RelativeEntropyConfig {
-        embedding: Embedding::RandomProjection { dim: 16, seed: 5 },
-        ..Default::default()
-    };
+    let cfg = RelativeEntropyConfig { lambda: 0.0 };
     let table = RelativeEntropyTable::new(&g, &cfg);
     let seqs = EntropySequences::build(&g, &table, &SequenceConfig::default());
     assert!(precision_at_5(&g, &seqs) > 0.5);

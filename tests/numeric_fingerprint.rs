@@ -1,18 +1,27 @@
-//! Output fingerprint: a short serial GraphRARE run per backbone must
-//! reproduce fixed result bits.
+//! Output fingerprint: a short serial GraphRARE run per backbone and
+//! rewiring strategy must reproduce fixed result bits, and the entropy
+//! rankings of larger graphs must reproduce a fixed checksum.
 //!
-//! Each case runs `graphrare::run` for a few steps on one generated
+//! Each run case calls `graphrare::run` for a few steps on one generated
 //! heterophilic graph with 96 sparse bag-of-words features and asserts
 //! the exact bits of `test_acc` and `best_val_acc`, plus a CRC-32 of the
 //! little-endian bytes of `model_params` (what `--save-model` persists).
+//! The ranking cases CRC-32 every node's addition and deletion rankings,
+//! which covers both sides of the feature-entropy range switch (exact
+//! below 1,200 nodes, sampled above) and a graph whose feature range is
+//! degenerate.
 //! A kernel or autograd change that is meant to be byte-identical keeps
 //! every constant; one that legitimately changes the float summation
 //! order must update them and say why in CHANGES.md.
 
-use graphrare::{run, GraphRareConfig};
+use graphrare::{run, GraphRareConfig, RewirerKind};
 use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
+use graphrare_entropy::{
+    EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
+};
 use graphrare_gnn::Backbone;
 use graphrare_store::crc32;
+use graphrare_tensor::Matrix;
 
 fn params_crc(params: &[graphrare_tensor::Matrix]) -> u32 {
     let bytes: Vec<u8> =
@@ -20,13 +29,16 @@ fn params_crc(params: &[graphrare_tensor::Matrix]) -> u32 {
     crc32(&bytes)
 }
 
-/// `(backbone, test_acc bits, best_val_acc bits, model_params CRC-32)`.
-const EXPECTED: [(Backbone, u64, u64, u32); 5] = [
-    (Backbone::Mlp, 0x3fe2aaaaaaaaaaab, 0x3fe2aaaaaaaaaaab, 0x780034ee),
-    (Backbone::Gcn, 0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xdd3cc625),
-    (Backbone::Sage, 0x3fe2aaaaaaaaaaab, 0x3fe8000000000000, 0x1cebdbf1),
-    (Backbone::Gat, 0x3fd5555555555555, 0x3fe0000000000000, 0xc8df78cc),
-    (Backbone::H2gcn, 0x3fdaaaaaaaaaaaab, 0x3fe5555555555555, 0x58f08c5c),
+/// `(backbone, rewirer, test_acc bits, best_val_acc bits, model_params
+/// CRC-32)`.
+const EXPECTED: [(Backbone, RewirerKind, u64, u64, u32); 7] = [
+    (Backbone::Mlp, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe2aaaaaaaaaaab, 0x780034ee),
+    (Backbone::Gcn, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xdd3cc625),
+    (Backbone::Sage, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe8000000000000, 0x1cebdbf1),
+    (Backbone::Gat, RewirerKind::Ppo, 0x3fd5555555555555, 0x3fe0000000000000, 0xc8df78cc),
+    (Backbone::H2gcn, RewirerKind::Ppo, 0x3fdaaaaaaaaaaaab, 0x3fe5555555555555, 0x58f08c5c),
+    (Backbone::Gcn, RewirerKind::Dhgr, 0x3fdaaaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0x28e61c7e),
+    (Backbone::Gcn, RewirerKind::Reference, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0xcf74d57a),
 ];
 
 #[test]
@@ -49,21 +61,74 @@ fn every_backbone_reproduces_its_fingerprint() {
     cfg.update_every = 3;
     cfg.threads = 1;
     let mut got = Vec::new();
-    for (backbone, ..) in EXPECTED {
+    for (backbone, rewirer, ..) in EXPECTED {
+        cfg.rewirer = rewirer;
         let report = run(&g, &split, backbone, &cfg).expect("run");
         got.push((
             backbone,
+            rewirer,
             report.test_acc.to_bits(),
             report.best_val_acc.to_bits(),
             params_crc(&report.model_params),
         ));
     }
-    let render = |rows: &[(Backbone, u64, u64, u32)]| -> String {
+    let render = |rows: &[(Backbone, RewirerKind, u64, u64, u32)]| -> String {
         rows.iter()
-            .map(|(b, t, v, c)| {
-                format!("    (Backbone::{b:?}, {t:#018x}, {v:#018x}, {c:#010x}),\n")
+            .map(|(b, r, t, v, c)| {
+                format!(
+                    "    (Backbone::{b:?}, RewirerKind::{r:?}, {t:#018x}, {v:#018x}, {c:#010x}),\n"
+                )
             })
             .collect()
     };
     assert_eq!(got.as_slice(), EXPECTED.as_slice(), "fingerprint changed; got:\n{}", render(&got));
+}
+
+/// CRC-32 of every node's addition then deletion ranking, as
+/// little-endian `u32` id and `f32` entropy bits, nodes in order.
+fn rankings_crc(seqs: &EntropySequences) -> u32 {
+    let mut bytes = Vec::new();
+    for v in 0..seqs.len() {
+        for &(u, h) in seqs.additions(v).iter().chain(seqs.deletions(v)) {
+            bytes.extend(u.to_le_bytes());
+            bytes.extend(h.to_bits().to_le_bytes());
+        }
+    }
+    crc32(&bytes)
+}
+
+fn ranking_graph(nodes: usize, seed: u64) -> graphrare_graph::Graph {
+    let spec = DatasetSpec {
+        name: "ranking-fingerprint",
+        num_nodes: nodes,
+        num_edges: 2 * nodes,
+        feat_dim: 32,
+        num_classes: 4,
+        homophily: 0.2,
+        degree_exponent: 0.4,
+        feature_signal: 0.3,
+        feature_density: 0.1,
+    };
+    generate_spec(&spec, seed)
+}
+
+#[test]
+fn entropy_rankings_reproduce_their_fingerprint() {
+    // 1,300 nodes: the exact pair scan's range switches to the sampled
+    // one above 1,200 nodes. 1,600 nodes: sampled on every side. The
+    // third graph's feature rows are all equal, so its range is
+    // degenerate and every pair's feature entropy is 0.
+    let mut flat = ranking_graph(300, 3);
+    flat.set_features(Matrix::from_fn(300, 32, |_, c| (c % 3) as f32));
+    let cases = [(ranking_graph(1300, 1), 0.1), (ranking_graph(1600, 2), 10.0), (flat, 1.0)];
+    let got: Vec<u32> = cases
+        .iter()
+        .map(|(g, lambda)| {
+            let cfg = RelativeEntropyConfig { lambda: *lambda };
+            let table = RelativeEntropyTable::new(g, &cfg);
+            rankings_crc(&EntropySequences::build(g, &table, &SequenceConfig::default()))
+        })
+        .collect();
+    let want: [u32; 3] = [0x7410f318, 0xfb9bd808, 0x809a14b3];
+    assert_eq!(got, want, "ranking fingerprint changed; got {got:#010x?}");
 }

@@ -2,8 +2,9 @@
 //! bit-identical to solo runs, admission control refuses overload with
 //! a typed `Busy`, corrupt connections are dropped without harming the
 //! daemon, a shutdown/restart cycle resumes interrupted runs from their
-//! checkpoints to the same bits, and a bad input bundle fails its own
-//! run with a typed error and frees its slot.
+//! checkpoints to the same bits, a bad input bundle fails its own run
+//! with a typed error and frees its slot, and a daemon starts over the
+//! socket files a killed one left behind.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -192,9 +193,15 @@ fn admission_control_refuses_overload_with_busy() {
 fn corrupt_connection_is_dropped_and_daemon_survives() {
     let dir = fixture_dir("corrupt");
     let socket = dir.join("daemon.sock");
+    let bind_path = dir.join("daemon.sock.tmp");
+    // Leftovers of a killed daemon at both paths must not block start,
+    // and the socket is renamed from its bind path once it listens.
+    std::fs::write(&socket, b"stale").unwrap();
+    std::fs::write(&bind_path, b"stale").unwrap();
     let server =
         Server::start(ServeConfig::new(dir.join("state")), &[Listen::Unix(socket.clone())])
             .unwrap();
+    assert!(!bind_path.exists(), "the bind path must be renamed onto the socket path");
 
     // Garbage bytes: the daemon cannot frame them, drops the
     // connection, and keeps serving.
