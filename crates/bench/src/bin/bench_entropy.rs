@@ -19,7 +19,11 @@
 //! Flip batches are sparse (a handful of flips per batch on graphs of
 //! thousands of nodes) — the converged-policy regime of the DRL loop,
 //! where per-step rewiring deltas are small and the dirty-rows
-//! asymptotics show.
+//! asymptotics show. Both paths rank through the same pruned per-row
+//! build, so the speedup measures the dirty-rows saving alone.
+//!
+//! The file opens with the run envelope (git rev, hardware threads,
+//! worker threads, seed), the fields `e2e_bench` prints.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -36,6 +40,9 @@ use graphrare_entropy::{CandidatePool, IncrementalEntropy, RelativeEntropyConfig
 use graphrare_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Seed of every generated graph and flip trace.
+const SEED: u64 = 7;
 
 struct SizeRecord {
     pool: &'static str,
@@ -235,7 +242,7 @@ fn main() {
             // rebuilds everything), so this isolates the dirty-rows
             // asymptotics the engine exists for.
             let flips_per_batch = 2;
-            let inst = build_instance(n, batches, flips_per_batch, 7, pool);
+            let inst = build_instance(n, batches, flips_per_batch, SEED, pool);
             let base_edges = inst.graph.num_edges();
             let name = pool_name(pool);
             telemetry::progress!(
@@ -288,6 +295,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"entropy\",");
+    let threads = graphrare_tensor::parallel::current_threads();
+    let _ = writeln!(json, "  \"envelope\": {},", graphrare_bench::envelope_json(threads, SEED));
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"check_only\": {check_only},");
     let _ = writeln!(json, "  \"equivalence_checked\": true,");

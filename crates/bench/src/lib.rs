@@ -23,8 +23,10 @@
 
 #![warn(missing_docs)]
 
+pub mod envelope;
 pub mod harness;
 pub mod table;
 
+pub use envelope::envelope_json;
 pub use harness::{rare_report, run_method, Budget, CellResult, HarnessOptions, Method, Scale};
 pub use table::{mean, mean_std_pct, TextTable};

@@ -207,6 +207,10 @@ fn parse_args() -> Args {
     if !have_input {
         usage();
     }
+    if let Err(e) = graphrare::validate_lambda(args.lambda) {
+        eprintln!("{e}");
+        usage();
+    }
     if (args.checkpoint_every > 0 || args.resume) && args.checkpoint_dir.is_none() {
         eprintln!("--checkpoint-every and --resume require --checkpoint-dir");
         usage();

@@ -50,6 +50,15 @@ impl RlAlgo {
     }
 }
 
+/// The λ (Eq. 9) a run accepts from outside, on the CLI or over the
+/// serve protocol: finite and non-negative (Table IV sweeps 0.1–10).
+pub fn validate_lambda(lambda: f64) -> Result<(), String> {
+    if !lambda.is_finite() || lambda < 0.0 {
+        return Err(format!("lambda {lambda} must be finite and non-negative"));
+    }
+    Ok(())
+}
+
 /// Full configuration of one GraphRARE run.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphRareConfig {

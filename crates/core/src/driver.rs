@@ -337,7 +337,13 @@ impl RareDriver {
         }
         let warm_params = trainer.snapshot();
 
-        let rewirer = build_rewirer(&topo, cfg, &split.train);
+        // Strategy set-up (the `reference` kNN graph, the `dhgr`
+        // calibration) gets its own span, so it never reads as
+        // `driver.run` self time.
+        let rewirer = {
+            let _span = telemetry::span("rewire.strategy_setup");
+            build_rewirer(&topo, cfg, &split.train)
+        };
 
         // On the resume path these are placeholders: `restore` overwrites
         // every one of them, so the (expensive) evaluations are skipped.

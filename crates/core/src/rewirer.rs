@@ -37,7 +37,7 @@ use graphrare_rl::{
     AgentState, GlobalPolicy, PpoAgent, PpoConfig, PpoStats, RolloutBuffer, ValueNet,
 };
 use graphrare_tensor::optim::AdamSnapshot;
-use graphrare_tensor::Matrix;
+use graphrare_tensor::{CsrMatrix, DenseRow};
 
 use graphrare_graph::edge_key;
 
@@ -299,26 +299,36 @@ enum Criteria {
     /// DHGR similarity scoring: cosine feature similarity plus a
     /// training-label agreement term, thresholded at `tau` (the median
     /// score over the original graph's edges).
-    Dhgr { feats: Matrix, norms: Vec<f32>, known: Vec<Option<usize>>, tau: f32 },
+    Dhgr { feats: CsrMatrix, norms: Vec<f32>, known: Vec<Option<usize>>, tau: f32 },
     /// Reference-graph membership: the symmetric feature-kNN relation.
     Reference { relation: FxHashSet<u64> },
 }
 
 impl Criteria {
-    /// Whether candidate edge `(v, u)` should be added.
-    fn accept_add(&self, v: usize, u: usize) -> bool {
+    /// Loads node `v`'s features into `row` when the criteria score
+    /// features: the `row` argument of the `accept_*` calls about `v`.
+    fn load(&self, v: usize, row: &mut DenseRow) {
+        if let Criteria::Dhgr { feats, .. } = self {
+            feats.load_row(v, row);
+        }
+    }
+
+    /// Whether candidate edge `(v, u)` should be added; `row` holds
+    /// node `v`'s [`load`](Criteria::load)ed features.
+    fn accept_add(&self, row: &DenseRow, v: usize, u: usize) -> bool {
         match self {
             Criteria::Hold => false,
-            Criteria::Dhgr { .. } => self.dhgr_score(v, u) > self.dhgr_tau(),
+            Criteria::Dhgr { .. } => self.dhgr_score(row, v, u) > self.dhgr_tau(),
             Criteria::Reference { relation } => relation.contains(&edge_key(v, u)),
         }
     }
 
-    /// Whether original edge `(v, u)` should be deleted.
-    fn accept_del(&self, v: usize, u: usize) -> bool {
+    /// Whether original edge `(v, u)` should be deleted; `row` as for
+    /// [`accept_add`](Criteria::accept_add).
+    fn accept_del(&self, row: &DenseRow, v: usize, u: usize) -> bool {
         match self {
             Criteria::Hold => false,
-            Criteria::Dhgr { .. } => self.dhgr_score(v, u) < self.dhgr_tau(),
+            Criteria::Dhgr { .. } => self.dhgr_score(row, v, u) < self.dhgr_tau(),
             Criteria::Reference { relation } => !relation.contains(&edge_key(v, u)),
         }
     }
@@ -333,11 +343,12 @@ impl Criteria {
     /// DHGR pair score: cosine feature similarity, nudged by training
     /// labels when both endpoints have one (+0.25 same class, −0.25
     /// different), mirroring DHGR's combined feature/label similarity.
-    fn dhgr_score(&self, v: usize, u: usize) -> f32 {
+    /// `row` holds node `v`'s features.
+    fn dhgr_score(&self, row: &DenseRow, v: usize, u: usize) -> f32 {
         let Criteria::Dhgr { feats, norms, known, .. } = self else {
             unreachable!("dhgr_score on a non-DHGR criteria");
         };
-        let mut score = cosine(feats.row(v), feats.row(u), norms[v], norms[u]);
+        let mut score = cosine(feats.row_dot(u, row), norms[v], norms[u]);
         if let (Some(a), Some(b)) = (known[v], known[u]) {
             score += if a == b { 0.25 } else { -0.25 };
         }
@@ -386,10 +397,8 @@ impl TargetDriven {
 
     fn dhgr(topo: &TopologyOptimizer, cfg: &GraphRareConfig, train_mask: &[usize]) -> Self {
         let base = topo.base();
-        let feats = base.features().clone();
-        let norms: Vec<f32> = (0..base.num_nodes())
-            .map(|v| feats.row(v).iter().map(|x| x * x).sum::<f32>().sqrt())
-            .collect();
+        let feats = CsrMatrix::from_dense(base.features());
+        let norms = row_norms(&feats);
         let mut known = vec![None; base.num_nodes()];
         for &v in train_mask {
             known[v] = Some(base.labels()[v]);
@@ -399,8 +408,15 @@ impl TargetDriven {
         // edge, deletions less. Frozen at G_0 so refresh boundaries keep
         // comparing against the same yardstick.
         let mut criteria = Criteria::Dhgr { feats, norms, known, tau: 0.0 };
-        let mut scores: Vec<f32> =
-            base.edge_vec().iter().map(|&(u, v)| criteria.dhgr_score(u, v)).collect();
+        let mut row = DenseRow::default();
+        let mut scores: Vec<f32> = base
+            .edge_vec()
+            .iter()
+            .map(|&(u, v)| {
+                criteria.load(u, &mut row);
+                criteria.dhgr_score(&row, u, v)
+            })
+            .collect();
         scores.sort_unstable_by(f32::total_cmp);
         let tau = if scores.is_empty() { 0.0 } else { scores[scores.len() / 2] };
         if let Criteria::Dhgr { tau: t, .. } = &mut criteria {
@@ -488,15 +504,17 @@ fn prefix_targets(
     let seqs = topo.sequences();
     let mut k_target = vec![0u16; n];
     let mut d_target = vec![0u16; n];
+    let mut row = DenseRow::default();
     for v in 0..n {
+        criteria.load(v, &mut row);
         for &(u, _) in seqs.additions(v).iter().take(k_bounds[v] as usize) {
-            if !criteria.accept_add(v, u as usize) {
+            if !criteria.accept_add(&row, v, u as usize) {
                 break;
             }
             k_target[v] += 1;
         }
         for &(u, _) in seqs.deletions(v).iter().take(d_bounds[v] as usize) {
-            if !criteria.accept_del(v, u as usize) {
+            if !criteria.accept_del(&row, v, u as usize) {
                 break;
             }
             d_target[v] += 1;
@@ -505,11 +523,23 @@ fn prefix_targets(
     (k_target, d_target)
 }
 
-fn cosine(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
+/// Euclidean norm of every feature row, as `f32`.
+fn row_norms(feats: &CsrMatrix) -> Vec<f32> {
+    let mut row = DenseRow::default();
+    (0..feats.rows())
+        .map(|v| {
+            feats.load_row(v, &mut row);
+            feats.row_dot::<f32>(v, &row).sqrt()
+        })
+        .collect()
+}
+
+/// Cosine similarity from a feature dot and the two rows' norms; 0 when
+/// either row is zero.
+fn cosine(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
     if norm_a == 0.0 || norm_b == 0.0 {
         return 0.0;
     }
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
     dot / (norm_a * norm_b)
 }
 
@@ -520,21 +550,26 @@ fn cosine(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
 fn knn_relation(base: &graphrare_graph::Graph) -> FxHashSet<u64> {
     let n = base.num_nodes();
     let k = if n == 0 { 2 } else { (2 * base.num_edges() / n.max(1)).clamp(2, 8) };
-    let feats = base.features();
-    let norms: Vec<f32> =
-        (0..n).map(|v| feats.row(v).iter().map(|x| x * x).sum::<f32>().sqrt()).collect();
+    let feats = CsrMatrix::from_dense(base.features());
+    let norms = row_norms(&feats);
     let mut relation = FxHashSet::default();
+    let mut row = DenseRow::default();
     let mut sims: Vec<(f32, usize)> = Vec::with_capacity(n.saturating_sub(1));
     for v in 0..n {
+        feats.load_row(v, &mut row);
         sims.clear();
         for u in 0..n {
             if u != v {
-                sims.push((cosine(feats.row(v), feats.row(u), norms[v], norms[u]), u));
+                sims.push((cosine(feats.row_dot(u, &row), norms[v], norms[u]), u));
             }
         }
         // Highest similarity first; equal similarities prefer the lower
-        // node index so the relation never depends on iteration order.
-        sims.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        // node index. That is a strict total order, so selecting the top
+        // `k` yields the same set as a full sort, whatever the iteration
+        // order.
+        if sims.len() > k {
+            sims.select_nth_unstable_by(k, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        }
         for &(_, u) in sims.iter().take(k) {
             relation.insert(edge_key(v, u));
         }
@@ -548,6 +583,7 @@ mod tests {
     use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
     use graphrare_entropy::{EntropySequences, RelativeEntropyTable};
     use graphrare_graph::Graph;
+    use graphrare_tensor::Matrix;
 
     fn fixture() -> (Graph, Vec<usize>, GraphRareConfig) {
         let spec = DatasetSpec {
@@ -693,6 +729,106 @@ mod tests {
             assert_eq!(stats.is_some(), window_end);
         }
         assert_eq!(rw.export_buffer().len(), 0, "buffer must clear after an update");
+    }
+
+    /// Cosine over dense rows: an `f32` dot over every column, summed
+    /// by `Iterator::sum`.
+    fn dense_cosine(g: &Graph, v: usize, u: usize) -> f32 {
+        let (a, b) = (g.features().row(v), g.features().row(u));
+        let norm = |r: &[f32]| r.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let (na, nb) = (norm(a), norm(b));
+        if na == 0.0 || nb == 0.0 {
+            return 0.0;
+        }
+        let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+        dot / (na * nb)
+    }
+
+    /// Twelve nodes over six columns: most pairs share no nonzero
+    /// column, node 6 is all zero, and nodes 0 and 3 overlap but their
+    /// dot cancels to exactly zero. Node 2 has one positive neighbour
+    /// in feature space, so its second kNN slot is a tie at zero, which
+    /// goes to node 0. Node 0's entries are all negative, so its dot
+    /// with node 2 adds only `−0.0` products: it is `+0.0`, tied with
+    /// the other zeros, only when the sum starts from `+0.0`.
+    fn zero_overlap_graph() -> Graph {
+        let rows: [[f32; 6]; 12] = [
+            [-1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+            [1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0; 6],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0, 0.0, 0.0, 1.0],
+        ];
+        let feats = Matrix::from_fn(12, 6, |r, c| rows[r][c]);
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 8),
+            (8, 9),
+            (9, 10),
+            (10, 11),
+            (11, 0),
+        ];
+        Graph::from_edges(12, &edges, feats, (0..12).map(|v| v % 3).collect(), 3)
+    }
+
+    #[test]
+    fn feature_similarities_match_the_dense_cosine_on_zero_overlap_pairs() {
+        let g = zero_overlap_graph();
+        let n = g.num_nodes();
+        // The reference relation: every node's top-K by dense cosine,
+        // from a full sort.
+        let k = (2 * g.num_edges() / n).clamp(2, 8);
+        let mut want = FxHashSet::default();
+        for v in 0..n {
+            let mut sims: Vec<(f32, usize)> =
+                (0..n).filter(|&u| u != v).map(|u| (dense_cosine(&g, v, u), u)).collect();
+            sims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            want.extend(sims.iter().take(k).map(|&(_, u)| edge_key(v, u)));
+        }
+        assert!(want.contains(&edge_key(2, 0)), "node 2's zero tie must go to node 0");
+        assert_eq!(knn_relation(&g), want);
+
+        // DHGR: the same median-calibrated score and prefix targets,
+        // from dense cosines.
+        let mut cfg = GraphRareConfig::fast().with_seed(5);
+        cfg.rewirer = RewirerKind::Dhgr;
+        let train: Vec<usize> = (0..n).step_by(2).collect();
+        let topo = optimizer(&g, &cfg);
+        let score = |v: usize, u: usize| {
+            let mut s = dense_cosine(&g, v, u);
+            if train.contains(&v) && train.contains(&u) {
+                s += if g.labels()[v] == g.labels()[u] { 0.25 } else { -0.25 };
+            }
+            s
+        };
+        let mut scores: Vec<f32> = g.edge_vec().iter().map(|&(u, v)| score(u, v)).collect();
+        scores.sort_unstable_by(f32::total_cmp);
+        let tau = scores[scores.len() / 2];
+        let (k_bounds, d_bounds) = (topo.k_bounds(cfg.k_cap), topo.d_bounds(cfg.k_cap));
+        let prefix = |list: &[(u32, f32)], bound: u16, accept: &dyn Fn(usize) -> bool| {
+            list.iter().take(bound as usize).take_while(|&&(u, _)| accept(u as usize)).count()
+                as u16
+        };
+        let rw = TargetDriven::dhgr(&topo, &cfg, &train);
+        let seqs = topo.sequences();
+        for v in 0..n {
+            let k = prefix(seqs.additions(v), k_bounds[v], &|u| score(v, u) > tau);
+            let d = prefix(seqs.deletions(v), d_bounds[v], &|u| score(v, u) < tau);
+            assert_eq!((rw.k_target[v], rw.d_target[v]), (k, d), "dhgr targets of node {v}");
+        }
     }
 
     #[test]

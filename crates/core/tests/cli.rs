@@ -118,4 +118,16 @@ fn cli_usage_on_bad_flags() {
         .expect("CLI binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // A λ the serve protocol refuses is refused here too, before any
+    // input is read, with the same message.
+    for lambda in ["nan", "inf", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_graphrare"))
+            .args(["--input", "/nonexistent/prefix", "--lambda", lambda])
+            .output()
+            .expect("CLI binary runs");
+        assert_eq!(out.status.code(), Some(2), "--lambda {lambda} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("must be finite and non-negative"), "--lambda {lambda}: {stderr}");
+        assert!(stderr.contains("usage:"), "--lambda {lambda}: {stderr}");
+    }
 }

@@ -9,9 +9,13 @@
 //! A rescale of `log P` would be the same thing, because the softmax
 //! normaliser is one constant shift that the rescale cancels; it is
 //! therefore never computed.
+//!
+//! The features are held as CSR rows and every dot goes through
+//! [`CsrMatrix::row_dot`]: only stored entries are multiplied, and the
+//! result equals the dense loop's bit for bit on finite features.
 
 use graphrare_graph::Graph;
-use graphrare_tensor::Matrix;
+use graphrare_tensor::{CsrMatrix, DenseRow, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,12 +35,19 @@ impl Default for RelativeEntropyConfig {
     }
 }
 
+/// How far a computed Jensen–Shannon divergence may stray outside its
+/// mathematical range `[0, 1]`. It is a sum of one term per profile
+/// entry, each term and their absolute sum at most about 1, so its
+/// rounding error stays below `len · 2⁻⁵²` — under 1e-9 for any profile
+/// shorter than ten million entries. The margin is far wider than that.
+const JS_ROUNDING_MARGIN: f64 = 1e-6;
+
 /// Precomputed pairwise node relative entropy.
 ///
-/// Built once before training (Algorithm 1, lines 1–5); queries are `O(F +
-/// M)` per pair.
+/// Built once before training (Algorithm 1, lines 1–5); a query costs
+/// the stored features of the two nodes plus `O(M)` for `H_s`.
 pub struct RelativeEntropyTable {
-    features: Matrix,
+    features: CsrMatrix,
     structural: StructuralEntropyTable,
     lambda: f64,
     f_offset: f64,
@@ -51,7 +62,7 @@ impl RelativeEntropyTable {
         let mut clock = graphrare_telemetry::Stopwatch::start();
         let features = {
             let _span = graphrare_telemetry::span("entropy.feature_table");
-            g.features().clone()
+            CsrMatrix::from_dense(g.features())
         };
         let feature_ns = clock.lap_ns();
         let structural = {
@@ -92,7 +103,20 @@ impl RelativeEntropyTable {
     /// Feature entropy `H_f(v, u) ∈ [0, 1]` (Eq. 4 under the rescale in
     /// the module docs). Symmetric; larger means more similar features.
     pub fn feature_entropy(&self, v: usize, u: usize) -> f64 {
-        let d = dot(self.features.row(v), self.features.row(u));
+        let mut row = DenseRow::default();
+        self.load_features(v, &mut row);
+        self.feature_entropy_from(&row, u)
+    }
+
+    /// Loads node `v`'s feature row into `row`, for
+    /// [`Self::feature_entropy_from`].
+    pub(crate) fn load_features(&self, v: usize, row: &mut DenseRow) {
+        self.features.load_row(v, row);
+    }
+
+    /// `H_f(v, u)`, with node `v`'s features loaded in `row`.
+    pub(crate) fn feature_entropy_from(&self, row: &DenseRow, u: usize) -> f64 {
+        let d: f64 = self.features.row_dot(u, row);
         ((d - self.f_offset) * self.f_scale).clamp(0.0, 1.0)
     }
 
@@ -103,7 +127,26 @@ impl RelativeEntropyTable {
 
     /// Node relative entropy `H(v, u)` (Eq. 9).
     pub fn entropy(&self, v: usize, u: usize) -> f64 {
-        self.feature_entropy(v, u) + self.lambda * self.structural_entropy(v, u)
+        self.with_structure(self.feature_entropy(v, u), v, u)
+    }
+
+    /// `H(v, u)` from its feature part `hf = H_f(v, u)`.
+    pub(crate) fn with_structure(&self, hf: f64, v: usize, u: usize) -> f64 {
+        hf + self.lambda * self.structural_entropy(v, u)
+    }
+
+    /// An upper bound on `H(v, u)`, as computed, that needs only `hf =
+    /// H_f(v, u)`: [`Self::with_structure`] with `H_s` replaced by its
+    /// largest possible contribution, `1 + margin` for `λ ≥ 0` and
+    /// `−margin` below. `JS_ROUNDING_MARGIN` allows for a divergence
+    /// that rounds outside `[0, 1]`. The structure of the sum is the
+    /// same, and float addition and multiplication are monotone, so the
+    /// bound is never below the computed `H`, nor is its `f32` rounding
+    /// below `H`'s. A NaN `λ` gives a NaN bound, an infinite one `+∞`.
+    pub(crate) fn entropy_bound(&self, hf: f64) -> f64 {
+        // The `H_s` that maximises `λ·H_s`.
+        let hs = if self.lambda >= 0.0 { 1.0 + JS_ROUNDING_MARGIN } else { -JS_ROUNDING_MARGIN };
+        hf + self.lambda * hs
     }
 
     /// The structural component table.
@@ -136,8 +179,11 @@ impl RelativeEntropyTable {
         let n = self.len();
         let mut m = Matrix::zeros(n, n);
         graphrare_tensor::parallel::par_for_each_row(m.as_mut_slice(), n, |v, row| {
+            let mut features = DenseRow::default();
+            self.load_features(v, &mut features);
             for (u, slot) in row.iter_mut().enumerate().skip(v) {
-                *slot = self.entropy(v, u) as f32;
+                let hf = self.feature_entropy_from(&features, u);
+                *slot = self.with_structure(hf, v, u) as f32;
             }
         });
         for v in 0..n {
@@ -150,10 +196,6 @@ impl RelativeEntropyTable {
     }
 }
 
-fn dot(a: &[f32], b: &[f32]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum()
-}
-
 /// Min–max range of the feature dots over the graph's off-diagonal pairs:
 /// exact for small graphs, estimated from 100k sampled pairs otherwise.
 /// Returns `(offset, scale)` such that `(dot - offset) * scale ∈ [0, 1]`;
@@ -163,35 +205,38 @@ fn dot(a: &[f32], b: &[f32]) -> f64 {
 /// and max are exactly associative, so the result is bit-identical for
 /// any thread count. The sampled branch keeps its single sequential RNG
 /// stream (it is cheap and its determinism depends on draw order).
-fn feature_range(features: &Matrix) -> (f64, f64) {
+fn feature_range(features: &CsrMatrix) -> (f64, f64) {
     let n = features.rows();
-    let pair_dot = |v: usize, u: usize| dot(features.row(v), features.row(u));
     // The diagonal is excluded: self-dots of sparse bag-of-words features
     // are far larger than any cross-pair dot and would squash every real
     // candidate pair into a sliver of the unit interval.
     let (lo, hi) = if n <= 1200 {
-        graphrare_tensor::parallel::par_fold(
+        let (lo, hi, _) = graphrare_tensor::parallel::par_fold(
             n,
-            || (f64::INFINITY, f64::NEG_INFINITY),
-            |(mut lo, mut hi), v| {
+            || (f64::INFINITY, f64::NEG_INFINITY, DenseRow::default()),
+            |(mut lo, mut hi, mut row), v| {
+                features.load_row(v, &mut row);
                 for u in (v + 1)..n {
-                    let d = pair_dot(v, u);
+                    let d: f64 = features.row_dot(u, &row);
                     lo = lo.min(d);
                     hi = hi.max(d);
                 }
-                (lo, hi)
+                (lo, hi, row)
             },
-            |(lo_a, hi_a), (lo_b, hi_b)| (lo_a.min(lo_b), hi_a.max(hi_b)),
-        )
+            |(lo_a, hi_a, row), (lo_b, hi_b, _)| (lo_a.min(lo_b), hi_a.max(hi_b), row),
+        );
+        (lo, hi)
     } else {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut rng = StdRng::seed_from_u64(0xfea7);
+        let mut row = DenseRow::default();
         for _ in 0..100_000 {
             let v = rng.gen_range(0..n);
             let u = rng.gen_range(0..n);
             if v != u {
-                let d = pair_dot(v, u);
+                features.load_row(v, &mut row);
+                let d: f64 = features.row_dot(u, &row);
                 lo = lo.min(d);
                 hi = hi.max(d);
             }

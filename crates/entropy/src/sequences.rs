@@ -12,11 +12,21 @@
 //! The candidate pool is configurable: a BFS remote ring (the common case;
 //! "semantically related nodes might be multi-hop away") or a global
 //! sample for graphs whose rings explode.
+//!
+//! A node keeps only its best `max_additions` candidates, so the build
+//! computes the cheap `H_f` of every candidate but the structural `H_s`
+//! (a Jensen–Shannon divergence) only for a candidate that could still
+//! enter the list: one whose upper bound on `H` is not below the `H` of
+//! the worst entry of a full list.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use graphrare_graph::{traversal, Graph};
+use graphrare_tensor::DenseRow;
 
 use crate::relative::RelativeEntropyTable;
 
@@ -72,18 +82,62 @@ fn by_entropy_asc(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
-/// Per-thread scratch for [`build_row`]: the BFS ring state and the
-/// candidate id buffer, reused across nodes so the node-parallel build
-/// allocates only its output rankings.
+/// A held addition candidate `(id, H)`. It orders like
+/// [`by_entropy_desc`], so the top of a max-heap of them is the
+/// worst-ranked entry.
+struct Held(u32, f32);
+
+impl Ord for Held {
+    fn cmp(&self, other: &Self) -> Ordering {
+        by_entropy_desc(&(self.0, self.1), &(other.0, other.1))
+    }
+}
+
+impl PartialOrd for Held {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Held {}
+
+/// Per-thread scratch for [`build_row`]: the BFS ring state, the
+/// candidate id buffer, the ego node's loaded feature row, the
+/// candidates' `(H_f, id)` and the running top list, reused across nodes
+/// so the node-parallel build allocates only its output rankings.
 pub(crate) struct BuildScratch {
     ring: traversal::RingScratch,
     candidates: Vec<usize>,
+    features: DenseRow,
+    scored: Vec<(f64, usize)>,
+    top: BinaryHeap<Held>,
 }
 
 impl BuildScratch {
     pub(crate) fn new() -> Self {
-        Self { ring: traversal::RingScratch::new(), candidates: Vec::new() }
+        Self {
+            ring: traversal::RingScratch::new(),
+            candidates: Vec::new(),
+            features: DenseRow::default(),
+            scored: Vec::new(),
+            top: BinaryHeap::new(),
+        }
     }
+}
+
+/// Node `v`'s `(additions, deletions)` rankings, plus how many addition
+/// candidates it scored and for how many of them it computed `H_s`.
+pub(crate) struct RowBuild {
+    pub(crate) additions: Ranking,
+    pub(crate) deletions: Ranking,
+    pub(crate) pairs: u64,
+    pub(crate) js_evals: u64,
 }
 
 /// Fills `scratch.candidates` with node `v`'s addition-candidate pool.
@@ -100,33 +154,68 @@ fn candidates_into(g: &Graph, pool: CandidatePool, v: usize, scratch: &mut Build
     }
 }
 
-/// Builds node `v`'s `(additions, deletions)` rankings — the single code
-/// path shared by the full build, the incremental engine's dirty-row
-/// rebuilds, and the wholesale fallback, which is what makes their
-/// outputs bit-identical by construction.
+/// Builds node `v`'s rankings — the single code path shared by the full
+/// build, the incremental engine's dirty-row rebuilds, and the wholesale
+/// fallback, which is what makes their outputs bit-identical by
+/// construction.
+///
+/// The additions are the best `max_additions` candidates under the
+/// strict total order [`by_entropy_desc`], held in a max-heap whose top
+/// is the worst of them. Once the heap is full, a candidate whose bound
+/// ([`RelativeEntropyTable::entropy_bound`], rounded to `f32`) is
+/// strictly below the top's stored `H` ranks strictly below `max_additions`
+/// held entries whatever its `H_s`, so its `H_s` is never computed. The
+/// top only improves, so no skipped candidate belongs in the final list,
+/// which therefore equals a full sort truncated to `max_additions`. A NaN
+/// or infinite bound compares below nothing and never skips. Deletions
+/// keep every neighbour and are always computed in full.
 pub(crate) fn build_row(
     g: &Graph,
     table: &RelativeEntropyTable,
     cfg: &SequenceConfig,
     v: usize,
     scratch: &mut BuildScratch,
-) -> (Ranking, Ranking) {
+) -> RowBuild {
     candidates_into(g, cfg.pool, v, scratch);
-    let mut ranked: Vec<(u32, f32)> =
-        scratch.candidates.iter().map(|&u| (u as u32, table.entropy(v, u) as f32)).collect();
-    // Partial selection: move the top `max_additions` to the front in
-    // O(len), then sort only that prefix. With the total order above
-    // this equals a full sort + truncate.
-    if ranked.len() > cfg.max_additions {
-        ranked.select_nth_unstable_by(cfg.max_additions, by_entropy_desc);
-        ranked.truncate(cfg.max_additions);
+    table.load_features(v, &mut scratch.features);
+    let features = &scratch.features;
+    let scored = &mut scratch.scored;
+    scored.clear();
+    scored.extend(scratch.candidates.iter().map(|&u| (table.feature_entropy_from(features, u), u)));
+    // Visit the `max_additions` largest `H_f` first, so the cut-off starts
+    // near its final value and bounds the rest tightly. The list does
+    // not depend on the visit order.
+    if cfg.max_additions > 0 && scored.len() > cfg.max_additions {
+        scored.select_nth_unstable_by(cfg.max_additions - 1, |a, b| b.0.total_cmp(&a.0));
     }
-    ranked.sort_unstable_by(by_entropy_desc);
+    let top = &mut scratch.top;
+    let mut js_evals = 0;
+    for &(hf, u) in scored.iter() {
+        let full = top.len() == cfg.max_additions;
+        if full && top.peek().is_some_and(|worst| (table.entropy_bound(hf) as f32) < worst.1) {
+            continue;
+        }
+        js_evals += 1;
+        let held = Held(u as u32, table.with_structure(hf, v, u) as f32);
+        if !full {
+            top.push(held);
+        } else if let Some(mut worst) = top.peek_mut() {
+            if held < *worst {
+                *worst = held;
+            }
+        }
+    }
+    let mut additions: Ranking = top.drain().map(|Held(u, h)| (u, h)).collect();
+    additions.sort_unstable_by(by_entropy_desc);
 
-    let mut dels: Vec<(u32, f32)> =
-        g.neighbors(v).map(|u| (u as u32, table.entropy(v, u) as f32)).collect();
-    dels.sort_unstable_by(by_entropy_asc);
-    (ranked, dels)
+    let mut deletions: Ranking = g
+        .neighbors(v)
+        .map(|u| {
+            (u as u32, table.with_structure(table.feature_entropy_from(features, u), v, u) as f32)
+        })
+        .collect();
+    deletions.sort_unstable_by(by_entropy_asc);
+    RowBuild { additions, deletions, pairs: scratch.candidates.len() as u64, js_evals }
 }
 
 /// Per-node ranked addition and deletion candidates.
@@ -145,22 +234,39 @@ impl EntropySequences {
     /// draws from a per-node RNG seeded `seed ^ v`, making the sample
     /// independent of visit order — the output is identical for any
     /// thread count.
+    ///
+    /// The `entropy_sequences` event and the `entropy.pairs` /
+    /// `entropy.js_evals` counters report how many addition candidates
+    /// were scored and for how many `H_s` was computed (the rest were
+    /// ruled out by a bound, see the module docs); both counts are the
+    /// same for any thread count.
     pub fn build(g: &Graph, table: &RelativeEntropyTable, cfg: &SequenceConfig) -> Self {
         let _span = graphrare_telemetry::span("entropy.sequence_build");
         let clock = graphrare_telemetry::Stopwatch::start();
         let n = g.num_nodes();
-        let per_node: Vec<(Ranking, Ranking)> =
+        let rows =
             graphrare_tensor::parallel::par_map_scratch(n, BuildScratch::new, |scratch, v| {
                 build_row(g, table, cfg, v, scratch)
             });
-        let (additions, deletions) = per_node.into_iter().unzip();
+        let (mut pairs, mut js_evals) = (0, 0);
+        let mut seqs = Self { additions: Vec::with_capacity(n), deletions: Vec::with_capacity(n) };
+        for row in rows {
+            pairs += row.pairs;
+            js_evals += row.js_evals;
+            seqs.additions.push(row.additions);
+            seqs.deletions.push(row.deletions);
+        }
         let build_ns = clock.ns();
+        graphrare_telemetry::counter("entropy.pairs", pairs);
+        graphrare_telemetry::counter("entropy.js_evals", js_evals);
         graphrare_telemetry::emit_with(|| {
             graphrare_telemetry::Event::new("entropy_sequences")
                 .u64("nodes", n as u64)
+                .u64("pairs", pairs)
+                .u64("js_evals", js_evals)
                 .u64("build_ns", build_ns)
         });
-        Self { additions, deletions }
+        seqs
     }
 
     /// Rebuilds the rankings of exactly the given rows in place, using
@@ -174,14 +280,14 @@ impl EntropySequences {
         cfg: &SequenceConfig,
         rows: &[usize],
     ) {
-        let rebuilt: Vec<(Ranking, Ranking)> = graphrare_tensor::parallel::par_map_scratch(
+        let rebuilt = graphrare_tensor::parallel::par_map_scratch(
             rows.len(),
             BuildScratch::new,
             |scratch, i| build_row(g, table, cfg, rows[i], scratch),
         );
-        for (&v, (adds, dels)) in rows.iter().zip(rebuilt) {
-            self.additions[v] = adds;
-            self.deletions[v] = dels;
+        for (&v, row) in rows.iter().zip(rebuilt) {
+            self.additions[v] = row.additions;
+            self.deletions[v] = row.deletions;
         }
     }
 
@@ -380,11 +486,13 @@ mod tests {
 
     #[test]
     fn non_finite_entropies_sort_without_panicking() {
-        // An infinite feature against a zero row drives the pair's feature
-        // entropy to NaN (0 x inf inside the dot product), which used to panic the
-        // `partial_cmp(..).unwrap()` ranking comparators. `total_cmp`
-        // keeps the order total: the build must succeed and still cover
-        // every neighbour / candidate deterministically.
+        // An infinite feature makes the feature range non-finite, so its
+        // scale is 0, and the pair (0, 3) whose dot is infinite gets a
+        // feature entropy of inf x 0 = NaN. That used to panic the
+        // `partial_cmp(..).unwrap()` ranking comparators; `total_cmp`
+        // keeps the order total, and a NaN bound never skips a
+        // candidate: the build must succeed and still cover every
+        // neighbour / candidate deterministically.
         let mut feats = Matrix::zeros(4, 2);
         feats.set(0, 0, f32::INFINITY);
         feats.set(3, 0, 1.0);
@@ -398,6 +506,7 @@ mod tests {
         for v in 0..g.num_nodes() {
             assert_eq!(seqs.max_d(v), g.degree(v), "deletion list of {v} lost neighbours");
         }
+        assert!(seqs.additions(0).iter().any(|&(u, h)| u == 3 && h.is_nan()), "no NaN ranked");
         // Building twice yields the same ranking: NaN ordering is total.
         let again = EntropySequences::build(
             &g,

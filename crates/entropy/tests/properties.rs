@@ -4,11 +4,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use graphrare_entropy::structural::{degree_distribution, js_divergence};
+use graphrare_entropy::structural::{degree_distribution, js_divergence, structural_entropy};
 use graphrare_entropy::{
-    EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
+    CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
 };
-use graphrare_graph::Graph;
+use graphrare_graph::{traversal, Graph};
 use graphrare_tensor::Matrix;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -22,8 +22,123 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Graphs whose rows mix signed sparse features, all-zero rows and
+/// signed one-hot rows, so that many pairs share no nonzero column.
+fn arb_signed_graph() -> impl Strategy<Value = Graph> {
+    (3usize..24, 1usize..7, any::<u64>()).prop_map(|(n, f, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values = [-2.0f32, -1.0, -0.5, 0.25, 1.0, 3.0];
+        let mut features = Matrix::zeros(n, f);
+        for v in 0..n {
+            match rng.gen_range(0..3) {
+                0 => {}
+                1 => features.set(v, rng.gen_range(0..f), values[rng.gen_range(0..values.len())]),
+                _ => {
+                    for c in 0..f {
+                        if rng.gen_bool(0.4) {
+                            features.set(v, c, values[rng.gen_range(0..values.len())]);
+                        }
+                    }
+                }
+            }
+        }
+        let edges: Vec<(usize, usize)> = (0..rng.gen_range(0..2 * n))
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .collect();
+        let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        Graph::from_edges(n, &edges, features, labels, 2)
+    })
+}
+
+/// The dense `f64` feature dot: every column, summed by
+/// `Iterator::sum`.
+fn dense_dot(g: &Graph, v: usize, u: usize) -> f64 {
+    let (a, b) = (g.features().row(v), g.features().row(u));
+    a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum()
+}
+
+type Ranking = Vec<(u32, f32)>;
+
+/// Reference rankings: the exact min–max range over all off-diagonal
+/// dense dots, `H` for every candidate, a full sort, then truncation.
+/// The candidate pool is the remote ring for [`CandidatePool::RemoteRing`]
+/// and the ids an untruncated build ranks for the sampled pool.
+fn oracle_rankings(g: &Graph, lambda: f64, cfg: &SequenceConfig) -> Vec<(Ranking, Ranking)> {
+    let n = g.num_nodes();
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in 0..n {
+        for u in (v + 1)..n {
+            let d = dense_dot(g, v, u);
+            lo = lo.min(d);
+            hi = hi.max(d);
+        }
+    }
+    let (offset, scale) = if !lo.is_finite() || !hi.is_finite() || hi - lo < 1e-300 {
+        (0.0, 0.0)
+    } else {
+        (lo, 1.0 / (hi - lo))
+    };
+    let h = |v: usize, u: usize| -> f32 {
+        let hf = ((dense_dot(g, v, u) - offset) * scale).clamp(0.0, 1.0);
+        (hf + lambda * structural_entropy(g, v, u)) as f32
+    };
+    let untruncated = match cfg.pool {
+        CandidatePool::RemoteRing { .. } => None,
+        CandidatePool::GlobalSample { .. } => {
+            let table = RelativeEntropyTable::new(g, &RelativeEntropyConfig { lambda });
+            let all = SequenceConfig { max_additions: n, ..*cfg };
+            Some(EntropySequences::build(g, &table, &all))
+        }
+    };
+    (0..n)
+        .map(|v| {
+            let pool: Vec<usize> = match (&untruncated, cfg.pool) {
+                (None, CandidatePool::RemoteRing { hops }) => traversal::remote_ring(g, v, hops),
+                (Some(all), _) => all.additions(v).iter().map(|&(u, _)| u as usize).collect(),
+                (None, CandidatePool::GlobalSample { .. }) => unreachable!(),
+            };
+            let mut adds: Vec<(u32, f32)> = pool.iter().map(|&u| (u as u32, h(v, u))).collect();
+            adds.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            adds.truncate(cfg.max_additions);
+            let mut dels: Vec<(u32, f32)> = g.neighbors(v).map(|u| (u as u32, h(v, u))).collect();
+            dels.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            (adds, dels)
+        })
+        .collect()
+}
+
+fn bits(list: &[(u32, f32)]) -> Vec<(u32, u32)> {
+    list.iter().map(|&(u, h)| (u, h.to_bits())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The sequences equal the reference rankings bit for bit, for every
+    /// λ (negative and NaN included), both pools and several list sizes.
+    #[test]
+    fn sequences_match_the_dense_full_sort_oracle(g in arb_signed_graph()) {
+        let pools = [
+            CandidatePool::RemoteRing { hops: 3 },
+            CandidatePool::GlobalSample { per_node: 6, seed: 9 },
+        ];
+        for lambda in [-1.0, 0.0, 0.1, 1.0, 10.0, f64::NAN] {
+            let table = RelativeEntropyTable::new(&g, &RelativeEntropyConfig { lambda });
+            for pool in pools {
+                for max_additions in [1, 4, 16] {
+                    let cfg = SequenceConfig { pool, max_additions };
+                    let got = EntropySequences::build(&g, &table, &cfg);
+                    for (v, (adds, dels)) in oracle_rankings(&g, lambda, &cfg).iter().enumerate() {
+                        prop_assert_eq!(
+                            bits(got.additions(v)), bits(adds),
+                            "additions of {} (lambda {}, {:?}, m {})", v, lambda, pool, max_additions
+                        );
+                        prop_assert_eq!(bits(got.deletions(v)), bits(dels), "deletions of {}", v);
+                    }
+                }
+            }
+        }
+    }
 
     /// Degree distributions are valid probability vectors, descending.
     #[test]

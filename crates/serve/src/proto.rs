@@ -20,7 +20,7 @@
 
 use std::io::{Read, Write};
 
-use graphrare::{RewirerKind, RlAlgo};
+use graphrare::{validate_lambda, RewirerKind, RlAlgo};
 use graphrare_gnn::Backbone;
 use graphrare_store::crc32;
 use graphrare_store::wire::{ByteReader, ByteWriter};
@@ -266,9 +266,7 @@ impl RunSpec {
         if self.steps > 1_000_000 {
             return Err(format!("steps {} exceeds serving cap 1000000", self.steps));
         }
-        if !self.lambda.is_finite() || self.lambda < 0.0 {
-            return Err(format!("lambda {} must be finite and non-negative", self.lambda));
-        }
+        validate_lambda(self.lambda)?;
         if self.k_cap == 0 || self.k_cap > 10_000 {
             return Err(format!("k_cap {} outside 1..=10000", self.k_cap));
         }

@@ -79,5 +79,5 @@ pub mod tape;
 
 pub use matrix::Matrix;
 pub use param::Param;
-pub use sparse::CsrMatrix;
+pub use sparse::{CsrMatrix, DenseRow};
 pub use tape::{AdjList, Tape, Var};

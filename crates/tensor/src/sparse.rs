@@ -7,6 +7,14 @@
 //! The autograd tape treats a CSR operand as a constant: gradients only
 //! flow through the dense side, which matches how GNN propagation
 //! matrices and input features are used in the paper.
+//!
+//! Pairwise dots between feature rows (the relative entropy's `H_f` and
+//! the rewiring heuristics' cosines) go through one primitive:
+//! [`CsrMatrix::load_row`] scatters one row into a [`DenseRow`] and
+//! [`CsrMatrix::row_dot`] dots any row against it over that row's stored
+//! entries only.
+
+use std::ops::{Add, Mul};
 
 use rand::Rng;
 
@@ -364,6 +372,58 @@ impl CsrMatrix {
     }
 }
 
+/// One row of a [`CsrMatrix`] scattered into a dense buffer: the fixed
+/// operand of [`CsrMatrix::row_dot`]. A scratch reused across rows is
+/// reloaded by clearing only the columns the previous row stored, so a
+/// load costs the two rows' stored entries, not the column count.
+#[derive(Clone, Debug, Default)]
+pub struct DenseRow {
+    values: Vec<f32>,
+    stored: Vec<usize>,
+}
+
+impl CsrMatrix {
+    /// Loads row `r` into `row`, replacing whatever it held.
+    pub fn load_row(&self, r: usize, row: &mut DenseRow) {
+        for &c in &row.stored {
+            row.values[c] = 0.0;
+        }
+        row.stored.clear();
+        if row.values.len() < self.cols {
+            row.values.resize(self.cols, 0.0);
+        }
+        for (c, v) in self.row_entries_inner(r) {
+            row.values[c] = v;
+            row.stored.push(c);
+        }
+    }
+
+    /// Dot product of row `r` with the row loaded in `row` (from a
+    /// matrix with at least this one's columns), accumulated in `A`
+    /// (`f32` or `f64`): each stored `x` of row `r` adds `x · row[c]` in
+    /// ascending column order, folding from `+0.0`.
+    ///
+    /// This is the dense loop over every column, summed by
+    /// `Iterator::sum`, bit for bit for finite entries: a column row `r`
+    /// does not store adds a signed zero, which leaves a nonzero partial
+    /// sum unchanged, and every nonzero product is added in the dense
+    /// loop's order. The sum starts from `+0.0` because `Sum` for floats
+    /// starts from `−0.0` and `total_cmp` ranks `−0.0` below `+0.0`: a
+    /// pair sharing no nonzero column gets the dense loop's `+0.0`. The
+    /// one difference is a dense sum whose every product is `−0.0` (each
+    /// column pairs a zero with a negative value), which reads `−0.0`
+    /// densely and `+0.0` here. A non-finite entry only enters through
+    /// the columns row `r` stores, so `∞ · 0` from an unstored column is
+    /// never formed.
+    pub fn row_dot<A>(&self, r: usize, row: &DenseRow) -> A
+    where
+        A: From<f32> + Add<Output = A> + Mul<Output = A>,
+    {
+        self.row_entries_inner(r)
+            .fold(A::from(0.0), |acc, (c, x)| acc + A::from(x) * A::from(row.values[c]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,6 +565,37 @@ mod tests {
                 assert_eq!(bits(gd), bits(&td.value(x).matmul_tn(&g)));
             }
         }
+    }
+
+    /// `row_dot` against the dense `Iterator::sum` loop it replaces, in
+    /// both accumulators, on a reused scratch: every pair of `ragged()`'s
+    /// rows (empty rows, negative entries, pairs with no shared column)
+    /// and a pair whose dot cancels to exactly zero.
+    #[test]
+    fn row_dot_matches_the_dense_sum_bit_for_bit() {
+        let mut dense = ragged();
+        dense.set(4, 0, 2.0);
+        dense.set(4, 1, 2.5);
+        dense.set(1, 0, 1.25);
+        let m = CsrMatrix::from_dense(&dense);
+        let mut row = DenseRow::default();
+        for v in 0..m.rows() {
+            m.load_row(v, &mut row);
+            for u in 0..m.rows() {
+                let (a, b) = (dense.row(v), dense.row(u));
+                let want64: f64 = a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum();
+                let want32: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+                assert_eq!(m.row_dot::<f64>(u, &row).to_bits(), want64.to_bits(), "f64 ({v},{u})");
+                assert_eq!(m.row_dot::<f32>(u, &row).to_bits(), want32.to_bits(), "f32 ({v},{u})");
+            }
+        }
+        // No shared column: both read +0.0, where `Sum` over no terms
+        // would read -0.0.
+        m.load_row(2, &mut row);
+        assert_eq!(m.row_dot::<f32>(0, &row).to_bits(), 0.0f32.to_bits());
+        let cancel = CsrMatrix::from_dense(&Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, -1.0]));
+        cancel.load_row(0, &mut row);
+        assert_eq!(cancel.row_dot::<f64>(1, &row).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

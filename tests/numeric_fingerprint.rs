@@ -8,16 +8,17 @@
 //! little-endian bytes of `model_params` (what `--save-model` persists).
 //! The ranking cases CRC-32 every node's addition and deletion rankings,
 //! which covers both sides of the feature-entropy range switch (exact
-//! below 1,200 nodes, sampled above) and a graph whose feature range is
-//! degenerate.
+//! below 1,200 nodes, sampled above), a graph whose feature range is
+//! degenerate, the `drl-loop` benchmark shape under both candidate pools,
+//! and signed features where most pairs share no nonzero column.
 //! A kernel or autograd change that is meant to be byte-identical keeps
 //! every constant; one that legitimately changes the float summation
 //! order must update them and say why in CHANGES.md.
 
 use graphrare::{run, GraphRareConfig, RewirerKind};
-use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
+use graphrare_datasets::{generate_spec, stratified_split, Dataset, DatasetSpec};
 use graphrare_entropy::{
-    EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
+    CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
 };
 use graphrare_gnn::Backbone;
 use graphrare_store::crc32;
@@ -120,15 +121,50 @@ fn entropy_rankings_reproduce_their_fingerprint() {
     // degenerate and every pair's feature entropy is 0.
     let mut flat = ranking_graph(300, 3);
     flat.set_features(Matrix::from_fn(300, 32, |_, c| (c % 3) as f32));
-    let cases = [(ranking_graph(1300, 1), 0.1), (ranking_graph(1600, 2), 10.0), (flat, 1.0)];
+    // The `drl-loop` benchmark shape: its 3-hop rings cover nearly every
+    // node, so each node ranks hundreds of candidates for 16 slots.
+    let drl = generate_spec(&Dataset::Chameleon.spec().scaled(600, 128), 1);
+    // At most two signed nonzeros per row out of 32 columns: most pairs
+    // share no nonzero column and their feature dot is exactly zero.
+    let mut signed = ranking_graph(300, 4);
+    signed.set_features(Matrix::from_fn(300, 32, |r, c| {
+        if c == r % 32 {
+            if (r / 32) % 2 == 0 {
+                1.5
+            } else {
+                -1.5
+            }
+        } else if c == (7 * r + 3) % 32 {
+            if r % 3 == 0 {
+                -0.75
+            } else {
+                0.5
+            }
+        } else {
+            0.0
+        }
+    }));
+    let ring = SequenceConfig::default();
+    let sample = SequenceConfig {
+        pool: CandidatePool::GlobalSample { per_node: 64, seed: 0x5EED },
+        ..SequenceConfig::default()
+    };
+    let cases = [
+        (ranking_graph(1300, 1), 0.1, ring),
+        (ranking_graph(1600, 2), 10.0, ring),
+        (flat, 1.0, ring),
+        (drl.clone(), 1.0, ring),
+        (drl, 1.0, sample),
+        (signed, 1.0, ring),
+    ];
     let got: Vec<u32> = cases
         .iter()
-        .map(|(g, lambda)| {
+        .map(|(g, lambda, seq_cfg)| {
             let cfg = RelativeEntropyConfig { lambda: *lambda };
             let table = RelativeEntropyTable::new(g, &cfg);
-            rankings_crc(&EntropySequences::build(g, &table, &SequenceConfig::default()))
+            rankings_crc(&EntropySequences::build(g, &table, seq_cfg))
         })
         .collect();
-    let want: [u32; 3] = [0x7410f318, 0xfb9bd808, 0x809a14b3];
+    let want: [u32; 6] = [0x7410f318, 0xfb9bd808, 0x809a14b3, 0x5db61f54, 0xad5957e0, 0xf67ce563];
     assert_eq!(got, want, "ranking fingerprint changed; got {got:#010x?}");
 }

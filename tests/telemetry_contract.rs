@@ -131,6 +131,15 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
         summary.paths_named("entropy.sequence_build").next().expect("entropy.sequence_build path");
     assert!(build.p50_ns > 0 && build.self_ns > 0);
     assert!(summary.path("entropy.feature_table").is_some(), "precompute spans are roots");
+    // The sequence build reports how many addition candidates it scored
+    // and for how many it computed H_s, as counters and event fields.
+    let (pairs, js_evals) = (summary.counter("entropy.pairs"), summary.counter("entropy.js_evals"));
+    assert!(pairs > 0 && js_evals > 0 && js_evals <= pairs, "pairs {pairs}, js_evals {js_evals}");
+    // Strategy set-up runs inside driver.run under its own span.
+    assert!(
+        summary.path("driver.run/rewire.strategy_setup").is_some_and(|p| p.count == 1),
+        "rewire.strategy_setup must nest under driver.run once"
+    );
     // Allocation accounting is live in this binary and attributed.
     assert!(graphrare_telemetry::alloc::active(), "counting allocator not installed");
     assert!(step.alloc_count > 0, "driver.step attributed no allocations");
@@ -147,12 +156,37 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
             assert!(e.field(key).is_some(), "iter event missing {key}");
         }
     }
+    let sequences: Vec<_> = events.iter().filter(|e| e.kind() == "entropy_sequences").collect();
+    assert_eq!(sequences.len(), 1);
+    assert_eq!(sequences[0].field("pairs"), Some(&telemetry::Value::U64(pairs)));
+    assert_eq!(sequences[0].field("js_evals"), Some(&telemetry::Value::U64(js_evals)));
     assert_eq!(events.iter().filter(|e| e.kind() == "run_start").count(), 1);
     assert_eq!(events.iter().filter(|e| e.kind() == "run_end").count(), 1);
     assert_eq!(
         events.iter().filter(|e| e.kind() == "ppo_update").count(),
         cfg.steps / cfg.update_every
     );
+}
+
+#[test]
+fn entropy_counts_are_the_same_at_one_and_two_threads() {
+    let _x = exclusive();
+    let (g, split) = heterophilic_fixture();
+    let counts = |threads: usize| {
+        let mut cfg = GraphRareConfig::fast().with_seed(11);
+        cfg.threads = threads;
+        cfg.steps = 2;
+        telemetry::reset();
+        telemetry::clear_sinks();
+        telemetry::set_enabled(true);
+        let report = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+        telemetry::set_enabled(false);
+        let summary = report.telemetry.expect("enabled run records an aggregate");
+        (summary.counter("entropy.pairs"), summary.counter("entropy.js_evals"))
+    };
+    let one = counts(1);
+    assert!(one.0 > 0 && one.1 <= one.0, "{one:?}");
+    assert_eq!(one, counts(2));
 }
 
 #[test]
