@@ -17,11 +17,11 @@
 //!   moves most counters; heuristics march every node toward its
 //!   target);
 //! * `sparse` — a seeded ~2% per-step node mask on top of the proposals,
-//!   the converged-policy regime where almost every counter holds. The
-//!   delta scan is O(changed nodes) here, but the operator refresh still
-//!   rebuilds `gcn_norm` at O(N + E) per step, so the incremental path
-//!   wins by skipping `materialize`'s clone-and-replay, not by touching
-//!   fewer operator rows.
+//!   the converged-policy regime where almost every counter holds. Both
+//!   paths replay the deletion and addition passes at O(N + Σk + Σd) and
+//!   rebuild `gcn_norm` at O(N + E) per step, so the incremental path
+//!   wins by skipping `materialize`'s graph clone and edit splice and the
+//!   fresh `GraphTensors`, not by touching fewer edges or operator rows.
 //!
 //! Every cell first replays its whole trace once with *both* engines in
 //! lock-step and asserts bit-identical results (edge sets, edge counts,
@@ -30,7 +30,9 @@
 //! the graphs for that smoke; `--check-only` skips the timed passes (the
 //! equivalence replays and the arena still run).
 //!
-//! The report ends with a head-to-head **arena**: one end-to-end driver
+//! The report opens with the run envelope (git rev, hardware threads,
+//! worker threads, seed), the fields `e2e_bench` prints, and ends with a
+//! head-to-head **arena**: one end-to-end driver
 //! run per strategy on the same small synthetic heterophilic dataset
 //! (reduced-budget config), recording final validation/test accuracy and
 //! the homophily shift each strategy achieves.
@@ -46,7 +48,7 @@ use std::time::Instant;
 
 use graphrare_telemetry as telemetry;
 
-use graphrare::rewire::{RewireDelta, RewiredGraph};
+use graphrare::rewire::RewiredGraph;
 use graphrare::rewirer::build_rewirer;
 use graphrare::topology::{EditMode, TopologyOptimizer};
 use graphrare::{GraphRareConfig, RewirerKind, TopoState};
@@ -66,6 +68,9 @@ graphrare_telemetry::install_counting_allocator!();
 /// Per-node candidate cap for the timed matrix (the reduced-budget
 /// driver configuration's `k_cap`).
 const CAP: usize = 6;
+
+/// Seed of every timed matrix cell.
+const SEED: u64 = 7;
 
 struct CellRecord {
     strategy: &'static str,
@@ -295,7 +300,7 @@ fn main() {
             for regime in [Regime::Dense, Regime::Sparse] {
                 let strategy = kind.name();
                 let regime_name = regime.name();
-                let inst = build_instance(n, steps, 7, kind, regime);
+                let inst = build_instance(n, steps, SEED, kind, regime);
                 let base_edges = inst.topo.base().num_edges();
                 telemetry::progress!(
                     "n={n} edges={base_edges} strategy={strategy} regime={regime_name}: verifying full-vs-incremental lock-step"
@@ -342,11 +347,10 @@ fn main() {
                 let inc_total = median_ns(runs, || {
                     let mut state = fresh_state(&inst.topo);
                     let mut rw = RewiredGraph::new(&inst.topo);
-                    let mut delta = RewireDelta::default();
                     rw.tensors().gcn_norm();
                     for actions in &inst.trace {
                         state.apply(actions);
-                        rw.apply_into(&inst.topo, &state, &mut delta)
+                        rw.apply(&inst.topo, &state)
                             .expect("bench state was built against this optimizer");
                         std::hint::black_box(rw.tensors().gcn_norm());
                         std::hint::black_box(rw.homophily_ratio());
@@ -397,6 +401,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"rewire\",");
+    let threads = graphrare_tensor::parallel::current_threads();
+    let _ = writeln!(json, "  \"envelope\": {},", graphrare_bench::envelope_json(threads, SEED));
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"check_only\": {check_only},");
     let _ = writeln!(json, "  \"equivalence_checked\": true,");

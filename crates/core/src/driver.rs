@@ -20,7 +20,7 @@ use graphrare_gnn::TrainerState;
 
 use crate::config::{GraphRareConfig, SequenceMode};
 use crate::reward::{PerfSnapshot, RewardKind};
-use crate::rewire::{RewireDelta, RewireError, RewiredGraph};
+use crate::rewire::{RewireError, RewiredGraph};
 use crate::rewirer::{build_rewirer, Rewirer};
 use crate::state::TopoState;
 use crate::topology::TopologyOptimizer;
@@ -154,10 +154,6 @@ pub struct RareDriver {
     want_auc: bool,
     topo: TopologyOptimizer,
     rewired: RewiredGraph,
-    /// Reused rewire-delta buffer: `step` stays allocation-free on the
-    /// steady-state edge path by writing into this instead of returning
-    /// a fresh delta.
-    delta: RewireDelta,
     model: Box<dyn GnnModel>,
     trainer: Trainer,
     /// The configured edit-proposal strategy (`cfg.rewirer`): the DRL
@@ -181,7 +177,7 @@ pub struct RareDriver {
     run_clock: telemetry::Stopwatch,
     run_span: Option<telemetry::SpanGuard>,
     /// Incremental entropy engine, present iff `entropy_refresh_every > 0`:
-    /// fed every rewire delta so its table/sequences mirror `G_t`, and
+    /// fed every step's edge flips so its table/sequences mirror `G_t`, and
     /// consulted at refresh boundaries instead of a from-scratch build.
     engine: Option<IncrementalEntropy>,
     /// The construction-time graph, kept only when refreshes can re-anchor
@@ -369,7 +365,6 @@ impl RareDriver {
             want_auc,
             topo,
             rewired,
-            delta: RewireDelta::default(),
             model,
             trainer,
             rewirer,
@@ -427,8 +422,8 @@ impl RareDriver {
     ///
     /// Rewire-engine failures surface as a typed error, never a panic. A
     /// corrupt or version-skewed restored state is the realistic trigger;
-    /// the driver must then be discarded (its graph state may be partially
-    /// transitioned), but the hosting process — e.g. a `graphrare-serve`
+    /// the driver must then be discarded (its counters have moved but its
+    /// graph has not), but the hosting process — e.g. a `graphrare-serve`
     /// worker — keeps running.
     pub fn try_step(&mut self) -> Result<bool, RewireError> {
         if self.is_done() {
@@ -444,20 +439,13 @@ impl RareDriver {
             self.rewirer.propose(&self.state)
         };
         self.state.apply(&actions);
-        self.rewired.apply_into(&self.topo, &self.state, &mut self.delta)?;
-        let delta = &self.delta;
+        let flips = self.rewired.apply(&self.topo, &self.state)?;
         if let Some(engine) = self.engine.as_mut() {
-            if !delta.is_empty() {
+            if !flips.is_empty() {
                 // Mirror the transition into the incremental engine so its
                 // H_s table and rankings track G_t at dirty-rows cost.
                 let _span = telemetry::span("rewire.entropy_refresh");
-                let flips: Vec<(usize, usize, bool)> = delta
-                    .removed
-                    .iter()
-                    .map(|&(u, v)| (u, v, false))
-                    .chain(delta.added.iter().map(|&(u, v)| (u, v, true)))
-                    .collect();
-                engine.apply_flips(&flips);
+                engine.apply_flips(flips);
             }
         }
         let gt = self.rewired.tensors();
@@ -646,7 +634,7 @@ impl RareDriver {
         // often under-rewires because it was judged with a semi-trained model.
         // Resync first: an episodic reset at the end of the last step can
         // postdate the last incremental apply.
-        self.rewired.apply_into(&self.topo, &self.state, &mut self.delta)?;
+        self.rewired.apply(&self.topo, &self.state)?;
         let final_graph = self.rewired.graph().clone();
         if final_graph.edge_vec() != best_edges {
             candidates.push((final_graph, self.best_params.clone()));
@@ -824,7 +812,7 @@ impl RareDriver {
         // rewire rejection here is a snapshot the structural checks above
         // could not catch (e.g. counters crafted against other sequences);
         // it surfaces as a restore failure, not a panic.
-        self.rewired.apply_into(&self.topo, &self.state, &mut self.delta).map_err(|e| {
+        self.rewired.apply(&self.topo, &self.state).map_err(|e| {
             format!("snapshot topology counters rejected by the rewire engine: {e}")
         })?;
         telemetry::emit_with(|| telemetry::Event::new("driver_restore").u64("step", snap.step));

@@ -1,14 +1,14 @@
-//! Multiply-rotate hashing for the rewiring hot path.
+//! Multiply-rotate hashing for edge-key sets.
 //!
-//! The incremental engine keeps several `HashMap`s / `HashSet`s keyed by
-//! packed `u64` edge keys and node indices, and touches them thousands of
-//! times per rewiring step. `std`'s default SipHash is DoS-resistant but
-//! slow for 8-byte keys; these tables are process-internal (never fed
+//! `materialize`'s removed set and the `reference` strategy's kNN
+//! relation are `HashSet`s of packed `u64` edge keys, probed once per
+//! candidate edge. `std`'s default SipHash is DoS-resistant but slow for
+//! 8-byte keys; these sets are process-internal (never fed
 //! attacker-controlled keys), so a Fx-style multiply-rotate hash is the
 //! right trade. The hasher is deterministic, which also keeps replay and
 //! resume behaviour reproducible.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant from the Firefox/rustc Fx hash (a 64-bit
@@ -70,9 +70,6 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// `HashMap` with the fast deterministic hasher.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
 /// `HashSet` with the fast deterministic hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
@@ -91,15 +88,13 @@ mod tests {
 
     #[test]
     fn map_round_trips() {
-        let mut m: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut s: FxHashSet<u64> = FxHashSet::default();
         for k in 0..1000u64 {
-            m.insert(k * k, k as u32);
+            assert!(s.insert(k * k));
         }
         for k in 0..1000u64 {
-            assert_eq!(m.get(&(k * k)), Some(&(k as u32)));
+            assert!(s.contains(&(k * k)));
         }
-        let mut s: FxHashSet<usize> = FxHashSet::default();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
+        assert!(!s.insert(7 * 7));
     }
 }

@@ -13,7 +13,8 @@
 //! * [`state`] — the multi-discrete MDP state `S = [k, d]`.
 //! * [`topology`] — the topology optimisation module (Fig. 4).
 //! * [`rewire`] — incremental rewiring: the persistent `G_t` the driver
-//!   updates in `O(changed)` per step instead of rebuilding.
+//!   updates in place each step, flipping only the edges that changed,
+//!   instead of rebuilding.
 //! * [`rewirer`] — pluggable edit-proposal strategies: the paper's DRL
 //!   policy plus deterministic heuristic baselines, all behind one
 //!   [`Rewirer`] trait and one shared apply pipeline.
@@ -60,7 +61,7 @@ pub use persist::{
     load_model, load_snapshot, resume_driver, save_checkpoint, save_model, ModelArtifact,
 };
 pub use reward::{PerfSnapshot, RewardKind};
-pub use rewire::{RewireDelta, RewireError, RewiredGraph};
+pub use rewire::{RewireError, RewiredGraph};
 pub use rewirer::{build_rewirer, Rewirer, RewirerKind};
 pub use state::TopoState;
 pub use topology::{EditMode, TopologyOptimizer};

@@ -231,7 +231,8 @@ pub struct RunSpec {
     pub lambda: f64,
     /// RL algorithm.
     pub algo: RlAlgo,
-    /// Worker threads (0 = resolve from the environment, as the CLI).
+    /// Worker threads (0 = resolve from the environment, as the CLI); at
+    /// most the host's hardware threads.
     pub threads: u64,
     /// Paced mode: the run only advances while it has step budget
     /// granted via [`Request::StepBudget`].
@@ -269,6 +270,15 @@ impl RunSpec {
         validate_lambda(self.lambda)?;
         if self.k_cap == 0 || self.k_cap > 10_000 {
             return Err(format!("k_cap {} outside 1..=10000", self.k_cap));
+        }
+        // The count is process-wide and every kernel call spawns up to that
+        // many scoped threads, so one client's value reaches every tenant.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if self.threads > cores as u64 {
+            return Err(format!(
+                "threads {} exceeds the host's {cores} hardware threads",
+                self.threads
+            ));
         }
         Ok(())
     }
@@ -935,18 +945,25 @@ mod tests {
     fn spec_validation_rejects_abuse() {
         assert!(sample_spec().validate().is_ok());
         type Mutator = Box<dyn Fn(&mut RunSpec)>;
-        let cases: [(&str, Mutator); 5] = [
+        let cases: [(&str, Mutator); 6] = [
             ("empty input", Box::new(|s| s.input.clear())),
             ("zero steps", Box::new(|s| s.steps = 0)),
             ("huge steps", Box::new(|s| s.steps = 2_000_000)),
             ("nan lambda", Box::new(|s| s.lambda = f64::NAN)),
             ("zero k_cap", Box::new(|s| s.k_cap = 0)),
+            ("huge threads", Box::new(|s| s.threads = 1 << 20)),
         ];
         for (why, mutate) in cases {
             let mut spec = sample_spec();
             mutate(&mut spec);
             assert!(spec.validate().is_err(), "accepted spec with {why}");
         }
+        let mut spec = sample_spec();
+        spec.threads = 1 << 20;
+        assert!(spec.validate().unwrap_err().contains("threads"), "message must name the field");
+        // 0 resolves from the environment, as on the CLI.
+        spec.threads = 0;
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Steady-state allocation regression: a warmed-up [`RewiredGraph`]
-//! must run transitions — delta scan, guard (including the localized
-//! replay and kept-cache), reconcile and the in-place operator rebuild —
-//! with **zero** heap allocations, both for dense batches that flip most
-//! of the graph and for batches that flip a single edge.
+//! must run transitions — the deletion and addition passes, the
+//! comparison with the previous step and the in-place operator rebuild —
+//! with **zero** heap allocations: for dense batches that flip most of
+//! the graph, for batches that flip a single edge, and on the trace each
+//! `--rewirer` strategy proposes, with and without episodic resets.
 //!
 //! The counting allocator's counters are process-wide, so this file
 //! holds exactly one `#[test]`: the test binary is effectively
@@ -13,36 +14,35 @@
 
 graphrare_telemetry::install_counting_allocator!();
 
-use graphrare::rewire::{RewireDelta, RewiredGraph};
-use graphrare::topology::{EditMode, TopologyOptimizer};
-use graphrare::TopoState;
-use graphrare_entropy::{
-    CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
-};
-use graphrare_gnn::GraphTensors;
-use graphrare_graph::{metrics, Graph};
-use graphrare_telemetry::alloc;
-use graphrare_tensor::Matrix;
+mod common;
 
-/// Deterministic pseudo-random dense-ish graph (ring keeps degrees >= 2),
-/// same shape as the equivalence suite's dense regime.
-fn dense_optimizer(n: usize) -> TopologyOptimizer {
-    let mut edges = Vec::new();
-    for v in 0..n {
-        edges.push((v, (v + 1) % n));
-        edges.push((v, (v * v + 3 * v + 1) % n));
-        edges.push((v, (v * 7 + 5) % n));
-    }
-    let feats = Matrix::from_fn(n, 4, |r, c| ((r * 7 + c * 3 + r * c) % 5) as f32 / 4.0);
-    let labels: Vec<usize> = (0..n).map(|v| v % 3).collect();
-    let g = Graph::from_edges(n, &edges, feats, labels, 3);
-    let table = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
-    let seqs = EntropySequences::build(
-        &g,
-        &table,
-        &SequenceConfig { pool: CandidatePool::RemoteRing { hops: 3 }, max_additions: 8 },
-    );
-    TopologyOptimizer::new(g, seqs, EditMode::Both)
+use common::{dense_edges, guard_cascade_edges, guard_state, optimizer, strategy_trace};
+use graphrare::rewire::RewiredGraph;
+use graphrare::topology::{EditMode, TopologyOptimizer};
+use graphrare::{GraphRareConfig, RewirerKind, TopoState};
+use graphrare_gnn::GraphTensors;
+use graphrare_graph::metrics;
+use graphrare_telemetry::alloc;
+
+/// Builds every operator and drops the handles: with a refcount of one,
+/// the operator rebuild refills the cached storage in place instead of
+/// cloning.
+fn build_operators(rw: &RewiredGraph) {
+    rw.tensors().gcn_norm();
+    rw.tensors().row_norm();
+    rw.tensors().two_hop();
+    rw.tensors().attention();
+}
+
+/// Slated base edges still present in the live graph: the ones the
+/// isolation guard kept.
+fn guard_kept(rw: &RewiredGraph, topo: &TopologyOptimizer, state: &TopoState) -> usize {
+    (0..state.num_nodes())
+        .flat_map(|v| {
+            topo.sequences().deletions(v).iter().take(state.d(v)).map(move |&(u, _)| (v, u))
+        })
+        .filter(|&(v, u)| rw.graph().has_edge(v, u as usize))
+        .count()
 }
 
 type StateEdit = Box<dyn Fn(&mut TopoState)>;
@@ -52,13 +52,36 @@ fn measure_cycle(
     topo: &TopologyOptimizer,
     rw: &mut RewiredGraph,
     state: &mut TopoState,
-    delta: &mut RewireDelta,
     cycle: &[StateEdit],
 ) -> (u64, u64) {
     let before = alloc::snapshot();
     for set in cycle {
         set(state);
-        rw.apply_into(topo, state, delta).unwrap();
+        rw.apply(topo, state).unwrap();
+    }
+    let after = alloc::snapshot();
+    (after.count - before.count, after.bytes - before.bytes)
+}
+
+/// Jumps the engine back to `S_0`, then replays `trace` like the driver
+/// (episodic reset every `reset_every` steps) and returns the
+/// `(allocations, bytes)` the replay made, the jump excluded.
+fn replay_from_s0(
+    topo: &TopologyOptimizer,
+    rw: &mut RewiredGraph,
+    state: &mut TopoState,
+    trace: &[Vec<u8>],
+    reset_every: usize,
+) -> (u64, u64) {
+    state.reset();
+    rw.apply(topo, state).unwrap();
+    let before = alloc::snapshot();
+    for (i, actions) in trace.iter().enumerate() {
+        state.apply(actions);
+        rw.apply(topo, state).unwrap();
+        if reset_every > 0 && (i + 1) % reset_every == 0 {
+            state.reset();
+        }
     }
     let after = alloc::snapshot();
     (after.count - before.count, after.bytes - before.bytes)
@@ -69,27 +92,15 @@ fn warm_dense_and_single_flip_steps_do_not_allocate() {
     assert!(alloc::active(), "counting allocator must be installed in this binary");
 
     let n = 40;
-    let topo = dense_optimizer(n);
-    let base = topo.base();
-    let k_max = topo.k_bounds(6);
-    let d_max: Vec<u16> = (0..n).map(|v| base.degree(v) as u16).collect();
-    let mut state = TopoState::new(k_max, d_max);
-
+    let topo = optimizer(n, &dense_edges(n), EditMode::Both);
+    let mut state = guard_state(&topo, 6);
     let mut rw = RewiredGraph::new(&topo);
-    // Build all four operators up-front and drop the handles: with a
-    // refcount of one, the operator rebuild refills the cached storage
-    // in place instead of cloning.
-    rw.tensors().gcn_norm();
-    rw.tensors().row_norm();
-    rw.tensors().two_hop();
-    rw.tensors().attention();
+    build_operators(&rw);
 
     // A three-state cycle. Deletion prefixes stay maxed throughout, so
-    // the risky census never empties (the kept-cache is never dropped)
-    // and every step takes the resimulation path; state B additionally
-    // shrinks one node's prefix so the cycle exercises both kept-cache
-    // hits and in-place re-derivations. The k swings flip more than
-    // half the node count in edges per step.
+    // the isolation guard keeps slated edges on every step; state B
+    // additionally shrinks one node's prefix. The k swings flip more
+    // than half the node count in edges per step.
     let cycle: Vec<StateEdit> = vec![
         Box::new(|s: &mut TopoState| {
             for v in 0..40 {
@@ -112,23 +123,19 @@ fn warm_dense_and_single_flip_steps_do_not_allocate() {
         }),
     ];
 
-    let mut delta = RewireDelta::default();
-    // Two warm-up cycles grow every scratch buffer, cache entry and
-    // operator store to its steady-state capacity.
+    // Two warm-up cycles grow every scratch buffer and operator store to
+    // its steady-state capacity.
     for _ in 0..2 {
         for set in &cycle {
             set(&mut state);
-            rw.apply_into(&topo, &state, &mut delta).unwrap();
-            assert!(delta.resimulated, "trace must keep the risky census populated");
-            assert!(
-                2 * (delta.added.len() + delta.removed.len()) > n,
-                "trace must flip more than half the node count in edges"
-            );
+            let flips = rw.apply(&topo, &state).unwrap().len();
+            assert!(2 * flips > n, "trace must flip more than half the node count in edges");
+            assert!(guard_kept(&rw, &topo, &state) > 0, "the guard must keep a slated edge");
         }
     }
 
     // Measured window: one full steady-state cycle.
-    let (count, bytes) = measure_cycle(&topo, &mut rw, &mut state, &mut delta, &cycle);
+    let (count, bytes) = measure_cycle(&topo, &mut rw, &mut state, &cycle);
     assert_eq!(count, 0, "steady-state dense apply allocated ({count} allocs, {bytes} bytes)");
 
     // A four-state single-flip cycle on top of the last dense state:
@@ -145,11 +152,10 @@ fn warm_dense_and_single_flip_steps_do_not_allocate() {
     for _ in 0..2 {
         for set in &single {
             set(&mut state);
-            rw.apply_into(&topo, &state, &mut delta).unwrap();
-            assert_eq!(delta.added.len() + delta.removed.len(), 1, "trace must flip one edge");
+            assert_eq!(rw.apply(&topo, &state).unwrap().len(), 1, "trace must flip one edge");
         }
     }
-    let (count, bytes) = measure_cycle(&topo, &mut rw, &mut state, &mut delta, &single);
+    let (count, bytes) = measure_cycle(&topo, &mut rw, &mut state, &single);
     assert_eq!(
         count, 0,
         "steady-state single-flip apply allocated ({count} allocs, {bytes} bytes)"
@@ -168,4 +174,29 @@ fn warm_dense_and_single_flip_steps_do_not_allocate() {
     assert_eq!(*rw.tensors().row_norm(), *fresh.row_norm(), "row_norm diverges");
     assert_eq!(*rw.tensors().two_hop(), *fresh.two_hop(), "two_hop diverges");
     assert_eq!(*rw.tensors().attention(), *fresh.attention(), "attention diverges");
+
+    // Every strategy's own trace on the equivalence suite's guard-cascade
+    // graph (a ring plus chords and two pendant nodes): once replayed to
+    // warm the engine, a second replay from S_0 allocates nothing.
+    let n = 14;
+    let edges = guard_cascade_edges(n);
+    let mut cfg = GraphRareConfig::fast().with_seed(23);
+    cfg.k_cap = 64;
+    for kind in RewirerKind::ALL {
+        for reset_every in [0usize, 4] {
+            let topo = optimizer(n, &edges, EditMode::Both);
+            let mut state = guard_state(&topo, cfg.k_cap);
+            let trace = strategy_trace(&topo, &cfg, kind, state.clone(), 10, reset_every);
+            let mut rw = RewiredGraph::new(&topo);
+            build_operators(&rw);
+            replay_from_s0(&topo, &mut rw, &mut state, &trace, reset_every);
+            let (count, bytes) = replay_from_s0(&topo, &mut rw, &mut state, &trace, reset_every);
+            let name = kind.name();
+            assert_eq!(
+                count, 0,
+                "warm {name} replay (reset every {reset_every}) allocated ({count} allocs, {bytes} bytes)"
+            );
+            assert_eq!(rw.graph().edge_vec(), topo.materialize(&state).edge_vec());
+        }
+    }
 }

@@ -6,36 +6,16 @@
 //! first-class [`Rewirer`](graphrare::Rewirer) strategy (the driver's
 //! actual access pattern per `--rewirer` value).
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{dense_edges, guard_cascade_edges, guard_state, optimizer, strategy_trace};
 use graphrare::rewire::RewiredGraph;
-use graphrare::rewirer::build_rewirer;
 use graphrare::topology::{EditMode, TopologyOptimizer};
 use graphrare::{GraphRareConfig, RewirerKind, TopoState};
-use graphrare_entropy::{
-    CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
-};
 use graphrare_gnn::GraphTensors;
-use graphrare_graph::{metrics, Graph};
-use graphrare_tensor::Matrix;
-
-/// Deterministic pseudo-features: enough variation for non-trivial entropy
-/// rankings without an RNG in the strategy.
-fn features(n: usize) -> Matrix {
-    Matrix::from_fn(n, 4, |r, c| ((r * 7 + c * 3 + r * c) % 5) as f32 / 4.0)
-}
-
-fn optimizer(n: usize, edges: &[(usize, usize)], mode: EditMode) -> TopologyOptimizer {
-    let labels: Vec<usize> = (0..n).map(|v| v % 3).collect();
-    let g = Graph::from_edges(n, edges, features(n), labels, 3);
-    let table = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
-    let seqs = EntropySequences::build(
-        &g,
-        &table,
-        &SequenceConfig { pool: CandidatePool::RemoteRing { hops: 3 }, max_additions: 8 },
-    );
-    TopologyOptimizer::new(g, seqs, mode)
-}
+use graphrare_graph::metrics;
 
 fn mode_of(idx: u8) -> EditMode {
     match idx % 3 {
@@ -122,37 +102,20 @@ proptest! {
 
     /// Guard-heavy variant: `d` bounds cover every neighbour (more than the
     /// driver ever allows), so deletion traces routinely threaten to
-    /// isolate degree-1 endpoints and force the sequential-guard
-    /// re-simulation path.
+    /// isolate degree-1 endpoints and the sequential guard keeps edges.
     #[test]
     fn guard_cascades_match_materialize((n, edges, _, trace, reset_every) in arb_instance()) {
         let topo = optimizer(n, &edges, EditMode::Both);
-        let base = topo.base();
-        let k_max = topo.k_bounds(6);
-        let d_max: Vec<u16> = (0..n).map(|v| base.degree(v) as u16).collect();
-        let state = TopoState::new(k_max, d_max);
+        let state = guard_state(&topo, 6);
         run_trace(&topo, state, &trace, reset_every);
     }
 }
 
-/// Deterministic pseudo-random edge list dense enough that most rewiring
-/// steps dirty a large share of operator rows (the bench's Dense regime).
-fn dense_edges(n: usize) -> Vec<(usize, usize)> {
-    let mut edges = Vec::new();
-    for v in 0..n {
-        edges.push((v, (v + 1) % n)); // ring keeps every degree >= 2
-        edges.push((v, (v * v + 3 * v + 1) % n));
-        edges.push((v, (v * 7 + 5) % n));
-    }
-    edges
-}
-
 /// Dense-regime trace: every node's `k` **and** `d` counter moves every
 /// step (no holds), the same shape `bench_rewire`'s Dense regime drives.
-/// With `d` bounds covering every neighbour the risky census stays
-/// populated, so the kept-cache sees both reuse and invalidation as
-/// prefixes move. Episodic resets slam every deletion prefix to zero and
-/// grow it back, covering cache invalidation in both directions. The
+/// With `d` bounds covering every neighbour the guard keeps edges on
+/// most steps, and which ones it keeps moves with the prefixes. Episodic
+/// resets slam every deletion prefix to zero and grow it back. The
 /// per-step assertion is byte-identity of graph, homophily and all four
 /// operators against from-scratch builds.
 #[test]
@@ -160,10 +123,7 @@ fn dense_traces_match_materialize() {
     let n = 40;
     for reset_every in [0usize, 2] {
         let topo = optimizer(n, &dense_edges(n), EditMode::Both);
-        let base = topo.base();
-        let k_max = topo.k_bounds(6);
-        let d_max: Vec<u16> = (0..n).map(|v| base.degree(v) as u16).collect();
-        let state = TopoState::new(k_max, d_max);
+        let state = guard_state(&topo, 6);
         let trace: Vec<Vec<u8>> = (0..6u16)
             .map(|s| {
                 (0..2 * n)
@@ -182,41 +142,11 @@ fn dense_traces_match_materialize() {
     }
 }
 
-/// Records the action trace one strategy actually proposes against `topo`,
-/// mirroring the driver's loop (propose → apply → feedback, episodic reset
-/// at window ends). The recorded vectors are then replayed through
-/// [`run_trace`], which checks the bit-identity contract after every
-/// transition — so each strategy is validated on the exact edit patterns
-/// it emits, not just on random vectors.
-fn strategy_trace(
-    topo: &TopologyOptimizer,
-    cfg: &GraphRareConfig,
-    kind: RewirerKind,
-    mut state: TopoState,
-    steps: usize,
-    reset_every: usize,
-) -> Vec<Vec<u8>> {
-    let mut c = *cfg;
-    c.rewirer = kind;
-    // Every other node "training-labelled", like a transductive split.
-    let train: Vec<usize> = (0..topo.base().num_nodes()).step_by(2).collect();
-    let mut rw = build_rewirer(topo, &c, &train);
-    let mut trace = Vec::new();
-    for i in 0..steps {
-        let actions = rw.propose(&state);
-        state.apply(&actions);
-        let window_end = reset_every > 0 && (i + 1) % reset_every == 0;
-        rw.feedback(0.05, window_end, reset_every > 0, &state);
-        if window_end {
-            state.reset();
-        }
-        trace.push(actions);
-    }
-    trace
-}
-
-/// Every `--rewirer` strategy's own proposals replay bit-identically,
-/// with and without episodic resets, under the driver's default bounds.
+/// Every `--rewirer` strategy's own proposals (recorded by
+/// `common::strategy_trace`) replay bit-identically through
+/// [`run_trace`], with and without episodic resets, under the driver's
+/// default bounds — so each strategy is validated on the exact edit
+/// patterns it emits, not just on random vectors.
 #[test]
 fn strategy_proposed_traces_match_materialize() {
     let n = 18;
@@ -234,25 +164,19 @@ fn strategy_proposed_traces_match_materialize() {
 
 /// Guard-cascade variant of the strategy harness: a sparse graph with
 /// `d` bounds covering every neighbour, so strategy-proposed deletion
-/// prefixes routinely threaten to isolate degree-1 endpoints and force
-/// the sequential-guard re-simulation on both the incremental and the
+/// prefixes routinely threaten to isolate degree-1 endpoints, so the
+/// sequential guard decides edges on both the incremental and the
 /// reference path.
 #[test]
 fn strategy_traces_survive_guard_cascades() {
     let n = 14;
-    // A ring plus a few chords and two pendant nodes: plenty of degree-1
-    // and degree-2 endpoints for deletions to threaten.
-    let mut edges: Vec<(usize, usize)> = (0..n - 2).map(|v| (v, (v + 1) % (n - 2))).collect();
-    edges.extend([(0, 5), (2, 8), (n - 2, 3), (n - 1, 7)]);
+    let edges = guard_cascade_edges(n);
     let mut cfg = GraphRareConfig::fast().with_seed(23);
     cfg.k_cap = 64; // heuristic targets may reach deep into the rankings
     for kind in RewirerKind::ALL {
         for reset_every in [0usize, 4] {
             let topo = optimizer(n, &edges, EditMode::Both);
-            let base = topo.base();
-            let k_max = topo.k_bounds(cfg.k_cap);
-            let d_max: Vec<u16> = (0..n).map(|v| base.degree(v) as u16).collect();
-            let state = TopoState::new(k_max, d_max);
+            let state = guard_state(&topo, cfg.k_cap);
             let trace = strategy_trace(&topo, &cfg, kind, state.clone(), 10, reset_every);
             run_trace(&topo, state, &trace, reset_every);
         }
@@ -265,10 +189,7 @@ fn checkpoint_jumps_match_materialize() {
     let edges: Vec<(usize, usize)> =
         vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (6, 0), (7, 6)];
     let topo = optimizer(8, &edges, EditMode::Both);
-    let base = topo.base();
-    let k_max = topo.k_bounds(8);
-    let d_max: Vec<u16> = (0..8).map(|v| base.degree(v) as u16).collect();
-    let mut state = TopoState::new(k_max, d_max);
+    let mut state = guard_state(&topo, 8);
     let mut rw = RewiredGraph::new(&topo);
     rw.tensors().gcn_norm();
     rw.tensors().two_hop();
