@@ -4,14 +4,16 @@
 //! `EntropySequences::build`, i.e. the engine's wholesale fallback) and
 //! through the per-row path of
 //! [`graphrare_entropy::IncrementalEntropy`], and writes
-//! `BENCH_entropy.json`.
+//! `BENCH_entropy.json`. Each batch is one
+//! [`reanchor`](graphrare_entropy::IncrementalEntropy::reanchor) onto the
+//! graph after that batch, built before any timer starts.
 //!
 //! ```text
 //! bench_entropy [--quick] [--check-only] [--output BENCH_entropy.json]
 //! ```
 //!
 //! Every run first replays the whole flip trace once with *both* engines
-//! in lock-step and asserts bit-identical results (graph mirrors, `H`
+//! in lock-step and asserts bit-identical results (anchor graphs, `H`
 //! bits, rankings); a mismatch exits non-zero, which is what
 //! `scripts/check.sh` relies on for its smoke. `--quick` shrinks the
 //! graphs for that smoke; `--check-only` skips the timed passes.
@@ -83,14 +85,14 @@ fn pool_name(pool: CandidatePool) -> &'static str {
 struct Instance {
     graph: Graph,
     cfg: SequenceConfig,
-    /// Per-batch genuine presence flips against the evolving graph.
-    trace: Vec<Vec<(usize, usize, bool)>>,
+    /// The graph after each batch of the flip trace.
+    targets: Vec<Graph>,
 }
 
 /// Sparse flip trace: each batch flips `flips_per_batch` distinct random
 /// pairs, each a genuine presence change against the graph as of that
-/// batch (mirrored locally so the trace is replayable from the start
-/// graph any number of times).
+/// batch; the graph after each batch is kept, so the trace is replayable
+/// from the start graph any number of times.
 fn build_instance(
     n: usize,
     batches: usize,
@@ -101,7 +103,7 @@ fn build_instance(
     let graph = generate_spec(&heterophilic_spec(n), seed);
     let mut mirror = graph.clone();
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-    let trace = (0..batches)
+    let targets = (0..batches)
         .map(|_| {
             let mut batch: Vec<(usize, usize, bool)> = Vec::with_capacity(flips_per_batch);
             while batch.len() < flips_per_batch {
@@ -121,10 +123,10 @@ fn build_instance(
                 mirror.apply_edits(&edits)
             };
             assert_eq!(added + removed, batch.len(), "trace batches must be genuine flips");
-            batch
+            mirror.clone()
         })
         .collect();
-    Instance { graph, cfg: SequenceConfig { pool, max_additions: 8 }, trace }
+    Instance { graph, cfg: SequenceConfig { pool, max_additions: 8 }, targets }
 }
 
 /// Threshold ≥ 1 pins the benchmarked engine to its per-row path even
@@ -148,9 +150,9 @@ fn verify(inst: &Instance) -> Result<(), String> {
     let n = inst.graph.num_nodes();
     let probe: Vec<usize> =
         if n <= 1000 { (0..n).collect() } else { (0..200).map(|i| (i * 9973) % n).collect() };
-    for (i, batch) in inst.trace.iter().enumerate() {
-        let stats = inc.apply_flips(batch);
-        let full_stats = full.apply_flips(batch);
+    for (i, target) in inst.targets.iter().enumerate() {
+        let stats = inc.reanchor(target);
+        let full_stats = full.reanchor(target);
         if !full_stats.wholesale {
             return Err(format!("batch {i}: baseline engine skipped its wholesale rebuild"));
         }
@@ -158,7 +160,7 @@ fn verify(inst: &Instance) -> Result<(), String> {
             return Err(format!("batch {i}: per-row engine fell back despite threshold {PER_ROW}"));
         }
         if inc.graph().edge_vec() != full.graph().edge_vec() {
-            return Err(format!("batch {i}: graph mirrors diverge"));
+            return Err(format!("batch {i}: anchor graphs diverge"));
         }
         for &v in &probe {
             for &u in &probe {
@@ -183,8 +185,8 @@ fn median_replay_ns(inst: &Instance, threshold: f64, runs: usize) -> u128 {
         let mut engine = IncrementalEntropy::new(&inst.graph, &ecfg, inst.cfg);
         engine.set_wholesale_threshold(threshold);
         let t = Instant::now();
-        for batch in &inst.trace {
-            std::hint::black_box(engine.apply_flips(batch));
+        for target in &inst.targets {
+            std::hint::black_box(engine.reanchor(target));
         }
         samples.push(t.elapsed().as_nanos());
     }

@@ -25,9 +25,7 @@
 //!
 //! `--entropy-refresh-every N` re-ranks the candidate sequences against
 //! the current rewired graph every `N` DRL steps via the incremental
-//! entropy engine (default 0 = the paper's frozen sequences). The mode
-//! is incompatible with checkpointing, which snapshots neither the
-//! engine nor the re-anchored optimiser.
+//! entropy engine (default 0 = the paper's frozen sequences).
 //!
 //! `--threads 0` (the default) resolves the worker count from
 //! `GRAPHRARE_THREADS`, falling back to the machine's available
@@ -39,11 +37,12 @@
 //! temp-then-rename writes — a kill mid-write never corrupts an earlier
 //! checkpoint). `--resume` picks up the highest-step checkpoint in the
 //! directory and continues; a resumed run produces output bit-identical
-//! to an uninterrupted one. A checkpoint written under another `--algo`
-//! or `--rewirer` is refused. `--save-model` persists the trained model
-//! (best-validation parameters + optimised topology) as one artifact
-//! file; `--load-model` skips training and re-evaluates such an
-//! artifact on the input graph's split.
+//! to an uninterrupted one, in every mode. A checkpoint written under
+//! another `--algo`, `--rewirer`, `--lambda`, `--seed`, `--steps` or
+//! `--entropy-refresh-every` is refused. `--save-model` persists the
+//! trained model (best-validation parameters + optimised topology) as
+//! one artifact file; `--load-model` skips training and re-evaluates
+//! such an artifact on the input graph's split.
 //!
 //! Observability: progress lines go to **stderr** (suppressed by
 //! `--quiet`); the machine-parseable result summary goes to stdout.
@@ -213,13 +212,6 @@ fn parse_args() -> Args {
     }
     if (args.checkpoint_every > 0 || args.resume) && args.checkpoint_dir.is_none() {
         eprintln!("--checkpoint-every and --resume require --checkpoint-dir");
-        usage();
-    }
-    if args.entropy_refresh_every > 0 && (args.checkpoint_every > 0 || args.resume) {
-        eprintln!(
-            "--entropy-refresh-every is incompatible with checkpointing (the incremental \
-             entropy engine's state is not captured by snapshots)"
-        );
         usage();
     }
     if args.load_model.is_some() && args.save_model.is_some() {

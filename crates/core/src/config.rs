@@ -1,6 +1,6 @@
 //! Configuration of the full GraphRARE framework.
 
-use graphrare_entropy::{RelativeEntropyConfig, SequenceConfig};
+use graphrare_entropy::{EntropySequences, RelativeEntropyConfig, SequenceConfig};
 use graphrare_gnn::{ModelConfig, TrainConfig};
 use graphrare_rl::PpoConfig;
 
@@ -19,6 +19,17 @@ pub enum SequenceMode {
         /// Shuffle seed.
         seed: u64,
     },
+}
+
+impl SequenceMode {
+    /// Orders entropy-ranked sequences by this mode: as ranked, or
+    /// shuffled per node.
+    pub fn apply(self, seqs: EntropySequences) -> EntropySequences {
+        match self {
+            SequenceMode::Entropy => seqs,
+            SequenceMode::Shuffled { seed } => seqs.shuffled(seed),
+        }
+    }
 }
 
 /// Which reinforcement-learning algorithm updates the policy.
@@ -110,8 +121,7 @@ pub struct GraphRareConfig {
     /// original graph and stay frozen for the whole run. When enabled,
     /// each refresh re-anchors the topology optimiser on the current
     /// graph and resets the DRL counters (see `RareDriver`), so results
-    /// differ from the frozen-sequence run by design; snapshot/resume is
-    /// rejected in this mode.
+    /// differ from the frozen-sequence run by design.
     pub entropy_refresh_every: usize,
     /// Master seed (PPO exploration noise etc. derive from sub-seeds).
     pub seed: u64,

@@ -4,7 +4,7 @@
 //! [`run_with_sequences`] execute Algorithm 1 end to end, while
 //! [`RareDriver`] runs it one outer DRL step at a time so callers can
 //! checkpoint between steps ([`RareDriver::snapshot`] /
-//! [`RareDriver::restore`]) and resume a killed run with bit-identical
+//! [`RareDriver::resume`]) and resume a killed run with bit-identical
 //! results.
 
 use graphrare_datasets::Split;
@@ -18,7 +18,7 @@ use graphrare_tensor::Matrix;
 
 use graphrare_gnn::TrainerState;
 
-use crate::config::{GraphRareConfig, SequenceMode};
+use crate::config::GraphRareConfig;
 use crate::reward::{PerfSnapshot, RewardKind};
 use crate::rewire::{RewireError, RewiredGraph};
 use crate::rewirer::{build_rewirer, Rewirer};
@@ -85,16 +85,20 @@ fn perf_snapshot(
 /// Every mutable piece of the Algorithm-1 loop, captured as plain data
 /// between two outer steps.
 ///
-/// A snapshot restored into a driver built over the same graph, split
-/// and config ([`RareDriver::new_for_resume`]) continues the run with
-/// bit-identical results — floats are carried verbatim and both RNG
-/// streams resume mid-sequence. Produced by [`RareDriver::snapshot`],
-/// consumed by [`RareDriver::restore`]; the `graphrare::persist` module
-/// maps it onto a `graphrare-store` container.
+/// A snapshot resumed over the same graph, split and config
+/// ([`RareDriver::resume`]) continues the run with bit-identical results
+/// — floats are carried verbatim and both RNG streams resume
+/// mid-sequence. Produced by [`RareDriver::snapshot`]; the
+/// `graphrare::persist` module maps it onto a `graphrare-store`
+/// container.
 #[derive(Clone, Debug)]
 pub struct DriverSnapshot {
     /// Completed outer DRL steps.
     pub step: u64,
+    /// Edge list of the anchor graph, the topology optimiser's base:
+    /// `G_0` until an entropy refresh re-anchors it on `G_t`. The entropy
+    /// rankings and every `TopoState` bound are pure functions of it.
+    pub anchor_edges: Vec<(u32, u32)>,
     /// GNN trainer: parameters, Adam moments, dropout RNG.
     pub trainer: TrainerState,
     /// Rewirer's learned state (policy/value parameters, Adam moments,
@@ -104,9 +108,9 @@ pub struct DriverSnapshot {
     pub topo_k: Vec<u16>,
     /// `TopoState` counters `d_v`.
     pub topo_d: Vec<u16>,
-    /// Per-node `k` bounds (validated against the rebuilt optimiser).
+    /// Per-node `k` bounds (validated against the re-anchored optimiser).
     pub topo_k_max: Vec<u16>,
-    /// Per-node `d` bounds (validated against the rebuilt optimiser).
+    /// Per-node `d` bounds (validated against the re-anchored optimiser).
     pub topo_d_max: Vec<u16>,
     /// Previous-step performance snapshot (reward baseline).
     pub prev: PerfSnapshot,
@@ -140,12 +144,13 @@ pub struct DriverSnapshot {
 ///
 /// [`run`] is the one-shot equivalent. The driver exists so callers can
 /// interleave the loop with checkpointing: [`snapshot`] captures the
-/// complete mutable state between steps, [`restore`] puts it back, and
-/// a run killed at step `t` and resumed produces a final [`RareReport`]
-/// bit-identical to an uninterrupted one.
+/// complete mutable state between steps, [`resume`] builds a driver from
+/// it, and a run killed at step `t` and resumed produces a final
+/// [`RareReport`] bit-identical to an uninterrupted one — in every mode,
+/// entropy refreshes included.
 ///
 /// [`snapshot`]: RareDriver::snapshot
-/// [`restore`]: RareDriver::restore
+/// [`resume`]: RareDriver::resume
 pub struct RareDriver {
     cfg: GraphRareConfig,
     split: Split,
@@ -176,9 +181,10 @@ pub struct RareDriver {
     baseline: Option<telemetry::Summary>,
     run_clock: telemetry::Stopwatch,
     run_span: Option<telemetry::SpanGuard>,
-    /// Incremental entropy engine, present iff `entropy_refresh_every > 0`:
-    /// fed every step's edge flips so its table/sequences mirror `G_t`, and
-    /// consulted at refresh boundaries instead of a from-scratch build.
+    /// Incremental entropy engine, present iff `entropy_refresh_every > 0`.
+    /// Only [`reanchor`](Self::reanchor) touches it after construction:
+    /// once per refresh boundary, it re-ranks against the new anchor at
+    /// dirty-rows cost instead of a from-scratch build.
     engine: Option<IncrementalEntropy>,
     /// The construction-time graph, kept only when refreshes can re-anchor
     /// `topo.base()` away from it (for the final report's original
@@ -191,14 +197,9 @@ impl RareDriver {
     /// sequences (lines 1–6) and warm-trains the backbone on the
     /// original graph, leaving the loop ready at step 0.
     pub fn new(graph: &Graph, split: &Split, backbone: Backbone, cfg: &GraphRareConfig) -> Self {
-        // Apply the thread knob before the first kernel call; 0 keeps the
-        // env-var/auto resolution (see `graphrare_tensor::parallel`).
-        graphrare_tensor::parallel::set_threads(cfg.threads);
-        // The run-scoped baseline is taken before the entropy precompute so
-        // the report's telemetry aggregate covers the whole of Algorithm 1.
-        let baseline = telemetry::enabled().then(telemetry::snapshot);
-        let (sequences, engine) = Self::init_sequences(graph, cfg);
-        Self::build(graph, sequences, engine, split, backbone, cfg, baseline, false)
+        let mut driver = Self::build(graph, None, split, backbone, cfg);
+        driver.warm_up();
+        driver
     }
 
     /// [`RareDriver::new`] with externally supplied sequences (ablations).
@@ -211,70 +212,161 @@ impl RareDriver {
         backbone: Backbone,
         cfg: &GraphRareConfig,
     ) -> Self {
-        let baseline = telemetry::enabled().then(telemetry::snapshot);
-        Self::build(graph, sequences, None, split, backbone, cfg, baseline, false)
+        let mut driver = Self::build(graph, Some(sequences), split, backbone, cfg);
+        driver.warm_up();
+        driver
     }
 
-    /// Builds a driver destined for [`RareDriver::restore`]: identical to
-    /// [`RareDriver::new`] except the warm-up phase and its evaluations
-    /// are skipped, since the restored snapshot overwrites everything the
-    /// warm-up produced. Using the driver without restoring is incorrect.
-    pub fn new_for_resume(
+    /// Builds a driver over the same graph, split and config as the run
+    /// that took `snap`, and continues it from there: no warm-up, since
+    /// the snapshot carries everything the warm-up produced. With entropy
+    /// refreshes on, the driver first re-anchors on the snapshot's anchor
+    /// graph, exactly as the refresh boundary that produced it did.
+    ///
+    /// Every structural property of the snapshot is validated against
+    /// the rebuilt driver; any failure is an `Err` (never a panic), and no
+    /// driver is returned.
+    pub fn resume(
         graph: &Graph,
         split: &Split,
         backbone: Backbone,
         cfg: &GraphRareConfig,
-    ) -> Self {
-        graphrare_tensor::parallel::set_threads(cfg.threads);
-        let baseline = telemetry::enabled().then(telemetry::snapshot);
-        let (sequences, engine) = Self::init_sequences(graph, cfg);
-        Self::build(graph, sequences, engine, split, backbone, cfg, baseline, true)
-    }
-
-    /// Lines 1–6: relative entropy and sequences, computed once. Fully
-    /// deterministic in (graph, cfg), which is what lets a resumed run
-    /// recompute them instead of storing them.
-    fn sequences_for(graph: &Graph, cfg: &GraphRareConfig) -> EntropySequences {
-        let table = RelativeEntropyTable::new(graph, &cfg.entropy);
-        let seqs = EntropySequences::build(graph, &table, &cfg.sequences);
-        match cfg.sequence_mode {
-            SequenceMode::Entropy => seqs,
-            SequenceMode::Shuffled { seed } => seqs.shuffled(seed),
+        snap: &DriverSnapshot,
+    ) -> Result<Self, String> {
+        let mut driver = Self::build(graph, None, split, backbone, cfg);
+        let n = graph.num_nodes();
+        check_edges("anchor", &snap.anchor_edges, n)?;
+        let at_g0 =
+            snap.anchor_edges.iter().map(|&(u, v)| (u as usize, v as usize)).eq(graph.edges());
+        if !at_g0 {
+            if cfg.entropy_refresh_every == 0 {
+                return Err("snapshot is anchored on a refreshed graph, but this config runs \
+                            without entropy refreshes"
+                    .to_string());
+            }
+            driver.reanchor(Some(with_edges(graph, &snap.anchor_edges)));
         }
+        // Validate the snapshot against the anchored driver, then
+        // overwrite its loop state.
+        if snap.step > cfg.steps as u64 {
+            return Err(format!(
+                "snapshot is at step {} but the config runs only {} steps",
+                snap.step, cfg.steps
+            ));
+        }
+        if snap.topo_k_max != driver.state.k_max_vec()
+            || snap.topo_d_max != driver.state.d_max_vec()
+        {
+            return Err(
+                "snapshot topology bounds disagree with this graph/config (different dataset, \
+                 seed, k-cap or edit mode?)"
+                    .to_string(),
+            );
+        }
+        let state = TopoState::from_raw(
+            snap.topo_k.clone(),
+            snap.topo_d.clone(),
+            snap.topo_k_max.clone(),
+            snap.topo_d_max.clone(),
+        )
+        .ok_or_else(|| "snapshot topology counters violate their bounds".to_string())?;
+
+        let cur_trainer = driver.trainer.snapshot();
+        check_param_shapes("snapshot trainer parameters", &snap.trainer.params, &cur_trainer)?;
+        check_adam_shapes("trainer Adam state", &snap.trainer.adam.moments, &cur_trainer)?;
+        check_param_shapes("snapshot warm-up parameters", &snap.warm_params, &cur_trainer)?;
+        check_param_shapes("snapshot best parameters", &snap.best_params, &cur_trainer)?;
+
+        let cur_agent = driver.rewirer.export_agent();
+        check_param_shapes("snapshot agent parameters", &snap.agent.params, &cur_agent.params)?;
+        check_adam_shapes("agent Adam state", &snap.agent.adam.moments, &cur_agent.params)?;
+
+        check_edges("best-graph", &snap.best_graph_edges, n)?;
+
+        let b = &snap.buffer;
+        let len = b.rewards.len();
+        if b.states.len() != len
+            || b.actions.len() != len
+            || b.log_probs.len() != len
+            || b.values.len() != len
+            || b.dones.len() != len
+        {
+            return Err("snapshot rollout buffer columns disagree in length".to_string());
+        }
+        if b.states.iter().any(|s| s.len() != 2 * n) || b.actions.iter().any(|a| a.len() != 2 * n) {
+            return Err("snapshot rollout buffer rows disagree with the node count".to_string());
+        }
+        if cfg.update_every > 0 && snap.window_steps >= cfg.update_every as u64 {
+            return Err(format!(
+                "snapshot window progress {} is impossible with update-every {}",
+                snap.window_steps, cfg.update_every
+            ));
+        }
+
+        driver.trainer.import_state(&snap.trainer);
+        driver.rewirer.import_agent(&snap.agent);
+        driver.rewirer.import_buffer(&snap.buffer);
+        driver.state = state;
+        driver.prev = snap.prev;
+        driver.max_acc = snap.max_acc;
+        driver.best_val = snap.best_val;
+        driver.warm_params = snap.warm_params.clone();
+        driver.best_params = snap.best_params.clone();
+        driver.best_edges = snap.best_graph_edges.clone();
+        driver.traces = snap.traces.clone();
+        driver.window_reward = snap.window_reward;
+        driver.window_steps = snap.window_steps as usize;
+        driver.step = snap.step as usize;
+        // Jump the persistent G_t to the restored counters so the next
+        // step's incremental apply starts from the right topology. A
+        // rewire rejection here is a snapshot the structural checks above
+        // could not catch (e.g. counters crafted against other sequences);
+        // it surfaces as a resume failure, not a panic.
+        driver.rewired.apply(&driver.topo, &driver.state).map_err(|e| {
+            format!("snapshot topology counters rejected by the rewire engine: {e}")
+        })?;
+        telemetry::emit_with(|| telemetry::Event::new("driver_restore").u64("step", snap.step));
+        Ok(driver)
     }
 
-    /// Sequence construction, plus the incremental entropy engine when
-    /// `entropy_refresh_every > 0`. The engine owns its own copy of the
-    /// table and sequences and mirrors every edge flip the rewiring
-    /// applies, so a refresh boundary can re-rank against the *current*
-    /// graph at dirty-rows cost instead of a from-scratch rebuild.
+    /// Lines 1–6: relative entropy and sequences, computed once, plus
+    /// the incremental entropy engine when `entropy_refresh_every > 0`.
+    /// Fully deterministic in (graph, cfg), which is what lets a resumed
+    /// run recompute them instead of storing them.
     fn init_sequences(
         graph: &Graph,
         cfg: &GraphRareConfig,
     ) -> (EntropySequences, Option<IncrementalEntropy>) {
         if cfg.entropy_refresh_every == 0 {
-            return (Self::sequences_for(graph, cfg), None);
+            let table = RelativeEntropyTable::new(graph, &cfg.entropy);
+            let seqs = EntropySequences::build(graph, &table, &cfg.sequences);
+            return (cfg.sequence_mode.apply(seqs), None);
         }
         let engine = IncrementalEntropy::new(graph, &cfg.entropy, cfg.sequences);
-        let seqs = match cfg.sequence_mode {
-            SequenceMode::Entropy => engine.sequences().clone(),
-            SequenceMode::Shuffled { seed } => engine.sequences().shuffled(seed),
-        };
-        (seqs, Some(engine))
+        (cfg.sequence_mode.apply(engine.sequences().clone()), Some(engine))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Everything but the warm-up: sequences (precomputed here unless
+    /// supplied), the optimiser at `S_0`, the model, trainer and strategy.
+    /// The warm-up's outputs are left for [`warm_up`](Self::warm_up) or
+    /// [`resume`](Self::resume) to fill in.
     fn build(
         graph: &Graph,
-        sequences: EntropySequences,
-        engine: Option<IncrementalEntropy>,
+        sequences: Option<EntropySequences>,
         split: &Split,
         backbone: Backbone,
         cfg: &GraphRareConfig,
-        baseline: Option<telemetry::Summary>,
-        skip_warmup: bool,
     ) -> Self {
+        // Apply the thread knob before the first kernel call; 0 keeps the
+        // env-var/auto resolution (see `graphrare_tensor::parallel`).
         graphrare_tensor::parallel::set_threads(cfg.threads);
+        // The run-scoped baseline is taken before the entropy precompute so
+        // the report's telemetry aggregate covers the whole of Algorithm 1.
+        let baseline = telemetry::enabled().then(telemetry::snapshot);
+        let (sequences, engine) = match sequences {
+            Some(seqs) => (seqs, None),
+            None => Self::init_sequences(graph, cfg),
+        };
         let run_clock = telemetry::Stopwatch::start();
         let run_span = telemetry::span("driver.run");
         let labels = graph.labels().to_vec();
@@ -289,7 +381,7 @@ impl RareDriver {
         let rewired = RewiredGraph::new(&topo);
 
         let model = build_model(backbone, graph.feat_dim(), num_classes, &cfg.model);
-        let mut trainer = Trainer::new(model.as_ref(), &cfg.train);
+        let trainer = Trainer::new(model.as_ref(), &cfg.train);
 
         telemetry::emit_with(|| {
             telemetry::Event::new("run_start")
@@ -302,37 +394,6 @@ impl RareDriver {
                 .u64("threads", graphrare_tensor::parallel::current_threads() as u64)
         });
 
-        let gt0 = rewired.tensors();
-        if !skip_warmup {
-            // Warm-up on the original graph so the reward signal and the RL
-            // loop's validation comparisons reflect a (near-)converged model.
-            // Early-stopped with best-validation restore, like a plain fit.
-            let mut warm_best = f64::NEG_INFINITY;
-            let mut warm_snap = trainer.snapshot();
-            let mut since = 0usize;
-            for _ in 0..cfg.warmup_epochs {
-                trainer.train_epoch(model.as_ref(), gt0, &labels, &split.train);
-                let val = evaluate(model.as_ref(), gt0, &labels, &split.val);
-                if val.accuracy > warm_best {
-                    warm_best = val.accuracy;
-                    warm_snap = trainer.snapshot();
-                    since = 0;
-                } else {
-                    since += 1;
-                    if since >= cfg.train.patience {
-                        telemetry::emit_with(|| {
-                            telemetry::Event::new("early_stop")
-                                .str("phase", "warmup")
-                                .f64("best_val_acc", warm_best)
-                        });
-                        break;
-                    }
-                }
-            }
-            trainer.restore(&warm_snap);
-        }
-        let warm_params = trainer.snapshot();
-
         // Strategy set-up (the `reference` kNN graph, the `dhgr`
         // calibration) gets its own span, so it never reads as
         // `driver.run` self time.
@@ -341,18 +402,6 @@ impl RareDriver {
             build_rewirer(&topo, cfg, &split.train)
         };
 
-        // On the resume path these are placeholders: `restore` overwrites
-        // every one of them, so the (expensive) evaluations are skipped.
-        let (prev, best_val) = if skip_warmup {
-            (PerfSnapshot { accuracy: 0.0, loss: 0.0, auc: 0.5 }, 0.0)
-        } else {
-            let prev =
-                perf_snapshot(model.as_ref(), gt0, &labels, &split.train, num_classes, want_auc);
-            let val0 = evaluate(model.as_ref(), gt0, &labels, &split.val);
-            (prev, val0.accuracy)
-        };
-        let max_acc = prev.accuracy;
-        let best_params = trainer.snapshot();
         let best_edges = topo.base().edges().map(|(u, v)| (u as u32, v as u32)).collect();
         let base_edges = topo.base().num_edges();
         let original = engine.is_some().then(|| graph.clone());
@@ -369,12 +418,12 @@ impl RareDriver {
             trainer,
             rewirer,
             base_edges,
-            warm_params,
+            warm_params: Vec::new(),
             state,
-            prev,
-            max_acc,
-            best_val,
-            best_params,
+            prev: PerfSnapshot { accuracy: 0.0, loss: 0.0, auc: 0.5 },
+            max_acc: 0.0,
+            best_val: 0.0,
+            best_params: Vec::new(),
             best_edges,
             traces: RunTraces::default(),
             window_reward: 0.0,
@@ -386,6 +435,44 @@ impl RareDriver {
             engine,
             original,
         }
+    }
+
+    /// Warm-up on the original graph so the reward signal and the RL
+    /// loop's validation comparisons reflect a (near-)converged model,
+    /// early-stopped with best-validation restore like a plain fit; then
+    /// the loop's starting performance on `S_0`.
+    fn warm_up(&mut self) {
+        let (model, gt0) = (self.model.as_ref(), self.rewired.tensors());
+        let (labels, split) = (&self.labels, &self.split);
+        let mut warm_best = f64::NEG_INFINITY;
+        let mut warm_snap = self.trainer.snapshot();
+        let mut since = 0usize;
+        for _ in 0..self.cfg.warmup_epochs {
+            self.trainer.train_epoch(model, gt0, labels, &split.train);
+            let val = evaluate(model, gt0, labels, &split.val);
+            if val.accuracy > warm_best {
+                warm_best = val.accuracy;
+                warm_snap = self.trainer.snapshot();
+                since = 0;
+            } else {
+                since += 1;
+                if since >= self.cfg.train.patience {
+                    telemetry::emit_with(|| {
+                        telemetry::Event::new("early_stop")
+                            .str("phase", "warmup")
+                            .f64("best_val_acc", warm_best)
+                    });
+                    break;
+                }
+            }
+        }
+        self.trainer.restore(&warm_snap);
+        self.warm_params = self.trainer.snapshot();
+        self.prev =
+            perf_snapshot(model, gt0, labels, &split.train, self.num_classes, self.want_auc);
+        self.max_acc = self.prev.accuracy;
+        self.best_val = evaluate(model, gt0, labels, &split.val).accuracy;
+        self.best_params = self.trainer.snapshot();
     }
 
     /// The dataset's original graph `G_0`. With entropy refreshes the
@@ -420,8 +507,7 @@ impl RareDriver {
     /// `Ok(false)` without doing anything once all configured steps have
     /// run.
     ///
-    /// Rewire-engine failures surface as a typed error, never a panic. A
-    /// corrupt or version-skewed restored state is the realistic trigger;
+    /// Rewire-engine failures surface as a typed error, never a panic;
     /// the driver must then be discarded (its counters have moved but its
     /// graph has not), but the hosting process — e.g. a `graphrare-serve`
     /// worker — keeps running.
@@ -439,15 +525,7 @@ impl RareDriver {
             self.rewirer.propose(&self.state)
         };
         self.state.apply(&actions);
-        let flips = self.rewired.apply(&self.topo, &self.state)?;
-        if let Some(engine) = self.engine.as_mut() {
-            if !flips.is_empty() {
-                // Mirror the transition into the incremental engine so its
-                // H_s table and rankings track G_t at dirty-rows cost.
-                let _span = telemetry::span("rewire.entropy_refresh");
-                engine.apply_flips(flips);
-            }
-        }
+        self.rewired.apply(&self.topo, &self.state)?;
         let gt = self.rewired.tensors();
 
         // Lines 9–13: evaluate; fine-tune on improvement.
@@ -563,37 +641,45 @@ impl RareDriver {
         Ok(true)
     }
 
-    /// Refresh boundary: swap in rankings recomputed against the current
-    /// rewired graph (maintained incrementally by the engine) and
-    /// re-anchor the topology optimiser on it. The DRL counters reset —
-    /// the refreshed deletion sequences list *current* neighbours, so
-    /// `G_t` becomes the new `S_0` and the agent observes a state jump.
+    /// Refresh boundary: re-anchor on the current rewired graph `G_t`.
+    /// The DRL counters reset — the refreshed deletion sequences list
+    /// *current* neighbours, so `G_t` becomes the new `S_0` and the agent
+    /// observes a state jump.
     fn refresh_sequences(&mut self) {
         let _span = telemetry::span("rewire.entropy_refresh");
-        let engine = self.engine.as_ref().expect("refresh_sequences requires the engine");
-        debug_assert_eq!(
-            engine.graph().edge_vec(),
-            self.rewired.graph().edge_vec(),
-            "incremental engine fell out of sync with the rewired graph"
-        );
-        let sequences = match self.cfg.sequence_mode {
-            SequenceMode::Entropy => engine.sequences().clone(),
-            SequenceMode::Shuffled { seed } => engine.sequences().shuffled(seed),
-        };
-        self.topo =
-            TopologyOptimizer::new(self.rewired.graph().clone(), sequences, self.cfg.edit_mode);
-        self.state =
-            TopoState::new(self.topo.k_bounds(self.cfg.k_cap), self.topo.d_bounds(self.cfg.k_cap));
-        self.rewired.rebase(&self.topo);
-        // Prefix-based heuristics recompute their targets against the new
-        // rankings; the DRL agent carries its parameters across (no-op).
-        self.rewirer.rebase(&self.topo);
+        self.reanchor(None);
         telemetry::counter("rewire.entropy_refreshes", 1);
         telemetry::emit_with(|| {
             telemetry::Event::new("sequence_refresh")
                 .u64("step", self.step as u64)
                 .u64("edges", self.rewired.num_edges() as u64)
         });
+    }
+
+    /// The one re-anchor path, shared by refresh boundaries (`anchor` is
+    /// `None`: the live graph `G_t`) and [`resume`](Self::resume) (the
+    /// anchor a snapshot recorded). The engine re-ranks against the
+    /// anchor, and the optimiser, the counters, the rewired graph and the
+    /// strategy restart from it as `S_0`. The only code that touches the
+    /// engine after construction.
+    fn reanchor(&mut self, anchor: Option<Graph>) {
+        let engine = self.engine.as_mut().expect("re-anchoring requires the entropy engine");
+        let live = anchor.is_none();
+        let anchor = anchor.unwrap_or_else(|| self.rewired.graph().clone());
+        engine.reanchor(&anchor);
+        let sequences = self.cfg.sequence_mode.apply(engine.sequences().clone());
+        self.topo = TopologyOptimizer::new(anchor, sequences, self.cfg.edit_mode);
+        self.state =
+            TopoState::new(self.topo.k_bounds(self.cfg.k_cap), self.topo.d_bounds(self.cfg.k_cap));
+        if live {
+            // The live graph is the new base: its warmed operators carry over.
+            self.rewired.rebase(&self.topo);
+        } else {
+            self.rewired = RewiredGraph::new(&self.topo);
+        }
+        // Prefix-based heuristics recompute their targets against the new
+        // rankings; the DRL agent carries its parameters across (no-op).
+        self.rewirer.rebase(&self.topo);
     }
 
     /// Final convergence phase + report (Algorithm 1's terminal joint
@@ -611,16 +697,7 @@ impl RareDriver {
         // better-validating (graph, parameters) pair wins. The guard means a
         // mid-training mis-selection of a rewired graph can never leave the
         // enhanced model below its own backbone at convergence.
-        let original = self.original_graph();
-        let edges: Vec<(usize, usize)> =
-            self.best_edges.iter().map(|&(u, v)| (u as usize, v as usize)).collect();
-        let best_graph = Graph::from_edges(
-            original.num_nodes(),
-            &edges,
-            original.features().clone(),
-            original.labels().to_vec(),
-            self.num_classes,
-        );
+        let best_graph = with_edges(self.original_graph(), &self.best_edges);
         let best_edges = best_graph.edge_vec();
         let mut winner = 0;
         let mut winner_params = self.best_params.clone();
@@ -701,6 +778,7 @@ impl RareDriver {
     pub fn snapshot(&self) -> DriverSnapshot {
         DriverSnapshot {
             step: self.step as u64,
+            anchor_edges: self.topo.base().edges().map(|(u, v)| (u as u32, v as u32)).collect(),
             trainer: self.trainer.export_state(),
             agent: self.rewirer.export_agent(),
             topo_k: self.state.k_vec().to_vec(),
@@ -719,121 +797,35 @@ impl RareDriver {
             window_steps: self.window_steps as u64,
         }
     }
-
-    /// Overwrites the loop state with a snapshot taken over the same
-    /// graph, split and config. Every structural property is validated
-    /// before anything is mutated, so a failed restore usually leaves the
-    /// driver untouched — and never panics. The one exception is the
-    /// final rewire jump: counters that pass the shape checks but
-    /// contradict this run's sequences are rejected by the rewire engine
-    /// after the loop state was overwritten, so on that error the driver
-    /// must be discarded (the error message says so).
-    pub fn restore(&mut self, snap: &DriverSnapshot) -> Result<(), String> {
-        if self.cfg.entropy_refresh_every > 0 {
-            return Err("snapshot/restore is not supported with entropy_refresh_every > 0 (the \
-                 incremental entropy engine's state is not captured by snapshots)"
-                .to_string());
-        }
-        if snap.step > self.cfg.steps as u64 {
-            return Err(format!(
-                "snapshot is at step {} but the config runs only {} steps",
-                snap.step, self.cfg.steps
-            ));
-        }
-        if snap.topo_k_max != self.state.k_max_vec() || snap.topo_d_max != self.state.d_max_vec() {
-            return Err(
-                "snapshot topology bounds disagree with this graph/config (different dataset, \
-                 seed, k-cap or edit mode?)"
-                    .to_string(),
-            );
-        }
-        let state = TopoState::from_raw(
-            snap.topo_k.clone(),
-            snap.topo_d.clone(),
-            snap.topo_k_max.clone(),
-            snap.topo_d_max.clone(),
-        )
-        .ok_or_else(|| "snapshot topology counters violate their bounds".to_string())?;
-
-        let cur_trainer = self.trainer.snapshot();
-        check_param_shapes("trainer parameters", &snap.trainer.params, &cur_trainer)?;
-        check_adam_shapes("trainer Adam state", &snap.trainer.adam.moments, &cur_trainer)?;
-        check_param_shapes("warm-up parameters", &snap.warm_params, &cur_trainer)?;
-        check_param_shapes("best parameters", &snap.best_params, &cur_trainer)?;
-
-        let cur_agent = self.rewirer.export_agent();
-        check_param_shapes("agent parameters", &snap.agent.params, &cur_agent.params)?;
-        check_adam_shapes("agent Adam state", &snap.agent.adam.moments, &cur_agent.params)?;
-
-        let n = self.topo.base().num_nodes();
-        if let Some(&(u, v)) =
-            snap.best_graph_edges.iter().find(|&&(u, v)| u as usize >= n || v as usize >= n)
-        {
-            return Err(format!("snapshot best-graph edge ({u},{v}) references a node >= {n}"));
-        }
-
-        let b = &snap.buffer;
-        let len = b.rewards.len();
-        if b.states.len() != len
-            || b.actions.len() != len
-            || b.log_probs.len() != len
-            || b.values.len() != len
-            || b.dones.len() != len
-        {
-            return Err("snapshot rollout buffer columns disagree in length".to_string());
-        }
-        if b.states.iter().any(|s| s.len() != 2 * n) || b.actions.iter().any(|a| a.len() != 2 * n) {
-            return Err("snapshot rollout buffer rows disagree with the node count".to_string());
-        }
-        if self.cfg.update_every > 0 && snap.window_steps >= self.cfg.update_every as u64 {
-            return Err(format!(
-                "snapshot window progress {} is impossible with update-every {}",
-                snap.window_steps, self.cfg.update_every
-            ));
-        }
-
-        // All checks passed — mutate.
-        self.trainer.import_state(&snap.trainer);
-        self.rewirer.import_agent(&snap.agent);
-        self.rewirer.import_buffer(&snap.buffer);
-        self.state = state;
-        self.prev = snap.prev;
-        self.max_acc = snap.max_acc;
-        self.best_val = snap.best_val;
-        self.warm_params = snap.warm_params.clone();
-        self.best_params = snap.best_params.clone();
-        self.best_edges = snap.best_graph_edges.clone();
-        self.traces = snap.traces.clone();
-        self.window_reward = snap.window_reward;
-        self.window_steps = snap.window_steps as usize;
-        self.step = snap.step as usize;
-        // Jump the persistent G_t to the restored counters so the next
-        // step's incremental apply starts from the right topology. A
-        // rewire rejection here is a snapshot the structural checks above
-        // could not catch (e.g. counters crafted against other sequences);
-        // it surfaces as a restore failure, not a panic.
-        self.rewired.apply(&self.topo, &self.state).map_err(|e| {
-            format!("snapshot topology counters rejected by the rewire engine: {e}")
-        })?;
-        telemetry::emit_with(|| telemetry::Event::new("driver_restore").u64("step", snap.step));
-        Ok(())
-    }
 }
 
-fn check_param_shapes(what: &str, got: &[Matrix], expect: &[Matrix]) -> Result<(), String> {
+/// Checks that `got` has `expect`'s tensor count and shapes; `what`
+/// names the checked set in the error.
+pub(crate) fn check_param_shapes(
+    what: &str,
+    got: &[Matrix],
+    expect: &[Matrix],
+) -> Result<(), String> {
     if got.len() != expect.len() {
-        return Err(format!("snapshot {what}: {} tensors, model has {}", got.len(), expect.len()));
+        return Err(format!("{what}: {} tensors, model has {}", got.len(), expect.len()));
     }
     for (i, (g, e)) in got.iter().zip(expect).enumerate() {
         if g.shape() != e.shape() {
             return Err(format!(
-                "snapshot {what}: tensor {i} is {:?}, model expects {:?}",
+                "{what}: tensor {i} is {:?}, model expects {:?}",
                 g.shape(),
                 e.shape()
             ));
         }
     }
     Ok(())
+}
+
+fn check_edges(what: &str, edges: &[(u32, u32)], n: usize) -> Result<(), String> {
+    match edges.iter().find(|&&(u, v)| u as usize >= n || v as usize >= n) {
+        Some(&(u, v)) => Err(format!("snapshot {what} edge ({u},{v}) references a node >= {n}")),
+        None => Ok(()),
+    }
 }
 
 fn check_adam_shapes(
@@ -854,6 +846,19 @@ fn check_adam_shapes(
         }
     }
     Ok(())
+}
+
+/// `like` with its edges replaced by `edges` (features, labels and
+/// classes shared).
+fn with_edges(like: &Graph, edges: &[(u32, u32)]) -> Graph {
+    let edges: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (u as usize, v as usize)).collect();
+    Graph::from_edges(
+        like.num_nodes(),
+        &edges,
+        like.features().clone(),
+        like.labels().to_vec(),
+        like.num_classes(),
+    )
 }
 
 /// Runs the full GraphRARE framework (Algorithm 1) on one data split,
@@ -1023,8 +1028,7 @@ mod tests {
         drop(first);
 
         // ...and resume it in a "fresh process".
-        let mut resumed = RareDriver::new_for_resume(&g, &split, Backbone::Gcn, &cfg);
-        resumed.restore(&snap).unwrap();
+        let resumed = RareDriver::resume(&g, &split, Backbone::Gcn, &cfg, &snap).unwrap();
         assert_eq!(resumed.step_index(), 3);
         let report = run_driver(resumed).unwrap();
         assert_reports_identical(&uninterrupted, &report);
@@ -1046,7 +1050,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_foreign_snapshot() {
+    fn resume_rejects_foreign_snapshot() {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(19);
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
@@ -1067,16 +1071,20 @@ mod tests {
         };
         let g2 = generate_spec(&spec, 5);
         let split2 = stratified_split(g2.labels(), g2.num_classes(), 0);
-        let mut other = RareDriver::new_for_resume(&g2, &split2, Backbone::Gcn, &cfg);
-        assert!(other.restore(&snap).is_err());
+        assert!(RareDriver::resume(&g2, &split2, Backbone::Gcn, &cfg, &snap).is_err());
 
         // Tampered counters are rejected too.
         let mut bad = snap.clone();
         if let Some(first_bound) = bad.topo_k_max.first().copied() {
             bad.topo_k[0] = first_bound + 1;
         }
-        let mut same = RareDriver::new_for_resume(&g, &split, Backbone::Gcn, &cfg);
-        assert!(same.restore(&bad).is_err());
+        assert!(RareDriver::resume(&g, &split, Backbone::Gcn, &cfg, &bad).is_err());
+
+        // So is an anchor other than G_0 when refreshes are off.
+        let mut moved = snap.clone();
+        moved.anchor_edges.pop();
+        let err = RareDriver::resume(&g, &split, Backbone::Gcn, &cfg, &moved).err().unwrap();
+        assert!(err.contains("without entropy refreshes"), "unexpected error: {err}");
     }
 
     #[test]
@@ -1137,8 +1145,7 @@ mod tests {
             let snap = first.snapshot();
             assert!(snap.agent.params.is_empty(), "{} must export empty agent", kind.name());
             drop(first);
-            let mut resumed = RareDriver::new_for_resume(&g, &split, Backbone::Gcn, &cfg);
-            resumed.restore(&snap).unwrap();
+            let resumed = RareDriver::resume(&g, &split, Backbone::Gcn, &cfg, &snap).unwrap();
             let report = run_driver(resumed).unwrap();
             assert_reports_identical(&uninterrupted, &report);
         }
@@ -1172,7 +1179,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_cross_strategy_snapshot() {
+    fn resume_rejects_cross_strategy_snapshot() {
         let (g, split) = heterophilic_fixture();
         let cfg = GraphRareConfig::fast().with_seed(47);
         let mut ppo = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
@@ -1180,22 +1187,32 @@ mod tests {
         let snap = ppo.snapshot();
         let mut cfg2 = cfg;
         cfg2.rewirer = RewirerKind::Dhgr;
-        let mut heuristic = RareDriver::new_for_resume(&g, &split, Backbone::Gcn, &cfg2);
         assert!(
-            heuristic.restore(&snap).is_err(),
-            "a DRL snapshot must not restore into a heuristic driver"
+            RareDriver::resume(&g, &split, Backbone::Gcn, &cfg2, &snap).is_err(),
+            "a DRL snapshot must not resume into a heuristic driver"
         );
     }
 
     #[test]
-    fn restore_rejected_when_refresh_enabled() {
+    fn refresh_mode_resumes_bit_identically() {
         let (g, split) = heterophilic_fixture();
         let mut cfg = GraphRareConfig::fast().with_seed(31);
         cfg.entropy_refresh_every = 2;
-        let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        driver.try_step().unwrap();
-        let snap = driver.snapshot();
-        let err = driver.restore(&snap).unwrap_err();
-        assert!(err.contains("entropy_refresh_every"), "unexpected error: {err}");
+        let uninterrupted = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+        // Before the first boundary, on a boundary, and after one.
+        for kill_at in [1, 4, 5] {
+            let mut first = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
+            for _ in 0..kill_at {
+                assert!(first.try_step().unwrap());
+            }
+            let snap = first.snapshot();
+            assert_eq!(
+                snap.anchor_edges,
+                first.topo.base().edges().map(|(u, v)| (u as u32, v as u32)).collect::<Vec<_>>()
+            );
+            drop(first);
+            let resumed = RareDriver::resume(&g, &split, Backbone::Gcn, &cfg, &snap).unwrap();
+            assert_reports_identical(&uninterrupted, &run_driver(resumed).unwrap());
+        }
     }
 }

@@ -31,12 +31,13 @@ use graphrare_telemetry as telemetry;
 use graphrare_tensor::Matrix;
 
 use crate::config::GraphRareConfig;
-use crate::driver::{DriverSnapshot, RareDriver, RareReport, RunTraces};
+use crate::driver::{check_param_shapes, DriverSnapshot, RareDriver, RareReport, RunTraces};
 use crate::reward::PerfSnapshot;
 
 /// `kind` section contents of a checkpoint container. v2 added the
-/// required `strategy` section.
-const CHECKPOINT_KIND: &[u8] = b"graphrare.checkpoint.v2";
+/// required `strategy` section; v3 the `anchor/graph` section, the
+/// entropy refresh cadence in `meta` and λ in `floats`.
+const CHECKPOINT_KIND: &[u8] = b"graphrare.checkpoint.v3";
 /// `kind` section contents of a model-artifact container.
 const MODEL_KIND: &[u8] = b"graphrare.model.v1";
 
@@ -54,6 +55,16 @@ fn unnamed(params: Vec<(String, Matrix)>) -> Vec<Matrix> {
 /// checkpoints apart.
 fn strategy_tag(cfg: &GraphRareConfig) -> String {
     format!("algo={} rewirer={}", cfg.algo.name(), cfg.rewirer.name())
+}
+
+/// The loop settings a checkpoint must resume under, besides its
+/// strategy. λ prints in its shortest round-trip form, so two finite λ
+/// share a tag only when their bits are equal.
+fn loop_tag(steps: u64, update_every: u64, seed: u64, refresh_every: u64, lambda: f64) -> String {
+    format!(
+        "steps={steps} update-every={update_every} seed={seed} \
+         entropy-refresh-every={refresh_every} lambda={lambda:?}"
+    )
 }
 
 fn expect_kind(c: &Container, expected: &[u8]) -> Result<(), StoreError> {
@@ -94,6 +105,7 @@ pub fn save_checkpoint(path: &Path, driver: &RareDriver) -> Result<u64, StoreErr
             cfg.seed,
             snap.topo_k.len() as u64,
             snap.window_steps,
+            cfg.entropy_refresh_every as u64,
         ],
     );
     w.put_scalars(
@@ -105,6 +117,7 @@ pub fn save_checkpoint(path: &Path, driver: &RareDriver) -> Result<u64, StoreErr
             ("max_acc".into(), snap.max_acc),
             ("best_val".into(), snap.best_val),
             ("window_reward".into(), snap.window_reward as f64),
+            ("lambda".into(), cfg.entropy.lambda),
         ],
     );
 
@@ -117,14 +130,13 @@ pub fn save_checkpoint(path: &Path, driver: &RareDriver) -> Result<u64, StoreErr
     w.put_param_set("warm/params", &named(&snap.warm_params));
     w.put_param_set("best/params", &named(&snap.best_params));
 
-    w.put_topology(
-        "best/graph",
-        &TopologyRecord {
-            n: snap.topo_k.len() as u32,
-            num_classes: driver.num_classes() as u32,
-            edges: snap.best_graph_edges.clone(),
-        },
-    );
+    let topology = |edges: &[(u32, u32)]| TopologyRecord {
+        n: snap.topo_k.len() as u32,
+        num_classes: driver.num_classes() as u32,
+        edges: edges.to_vec(),
+    };
+    w.put_topology("anchor/graph", &topology(&snap.anchor_edges));
+    w.put_topology("best/graph", &topology(&snap.best_graph_edges));
     w.put_u16_vec("topo/k", &snap.topo_k);
     w.put_u16_vec("topo/d", &snap.topo_d);
     w.put_u16_vec("topo/kmax", &snap.topo_k_max);
@@ -167,9 +179,9 @@ pub fn save_checkpoint(path: &Path, driver: &RareDriver) -> Result<u64, StoreErr
 }
 
 /// Reads a checkpoint written by [`save_checkpoint`] and cross-checks it
-/// against `cfg` (step budget, update window, seed, RL algorithm and
-/// rewiring strategy). The returned
-/// snapshot still has to pass [`RareDriver::restore`]'s structural
+/// against `cfg` (step budget, update window, seed, entropy refresh
+/// cadence, λ, RL algorithm and rewiring strategy). The returned
+/// snapshot still has to pass [`RareDriver::resume`]'s structural
 /// validation — [`resume_driver`] bundles both.
 pub fn load_snapshot(path: &Path, cfg: &GraphRareConfig) -> Result<DriverSnapshot, StoreError> {
     let clock = telemetry::Stopwatch::start();
@@ -177,28 +189,30 @@ pub fn load_snapshot(path: &Path, cfg: &GraphRareConfig) -> Result<DriverSnapsho
     expect_kind(&c, CHECKPOINT_KIND)?;
 
     let meta = c.u64_vec("meta")?;
-    let [step, steps, update_every, seed, _num_nodes, window_steps] = meta[..] else {
+    let [step, steps, update_every, seed, _num_nodes, window_steps, refresh_every] = meta[..]
+    else {
         return Err(StoreError::Corrupt {
-            context: format!("checkpoint meta has {} entries, expected 6", meta.len()),
+            context: format!("checkpoint meta has {} entries, expected 7", meta.len()),
         });
     };
-    if steps != cfg.steps as u64 || update_every != cfg.update_every as u64 || seed != cfg.seed {
+    let strategy = String::from_utf8_lossy(c.bytes("strategy")?).into_owned();
+    let lambda = c.scalar("floats", "lambda")?;
+    let found =
+        format!("{strategy} {}", loop_tag(steps, update_every, seed, refresh_every, lambda));
+    let expected = format!(
+        "{} {}",
+        strategy_tag(cfg),
+        loop_tag(
+            cfg.steps as u64,
+            cfg.update_every as u64,
+            cfg.seed,
+            cfg.entropy_refresh_every as u64,
+            cfg.entropy.lambda,
+        )
+    );
+    if found != expected {
         return Err(StoreError::Mismatch {
-            context: format!(
-                "checkpoint was taken with steps={steps} update-every={update_every} \
-                 seed={seed}, current config has steps={} update-every={} seed={}",
-                cfg.steps, cfg.update_every, cfg.seed
-            ),
-        });
-    }
-    let strategy = c.bytes("strategy")?;
-    let expected = strategy_tag(cfg);
-    if strategy != expected.as_bytes() {
-        return Err(StoreError::Mismatch {
-            context: format!(
-                "checkpoint was taken with {}, current config has {expected}",
-                String::from_utf8_lossy(strategy)
-            ),
+            context: format!("checkpoint was taken with {found}, current config has {expected}"),
         });
     }
 
@@ -219,13 +233,12 @@ pub fn load_snapshot(path: &Path, cfg: &GraphRareConfig) -> Result<DriverSnapsho
         rng: c.rng("agent/rng")?,
     };
 
-    let best_graph = c.topology("best/graph")?;
-
     let buffer = decode_buffer(&c)?;
     let traces = decode_traces(&c)?;
 
     let snap = DriverSnapshot {
         step,
+        anchor_edges: c.topology("anchor/graph")?.edges,
         trainer,
         agent,
         topo_k: c.u16_vec("topo/k")?,
@@ -237,7 +250,7 @@ pub fn load_snapshot(path: &Path, cfg: &GraphRareConfig) -> Result<DriverSnapsho
         best_val: c.scalar("floats", "best_val")?,
         warm_params: unnamed(c.param_set("warm/params")?),
         best_params: unnamed(c.param_set("best/params")?),
-        best_graph_edges: best_graph.edges,
+        best_graph_edges: c.topology("best/graph")?.edges,
         buffer,
         traces,
         window_reward: c.scalar("floats", "window_reward")? as f32,
@@ -315,9 +328,8 @@ fn decode_traces(c: &Container) -> Result<RunTraces, StoreError> {
     })
 }
 
-/// Loads a checkpoint and builds a driver ready to continue from it:
-/// [`RareDriver::new_for_resume`] (which skips warm-up) followed by a
-/// fully validated [`RareDriver::restore`].
+/// Loads a checkpoint and builds a driver ready to continue from it
+/// through [`RareDriver::resume`], which validates the snapshot.
 pub fn resume_driver(
     path: &Path,
     graph: &Graph,
@@ -335,9 +347,8 @@ pub fn resume_driver(
             ),
         });
     }
-    let mut driver = RareDriver::new_for_resume(graph, split, backbone, cfg);
-    driver.restore(&snap).map_err(|context| StoreError::Mismatch { context })?;
-    Ok(driver)
+    RareDriver::resume(graph, split, backbone, cfg, &snap)
+        .map_err(|context| StoreError::Mismatch { context })
 }
 
 /// The checkpoint file for `step` completed steps in `dir`:
@@ -427,27 +438,8 @@ pub fn load_model(path: &Path) -> Result<ModelArtifact, StoreError> {
 /// the typed-error counterpart of [`Trainer::restore`], which panics on
 /// mismatch.
 pub fn apply_model_params(trainer: &Trainer, params: &[Matrix]) -> Result<(), StoreError> {
-    let cur = trainer.snapshot();
-    if cur.len() != params.len() {
-        return Err(StoreError::Mismatch {
-            context: format!(
-                "artifact has {} parameter tensors, model expects {}",
-                params.len(),
-                cur.len()
-            ),
-        });
-    }
-    for (i, (p, c)) in params.iter().zip(&cur).enumerate() {
-        if p.shape() != c.shape() {
-            return Err(StoreError::Mismatch {
-                context: format!(
-                    "artifact parameter {i} is {:?}, model expects {:?}",
-                    p.shape(),
-                    c.shape()
-                ),
-            });
-        }
-    }
+    check_param_shapes("artifact parameters", params, &trainer.snapshot())
+        .map_err(|context| StoreError::Mismatch { context })?;
     trainer.restore(params);
     Ok(())
 }
@@ -529,7 +521,8 @@ mod tests {
     #[test]
     fn load_rejects_config_mismatch() {
         let (g, split) = fixture();
-        let cfg = GraphRareConfig::fast().with_seed(29);
+        let mut cfg = GraphRareConfig::fast().with_seed(29);
+        cfg.entropy.lambda = 0.5;
         let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
         driver.try_step().unwrap();
         let path = temp_path("cfg-mismatch");
@@ -537,15 +530,27 @@ mod tests {
 
         let other = GraphRareConfig::fast().with_seed(31);
         assert!(matches!(load_snapshot(&path, &other), Err(StoreError::Mismatch { .. })));
+        // λ shapes every entropy ranking, so a different one is refused
+        // by name.
+        let mut other_lambda = cfg;
+        other_lambda.entropy.lambda = 1.0;
+        match load_snapshot(&path, &other_lambda) {
+            Err(StoreError::Mismatch { context }) => {
+                assert!(context.contains("lambda="), "{context}")
+            }
+            other => panic!("expected a lambda mismatch, got {other:?}"),
+        }
+        assert!(load_snapshot(&path, &cfg).is_ok());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn load_rejects_checkpoint_without_strategy() {
-        // A checkpoint that does not record its strategy (the v1 layout)
-        // is a typed error, never read as whatever the caller configured.
+        // A checkpoint that does not record its strategy is a typed
+        // error, never read as whatever the caller configured; earlier
+        // layouts are refused by their kind.
         let cfg = GraphRareConfig::fast().with_seed(43);
-        let meta = [1, cfg.steps as u64, cfg.update_every as u64, cfg.seed, 50, 1];
+        let meta = [1, cfg.steps as u64, cfg.update_every as u64, cfg.seed, 50, 1, 0];
         let path = temp_path("no-strategy");
         let write = |kind: &[u8]| {
             let mut w = ContainerWriter::new();
@@ -553,8 +558,10 @@ mod tests {
             w.put_u64_vec("meta", &meta);
             w.write_atomic(&path).unwrap();
         };
-        write(b"graphrare.checkpoint.v1");
-        assert!(matches!(load_snapshot(&path, &cfg), Err(StoreError::Mismatch { .. })));
+        for old in [&b"graphrare.checkpoint.v1"[..], b"graphrare.checkpoint.v2"] {
+            write(old);
+            assert!(matches!(load_snapshot(&path, &cfg), Err(StoreError::Mismatch { .. })));
+        }
         write(CHECKPOINT_KIND);
         assert!(matches!(
             load_snapshot(&path, &cfg),

@@ -14,7 +14,7 @@ use graphrare_entropy::{EntropySequences, RelativeEntropyTable};
 use graphrare_gnn::{build_model, fit, Backbone, FitReport, GraphTensors};
 use graphrare_graph::{metrics, Graph};
 
-use crate::config::{GraphRareConfig, SequenceMode};
+use crate::config::GraphRareConfig;
 use crate::rewire::RewiredGraph;
 use crate::state::TopoState;
 use crate::topology::TopologyOptimizer;
@@ -35,11 +35,7 @@ pub struct VariantReport {
 fn build_optimizer(graph: &Graph, cfg: &GraphRareConfig) -> TopologyOptimizer {
     let table = RelativeEntropyTable::new(graph, &cfg.entropy);
     let seqs = EntropySequences::build(graph, &table, &cfg.sequences);
-    let seqs = match cfg.sequence_mode {
-        SequenceMode::Entropy => seqs,
-        SequenceMode::Shuffled { seed } => seqs.shuffled(seed),
-    };
-    TopologyOptimizer::new(graph.clone(), seqs, cfg.edit_mode)
+    TopologyOptimizer::new(graph.clone(), cfg.sequence_mode.apply(seqs), cfg.edit_mode)
 }
 
 fn train_on_state(

@@ -3,14 +3,16 @@
 //! `H = H_f + λ·H_s` (Eq. 9) splits cleanly under topology edits:
 //! feature entropy `H_f` depends only on node features, which flips
 //! never touch, while structural entropy `H_s` (Eqs. 5–8) depends only
-//! on *one-hop degree profiles*. A batch of edge flips therefore dirties
-//! a bounded set of `H_s` rows and rankings, and everything else is
-//! reusable verbatim — the same sparse-invalidation argument that made
-//! rewiring incremental (`RewiredGraph` / `GraphTensors` dirty rows).
+//! on *one-hop degree profiles*. Moving the engine's anchor graph to a
+//! new target ([`IncrementalEntropy::reanchor`]) flips the edges the two
+//! graphs disagree on, which dirties a bounded set of `H_s` rows and
+//! rankings; everything else is reusable verbatim — the same
+//! sparse-invalidation argument that made rewiring incremental
+//! (`RewiredGraph` / `GraphTensors` dirty rows).
 //!
 //! ## Dirty-set rules
 //!
-//! With `E` the flipped endpoints (on the normalized batch):
+//! With `E` the flipped endpoints (of the anchor-to-target diff):
 //!
 //! * **Profile-dirty** (`H_s` row must be recomputed): `E ∪ N_new(E)`.
 //!   A node's profile is its own degree plus its neighbours' degrees;
@@ -39,7 +41,7 @@
 //! build runs ([`EntropySequences::build`]'s row closure), and
 //! `GlobalSample` re-draws restart the per-node RNG at `seed ^ v`, so
 //! the result is independent of visit order and bit-identical to a
-//! from-scratch build after every batch — the proptest suite in
+//! from-scratch build after every re-anchor — the proptest suite in
 //! `tests/incremental_equivalence.rs` enforces exactly that.
 //!
 //! ## Wholesale fallback
@@ -50,15 +52,17 @@
 //! feature rows and their frozen rescale range, which no flip can
 //! invalidate.
 
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use graphrare_graph::{edge_key, traversal, unkey, Graph};
+use graphrare_graph::{traversal, Graph};
 
 use crate::relative::{RelativeEntropyConfig, RelativeEntropyTable};
 use crate::sequences::{self, CandidatePool, EntropySequences, SequenceConfig};
 
-/// What one [`IncrementalEntropy::apply_flips`] call did.
+/// What one [`IncrementalEntropy::reanchor`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EntropyRefreshStats {
     /// `H_s` rows (degree profiles) recomputed.
@@ -69,10 +73,9 @@ pub struct EntropyRefreshStats {
     pub wholesale: bool,
 }
 
-/// Incrementally-maintained relative-entropy state: a graph mirror, its
+/// Incrementally-maintained relative-entropy state: an anchor graph, its
 /// [`RelativeEntropyTable`] and [`EntropySequences`], kept bit-identical
-/// to a from-scratch build across [`apply_flips`](Self::apply_flips)
-/// batches.
+/// to a from-scratch build across [`reanchor`](Self::reanchor) calls.
 pub struct IncrementalEntropy {
     graph: Graph,
     table: RelativeEntropyTable,
@@ -109,14 +112,14 @@ impl IncrementalEntropy {
 
     /// Sets the sequence-dirty fraction above which the engine rebuilds
     /// wholesale instead of per row. `0.0` forces wholesale on every
-    /// non-empty batch (the benchmark's "full rebuild" baseline);
-    /// values ≥ 1 never fall back.
+    /// re-anchor that changes an edge (the benchmark's "full rebuild"
+    /// baseline); values ≥ 1 never fall back.
     pub fn set_wholesale_threshold(&mut self, threshold: f64) {
         self.wholesale_threshold = threshold;
     }
 
-    /// The engine's graph mirror (always equal to the sum of applied
-    /// flips over the construction-time graph).
+    /// The anchor graph: the last [`reanchor`](Self::reanchor) target, or
+    /// the construction-time graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -136,29 +139,18 @@ impl IncrementalEntropy {
         &self.cfg
     }
 
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    /// Whether the engine covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.graph.num_nodes() == 0
-    }
-
-    /// Applies a batch of undirected edge flips (`(u, v, added)`) to the
-    /// graph mirror and refreshes exactly the dirty entropy rows and
-    /// sequence rankings.
+    /// Moves the anchor to `target`'s topology and refreshes exactly the
+    /// dirty entropy rows and sequence rankings.
     ///
-    /// Flip semantics match [`Graph::apply_edits`]: self-loops and
-    /// out-of-bounds pairs are dropped, the last flip per pair wins, and
-    /// flips that do not change presence are no-ops. After the call,
-    /// [`table`](Self::table) and [`sequences`](Self::sequences) are
-    /// bit-identical to from-scratch builds on the flipped graph.
-    pub fn apply_flips(&mut self, flips: &[(usize, usize, bool)]) -> EntropyRefreshStats {
+    /// `target` must have the anchor's nodes and features; only its
+    /// edges are read. After the call, [`table`](Self::table) and
+    /// [`sequences`](Self::sequences) are bit-identical to from-scratch
+    /// builds on `target`. An equal topology is a no-op.
+    pub fn reanchor(&mut self, target: &Graph) -> EntropyRefreshStats {
         let clock = graphrare_telemetry::Stopwatch::start();
         let n = self.graph.num_nodes();
-        let genuine = normalize_flips(&self.graph, flips);
+        assert_eq!(target.num_nodes(), n, "re-anchor target must cover the anchor's nodes");
+        let genuine = edge_diff(&self.graph, target);
         if genuine.is_empty() {
             return EntropyRefreshStats::default();
         }
@@ -298,39 +290,40 @@ impl IncrementalEntropy {
     }
 }
 
-/// Normalizes a raw flip batch to [`Graph::apply_flips_sorted`]'s
-/// contract: in-bounds non-loop pairs, ascending by edge key, last flip
-/// per pair winning, and only genuine presence changes kept — the same
-/// semantics `Graph::apply_edits` implements internally.
-fn normalize_flips(g: &Graph, flips: &[(usize, usize, bool)]) -> Vec<(usize, usize, bool)> {
-    let n = g.num_nodes();
-    let mut keyed: Vec<(u64, u32, bool)> = flips
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(u, v, _))| u != v && u < n && v < n)
-        .map(|(i, &(u, v, add))| (edge_key(u, v), i as u32, add))
-        .collect();
-    keyed.sort_unstable();
+/// The flips that turn `from` into `to`: one sorted merge of the two
+/// edge lists, so the result is ascending by edge key and every flip
+/// genuinely changes presence ([`Graph::apply_flips_sorted`]'s contract).
+fn edge_diff(from: &Graph, to: &Graph) -> Vec<(usize, usize, bool)> {
+    // `edges()` yields `(u, v)` with `u < v` in edge-key order, so tuple
+    // order is key order; `END` sorts after every real edge.
+    const END: (usize, usize) = (usize::MAX, usize::MAX);
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let key = keyed[i].0;
-        while i + 1 < keyed.len() && keyed[i + 1].0 == key {
-            i += 1; // the last flip for this pair wins
-        }
-        let want = keyed[i].2;
-        i += 1;
-        let (u, v) = unkey(key);
-        if want != g.has_edge(u, v) {
-            out.push((u, v, want));
+    let (mut old, mut new) = (from.edges().peekable(), to.edges().peekable());
+    loop {
+        let a = old.peek().copied().unwrap_or(END);
+        let b = new.peek().copied().unwrap_or(END);
+        match a.cmp(&b) {
+            Ordering::Less => {
+                out.push((a.0, a.1, false));
+                old.next();
+            }
+            Ordering::Greater => {
+                out.push((b.0, b.1, true));
+                new.next();
+            }
+            Ordering::Equal if a == END => return out,
+            Ordering::Equal => {
+                old.next();
+                new.next();
+            }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphrare_graph::EdgeEdit;
     use graphrare_tensor::Matrix;
 
     fn fixture() -> Graph {
@@ -339,6 +332,17 @@ mod tests {
         let edges: Vec<(usize, usize)> =
             (0..n - 1).map(|i| (i, i + 1)).chain([(0, 5), (2, 7)]).collect();
         Graph::from_edges(n, &edges, feats, (0..n).map(|v| v % 3).collect(), 3)
+    }
+
+    /// `g` after a raw batch of `(u, v, present)` flips.
+    fn flipped(g: &Graph, flips: &[(usize, usize, bool)]) -> Graph {
+        let edits: Vec<(usize, usize, EdgeEdit)> = flips
+            .iter()
+            .map(|&(u, v, add)| (u, v, if add { EdgeEdit::Add } else { EdgeEdit::Remove }))
+            .collect();
+        let mut out = g.clone();
+        out.apply_edits(&edits);
+        out
     }
 
     fn assert_matches_fresh(engine: &IncrementalEntropy, ecfg: &RelativeEntropyConfig) {
@@ -358,29 +362,34 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_fresh_after_each_batch() {
+    fn incremental_matches_fresh_after_each_reanchor() {
         let ecfg = RelativeEntropyConfig::default();
         for pool in [
             CandidatePool::RemoteRing { hops: 3 },
             CandidatePool::GlobalSample { per_node: 4, seed: 11 },
         ] {
-            let g = fixture();
-            let mut engine =
-                IncrementalEntropy::new(&g, &ecfg, SequenceConfig { pool, max_additions: 8 });
+            let mut reference = fixture();
+            let mut engine = IncrementalEntropy::new(
+                &reference,
+                &ecfg,
+                SequenceConfig { pool, max_additions: 8 },
+            );
             let batches: Vec<Vec<(usize, usize, bool)>> = vec![
                 vec![(0, 3, true)],
                 vec![(1, 2, false), (4, 9, true)],
                 vec![(0, 3, false), (0, 3, true), (5, 6, false)],
             ];
             for batch in &batches {
-                engine.apply_flips(batch);
+                reference = flipped(&reference, batch);
+                engine.reanchor(&reference);
+                assert_eq!(engine.graph().edge_vec(), reference.edge_vec());
                 assert_matches_fresh(&engine, &ecfg);
             }
         }
     }
 
     #[test]
-    fn degenerate_batches_are_noops() {
+    fn reanchoring_onto_an_equal_graph_is_a_noop() {
         let g = fixture();
         let mut engine = IncrementalEntropy::new(
             &g,
@@ -388,16 +397,9 @@ mod tests {
             SequenceConfig::default(),
         );
         let before = engine.sequences().clone();
-        // Self-loop, out-of-bounds, add-present, remove-absent, and a
-        // pair that flips back to its original state.
-        let stats = engine.apply_flips(&[
-            (2, 2, true),
-            (0, 99, true),
-            (0, 1, true),
-            (0, 9, false),
-            (3, 8, true),
-            (3, 8, false),
-        ]);
+        // The same topology, reached through a batch whose flips cancel.
+        let same = flipped(&g, &[(0, 1, true), (0, 9, false), (3, 8, true), (3, 8, false)]);
+        let stats = engine.reanchor(&same);
         assert_eq!(stats, EntropyRefreshStats::default());
         assert_eq!(engine.sequences(), &before);
         assert_eq!(engine.graph().edge_vec(), g.edge_vec());
@@ -415,7 +417,7 @@ mod tests {
         let frozen = engine.sequences().clone();
 
         // Remove the (2,3) path edge and add a chord at node 2.
-        engine.apply_flips(&[(2, 3, false), (2, 9, true)]);
+        engine.reanchor(&flipped(&g, &[(2, 3, false), (2, 9, true)]));
 
         // The frozen deletion ranking still offers the removed edge…
         assert!(
@@ -444,9 +446,20 @@ mod tests {
         let g = fixture();
         let mut engine = IncrementalEntropy::new(&g, &ecfg, SequenceConfig::default());
         engine.set_wholesale_threshold(0.0);
-        let stats = engine.apply_flips(&[(0, 4, true)]);
+        let stats = engine.reanchor(&flipped(&g, &[(0, 4, true)]));
         assert!(stats.wholesale);
         assert_eq!(stats.rows_rebuilt, g.num_nodes());
         assert_matches_fresh(&engine, &ecfg);
+    }
+
+    #[test]
+    fn edge_diff_is_sorted_and_genuine() {
+        let g = fixture();
+        let target = flipped(&g, &[(8, 9, false), (0, 9, true), (0, 1, false), (3, 7, true)]);
+        assert_eq!(
+            edge_diff(&g, &target),
+            vec![(0, 1, false), (0, 9, true), (3, 7, true), (8, 9, false)]
+        );
+        assert!(edge_diff(&g, &g).is_empty());
     }
 }

@@ -1,8 +1,9 @@
-//! Property suite: the incremental entropy engine is bit-identical to a
+//! Property suite: the incremental entropy engine, re-anchored after
+//! every batch of a random flip trace, is bit-identical to a
 //! from-scratch build (`RelativeEntropyTable::new` +
-//! `EntropySequences::build`) over random graphs and random flip traces,
-//! for both candidate pools — the same correctness contract
-//! `rewire_equivalence.rs` enforces for the rewiring engine.
+//! `EntropySequences::build`) over random graphs, for both candidate
+//! pools — the same correctness contract `rewire_equivalence.rs`
+//! enforces for the rewiring engine.
 
 use proptest::prelude::*;
 
@@ -56,9 +57,9 @@ fn assert_matches_fresh(
     assert_eq!(engine.sequences(), &fresh, "rankings diverged from fresh build");
 }
 
-/// Replays a trace of raw (possibly degenerate) flip batches through the
-/// engine and, via `apply_edits`, through a reference graph, checking the
-/// contract after every batch.
+/// Applies a trace of raw (possibly degenerate) flip batches to a
+/// reference graph with `apply_edits`, re-anchors the engine on it after
+/// every batch, and checks the contract each time.
 fn run_trace(
     n: usize,
     edges: &[(usize, usize)],
@@ -77,14 +78,14 @@ fn run_trace(
             .map(|&(u, v, add)| (u, v, if add { EdgeEdit::Add } else { EdgeEdit::Remove }))
             .collect();
         reference.apply_edits(&edits);
-        engine.apply_flips(batch);
+        engine.reanchor(&reference);
         assert_matches_fresh(&engine, &reference, &ecfg);
     }
 }
 
 /// `(n, edges, pool, trace)` — one random replay instance. Flip batches
-/// are raw: duplicates, no-op flips and self-loops are all legal inputs
-/// and must normalize identically to `apply_edits`.
+/// are raw: duplicates, no-op flips and self-loops are all legal
+/// `apply_edits` inputs, so some batches leave the graph unchanged.
 type Instance = (usize, Vec<(usize, usize)>, u8, Vec<Vec<(usize, usize, bool)>>);
 
 fn arb_instance() -> impl Strategy<Value = Instance> {

@@ -243,8 +243,8 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// Mirrors the `graphrare` CLI's config construction, field for
-    /// field. `entropy_refresh_every` stays 0: the daemon always
-    /// checkpoints, and refresh mode is incompatible with snapshots.
+    /// field. `entropy_refresh_every` stays 0: the protocol has no field
+    /// for it.
     pub fn to_config(&self) -> graphrare::GraphRareConfig {
         let mut cfg = graphrare::GraphRareConfig::default().with_seed(self.seed);
         cfg.entropy.lambda = self.lambda;

@@ -101,6 +101,31 @@ if target/release/graphrare \
 fi
 grep -q 'algo=a2c' "$smoke_dir/cross_resume.err" ||
     { echo "cross-strategy resume failed without naming the strategy" >&2; exit 1; }
+# The same kill-and-resume with entropy refreshes every 2 steps: the
+# step-4 checkpoint it resumes from holds a re-anchored optimiser.
+target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 6 --seed 1 --quiet --entropy-refresh-every 2 \
+    --checkpoint-every 2 --checkpoint-dir "$smoke_dir/ckpts_refresh" \
+    > "$smoke_dir/full_refresh.out"
+rm "$smoke_dir/ckpts_refresh/step-000006.grrs"
+target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 6 --seed 1 --quiet --entropy-refresh-every 2 \
+    --checkpoint-every 2 --checkpoint-dir "$smoke_dir/ckpts_refresh" --resume \
+    > "$smoke_dir/resumed_refresh.out"
+diff "$smoke_dir/full_refresh.out" "$smoke_dir/resumed_refresh.out"
+# Checkpoints record the refresh cadence: resuming them under another fails.
+if target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 6 --seed 1 --quiet --entropy-refresh-every 3 \
+    --checkpoint-every 2 --checkpoint-dir "$smoke_dir/ckpts_refresh" --resume \
+    > /dev/null 2> "$smoke_dir/cadence_resume.err"; then
+    echo "an --entropy-refresh-every 2 checkpoint resumed under --entropy-refresh-every 3" >&2
+    exit 1
+fi
+grep -q 'entropy-refresh-every=2' "$smoke_dir/cadence_resume.err" ||
+    { echo "cross-cadence resume failed without naming the cadence" >&2; exit 1; }
 
 echo "==> trace profiler smoke (flame/percentiles parse; self-diff gates at 0%)"
 cargo build -q --release -p graphrare-trace --bin graphrare-trace

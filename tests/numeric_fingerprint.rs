@@ -6,6 +6,8 @@
 //! heterophilic graph with 96 sparse bag-of-words features and asserts
 //! the exact bits of `test_acc` and `best_val_acc`, plus a CRC-32 of the
 //! little-endian bytes of `model_params` (what `--save-model` persists).
+//! The refresh-mode cases run GCN with the entropy sequences re-ranked
+//! every few steps, and also CRC-32 the optimised graph's edge list.
 //! The ranking cases CRC-32 every node's addition and deletion rankings,
 //! which covers both sides of the feature-entropy range switch (exact
 //! below 1,200 nodes, sampled above), a graph whose feature range is
@@ -16,11 +18,12 @@
 //! order must update them and say why in CHANGES.md.
 
 use graphrare::{run, GraphRareConfig, RewirerKind};
-use graphrare_datasets::{generate_spec, stratified_split, Dataset, DatasetSpec};
+use graphrare_datasets::{generate_spec, stratified_split, Dataset, DatasetSpec, Split};
 use graphrare_entropy::{
     CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
 };
 use graphrare_gnn::Backbone;
+use graphrare_graph::Graph;
 use graphrare_store::crc32;
 use graphrare_tensor::Matrix;
 
@@ -42,8 +45,9 @@ const EXPECTED: [(Backbone, RewirerKind, u64, u64, u32); 7] = [
     (Backbone::Gcn, RewirerKind::Reference, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0xcf74d57a),
 ];
 
-#[test]
-fn every_backbone_reproduces_its_fingerprint() {
+/// The 72-node graph, its split and the 6-step serial config every run
+/// case shares.
+fn run_fixture() -> (Graph, Split, GraphRareConfig) {
     let spec = DatasetSpec {
         name: "fingerprint",
         num_nodes: 72,
@@ -61,6 +65,12 @@ fn every_backbone_reproduces_its_fingerprint() {
     cfg.steps = 6;
     cfg.update_every = 3;
     cfg.threads = 1;
+    (g, split, cfg)
+}
+
+#[test]
+fn every_backbone_reproduces_its_fingerprint() {
+    let (g, split, mut cfg) = run_fixture();
     let mut got = Vec::new();
     for (backbone, rewirer, ..) in EXPECTED {
         cfg.rewirer = rewirer;
@@ -83,6 +93,55 @@ fn every_backbone_reproduces_its_fingerprint() {
             .collect()
     };
     assert_eq!(got.as_slice(), EXPECTED.as_slice(), "fingerprint changed; got:\n{}", render(&got));
+}
+
+/// `(rewirer, entropy_refresh_every, test_acc bits, best_val_acc bits,
+/// model_params CRC-32, CRC-32 of the optimised graph's edge list)`.
+const EXPECTED_REFRESH: [(RewirerKind, usize, u64, u64, u32, u32); 2] = [
+    (RewirerKind::Ppo, 2, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0x41427131, 0x90031d3c),
+    (RewirerKind::Dhgr, 3, 0x3fd5555555555555, 0x3fdaaaaaaaaaaaab, 0xc182f8ca, 0xcbe7411f),
+];
+
+/// CRC-32 of an edge list as little-endian `u64` endpoint pairs.
+fn edges_crc(edges: &[(usize, usize)]) -> u32 {
+    let bytes: Vec<u8> = edges
+        .iter()
+        .flat_map(|&(u, v)| [u as u64, v as u64])
+        .flat_map(|x| x.to_le_bytes())
+        .collect();
+    crc32(&bytes)
+}
+
+#[test]
+fn refresh_mode_reproduces_its_fingerprint() {
+    // GCN on the run cases' graph, with the entropy sequences re-ranked
+    // against the rewired graph every `entropy_refresh_every` steps.
+    let (g, split, mut cfg) = run_fixture();
+    let mut got = Vec::new();
+    for (rewirer, every, ..) in EXPECTED_REFRESH {
+        cfg.rewirer = rewirer;
+        cfg.entropy_refresh_every = every;
+        let report = run(&g, &split, Backbone::Gcn, &cfg).expect("run");
+        got.push((
+            rewirer,
+            every,
+            report.test_acc.to_bits(),
+            report.best_val_acc.to_bits(),
+            params_crc(&report.model_params),
+            edges_crc(&report.optimized_graph.edge_vec()),
+        ));
+    }
+    let render: String = got
+        .iter()
+        .map(|(r, e, t, v, c, ec)| {
+            format!("    (RewirerKind::{r:?}, {e}, {t:#018x}, {v:#018x}, {c:#010x}, {ec:#010x}),\n")
+        })
+        .collect();
+    assert_eq!(
+        got.as_slice(),
+        EXPECTED_REFRESH.as_slice(),
+        "refresh fingerprint changed; got:\n{render}"
+    );
 }
 
 /// CRC-32 of every node's addition then deletion ranking, as

@@ -1,9 +1,11 @@
 //! The resume contract: a run killed after 3 steps, checkpointed with
 //! `persist::save_checkpoint` and resumed with `persist::resume_driver`,
 //! finishes with a `RareReport` bit-identical to the uninterrupted run —
-//! under PPO, under its A2C preset and under a heuristic rewirer. A
-//! checkpoint taken under one strategy refuses to resume under another
-//! with a typed `StoreError::Mismatch`.
+//! under PPO, under its A2C preset and under a heuristic rewirer. With
+//! entropy refreshes on, the same holds for kills before the first
+//! refresh boundary, on one and after one, under every strategy that
+//! edits. A checkpoint taken under one strategy or refresh cadence
+//! refuses to resume under another with a typed `StoreError::Mismatch`.
 
 use std::path::PathBuf;
 
@@ -37,20 +39,22 @@ fn config(algo: RlAlgo, rewirer: RewirerKind) -> GraphRareConfig {
     cfg
 }
 
-fn checkpoint_path(tag: &str) -> PathBuf {
-    std::env::temp_dir()
-        .join(format!("graphrare-resume-contract-{tag}-{}", std::process::id()))
-        .join("step-000003.grrs")
-}
-
-/// Runs `cfg` for 3 steps and checkpoints it, as a run killed right
-/// after its step-3 checkpoint would have left it.
-fn killed_after_three_steps(g: &Graph, split: &Split, cfg: &GraphRareConfig, tag: &str) -> PathBuf {
+/// Runs `cfg` for `steps` steps and checkpoints it, as a run killed
+/// right after its step-`steps` checkpoint would have left it.
+fn killed_after(
+    g: &Graph,
+    split: &Split,
+    cfg: &GraphRareConfig,
+    steps: usize,
+    tag: &str,
+) -> PathBuf {
     let mut driver = RareDriver::new(g, split, Backbone::Gcn, cfg);
-    for _ in 0..3 {
+    for _ in 0..steps {
         assert!(driver.try_step().unwrap());
     }
-    let path = checkpoint_path(tag);
+    let dir = std::env::temp_dir()
+        .join(format!("graphrare-resume-contract-{tag}-{}", std::process::id()));
+    let path = persist::checkpoint_path(&dir, steps);
     persist::save_checkpoint(&path, &driver).unwrap();
     path
 }
@@ -86,35 +90,66 @@ fn assert_reports_identical(a: &RareReport, b: &RareReport) {
     assert_eq!(params(a), params(b));
 }
 
-fn assert_resume_is_bit_identical(algo: RlAlgo, rewirer: RewirerKind, tag: &str) {
+/// Kills `cfg`'s run after each of `kills` steps and checks that every
+/// resumed run matches the uninterrupted one bit for bit.
+fn assert_resumes_are_bit_identical(cfg: &GraphRareConfig, kills: &[usize], tag: &str) {
     let (g, split) = fixture();
-    let cfg = config(algo, rewirer);
-    let uninterrupted = graphrare::run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+    let uninterrupted = graphrare::run(&g, &split, Backbone::Gcn, cfg).unwrap();
+    for &kill in kills {
+        let path = killed_after(&g, &split, cfg, kill, &format!("{tag}-{kill}"));
+        // The checkpoint's anchor has left G_0 exactly when a refresh
+        // boundary has passed.
+        let anchor = persist::load_snapshot(&path, cfg).unwrap().anchor_edges;
+        let g0: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u as u32, v as u32)).collect();
+        let refreshed = cfg.entropy_refresh_every > 0 && kill >= cfg.entropy_refresh_every;
+        assert_eq!(anchor != g0, refreshed, "kill at {kill}");
+        let mut resumed = persist::resume_driver(&path, &g, &split, Backbone::Gcn, cfg).unwrap();
+        assert_eq!(resumed.step_index(), kill);
+        while resumed.try_step().unwrap() {}
+        let report = resumed.try_finish().unwrap();
 
-    let path = killed_after_three_steps(&g, &split, &cfg, tag);
-    let mut resumed = persist::resume_driver(&path, &g, &split, Backbone::Gcn, &cfg).unwrap();
-    assert_eq!(resumed.step_index(), 3);
-    while resumed.try_step().unwrap() {}
-    let report = resumed.try_finish().unwrap();
-
-    assert_eq!(report.traces.train_acc.len(), cfg.steps);
-    assert_reports_identical(&uninterrupted, &report);
-    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        assert_eq!(report.traces.train_acc.len(), cfg.steps);
+        assert_reports_identical(&uninterrupted, &report);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
 }
 
-/// A checkpoint taken under `taken` must not resume under `resumed`.
-fn assert_resume_refused(taken: GraphRareConfig, resumed: GraphRareConfig, tag: &str) {
+fn assert_resume_is_bit_identical(algo: RlAlgo, rewirer: RewirerKind, tag: &str) {
+    assert_resumes_are_bit_identical(&config(algo, rewirer), &[3], tag);
+}
+
+/// Refresh every 3 steps; kills before the first boundary, on the first
+/// boundary (its checkpoint already holds the re-anchored state) and
+/// after it.
+fn assert_refresh_resumes_are_bit_identical(algo: RlAlgo, rewirer: RewirerKind, tag: &str) {
+    let mut cfg = config(algo, rewirer);
+    cfg.entropy_refresh_every = 3;
+    assert_resumes_are_bit_identical(&cfg, &[2, 3, 5], tag);
+}
+
+/// A checkpoint taken under `taken` must not resume under `resumed`,
+/// and the refusal must name each of `names`.
+fn assert_resume_refused(
+    taken: GraphRareConfig,
+    resumed: GraphRareConfig,
+    names: &[&str],
+    tag: &str,
+) {
     let (g, split) = fixture();
-    let path = killed_after_three_steps(&g, &split, &taken, tag);
+    let path = killed_after(&g, &split, &taken, 3, tag);
     let result = persist::resume_driver(&path, &g, &split, Backbone::Gcn, &resumed);
     match result {
         Err(StoreError::Mismatch { context }) => {
-            assert!(context.contains("algo=") && context.contains("rewirer="), "{context}");
+            assert!(names.iter().all(|name| context.contains(name)), "{context}");
         }
-        Err(other) => panic!("expected a strategy mismatch, got {other}"),
-        Ok(_) => panic!("a checkpoint resumed under another strategy"),
+        Err(other) => panic!("expected a config mismatch, got {other}"),
+        Ok(_) => panic!("a checkpoint resumed under another config"),
     }
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+fn assert_strategy_refused(taken: GraphRareConfig, resumed: GraphRareConfig, tag: &str) {
+    assert_resume_refused(taken, resumed, &["algo=", "rewirer="], tag);
 }
 
 #[test]
@@ -135,17 +170,57 @@ fn dhgr_run_resumes_bit_identically() {
 #[test]
 fn ppo_checkpoint_refuses_a2c_resume() {
     let taken = config(RlAlgo::Ppo, RewirerKind::Ppo);
-    assert_resume_refused(taken, config(RlAlgo::A2c, RewirerKind::Ppo), "ppo-to-a2c");
+    assert_strategy_refused(taken, config(RlAlgo::A2c, RewirerKind::Ppo), "ppo-to-a2c");
 }
 
 #[test]
 fn dhgr_checkpoint_refuses_reference_resume() {
     let taken = config(RlAlgo::Ppo, RewirerKind::Dhgr);
-    assert_resume_refused(taken, config(RlAlgo::Ppo, RewirerKind::Reference), "dhgr-to-reference");
+    assert_strategy_refused(
+        taken,
+        config(RlAlgo::Ppo, RewirerKind::Reference),
+        "dhgr-to-reference",
+    );
 }
 
 #[test]
 fn dhgr_checkpoint_refuses_none_resume() {
     let taken = config(RlAlgo::Ppo, RewirerKind::Dhgr);
-    assert_resume_refused(taken, config(RlAlgo::Ppo, RewirerKind::None), "dhgr-to-none");
+    assert_strategy_refused(taken, config(RlAlgo::Ppo, RewirerKind::None), "dhgr-to-none");
+}
+
+#[test]
+fn refresh_ppo_run_resumes_bit_identically() {
+    assert_refresh_resumes_are_bit_identical(RlAlgo::Ppo, RewirerKind::Ppo, "refresh-ppo");
+}
+
+#[test]
+fn refresh_a2c_run_resumes_bit_identically() {
+    assert_refresh_resumes_are_bit_identical(RlAlgo::A2c, RewirerKind::Ppo, "refresh-a2c");
+}
+
+#[test]
+fn refresh_dhgr_run_resumes_bit_identically() {
+    assert_refresh_resumes_are_bit_identical(RlAlgo::Ppo, RewirerKind::Dhgr, "refresh-dhgr");
+}
+
+#[test]
+fn refresh_reference_run_resumes_bit_identically() {
+    assert_refresh_resumes_are_bit_identical(
+        RlAlgo::Ppo,
+        RewirerKind::Reference,
+        "refresh-reference",
+    );
+}
+
+#[test]
+fn refresh_checkpoint_refuses_another_cadence() {
+    let mut taken = config(RlAlgo::Ppo, RewirerKind::Ppo);
+    taken.entropy_refresh_every = 3;
+    for (every, tag) in [(2, "refresh-3-to-2"), (0, "refresh-3-to-0")] {
+        let mut resumed = taken;
+        resumed.entropy_refresh_every = every;
+        let names = ["entropy-refresh-every=3", &format!("entropy-refresh-every={every}")];
+        assert_resume_refused(taken, resumed, &names, tag);
+    }
 }
