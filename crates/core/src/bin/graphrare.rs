@@ -24,8 +24,8 @@
 //! incremental apply pipeline, so runs stay bit-reproducible.
 //!
 //! `--entropy-refresh-every N` re-ranks the candidate sequences against
-//! the current rewired graph every `N` DRL steps via the incremental
-//! entropy engine (default 0 = the paper's frozen sequences).
+//! the current rewired graph every `N` DRL steps (default 0 = the
+//! paper's frozen sequences).
 //!
 //! `--threads 0` (the default) resolves the worker count from
 //! `GRAPHRARE_THREADS`, falling back to the machine's available

@@ -115,13 +115,14 @@ pub struct GraphRareConfig {
     /// Per-node cap on both `k` and `d`.
     pub k_cap: usize,
     /// Refresh the entropy sequences against the *current* rewired graph
-    /// every this many DRL steps, via the incremental entropy engine
-    /// (`graphrare_entropy::IncrementalEntropy`). `0` (the default)
-    /// keeps the paper's semantics: sequences are computed once on the
-    /// original graph and stay frozen for the whole run. When enabled,
-    /// each refresh re-anchors the topology optimiser on the current
-    /// graph and resets the DRL counters (see `RareDriver`), so results
-    /// differ from the frozen-sequence run by design.
+    /// every this many DRL steps. `0` (the default) keeps the paper's
+    /// semantics: sequences are computed once on the original graph and
+    /// stay frozen for the whole run. When enabled, each refresh rebuilds
+    /// the structural entropy and the rankings on the current graph
+    /// (reusing them when the graph has not moved), re-anchors the
+    /// topology optimiser on it and resets the DRL counters (see
+    /// `RareDriver`), so results differ from the frozen-sequence run by
+    /// design.
     pub entropy_refresh_every: usize,
     /// Master seed (PPO exploration noise etc. derive from sub-seeds).
     pub seed: u64,

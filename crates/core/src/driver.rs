@@ -1,14 +1,13 @@
 //! Algorithm 1: joint end-to-end training of the GNN and the DRL module.
 //!
-//! The loop is exposed at two granularities: [`run`] /
-//! [`run_with_sequences`] execute Algorithm 1 end to end, while
-//! [`RareDriver`] runs it one outer DRL step at a time so callers can
-//! checkpoint between steps ([`RareDriver::snapshot`] /
-//! [`RareDriver::resume`]) and resume a killed run with bit-identical
-//! results.
+//! The loop is exposed at two granularities: [`run`] executes
+//! Algorithm 1 end to end, while [`RareDriver`] runs it one outer DRL
+//! step at a time so callers can checkpoint between steps
+//! ([`RareDriver::snapshot`] / [`RareDriver::resume`]) and resume a
+//! killed run with bit-identical results.
 
 use graphrare_datasets::Split;
-use graphrare_entropy::{EntropySequences, IncrementalEntropy, RelativeEntropyTable};
+use graphrare_entropy::{EntropySequences, RelativeEntropyTable};
 use graphrare_gnn::metrics::macro_auc;
 use graphrare_gnn::{build_model, evaluate, Backbone, GnnModel, GraphTensors, Trainer};
 use graphrare_graph::{metrics, Graph};
@@ -181,11 +180,10 @@ pub struct RareDriver {
     baseline: Option<telemetry::Summary>,
     run_clock: telemetry::Stopwatch,
     run_span: Option<telemetry::SpanGuard>,
-    /// Incremental entropy engine, present iff `entropy_refresh_every > 0`.
-    /// Only [`reanchor`](Self::reanchor) touches it after construction:
-    /// once per refresh boundary, it re-ranks against the new anchor at
-    /// dirty-rows cost instead of a from-scratch build.
-    engine: Option<IncrementalEntropy>,
+    /// The relative-entropy table of lines 1–5, kept only when
+    /// `entropy_refresh_every > 0`: [`reanchor`](Self::reanchor) rebuilds
+    /// its structural part on each new anchor and reuses its feature rows.
+    table: Option<RelativeEntropyTable>,
     /// The construction-time graph, kept only when refreshes can re-anchor
     /// `topo.base()` away from it (for the final report's original
     /// homophily and the finish-phase fallback candidate).
@@ -197,22 +195,7 @@ impl RareDriver {
     /// sequences (lines 1–6) and warm-trains the backbone on the
     /// original graph, leaving the loop ready at step 0.
     pub fn new(graph: &Graph, split: &Split, backbone: Backbone, cfg: &GraphRareConfig) -> Self {
-        let mut driver = Self::build(graph, None, split, backbone, cfg);
-        driver.warm_up();
-        driver
-    }
-
-    /// [`RareDriver::new`] with externally supplied sequences (ablations).
-    /// `entropy_refresh_every` is ignored here: external sequences have no
-    /// engine to refresh from, so they stay frozen like the default mode.
-    pub fn with_sequences(
-        graph: &Graph,
-        sequences: EntropySequences,
-        split: &Split,
-        backbone: Backbone,
-        cfg: &GraphRareConfig,
-    ) -> Self {
-        let mut driver = Self::build(graph, Some(sequences), split, backbone, cfg);
+        let mut driver = Self::build(graph, split, backbone, cfg);
         driver.warm_up();
         driver
     }
@@ -233,7 +216,7 @@ impl RareDriver {
         cfg: &GraphRareConfig,
         snap: &DriverSnapshot,
     ) -> Result<Self, String> {
-        let mut driver = Self::build(graph, None, split, backbone, cfg);
+        let mut driver = Self::build(graph, split, backbone, cfg);
         let n = graph.num_nodes();
         check_edges("anchor", &snap.anchor_edges, n)?;
         let at_g0 =
@@ -329,44 +312,24 @@ impl RareDriver {
         Ok(driver)
     }
 
-    /// Lines 1–6: relative entropy and sequences, computed once, plus
-    /// the incremental entropy engine when `entropy_refresh_every > 0`.
-    /// Fully deterministic in (graph, cfg), which is what lets a resumed
-    /// run recompute them instead of storing them.
-    fn init_sequences(
-        graph: &Graph,
-        cfg: &GraphRareConfig,
-    ) -> (EntropySequences, Option<IncrementalEntropy>) {
-        if cfg.entropy_refresh_every == 0 {
-            let table = RelativeEntropyTable::new(graph, &cfg.entropy);
-            let seqs = EntropySequences::build(graph, &table, &cfg.sequences);
-            return (cfg.sequence_mode.apply(seqs), None);
-        }
-        let engine = IncrementalEntropy::new(graph, &cfg.entropy, cfg.sequences);
-        (cfg.sequence_mode.apply(engine.sequences().clone()), Some(engine))
-    }
-
-    /// Everything but the warm-up: sequences (precomputed here unless
-    /// supplied), the optimiser at `S_0`, the model, trainer and strategy.
-    /// The warm-up's outputs are left for [`warm_up`](Self::warm_up) or
+    /// Everything but the warm-up: the entropy table and sequences (lines
+    /// 1–6), the optimiser at `S_0`, the model, trainer and strategy. The
+    /// warm-up's outputs are left for [`warm_up`](Self::warm_up) or
     /// [`resume`](Self::resume) to fill in.
-    fn build(
-        graph: &Graph,
-        sequences: Option<EntropySequences>,
-        split: &Split,
-        backbone: Backbone,
-        cfg: &GraphRareConfig,
-    ) -> Self {
+    fn build(graph: &Graph, split: &Split, backbone: Backbone, cfg: &GraphRareConfig) -> Self {
         // Apply the thread knob before the first kernel call; 0 keeps the
         // env-var/auto resolution (see `graphrare_tensor::parallel`).
         graphrare_tensor::parallel::set_threads(cfg.threads);
         // The run-scoped baseline is taken before the entropy precompute so
         // the report's telemetry aggregate covers the whole of Algorithm 1.
         let baseline = telemetry::enabled().then(telemetry::snapshot);
-        let (sequences, engine) = match sequences {
-            Some(seqs) => (seqs, None),
-            None => Self::init_sequences(graph, cfg),
-        };
+        // Lines 1–6, fully deterministic in (graph, cfg): a resumed run
+        // recomputes them instead of storing them. Refresh mode keeps the
+        // table for its re-anchors.
+        let table = RelativeEntropyTable::new(graph, &cfg.entropy);
+        let sequences =
+            cfg.sequence_mode.apply(EntropySequences::build(graph, &table, &cfg.sequences));
+        let table = (cfg.entropy_refresh_every > 0).then_some(table);
         let run_clock = telemetry::Stopwatch::start();
         let run_span = telemetry::span("driver.run");
         let labels = graph.labels().to_vec();
@@ -404,7 +367,7 @@ impl RareDriver {
 
         let best_edges = topo.base().edges().map(|(u, v)| (u as u32, v as u32)).collect();
         let base_edges = topo.base().num_edges();
-        let original = engine.is_some().then(|| graph.clone());
+        let original = table.is_some().then(|| graph.clone());
 
         Self {
             cfg: *cfg,
@@ -432,7 +395,7 @@ impl RareDriver {
             baseline,
             run_clock,
             run_span: Some(run_span),
-            engine,
+            table,
             original,
         }
     }
@@ -658,16 +621,23 @@ impl RareDriver {
 
     /// The one re-anchor path, shared by refresh boundaries (`anchor` is
     /// `None`: the live graph `G_t`) and [`resume`](Self::resume) (the
-    /// anchor a snapshot recorded). The engine re-ranks against the
-    /// anchor, and the optimiser, the counters, the rewired graph and the
-    /// strategy restart from it as `S_0`. The only code that touches the
-    /// engine after construction.
+    /// anchor a snapshot recorded). The rankings are rebuilt on the anchor
+    /// by the same table and sequence build lines 1–6 ran on `G_0`; an
+    /// anchor with the current base's edges keeps the current rankings,
+    /// which that build would reproduce. The optimiser, the counters, the
+    /// rewired graph and the strategy then restart from the anchor as
+    /// `S_0`.
     fn reanchor(&mut self, anchor: Option<Graph>) {
-        let engine = self.engine.as_mut().expect("re-anchoring requires the entropy engine");
+        let table = self.table.as_mut().expect("re-anchoring requires the entropy table");
         let live = anchor.is_none();
         let anchor = anchor.unwrap_or_else(|| self.rewired.graph().clone());
-        engine.reanchor(&anchor);
-        let sequences = self.cfg.sequence_mode.apply(engine.sequences().clone());
+        let sequences = if anchor.edges().eq(self.topo.base().edges()) {
+            self.topo.sequences().clone()
+        } else {
+            table.rebuild_structural(&anchor);
+            let seqs = EntropySequences::build(&anchor, table, &self.cfg.sequences);
+            self.cfg.sequence_mode.apply(seqs)
+        };
         self.topo = TopologyOptimizer::new(anchor, sequences, self.cfg.edit_mode);
         self.state =
             TopoState::new(self.topo.k_bounds(self.cfg.k_cap), self.topo.d_bounds(self.cfg.k_cap));
@@ -871,18 +841,6 @@ pub fn run(
     cfg: &GraphRareConfig,
 ) -> Result<RareReport, RewireError> {
     run_driver(RareDriver::new(graph, split, backbone, cfg))
-}
-
-/// [`run`] with externally supplied sequences (used by ablations that
-/// manipulate the rankings).
-pub fn run_with_sequences(
-    graph: &Graph,
-    sequences: EntropySequences,
-    split: &Split,
-    backbone: Backbone,
-    cfg: &GraphRareConfig,
-) -> Result<RareReport, RewireError> {
-    run_driver(RareDriver::with_sequences(graph, sequences, split, backbone, cfg))
 }
 
 /// Runs every remaining step of `driver`, then its final phase.
@@ -1097,8 +1055,9 @@ mod tests {
             assert!(driver.try_step().unwrap());
         }
         // After each step a refresh boundary fired (refresh_every = 1), so
-        // the optimiser's rankings must equal a from-scratch build against
-        // the current rewired graph — the incremental engine's contract.
+        // the optimiser's rankings must equal lines 1–6 run from scratch on
+        // the current rewired graph, whether the boundary rebuilt them or
+        // kept them for an unchanged anchor.
         let current = driver.rewired.graph();
         let table = RelativeEntropyTable::new(current, &cfg.entropy);
         let fresh = EntropySequences::build(current, &table, &cfg.sequences);

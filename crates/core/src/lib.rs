@@ -56,7 +56,7 @@ pub mod topology;
 pub mod variants;
 
 pub use config::{validate_lambda, GraphRareConfig, RlAlgo, SequenceMode};
-pub use driver::{run, run_with_sequences, DriverSnapshot, RareDriver, RareReport, RunTraces};
+pub use driver::{run, DriverSnapshot, RareDriver, RareReport, RunTraces};
 pub use persist::{
     load_model, load_snapshot, resume_driver, save_checkpoint, save_model, ModelArtifact,
 };

@@ -10,8 +10,12 @@
 //!   orders pairs exactly as Eq. 4's `−P log P` does.
 //! * [`sequences`] — per-node ranked addition/deletion candidate lists
 //!   (Sec. IV-A.4), the interface consumed by the topology optimiser.
-//! * [`incremental`] — maintains the table + sequences pair under edge
-//!   flips, recomputing only dirty rows (bit-identical to from-scratch).
+//!
+//! Re-ranking against a rewired graph (the driver's refresh mode) is
+//! the same build on the new topology: flips never touch features, so
+//! [`RelativeEntropyTable::rebuild_structural`] keeps the feature rows
+//! and their rescale range and recomputes only `H_s`, and
+//! [`EntropySequences::build`] ranks on the new graph.
 //!
 //! ```
 //! use graphrare_entropy::prelude::*;
@@ -33,14 +37,12 @@
 
 #![warn(missing_docs)]
 
-pub mod incremental;
 pub mod relative;
 pub mod sequences;
 pub mod structural;
 
 /// Convenient re-exports of the main types.
 pub mod prelude {
-    pub use crate::incremental::{EntropyRefreshStats, IncrementalEntropy};
     pub use crate::relative::{RelativeEntropyConfig, RelativeEntropyTable};
     pub use crate::sequences::{CandidatePool, EntropySequences, SequenceConfig};
     pub use crate::structural::{structural_entropy, StructuralEntropyTable};

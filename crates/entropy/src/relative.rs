@@ -154,17 +154,11 @@ impl RelativeEntropyTable {
         &self.structural
     }
 
-    /// Refreshes exactly the given structural rows against the current
-    /// graph. The feature component depends only on node features, which
-    /// topology flips never touch, so it — and the frozen rescale range —
-    /// stays valid verbatim.
-    pub fn refresh_structural_rows(&mut self, g: &Graph, rows: &[usize]) {
-        self.structural.refresh_rows(g, rows);
-    }
-
-    /// Rebuilds the whole structural component from scratch (the
-    /// incremental engine's wholesale fallback). Feature side untouched,
-    /// for the same reason as [`Self::refresh_structural_rows`].
+    /// Rebuilds the structural component on `g`'s topology, as a refresh
+    /// boundary does when it re-anchors on a rewired graph. The feature
+    /// component depends only on node features, which edge edits never
+    /// touch, so it and its rescale range stay valid verbatim: the table
+    /// afterwards equals [`Self::new`] on `g`.
     pub fn rebuild_structural(&mut self, g: &Graph) {
         self.structural = StructuralEntropyTable::new(g);
     }

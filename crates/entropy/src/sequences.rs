@@ -111,7 +111,7 @@ impl Eq for Held {}
 /// candidate id buffer, the ego node's loaded feature row, the
 /// candidates' `(H_f, id)` and the running top list, reused across nodes
 /// so the node-parallel build allocates only its output rankings.
-pub(crate) struct BuildScratch {
+struct BuildScratch {
     ring: traversal::RingScratch,
     candidates: Vec<usize>,
     features: DenseRow,
@@ -120,7 +120,7 @@ pub(crate) struct BuildScratch {
 }
 
 impl BuildScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             ring: traversal::RingScratch::new(),
             candidates: Vec::new(),
@@ -133,11 +133,11 @@ impl BuildScratch {
 
 /// Node `v`'s `(additions, deletions)` rankings, plus how many addition
 /// candidates it scored and for how many of them it computed `H_s`.
-pub(crate) struct RowBuild {
-    pub(crate) additions: Ranking,
-    pub(crate) deletions: Ranking,
-    pub(crate) pairs: u64,
-    pub(crate) js_evals: u64,
+struct RowBuild {
+    additions: Ranking,
+    deletions: Ranking,
+    pairs: u64,
+    js_evals: u64,
 }
 
 /// Fills `scratch.candidates` with node `v`'s addition-candidate pool.
@@ -154,10 +154,7 @@ fn candidates_into(g: &Graph, pool: CandidatePool, v: usize, scratch: &mut Build
     }
 }
 
-/// Builds node `v`'s rankings — the single code path shared by the full
-/// build, the incremental engine's dirty-row rebuilds, and the wholesale
-/// fallback, which is what makes their outputs bit-identical by
-/// construction.
+/// Builds node `v`'s rankings, one row of [`EntropySequences::build`].
 ///
 /// The additions are the best `max_additions` candidates under the
 /// strict total order [`by_entropy_desc`], held in a max-heap whose top
@@ -169,7 +166,7 @@ fn candidates_into(g: &Graph, pool: CandidatePool, v: usize, scratch: &mut Build
 /// which therefore equals a full sort truncated to `max_additions`. A NaN
 /// or infinite bound compares below nothing and never skips. Deletions
 /// keep every neighbour and are always computed in full.
-pub(crate) fn build_row(
+fn build_row(
     g: &Graph,
     table: &RelativeEntropyTable,
     cfg: &SequenceConfig,
@@ -269,28 +266,6 @@ impl EntropySequences {
         seqs
     }
 
-    /// Rebuilds the rankings of exactly the given rows in place, using
-    /// the same per-row code path as [`EntropySequences::build`]. Rows
-    /// outside `0..len` are a contract violation (panics on index).
-    /// Used by the incremental engine for dirty-node refreshes.
-    pub(crate) fn rebuild_rows(
-        &mut self,
-        g: &Graph,
-        table: &RelativeEntropyTable,
-        cfg: &SequenceConfig,
-        rows: &[usize],
-    ) {
-        let rebuilt = graphrare_tensor::parallel::par_map_scratch(
-            rows.len(),
-            BuildScratch::new,
-            |scratch, i| build_row(g, table, cfg, rows[i], scratch),
-        );
-        for (&v, row) in rows.iter().zip(rebuilt) {
-            self.additions[v] = row.additions;
-            self.deletions[v] = row.deletions;
-        }
-    }
-
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
         self.additions.len()
@@ -351,12 +326,7 @@ impl EntropySequences {
 /// over the remaining ids tops the sample up, so the function returns
 /// exactly `min(count, eligible)` candidates instead of silently
 /// under-sampling.
-pub(crate) fn sample_non_neighbors(
-    g: &Graph,
-    v: usize,
-    count: usize,
-    rng: &mut StdRng,
-) -> Vec<usize> {
+fn sample_non_neighbors(g: &Graph, v: usize, count: usize, rng: &mut StdRng) -> Vec<usize> {
     let n = g.num_nodes();
     let mut out = Vec::with_capacity(count);
     let mut tried = std::collections::HashSet::new();

@@ -90,23 +90,6 @@ impl StructuralEntropyTable {
     pub fn entropy(&self, v: usize, u: usize) -> f64 {
         1.0 - js_divergence(&self.distributions[v], &self.distributions[u])
     }
-
-    /// The cached degree distribution of node `v`.
-    pub fn distribution(&self, v: usize) -> &[f64] {
-        &self.distributions[v]
-    }
-
-    /// Recomputes exactly the given rows from the current graph (the
-    /// same [`degree_distribution`] call the full build runs, so the
-    /// refreshed rows are bit-identical to a from-scratch table). Used
-    /// by the incremental entropy engine after edge flips.
-    pub fn refresh_rows(&mut self, g: &Graph, rows: &[usize]) {
-        let fresh =
-            graphrare_tensor::parallel::par_map(rows.len(), |i| degree_distribution(g, rows[i]));
-        for (&v, dist) in rows.iter().zip(fresh) {
-            self.distributions[v] = dist;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -94,38 +94,6 @@ pub fn remote_ring_into(
     }
 }
 
-/// All nodes within `radius` hops of *any* source (sources included, at
-/// distance 0), as a sorted, deduplicated vector. This is the dirty-set
-/// primitive for incremental entropy: after a flip batch, ring
-/// membership can only change inside a bounded ball around the flipped
-/// endpoints.
-pub fn multi_source_ball(g: &Graph, sources: &[usize], radius: usize) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.num_nodes()];
-    let mut out = Vec::new();
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s] == usize::MAX {
-            dist[s] = 0;
-            out.push(s);
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        if dist[u] == radius {
-            continue;
-        }
-        for w in g.neighbors(u) {
-            if dist[w] == usize::MAX {
-                dist[w] = dist[u] + 1;
-                out.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 /// Connected components as a label vector (component ids are dense,
 /// assigned in order of the lowest node id in the component).
 pub fn connected_components(g: &Graph) -> Vec<usize> {
@@ -204,16 +172,6 @@ mod tests {
         out.clear();
         remote_ring_into(&g2, 0, 6, &mut scratch, &mut out);
         assert_eq!(out, remote_ring(&g2, 0, 6));
-    }
-
-    #[test]
-    fn multi_source_ball_covers_union_of_balls() {
-        let g = path(8);
-        assert_eq!(multi_source_ball(&g, &[0], 2), vec![0, 1, 2]);
-        assert_eq!(multi_source_ball(&g, &[0, 5], 1), vec![0, 1, 4, 5, 6]);
-        // Duplicate sources are harmless; radius 0 returns the sources.
-        assert_eq!(multi_source_ball(&g, &[3, 3], 0), vec![3]);
-        assert!(multi_source_ball(&g, &[], 3).is_empty());
     }
 
     #[test]

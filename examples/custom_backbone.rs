@@ -3,14 +3,13 @@
 //! The framework is generic over [`GnnModel`]; the paper stresses that it
 //! "can be easily adapted to any existing GNN model". This example
 //! implements a small APPNP-style model (predict-then-propagate:
-//! Gasteiger et al. 2019) from scratch against the public trait and runs
-//! it through the full Algorithm-1 loop via `run_with_sequences`.
+//! Gasteiger et al. 2019) from scratch against the public trait and
+//! trains it on the topology the full Algorithm-1 loop (`run`) finds.
 //!
 //! Run with: `cargo run --release --example custom_backbone`
 
-use graphrare::{run_with_sequences, GraphRareConfig};
+use graphrare::{run, GraphRareConfig};
 use graphrare_datasets::{generate_mini, stratified_split, Dataset};
-use graphrare_entropy::{EntropySequences, RelativeEntropyTable, SequenceConfig};
 use graphrare_gnn::linear::Linear;
 use graphrare_gnn::{fit, GnnModel, GraphTensors, TrainConfig};
 use graphrare_tensor::{Param, Tape, Var};
@@ -87,16 +86,11 @@ fn main() -> Result<(), graphrare::RewireError> {
     let plain = fit(&model, &GraphTensors::new(&graph), &labels, &split, &TrainConfig::default());
     println!("\nPlain APPNP test accuracy:  {:.2}%", 100.0 * plain.test_acc);
 
-    // GraphRARE around the custom backbone. The convenience `run()` only
-    // knows the built-in backbones, but the lower-level entry point takes
-    // precomputed sequences, and the driver itself builds models through
-    // the same trait — so we wrap manually: rewire with the ablation-grade
-    // fixed pipeline, then fine-tune the custom model on the optimised
-    // graph found by a GCN-driven search.
+    // GraphRARE around the custom backbone. `run()` only knows the
+    // built-in backbones, so we wrap manually: a GCN-driven search finds
+    // the optimised graph, then the custom model trains on it.
     let cfg = GraphRareConfig::default().with_seed(seed);
-    let table = RelativeEntropyTable::new(&graph, &cfg.entropy);
-    let seqs = EntropySequences::build(&graph, &table, &SequenceConfig::default());
-    let search = run_with_sequences(&graph, seqs, &split, graphrare_gnn::Backbone::Gcn, &cfg)?;
+    let search = run(&graph, &split, graphrare_gnn::Backbone::Gcn, &cfg)?;
     println!(
         "GCN-driven topology search: homophily {:.3} -> {:.3}",
         search.original_homophily, search.optimized_homophily

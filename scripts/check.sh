@@ -49,8 +49,8 @@ target/release/graphrare \
     --steps 6 --seed 1 --quiet \
     --telemetry-out "$smoke_dir/events.jsonl"
 target/release/telemetry_lint "$smoke_dir/events.jsonl"
-# Same smoke with entropy refreshes enabled, so the `entropy_refresh` and
-# `sequence_refresh` events pass through the lint too.
+# Same smoke with entropy refreshes enabled, so the `sequence_refresh`
+# events pass through the lint too.
 target/release/graphrare \
     --input "$smoke_dir/toy" \
     --steps 6 --seed 1 --quiet --entropy-refresh-every 2 \
@@ -186,13 +186,6 @@ for strategy in ppo dhgr reference none; do
     grep -q "{\"strategy\": \"$strategy\", \"best_val_acc\"" "$smoke_dir/bench_rewire.json" ||
         { echo "bench_rewire.json missing arena row for $strategy" >&2; exit 1; }
 done
-
-echo "==> incremental entropy smoke (per-row refresh vs full rebuild must be bit-identical)"
-cargo build -q --release -p graphrare-bench --bin bench_entropy
-# The binary lock-steps IncrementalEntropy's per-row path against its
-# wholesale fallback (a from-scratch rebuild) over both candidate pools
-# and exits non-zero on any divergence in H bits or rankings.
-target/release/bench_entropy --quick --check-only --output "$smoke_dir/bench_entropy.json"
 
 echo "==> serving daemon smoke (concurrent runs bit-identical to solo; kill -9 resume)"
 cargo build -q --release -p graphrare-serve --bin graphrare-serve --bin graphrare-client

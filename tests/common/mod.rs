@@ -16,7 +16,12 @@ use graphrare_tensor::Matrix;
 pub fn optimizer(n: usize, edges: &[(usize, usize)], mode: EditMode) -> TopologyOptimizer {
     let feats = Matrix::from_fn(n, 4, |r, c| ((r * 7 + c * 3 + r * c) % 5) as f32 / 4.0);
     let labels: Vec<usize> = (0..n).map(|v| v % 3).collect();
-    let g = Graph::from_edges(n, edges, feats, labels, 3);
+    anchored(Graph::from_edges(n, edges, feats, labels, 3), mode)
+}
+
+/// An optimiser over `g` with rankings freshly built on it: what a
+/// refresh boundary re-anchors on when `g` is the live graph.
+pub fn anchored(g: Graph, mode: EditMode) -> TopologyOptimizer {
     let table = RelativeEntropyTable::new(&g, &RelativeEntropyConfig::default());
     let seqs = EntropySequences::build(
         &g,

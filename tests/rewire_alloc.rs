@@ -3,7 +3,8 @@
 //! comparison with the previous step and the in-place operator rebuild —
 //! with **zero** heap allocations: for dense batches that flip most of
 //! the graph, for batches that flip a single edge, and on the trace each
-//! `--rewirer` strategy proposes, with and without episodic resets.
+//! `--rewirer` strategy proposes, with and without episodic resets,
+//! before and after a refresh boundary re-anchors the engine.
 //!
 //! The counting allocator's counters are process-wide, so this file
 //! holds exactly one `#[test]`: the test binary is effectively
@@ -16,7 +17,7 @@ graphrare_telemetry::install_counting_allocator!();
 
 mod common;
 
-use common::{dense_edges, guard_cascade_edges, guard_state, optimizer, strategy_trace};
+use common::{anchored, dense_edges, guard_cascade_edges, guard_state, optimizer, strategy_trace};
 use graphrare::rewire::RewiredGraph;
 use graphrare::topology::{EditMode, TopologyOptimizer};
 use graphrare::{GraphRareConfig, RewirerKind, TopoState};
@@ -176,27 +177,41 @@ fn warm_dense_and_single_flip_steps_do_not_allocate() {
     assert_eq!(*rw.tensors().attention(), *fresh.attention(), "attention diverges");
 
     // Every strategy's own trace on the equivalence suite's guard-cascade
-    // graph (a ring plus chords and two pendant nodes): once replayed to
-    // warm the engine, a second replay from S_0 allocates nothing.
-    let n = 14;
-    let edges = guard_cascade_edges(n);
+    // graph (a ring plus chords and two pendant nodes) and on the dense
+    // graph: once replayed to warm the engine, a second replay from S_0
+    // allocates nothing. Then a refresh boundary: the engine rebases onto
+    // an optimiser anchored on the live graph with freshly built
+    // rankings, and the strategy's trace from that new S_0, replayed
+    // twice, allocates nothing the second time.
     let mut cfg = GraphRareConfig::fast().with_seed(23);
     cfg.k_cap = 64;
-    for kind in RewirerKind::ALL {
-        for reset_every in [0usize, 4] {
-            let topo = optimizer(n, &edges, EditMode::Both);
-            let mut state = guard_state(&topo, cfg.k_cap);
-            let trace = strategy_trace(&topo, &cfg, kind, state.clone(), 10, reset_every);
-            let mut rw = RewiredGraph::new(&topo);
-            build_operators(&rw);
-            replay_from_s0(&topo, &mut rw, &mut state, &trace, reset_every);
-            let (count, bytes) = replay_from_s0(&topo, &mut rw, &mut state, &trace, reset_every);
-            let name = kind.name();
-            assert_eq!(
-                count, 0,
-                "warm {name} replay (reset every {reset_every}) allocated ({count} allocs, {bytes} bytes)"
-            );
-            assert_eq!(rw.graph().edge_vec(), topo.materialize(&state).edge_vec());
+    for (fixture, n, edges) in
+        [("guard-cascade", 14, guard_cascade_edges(14)), ("dense", 40, dense_edges(40))]
+    {
+        for kind in RewirerKind::ALL {
+            for reset_every in [0usize, 4] {
+                let name = kind.name();
+                let mut topo = optimizer(n, &edges, EditMode::Both);
+                let mut rw = RewiredGraph::new(&topo);
+                build_operators(&rw);
+                for anchoring in ["initial", "refreshed"] {
+                    if anchoring == "refreshed" {
+                        topo = anchored(rw.graph().clone(), EditMode::Both);
+                        rw.rebase(&topo);
+                    }
+                    let mut state = guard_state(&topo, cfg.k_cap);
+                    let trace = strategy_trace(&topo, &cfg, kind, state.clone(), 10, reset_every);
+                    replay_from_s0(&topo, &mut rw, &mut state, &trace, reset_every);
+                    let (count, bytes) =
+                        replay_from_s0(&topo, &mut rw, &mut state, &trace, reset_every);
+                    assert_eq!(
+                        count, 0,
+                        "warm {name} replay on the {fixture} graph, {anchoring} anchor (reset \
+                         every {reset_every}) allocated ({count} allocs, {bytes} bytes)"
+                    );
+                    assert_eq!(rw.graph().edge_vec(), topo.materialize(&state).edge_vec());
+                }
+            }
         }
     }
 }

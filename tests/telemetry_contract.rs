@@ -1,6 +1,8 @@
 //! Telemetry integration contract: the registry is strictly
 //! observational (bit-identical reports on/off — including with the
-//! counting allocator and hierarchical spans active), the JSONL stream
+//! counting allocator and hierarchical spans active, and in
+//! entropy-refresh mode under the DRL agent, a heuristic and no
+//! rewiring), the JSONL stream
 //! carries one schema-stable `iter` event per outer DRL iteration plus
 //! `span` events, and the run-scoped aggregate lands in
 //! [`RareReport::telemetry`] with per-path self time and exact
@@ -9,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use graphrare::{run, GraphRareConfig, RareReport};
+use graphrare::{run, GraphRareConfig, RareReport, RewirerKind};
 use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec, Split};
 use graphrare_gnn::Backbone;
 use graphrare_graph::Graph;
@@ -72,26 +74,34 @@ fn assert_reports_bit_identical(a: &RareReport, b: &RareReport) {
     assert_eq!(bits(a), bits(b));
 }
 
-#[test]
-fn reports_are_bit_identical_with_telemetry_on_and_off() {
-    let _x = exclusive();
+/// Runs `cfg` on the fixture with telemetry off, then on with an
+/// in-memory sink, requires bit-identical reports, and returns the
+/// enabled run's report and events. Callers hold [`exclusive`].
+fn run_off_then_on(cfg: &GraphRareConfig) -> (RareReport, Vec<telemetry::Event>) {
     let (g, split) = heterophilic_fixture();
-    let cfg = GraphRareConfig::fast().with_seed(11);
-
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
-    let off = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+    let off = run(&g, &split, Backbone::Gcn, cfg).unwrap();
     assert!(off.telemetry.is_none(), "disabled run must not carry an aggregate");
 
     telemetry::reset();
     let (sink, events) = telemetry::VecSink::new();
     telemetry::add_sink(Box::new(sink));
     telemetry::set_enabled(true);
-    let on = run(&g, &split, Backbone::Gcn, &cfg).unwrap();
+    let on = run(&g, &split, Backbone::Gcn, cfg).unwrap();
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
 
     assert_reports_bit_identical(&off, &on);
+    let events = std::mem::take(&mut *events.lock().unwrap());
+    (on, events)
+}
+
+#[test]
+fn reports_are_bit_identical_with_telemetry_on_and_off() {
+    let _x = exclusive();
+    let cfg = GraphRareConfig::fast().with_seed(11);
+    let (on, events) = run_off_then_on(&cfg);
 
     // The enabled run carries a run-scoped aggregate covering the whole
     // of Algorithm 1: one outer iteration per DRL step, one driver.run
@@ -146,7 +156,6 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
     assert!(step.alloc_bytes > 0);
 
     // One iter event per outer iteration, with the Algorithm-1 fields.
-    let events = events.lock().unwrap();
     let iters: Vec<_> = events.iter().filter(|e| e.kind() == "iter").collect();
     assert_eq!(iters.len(), cfg.steps);
     for e in &iters {
@@ -166,6 +175,32 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
         events.iter().filter(|e| e.kind() == "ppo_update").count(),
         cfg.steps / cfg.update_every
     );
+}
+
+#[test]
+fn refresh_mode_reports_are_bit_identical_with_telemetry_on_and_off() {
+    let _x = exclusive();
+    for kind in [RewirerKind::Ppo, RewirerKind::Reference, RewirerKind::None] {
+        let name = kind.name();
+        let mut cfg = GraphRareConfig::fast().with_seed(11);
+        cfg.rewirer = kind;
+        cfg.entropy_refresh_every = 2;
+        let (_, events) = run_off_then_on(&cfg);
+
+        // A boundary follows every second step except the last.
+        let boundaries = (cfg.steps - 1) / cfg.entropy_refresh_every;
+        let count = |event: &str| events.iter().filter(|e| e.kind() == event).count();
+        assert_eq!(count("sequence_refresh"), boundaries, "{name}: one event per boundary");
+        // The rankings are built once up front and rebuilt only at a
+        // boundary that moved the anchor: never when nothing rewires,
+        // and at least once for the DRL agent's edits.
+        let builds = count("entropy_sequences");
+        match kind {
+            RewirerKind::None => assert_eq!(builds, 1, "none rebuilt an unchanged anchor"),
+            RewirerKind::Ppo => assert!(builds >= 2, "ppo never rebuilt its rankings"),
+            _ => assert!(builds <= 1 + boundaries, "{name}: {builds} builds"),
+        }
+    }
 }
 
 #[test]
