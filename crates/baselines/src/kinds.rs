@@ -293,7 +293,7 @@ mod tests {
                 kind.name(),
                 report.test_acc
             );
-            assert!(!report.curve.is_empty(), "{}: empty curve", kind.name());
+            assert!(report.epochs_run > 0, "{}: no epoch ran", kind.name());
         }
     }
 

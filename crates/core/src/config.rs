@@ -95,7 +95,7 @@ pub struct GraphRareConfig {
     /// Which strategy proposes the per-step topology edits: the paper's
     /// DRL module (default), one of the deterministic heuristic
     /// baselines, or no rewiring at all (see
-    /// [`RewirerKind`](crate::rewirer::RewirerKind)).
+    /// [`RewirerKind`]).
     pub rewirer: RewirerKind,
     /// Total DRL steps (graph rewiring iterations).
     pub steps: usize,

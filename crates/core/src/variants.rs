@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use graphrare_datasets::Split;
 use graphrare_entropy::{EntropySequences, RelativeEntropyTable};
-use graphrare_gnn::{build_model, fit, Backbone, FitReport, GraphTensors};
+use graphrare_gnn::{build_model, fit, Backbone, GraphTensors};
 use graphrare_graph::{metrics, Graph};
 
 use crate::config::GraphRareConfig;
@@ -28,8 +28,6 @@ pub struct VariantReport {
     pub best_val_acc: f64,
     /// Homophily of the rewired graph actually trained on.
     pub rewired_homophily: f64,
-    /// Underlying fit report (curves etc.).
-    pub fit: FitReport,
 }
 
 fn build_optimizer(graph: &Graph, cfg: &GraphRareConfig) -> TopologyOptimizer {
@@ -60,7 +58,6 @@ fn train_on_state(
         test_acc: fit_report.test_acc,
         best_val_acc: fit_report.best_val_acc,
         rewired_homophily: rw.homophily_ratio(),
-        fit: fit_report,
     }
 }
 
@@ -121,7 +118,6 @@ pub fn run_plain(
         test_acc: fit_report.test_acc,
         best_val_acc: fit_report.best_val_acc,
         rewired_homophily: metrics::homophily_ratio(graph),
-        fit: fit_report,
     }
 }
 

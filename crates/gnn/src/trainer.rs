@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use graphrare_datasets::Split;
-use graphrare_tensor::optim::{Adam, AdamSnapshot, Optimizer};
+use graphrare_tensor::optim::{Adam, AdamSnapshot};
 use graphrare_tensor::param::{clip_grad_norm, zero_grads, Param};
 use graphrare_tensor::{Matrix, Tape};
 
@@ -75,17 +75,6 @@ pub fn evaluate(
     EvalResult { accuracy: accuracy(&logits, labels, mask), loss, logits }
 }
 
-/// Per-epoch record of a [`fit`] run.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochStats {
-    /// Training loss of the epoch's update step.
-    pub train_loss: f64,
-    /// Training accuracy after the step.
-    pub train_acc: f64,
-    /// Validation accuracy after the step.
-    pub val_acc: f64,
-}
-
 /// Result of a full [`fit`] run.
 #[derive(Clone, Debug)]
 pub struct FitReport {
@@ -95,8 +84,6 @@ pub struct FitReport {
     pub test_acc: f64,
     /// Number of epochs actually run (early stopping may cut it short).
     pub epochs_run: usize,
-    /// Per-epoch curve.
-    pub curve: Vec<EpochStats>,
 }
 
 /// Stateful trainer owning the optimiser and dropout RNG so that training
@@ -226,18 +213,11 @@ pub fn fit(
     let mut best_val = f64::NEG_INFINITY;
     let mut best_snap = trainer.snapshot();
     let mut since_best = 0usize;
-    let mut curve = Vec::with_capacity(cfg.epochs);
     let mut epochs_run = 0;
     for _ in 0..cfg.epochs {
         epochs_run += 1;
-        let train_loss = trainer.train_epoch(model, gt, labels, &split.train);
-        let train_eval = evaluate(model, gt, labels, &split.train);
+        trainer.train_epoch(model, gt, labels, &split.train);
         let val_eval = evaluate(model, gt, labels, &split.val);
-        curve.push(EpochStats {
-            train_loss,
-            train_acc: train_eval.accuracy,
-            val_acc: val_eval.accuracy,
-        });
         if val_eval.accuracy > best_val {
             best_val = val_eval.accuracy;
             best_snap = trainer.snapshot();
@@ -257,7 +237,7 @@ pub fn fit(
     }
     trainer.restore(&best_snap);
     let test_eval = evaluate(model, gt, labels, &split.test);
-    FitReport { best_val_acc: best_val.max(0.0), test_acc: test_eval.accuracy, epochs_run, curve }
+    FitReport { best_val_acc: best_val.max(0.0), test_acc: test_eval.accuracy, epochs_run }
 }
 
 #[cfg(test)]
@@ -303,7 +283,6 @@ mod tests {
         let cfg = TrainConfig { epochs: 80, ..Default::default() };
         let report = fit(model.as_ref(), &gt, &labels, &split, &cfg);
         assert!(report.test_acc > 0.6, "test accuracy {}", report.test_acc);
-        assert!(report.best_val_acc >= report.curve[0].val_acc);
     }
 
     #[test]
@@ -313,7 +292,6 @@ mod tests {
         let cfg = TrainConfig { epochs: 500, patience: 5, ..Default::default() };
         let report = fit(model.as_ref(), &gt, &labels, &split, &cfg);
         assert!(report.epochs_run < 500, "ran all {} epochs", report.epochs_run);
-        assert_eq!(report.curve.len(), report.epochs_run);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use graphrare_tensor::optim::{Adam, Optimizer};
+use graphrare_tensor::optim::Adam;
 use graphrare_tensor::param::{clip_grad_norm, zero_grads, Param};
 use graphrare_tensor::{Matrix, Tape};
 

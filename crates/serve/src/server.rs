@@ -25,7 +25,7 @@
 //!
 //! The driver is deliberately stepped on a dedicated thread per run
 //! ([`graphrare::RareDriver`] is `!Send`), with all cross-thread
-//! coordination going through lock-free [`RunCtl`] atomics plus one
+//! coordination going through lock-free `RunCtl` atomics plus one
 //! short-lived table mutex.
 
 use std::collections::{BTreeMap, VecDeque};

@@ -3,7 +3,8 @@
 //! hierarchical span profiler.
 //!
 //! The wrapper is *installed* per binary — a library crate must never
-//! claim `#[global_allocator]` — via [`install_counting_allocator!`]:
+//! claim `#[global_allocator]` — via
+//! [`install_counting_allocator!`](crate::install_counting_allocator!):
 //!
 //! ```ignore
 //! graphrare_telemetry::install_counting_allocator!();

@@ -16,13 +16,6 @@ pub fn glorot_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Matr
     Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..=a))
 }
 
-/// He/Kaiming uniform initialisation for ReLU networks:
-/// `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-pub fn he_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Matrix {
-    let a = (6.0 / fan_in.max(1) as f32).sqrt();
-    Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..=a))
-}
-
 /// Orthogonal-ish scaled normal initialisation used for PPO policy heads.
 ///
 /// Stable-Baselines3 initialises policy output layers with a small gain so
@@ -60,14 +53,6 @@ mod tests {
         assert!(m.max() <= a && m.min() >= -a);
         // Not degenerate: values should spread over the interval.
         assert!(m.max() > a * 0.5 && m.min() < -a * 0.5);
-    }
-
-    #[test]
-    fn he_bounds() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = he_uniform(&mut rng, 64, 32);
-        let a = (6.0 / 64.0_f32).sqrt();
-        assert!(m.max() <= a && m.min() >= -a);
     }
 
     #[test]

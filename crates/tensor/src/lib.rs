@@ -8,15 +8,18 @@
 //! provides:
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with the ops GNNs need
-//!   (matmul, transpose-fused products, softmax, concatenation, …).
+//!   (matmul and its transpose-fused forms, element-wise maps, row-wise
+//!   log-softmax, …).
 //! * [`CsrMatrix`] — compressed sparse row matrices for graph propagation
 //!   operators and the mostly-zero node features, treated as constants
 //!   by autograd.
-//! * [`Tape`]/[`Var`] — a tape-based autograd engine with a closed op set,
-//!   each backward rule validated against finite differences.
-//! * [`Param`] — shared trainable weights consumed by [`optim`] optimisers
-//!   (Adam, SGD).
-//! * [`init`] — seeded Glorot/He/normal initialisers.
+//! * [`Tape`]/[`Var`] — a tape-based autograd engine whose closed op set
+//!   holds what the GNN models and the PPO update record, each
+//!   backward rule checked against finite differences or an analytic
+//!   gradient.
+//! * [`Param`] — shared trainable weights, updated by the [`optim::Adam`]
+//!   optimiser.
+//! * [`init`] — seeded Glorot/normal initialisers.
 //! * [`gradcheck`] — finite-difference gradient checking helpers.
 //! * [`parallel`] — the std-only scoped-thread runtime behind the hot
 //!   kernels, controlled by the `GRAPHRARE_THREADS` knob; results are
@@ -25,19 +28,22 @@
 //! ## Example
 //!
 //! ```
-//! use graphrare_tensor::{Matrix, Param, Tape};
-//! use graphrare_tensor::optim::{Adam, Optimizer};
+//! use std::rc::Rc;
+//!
+//! use graphrare_tensor::optim::Adam;
 //! use graphrare_tensor::param::zero_grads;
+//! use graphrare_tensor::{Matrix, Param, Tape};
 //!
 //! // Fit w to minimise (w * 2 - 6)^2  =>  w -> 3.
 //! let w = Param::new("w", Matrix::scalar(0.0));
 //! let mut opt = Adam::new(0.1, 0.0);
+//! let minus_six = Rc::new(Matrix::scalar(-6.0));
 //! for _ in 0..200 {
 //!     zero_grads(&[w.clone()]);
 //!     let mut tape = Tape::new();
 //!     let vw = tape.param(&w);
 //!     let scaled = tape.scale(vw, 2.0);
-//!     let shifted = tape.add_scalar(scaled, -6.0);
+//!     let shifted = tape.add_const(scaled, minus_six.clone());
 //!     let sq = tape.square(shifted);
 //!     let loss = tape.sum_all(sq);
 //!     tape.backward(loss);

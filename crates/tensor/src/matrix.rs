@@ -129,11 +129,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -173,12 +168,6 @@ impl Matrix {
     /// Iterator over row slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Copies column `c` into a new `Vec`.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f32> {
-        debug_assert!(c < self.cols);
-        (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
     /// The single value of a `1 x 1` matrix.
@@ -308,11 +297,6 @@ impl Matrix {
         self.zip(rhs, |a, b| a + b)
     }
 
-    /// Element-wise difference into a new matrix.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
-        self.zip(rhs, |a, b| a - b)
-    }
-
     /// Element-wise (Hadamard) product into a new matrix.
     pub fn mul_elem(&self, rhs: &Matrix) -> Matrix {
         self.zip(rhs, |a, b| a * b)
@@ -339,14 +323,6 @@ impl Matrix {
         assert_eq!(self.shape(), rhs.shape(), "add_assign: shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
-        }
-    }
-
-    /// In-place scaled accumulate: `self += alpha * rhs`.
-    pub fn axpy(&mut self, alpha: f32, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "axpy: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
         }
     }
 
@@ -397,24 +373,6 @@ impl Matrix {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Per-row sums as an `n x 1` column.
-    pub fn row_sums(&self) -> Matrix {
-        let data = self.rows_iter().map(|r| r.iter().sum()).collect();
-        Matrix { rows: self.rows, cols: 1, data }
-    }
-
-    /// Per-row means as an `n x 1` column.
-    pub fn row_means(&self) -> Matrix {
-        let denom = self.cols.max(1) as f32;
-        let data = self.rows_iter().map(|r| r.iter().sum::<f32>() / denom).collect();
-        Matrix { rows: self.rows, cols: 1, data }
-    }
-
     /// Index of the maximum element in each row.
     pub fn row_argmax(&self) -> Vec<usize> {
         self.rows_iter()
@@ -426,52 +384,6 @@ impl Matrix {
                     .unwrap_or(0)
             })
             .collect()
-    }
-
-    /// Horizontal concatenation `[self | rhs]`.
-    ///
-    /// # Panics
-    /// Panics if row counts differ.
-    pub fn hcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "hcat: row count mismatch");
-        let cols = self.cols + rhs.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(rhs.row(r));
-        }
-        Matrix { rows: self.rows, cols, data }
-    }
-
-    /// Vertical concatenation of `self` on top of `rhs`.
-    ///
-    /// # Panics
-    /// Panics if column counts differ.
-    pub fn vcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "vcat: column count mismatch");
-        let mut data = Vec::with_capacity((self.rows + rhs.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&rhs.data);
-        Matrix { rows: self.rows + rhs.rows, cols: self.cols, data }
-    }
-
-    /// Gathers the given rows into a new matrix (rows may repeat).
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix { rows: indices.len(), cols: self.cols, data }
-    }
-
-    /// Row-wise numerically-stable softmax.
-    pub fn softmax_rows(&self) -> Matrix {
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
-            softmax_slice(row);
-        }
-        out
     }
 
     /// Row-wise numerically-stable log-softmax.
@@ -559,7 +471,7 @@ mod tests {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -607,46 +519,24 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1000.0]);
-        let s = m.softmax_rows();
-        for r in 0..2 {
-            let sum: f32 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
+    fn softmax_slice_sums_to_one() {
+        for mut row in [[1.0f32, 2.0, 3.0], [-1.0, 0.0, 1000.0]] {
+            softmax_slice(&mut row);
+            let sum: f32 = row.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "{row:?} sums to {sum}");
+            assert!(row.iter().all(|v| v.is_finite()));
         }
-        assert!(s.all_finite());
     }
 
     #[test]
     fn log_softmax_is_log_of_softmax() {
         let m = Matrix::from_vec(1, 4, vec![0.5, -0.5, 2.0, 0.0]);
         let ls = m.log_softmax_rows();
-        let s = m.softmax_rows();
-        for c in 0..4 {
-            assert!((ls.get(0, c) - s.get(0, c).ln()).abs() < 1e-5);
+        let mut s = [0.5f32, -0.5, 2.0, 0.0];
+        softmax_slice(&mut s);
+        for (c, p) in s.iter().enumerate() {
+            assert!((ls.get(0, c) - p.ln()).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn hcat_vcat_shapes() {
-        let a = Matrix::ones(2, 3);
-        let b = Matrix::zeros(2, 2);
-        let h = a.hcat(&b);
-        assert_eq!(h.shape(), (2, 5));
-        assert_eq!(h.get(0, 4), 0.0);
-        assert_eq!(h.get(1, 2), 1.0);
-
-        let c = Matrix::zeros(1, 3);
-        let v = a.vcat(&c);
-        assert_eq!(v.shape(), (3, 3));
-        assert_eq!(v.get(2, 0), 0.0);
-    }
-
-    #[test]
-    fn gather_rows_repeats() {
-        let m = Matrix::from_fn(3, 2, |r, _| r as f32);
-        let g = m.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.col_to_vec(0), vec![2.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -662,15 +552,6 @@ mod tests {
         assert_eq!(m.mean(), 2.5);
         assert_eq!(m.max(), 4.0);
         assert_eq!(m.min(), 1.0);
-        assert_eq!(m.row_sums().col_to_vec(0), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::ones(1, 3);
-        let b = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[1.5, 2.0, 2.5]);
     }
 
     #[test]

@@ -17,8 +17,8 @@ struct ParamInner {
 /// `Param` is a cheap `Rc` handle: cloning it shares storage. A forward pass
 /// binds the parameter onto a [`Tape`](crate::tape::Tape) with
 /// [`Tape::param`](crate::tape::Tape::param); `Tape::backward` then
-/// accumulates the parameter's gradient here, where an
-/// [`Optimizer`](crate::optim::Optimizer) consumes it.
+/// accumulates the parameter's gradient here, where
+/// [`Adam::step`](crate::optim::Adam::step) consumes it.
 #[derive(Clone)]
 pub struct Param {
     inner: Rc<RefCell<ParamInner>>,
@@ -84,18 +84,6 @@ impl Param {
         let ParamInner { value, grad, .. } = &mut *inner;
         f(value, grad);
     }
-
-    /// Whether two handles share the same storage.
-    pub fn same_storage(&self, other: &Param) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Identity key of the shared storage, stable for the lifetime of the
-    /// parameter. Used by optimisers to key per-parameter state; the key is
-    /// only meaningful while the parameter is alive.
-    pub fn storage_key(&self) -> usize {
-        Rc::as_ptr(&self.inner) as usize
-    }
 }
 
 impl fmt::Debug for Param {
@@ -117,7 +105,7 @@ pub fn zero_grads(params: &[Param]) {
 pub fn clip_grad_norm(params: &[Param], max_norm: f32) -> f32 {
     let mut total = 0.0f32;
     for p in params {
-        total += p.grad().as_slice().iter().map(|v| v * v).sum::<f32>();
+        total += p.inner.borrow().grad.as_slice().iter().map(|v| v * v).sum::<f32>();
     }
     let norm = total.sqrt();
     if norm > max_norm && norm > 0.0 {
@@ -149,7 +137,6 @@ mod tests {
         let q = p.clone();
         q.accumulate_grad(&Matrix::scalar(5.0));
         assert_eq!(p.grad().scalar_value(), 5.0);
-        assert!(p.same_storage(&q));
     }
 
     #[test]

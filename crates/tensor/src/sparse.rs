@@ -318,16 +318,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Dense sparse-vector product `self * v` for a column vector.
-    ///
-    /// Parallelised over output rows; each dot product stays on one
-    /// thread, so results match serial execution exactly.
-    pub fn spmv(&self, v: &[f32]) -> Vec<f32> {
-        assert_eq!(self.cols, v.len(), "spmv: dimension mismatch");
-        let _kernel = kernel_telemetry!("spmv", self.rows);
-        parallel::par_map(self.rows, |r| self.row_entries_inner(r).map(|(c, w)| w * v[c]).sum())
-    }
-
     /// Converts to a dense matrix. GraphSAGE densifies its (dropped)
     /// sparse input once per forward this way, for the neighbour mean.
     pub fn to_dense(&self) -> Matrix {
@@ -475,13 +465,6 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
         let id = CsrMatrix::identity(4);
         assert_eq!(id.spmm(&x), x);
-    }
-
-    #[test]
-    fn spmv_known() {
-        let m = sample();
-        let y = m.spmv(&[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![2.0 * 2.0 - 3.0, 3.0, 3.0]);
     }
 
     #[test]

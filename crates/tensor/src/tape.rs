@@ -9,7 +9,8 @@
 //! Design notes:
 //! * Ops are a closed `enum` rather than boxed closures: cheaper, easier to
 //!   audit, and every backward rule is unit-tested against finite
-//!   differences (see `gradcheck`).
+//!   differences (see `gradcheck`) or an analytic gradient. The set holds
+//!   only what the workspace's GNN models and the PPO update record.
 //! * Sparse operands ([`CsrMatrix`]) are constants — gradients only flow
 //!   through dense inputs, matching how GNN propagation matrices are used.
 //! * Fused ops (`EdgeAttention`, `MultiDiscreteLogProb`,
@@ -84,11 +85,6 @@ impl AdjList {
     pub fn neighbors(&self, i: usize) -> &[usize] {
         &self.targets[self.offsets[i]..self.offsets[i + 1]]
     }
-
-    /// Total number of (directed) neighbour entries.
-    pub fn num_entries(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 /// Handle to a node on a [`Tape`].
@@ -103,32 +99,19 @@ enum Op {
     MatMul(usize, usize),
     SpMM { m: Rc<CsrMatrix>, x: usize },
     Add(usize, usize),
-    Sub(usize, usize),
-    Mul(usize, usize),
-    Div(usize, usize),
     Neg(usize),
     Scale(usize, f32),
-    AddScalar(usize),
     AddBias { x: usize, bias: usize },
     Relu(usize),
-    LeakyRelu(usize, f32),
     Elu(usize, f32),
     Tanh(usize),
-    Sigmoid(usize),
     Exp(usize),
-    Ln(usize),
     Square(usize),
-    Sqrt(usize),
     Clamp(usize, f32, f32),
     MinElem(usize, usize),
-    MaxElem(usize, usize),
     LogSoftmaxRows(usize),
-    SoftmaxRows(usize),
     Dropout { x: usize, mask: Rc<Matrix> },
     ConcatCols(Vec<usize>),
-    SliceCols { x: usize, start: usize, len: usize },
-    GatherRows { x: usize, idx: Rc<Vec<usize>> },
-    PickPerRow { x: usize, idx: Rc<Vec<usize>> },
     SumAll(usize),
     MeanAll(usize),
     MulConst { x: usize, c: Rc<Matrix> },
@@ -184,7 +167,7 @@ impl Tape {
     /// Records a leaf bound to a shared [`Param`]; after [`Tape::backward`]
     /// the computed gradient is accumulated into the parameter's `grad`.
     pub fn param(&mut self, p: &Param) -> Var {
-        let v = self.push(p.value().clone(), Op::Leaf, true);
+        let v = self.push(p.value(), Op::Leaf, true);
         self.bindings.push((v.idx, p.clone()));
         v
     }
@@ -241,27 +224,6 @@ impl Tape {
         self.push(v, Op::Add(a.idx, b.idx), ng)
     }
 
-    /// Element-wise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.val(a.idx).sub(self.val(b.idx));
-        let ng = self.ng(a) || self.ng(b);
-        self.push(v, Op::Sub(a.idx, b.idx), ng)
-    }
-
-    /// Element-wise product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.val(a.idx).mul_elem(self.val(b.idx));
-        let ng = self.ng(a) || self.ng(b);
-        self.push(v, Op::Mul(a.idx, b.idx), ng)
-    }
-
-    /// Element-wise quotient.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = self.val(a.idx).zip(self.val(b.idx), |x, y| x / y);
-        let ng = self.ng(a) || self.ng(b);
-        self.push(v, Op::Div(a.idx, b.idx), ng)
-    }
-
     /// Element-wise negation.
     pub fn neg(&mut self, a: Var) -> Var {
         let v = self.val(a.idx).map(|x| -x);
@@ -274,13 +236,6 @@ impl Tape {
         let v = self.val(a.idx).scale(c);
         let ng = self.ng(a);
         self.push(v, Op::Scale(a.idx, c), ng)
-    }
-
-    /// Adds the scalar `c` to every element.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.val(a.idx).map(|x| x + c);
-        let ng = self.ng(a);
-        self.push(v, Op::AddScalar(a.idx), ng)
     }
 
     /// Adds a `1 x c` bias row to every row of `x`.
@@ -307,13 +262,6 @@ impl Tape {
         self.push(v, Op::Relu(a.idx), ng)
     }
 
-    /// Leaky ReLU with negative-side `slope`.
-    pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = self.val(a.idx).map(|x| if x > 0.0 { x } else { slope * x });
-        let ng = self.ng(a);
-        self.push(v, Op::LeakyRelu(a.idx, slope), ng)
-    }
-
     /// Exponential linear unit.
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
         let v = self.val(a.idx).map(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
@@ -328,13 +276,6 @@ impl Tape {
         self.push(v, Op::Tanh(a.idx), ng)
     }
 
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.val(a.idx).map(|x| 1.0 / (1.0 + (-x).exp()));
-        let ng = self.ng(a);
-        self.push(v, Op::Sigmoid(a.idx), ng)
-    }
-
     /// Element-wise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
         let v = self.val(a.idx).map(f32::exp);
@@ -342,25 +283,11 @@ impl Tape {
         self.push(v, Op::Exp(a.idx), ng)
     }
 
-    /// Element-wise natural logarithm (inputs must be positive).
-    pub fn ln(&mut self, a: Var) -> Var {
-        let v = self.val(a.idx).map(f32::ln);
-        let ng = self.ng(a);
-        self.push(v, Op::Ln(a.idx), ng)
-    }
-
     /// Element-wise square.
     pub fn square(&mut self, a: Var) -> Var {
         let v = self.val(a.idx).map(|x| x * x);
         let ng = self.ng(a);
         self.push(v, Op::Square(a.idx), ng)
-    }
-
-    /// Element-wise square root (inputs must be non-negative).
-    pub fn sqrt(&mut self, a: Var) -> Var {
-        let v = self.val(a.idx).map(f32::sqrt);
-        let ng = self.ng(a);
-        self.push(v, Op::Sqrt(a.idx), ng)
     }
 
     /// Clamps every element to `[lo, hi]`.
@@ -377,25 +304,11 @@ impl Tape {
         self.push(v, Op::MinElem(a.idx, b.idx), ng)
     }
 
-    /// Element-wise maximum of two matrices.
-    pub fn max_elem(&mut self, a: Var, b: Var) -> Var {
-        let v = self.val(a.idx).zip(self.val(b.idx), f32::max);
-        let ng = self.ng(a) || self.ng(b);
-        self.push(v, Op::MaxElem(a.idx, b.idx), ng)
-    }
-
     /// Row-wise log-softmax.
     pub fn log_softmax_rows(&mut self, a: Var) -> Var {
         let v = self.val(a.idx).log_softmax_rows();
         let ng = self.ng(a);
         self.push(v, Op::LogSoftmaxRows(a.idx), ng)
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let v = self.val(a.idx).softmax_rows();
-        let ng = self.ng(a);
-        self.push(v, Op::SoftmaxRows(a.idx), ng)
     }
 
     /// Inverted dropout with keep-probability `1 - p`, drawing the mask from
@@ -433,35 +346,6 @@ impl Tape {
         }
         let ng = parts.iter().any(|p| self.ng(*p));
         self.push(out, Op::ConcatCols(parts.iter().map(|p| p.idx).collect()), ng)
-    }
-
-    /// Column slice `x[:, start .. start + len]`.
-    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let src = self.val(x.idx);
-        assert!(start + len <= src.cols(), "slice_cols out of range");
-        let mut out = Matrix::zeros(src.rows(), len);
-        for r in 0..src.rows() {
-            out.row_mut(r).copy_from_slice(&src.row(r)[start..start + len]);
-        }
-        let ng = self.ng(x);
-        self.push(out, Op::SliceCols { x: x.idx, start, len }, ng)
-    }
-
-    /// Row gather `x[idx, :]` (indices may repeat).
-    pub fn gather_rows(&mut self, x: Var, idx: Rc<Vec<usize>>) -> Var {
-        let v = self.val(x.idx).gather_rows(&idx);
-        let ng = self.ng(x);
-        self.push(v, Op::GatherRows { x: x.idx, idx }, ng)
-    }
-
-    /// Per-row element pick: output `(n, 1)` with `out[r] = x[r, idx[r]]`.
-    pub fn pick_per_row(&mut self, x: Var, idx: Rc<Vec<usize>>) -> Var {
-        let src = self.val(x.idx);
-        assert_eq!(idx.len(), src.rows(), "pick_per_row: index length mismatch");
-        let data: Vec<f32> = idx.iter().enumerate().map(|(r, &c)| src.get(r, c)).collect();
-        let v = Matrix::from_vec(src.rows(), 1, data);
-        let ng = self.ng(x);
-        self.push(v, Op::PickPerRow { x: x.idx, idx }, ng)
     }
 
     /// Sum of all elements as a `1 x 1` scalar.
@@ -650,19 +534,8 @@ impl Tape {
                 .needed([(*a, &|| g.matmul_nt(self.val(*b))), (*b, &|| self.val(*a).matmul_tn(g))]),
             Op::SpMM { m, x } => vec![(*x, m.spmm_t(g))],
             Op::Add(a, b) => self.needed([(*a, &|| g.clone()), (*b, &|| g.clone())]),
-            Op::Sub(a, b) => self.needed([(*a, &|| g.clone()), (*b, &|| g.map(|v| -v))]),
-            Op::Mul(a, b) => self
-                .needed([(*a, &|| g.mul_elem(self.val(*b))), (*b, &|| g.mul_elem(self.val(*a)))]),
-            Op::Div(a, b) => {
-                let bv = self.val(*b);
-                self.needed([
-                    (*a, &|| g.zip(bv, |gi, bi| gi / bi)),
-                    (*b, &|| g.zip(self.val(*a), |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi))),
-                ])
-            }
             Op::Neg(a) => vec![(*a, g.map(|v| -v))],
             Op::Scale(a, c) => vec![(*a, g.scale(*c))],
-            Op::AddScalar(a) => vec![(*a, g.clone())],
             Op::AddBias { x, bias } => self.needed([
                 (*x, &|| g.clone()),
                 (*bias, &|| {
@@ -676,21 +549,13 @@ impl Tape {
                 }),
             ]),
             Op::Relu(a) => vec![(*a, g.zip(self.val(*a), |gi, x| if x > 0.0 { gi } else { 0.0 }))],
-            Op::LeakyRelu(a, s) => {
-                vec![(*a, g.zip(self.val(*a), |gi, x| if x > 0.0 { gi } else { gi * s }))]
-            }
             Op::Elu(a, alpha) => {
                 // y = α(e^x − 1) for x ≤ 0, so dy/dx = y + α there.
                 vec![(*a, g.zip(out_val, |gi, y| if y > 0.0 { gi } else { gi * (y + alpha) }))]
             }
             Op::Tanh(a) => vec![(*a, g.zip(out_val, |gi, y| gi * (1.0 - y * y)))],
-            Op::Sigmoid(a) => vec![(*a, g.zip(out_val, |gi, y| gi * y * (1.0 - y)))],
             Op::Exp(a) => vec![(*a, g.mul_elem(out_val))],
-            Op::Ln(a) => vec![(*a, g.zip(self.val(*a), |gi, x| gi / x))],
             Op::Square(a) => vec![(*a, g.zip(self.val(*a), |gi, x| gi * 2.0 * x))],
-            Op::Sqrt(a) => {
-                vec![(*a, g.zip(out_val, |gi, y| if y > 0.0 { gi * 0.5 / y } else { 0.0 }))]
-            }
             Op::Clamp(a, lo, hi) => {
                 let src = self.val(*a);
                 let mut da = g.clone();
@@ -713,18 +578,6 @@ impl Tape {
                     }),
                 ])
             }
-            Op::MaxElem(a, b) => {
-                let av = self.val(*a);
-                let bv = self.val(*b);
-                self.needed([
-                    (*a, &|| {
-                        g.zip(&av.zip(bv, |x, y| if x >= y { 1.0 } else { 0.0 }), |gi, m| gi * m)
-                    }),
-                    (*b, &|| {
-                        g.zip(&av.zip(bv, |x, y| if x >= y { 0.0 } else { 1.0 }), |gi, m| gi * m)
-                    }),
-                ])
-            }
             Op::LogSoftmaxRows(a) => {
                 // dx = g − softmax(x) * rowsum(g); softmax(x) = exp(out).
                 let mut da = g.clone();
@@ -733,19 +586,6 @@ impl Tape {
                     let da_row = da.row_mut(r);
                     for (d, &y) in da_row.iter_mut().zip(out_val.row(r)) {
                         *d -= y.exp() * gsum;
-                    }
-                }
-                vec![(*a, da)]
-            }
-            Op::SoftmaxRows(a) => {
-                // dx_j = y_j (g_j − Σ_k g_k y_k)
-                let mut da = Matrix::zeros(g.rows(), g.cols());
-                for r in 0..g.rows() {
-                    let dot: f32 =
-                        g.row(r).iter().zip(out_val.row(r)).map(|(&gi, &yi)| gi * yi).sum();
-                    let da_row = da.row_mut(r);
-                    for ((d, &gi), &yi) in da_row.iter_mut().zip(g.row(r)).zip(out_val.row(r)) {
-                        *d = yi * (gi - dot);
                     }
                 }
                 vec![(*a, da)]
@@ -766,32 +606,6 @@ impl Tape {
                     start += w;
                 }
                 out
-            }
-            Op::SliceCols { x, start, len } => {
-                let src = self.val(*x);
-                let mut dx = Matrix::zeros(src.rows(), src.cols());
-                for r in 0..g.rows() {
-                    dx.row_mut(r)[*start..*start + *len].copy_from_slice(g.row(r));
-                }
-                vec![(*x, dx)]
-            }
-            Op::GatherRows { x, idx } => {
-                let src = self.val(*x);
-                let mut dx = Matrix::zeros(src.rows(), src.cols());
-                for (r, &i) in idx.iter().enumerate() {
-                    for (d, &v) in dx.row_mut(i).iter_mut().zip(g.row(r)) {
-                        *d += v;
-                    }
-                }
-                vec![(*x, dx)]
-            }
-            Op::PickPerRow { x, idx } => {
-                let src = self.val(*x);
-                let mut dx = Matrix::zeros(src.rows(), src.cols());
-                for (r, &c) in idx.iter().enumerate() {
-                    dx.add_at(r, c, g.get(r, 0));
-                }
-                vec![(*x, dx)]
             }
             Op::SumAll(a) => {
                 let s = g.scalar_value();
@@ -1033,9 +847,11 @@ mod tests {
         let x0 = Matrix::from_vec(2, 3, vec![0.3, -0.7, 1.2, 0.05, -1.4, 2.0]);
         check_grad(&x0, 1e-2, |t, x| {
             let a = t.tanh(x);
-            let b = t.sigmoid(a);
-            let c = t.square(b);
-            t.mean_all(c)
+            let b = t.neg(a);
+            let c = t.exp(b);
+            let d = t.scale(c, 0.7);
+            let e = t.square(d);
+            t.mean_all(e)
         });
     }
 
@@ -1045,11 +861,9 @@ mod tests {
         let x0 = Matrix::from_vec(2, 2, vec![0.5, -0.8, 1.3, -0.2]);
         check_grad(&x0, 1e-2, |t, x| {
             let a = t.relu(x);
-            let b = t.leaky_relu(x, 0.2);
-            let c = t.elu(x, 1.0);
+            let b = t.elu(x, 1.0);
             let ab = t.add(a, b);
-            let abc = t.add(ab, c);
-            t.sum_all(abc)
+            t.sum_all(ab)
         });
     }
 
@@ -1065,17 +879,6 @@ mod tests {
         check_grad(&x0, 1e-2, move |t, x| {
             let lp = t.log_softmax_rows(x);
             t.nll_masked(lp, targets.clone(), mask.clone())
-        });
-    }
-
-    #[test]
-    fn gradcheck_softmax_rows() {
-        let x0 = Matrix::from_vec(2, 3, vec![0.2, -0.5, 1.0, 0.0, 0.3, -0.8]);
-        let w = Rc::new(Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 0.3, 1.1, -0.4]));
-        check_grad(&x0, 1e-2, move |t, x| {
-            let s = t.softmax_rows(x);
-            let weighted = t.mul_const(s, w.clone());
-            t.sum_all(weighted)
         });
     }
 
@@ -1107,50 +910,95 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_slice_gather_pick() {
-        let x0 = Matrix::from_vec(
-            3,
-            4,
-            vec![0.1, 0.2, 0.3, 0.4, -0.1, -0.2, -0.3, -0.4, 0.5, 0.6, 0.7, 0.8],
-        );
-        let gather = Rc::new(vec![2usize, 0, 2, 1]);
-        let pick = Rc::new(vec![1usize, 3, 0, 2]);
-        check_grad(&x0, 1e-2, move |t, x| {
-            let s = t.slice_cols(x, 1, 2);
-            let g = t.gather_rows(x, gather.clone());
-            let p = t.pick_per_row(g, pick.clone());
-            let s_sum = t.sum_all(s);
-            let p_sum = t.sum_all(p);
-            t.add(s_sum, p_sum)
-        });
-    }
-
-    #[test]
-    fn gradcheck_min_max_clamp() {
-        // Values chosen away from ties and clamp boundaries.
+    fn gradcheck_min_clamp() {
+        // Values chosen away from ties and clamp boundaries; `x` is the
+        // first operand of one `min_elem` and the second of the other, so
+        // both of its backward branches are checked.
         let x0 = Matrix::from_vec(2, 2, vec![0.4, -0.9, 1.6, 0.2]);
         let other = Rc::new(Matrix::from_vec(2, 2, vec![0.1, 0.0, 2.0, -0.5]));
         check_grad(&x0, 1e-2, move |t, x| {
             let o = t.constant((*other).clone());
-            let mn = t.min_elem(x, o);
-            let mx = t.max_elem(x, o);
+            let lhs = t.min_elem(x, o);
+            let rhs = t.min_elem(o, x);
             let cl = t.clamp(x, -0.7, 1.2);
-            let a = t.add(mn, mx);
+            let a = t.add(lhs, rhs);
             let b = t.add(a, cl);
-            t.sum_all(b)
+            let s = t.square(b);
+            t.sum_all(s)
         });
     }
 
     #[test]
-    fn gradcheck_div_exp_ln_sqrt() {
-        let x0 = Matrix::from_vec(1, 3, vec![0.8, 1.5, 2.2]);
-        check_grad(&x0, 1e-2, |t, x| {
-            let e = t.exp(x);
-            let l = t.ln(x);
-            let s = t.sqrt(x);
-            let d = t.div(e, s);
-            let a = t.add(d, l);
-            t.mean_all(a)
+    fn gradcheck_const_operand_ops() {
+        let x0 = Matrix::from_vec(1, 3, vec![0.8, -1.5, 0.2]);
+        let shift = Rc::new(Matrix::from_vec(1, 3, vec![-0.3, 0.9, 0.1]));
+        let weight = Rc::new(Matrix::from_vec(1, 3, vec![1.7, -0.6, 2.4]));
+        check_grad(&x0, 1e-2, move |t, x| {
+            let shifted = t.add_const(x, shift.clone());
+            let e = t.exp(shifted);
+            let w = t.mul_const(e, weight.clone());
+            let m = t.mean_all(w);
+            t.neg(m)
+        });
+    }
+
+    /// The loss `PpoAgent::update` records, op for op: the clipped
+    /// surrogate, the value loss and the entropy bonus over one minibatch
+    /// of 4 samples with 2 heads of arity 3. The critic's output is a
+    /// constant projection of the same leaf so that one gradcheck covers
+    /// both branches.
+    #[test]
+    fn gradcheck_ppo_clipped_surrogate_loss() {
+        let (clip, vf_coef, ent_coef) = (0.2f32, 0.5f32, 0.05f32);
+        let x0 = Matrix::from_vec(
+            4,
+            6,
+            vec![
+                0.3, -0.1, 0.8, 0.2, 0.5, -0.7, //
+                1.0, 0.0, -0.4, -0.2, 0.6, 0.9, //
+                -0.5, 0.4, 0.1, 0.7, -0.3, 0.2, //
+                0.6, 0.2, -0.8, 0.0, 0.3, -0.1,
+            ],
+        );
+        let actions = Rc::new(vec![0u8, 2, 1, 1, 2, 0, 1, 2]);
+        let logp0 = {
+            let mut t = Tape::new();
+            let x = t.constant(x0.clone());
+            let lp = t.multi_discrete_log_prob(x, 3, actions.clone());
+            t.value(lp).clone()
+        };
+        // Every ratio lies outside [1 - clip, 1 + clip], so the two
+        // surrogates never tie; rows 0 and 1 take the unclipped branch,
+        // rows 2 and 3 the clipped one.
+        let ratios = [1.5f32, 0.6, 1.5, 0.5];
+        let neg_old = Rc::new(Matrix::from_fn(4, 1, |r, _| ratios[r].ln() - logp0.get(r, 0)));
+        let adv = Rc::new(Matrix::column(&[-0.8, 1.1, 0.5, -0.3]));
+        let critic = Rc::new(Matrix::column(&[0.4, -0.2, 0.3, 0.1, -0.5, 0.6]));
+        let neg_ret = Rc::new(Matrix::column(&[-0.3, 0.2, 0.5, -0.1]));
+        check_grad(&x0, 1e-2, move |t, logits| {
+            let logp = t.multi_discrete_log_prob(logits, 3, actions.clone());
+            let diff = t.add_const(logp, neg_old.clone());
+            let ratio = t.exp(diff);
+            let surr1 = t.mul_const(ratio, adv.clone());
+            let clipped = t.clamp(ratio, 1.0 - clip, 1.0 + clip);
+            let surr2 = t.mul_const(clipped, adv.clone());
+            let surr = t.min_elem(surr1, surr2);
+            let mean_surr = t.mean_all(surr);
+            let policy_loss = t.neg(mean_surr);
+
+            let w = t.constant((*critic).clone());
+            let value = t.matmul(logits, w);
+            let verr = t.add_const(value, neg_ret.clone());
+            let vsq = t.square(verr);
+            let value_loss = t.mean_all(vsq);
+
+            let entropy = t.multi_discrete_entropy(logits, 3);
+            let mean_entropy = t.mean_all(entropy);
+
+            let scaled_v = t.scale(value_loss, vf_coef);
+            let scaled_e = t.scale(mean_entropy, -ent_coef);
+            let partial = t.add(policy_loss, scaled_v);
+            t.add(partial, scaled_e)
         });
     }
 
@@ -1256,7 +1104,7 @@ mod tests {
         let mut t = Tape::new();
         let c = t.constant(Matrix::ones(2, 2));
         let x = t.leaf(Matrix::ones(2, 2));
-        let y = t.mul(c, x);
+        let y = t.add(c, x);
         let s = t.sum_all(y);
         t.backward(s);
         assert!(t.grad(c).is_none());

@@ -4,7 +4,8 @@
 
 use std::rc::Rc;
 
-use graphrare_tensor::optim::{Adam, Optimizer, Sgd};
+use graphrare_tensor::matrix::softmax_slice;
+use graphrare_tensor::optim::Adam;
 use graphrare_tensor::param::zero_grads;
 use graphrare_tensor::{CsrMatrix, Matrix, Param, Tape};
 
@@ -30,20 +31,20 @@ fn empty_matrix_operations() {
 
 #[test]
 fn single_column_softmax_is_one() {
-    let m = Matrix::from_vec(3, 1, vec![5.0, -2.0, 0.0]);
-    let s = m.softmax_rows();
-    for r in 0..3 {
-        assert_eq!(s.get(r, 0), 1.0);
+    for v in [5.0f32, -2.0, 0.0] {
+        let mut row = [v];
+        softmax_slice(&mut row);
+        assert_eq!(row[0], 1.0);
     }
 }
 
 #[test]
 fn extreme_logits_stay_finite() {
-    let m = Matrix::from_vec(1, 3, vec![1e4, -1e4, 0.0]);
-    let s = m.softmax_rows();
-    assert!(s.all_finite());
-    assert!((s.get(0, 0) - 1.0).abs() < 1e-6);
-    let ls = m.log_softmax_rows();
+    let mut s = [1e4f32, -1e4, 0.0];
+    softmax_slice(&mut s);
+    assert!(s.iter().all(|v| v.is_finite()));
+    assert!((s[0] - 1.0).abs() < 1e-6);
+    let ls = Matrix::from_vec(1, 3, vec![1e4, -1e4, 0.0]).log_softmax_rows();
     assert!(ls.all_finite());
 }
 
@@ -147,17 +148,6 @@ fn adam_handles_zero_gradients() {
     opt.step(std::slice::from_ref(&p));
     // Zero gradient, zero decay: value unchanged.
     assert_eq!(p.value().as_slice(), &[1.0, 1.0]);
-}
-
-#[test]
-fn sgd_weight_decay_pulls_to_zero_without_loss() {
-    let p = Param::new("w", Matrix::scalar(1.0));
-    let mut opt = Sgd::new(0.1, 0.0, 0.5);
-    for _ in 0..50 {
-        zero_grads(std::slice::from_ref(&p));
-        opt.step(std::slice::from_ref(&p));
-    }
-    assert!(p.value().scalar_value() < 0.1);
 }
 
 #[test]

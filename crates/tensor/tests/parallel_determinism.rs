@@ -90,20 +90,6 @@ fn spmm_t_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn spmv_bit_identical_across_thread_counts() {
-    let s = sparse(53, 47, 0.2, 11);
-    let v: Vec<f32> = {
-        let mut rng = StdRng::seed_from_u64(12);
-        (0..47).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
-    };
-    let serial = with_threads(1, || s.spmv(&v));
-    for t in THREAD_COUNTS {
-        let par = with_threads(t, || s.spmv(&v));
-        assert_eq!(serial, par, "spmv diverged at {t} threads");
-    }
-}
-
-#[test]
 fn par_fold_min_max_matches_serial() {
     let values: Vec<f64> = {
         let mut rng = StdRng::seed_from_u64(13);

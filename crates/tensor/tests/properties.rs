@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use graphrare_tensor::matrix::softmax_slice;
 use graphrare_tensor::{CsrMatrix, Matrix, Tape};
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -50,30 +51,20 @@ proptest! {
     }
 
     #[test]
-    fn softmax_rows_shift_invariant(m in arb_matrix(6), shift in -50.0f32..50.0) {
-        let shifted = m.map(|v| v + shift);
-        let a = m.softmax_rows();
-        let b = shifted.softmax_rows();
-        prop_assert!(a.max_abs_diff(&b) < 1e-4);
-        for r in 0..a.rows() {
-            let sum: f32 = a.row(r).iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4);
-            prop_assert!(a.row(r).iter().all(|&p| (0.0..=1.0 + 1e-6).contains(&p)));
+    fn softmax_slice_shift_invariant(
+        row in proptest::collection::vec(-10.0f32..10.0, 1..7),
+        shift in -50.0f32..50.0,
+    ) {
+        let mut a = row.clone();
+        let mut b: Vec<f32> = row.iter().map(|v| v + shift).collect();
+        softmax_slice(&mut a);
+        softmax_slice(&mut b);
+        for (&p, &q) in a.iter().zip(&b) {
+            prop_assert!((p - q).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn hcat_then_slice_recovers_parts(a in arb_matrix(5), b in arb_matrix(5)) {
-        if a.rows() == b.rows() {
-            let cat = a.hcat(&b);
-            prop_assert_eq!(cat.cols(), a.cols() + b.cols());
-            let mut tape = Tape::new();
-            let v = tape.constant(cat);
-            let left = tape.slice_cols(v, 0, a.cols());
-            let right = tape.slice_cols(v, a.cols(), b.cols());
-            prop_assert_eq!(tape.value(left), &a);
-            prop_assert_eq!(tape.value(right), &b);
-        }
+        let sum: f32 = a.iter().sum();
+        prop_assert!((sum - 1.0).abs() < 1e-4);
+        prop_assert!(a.iter().all(|&p| (0.0..=1.0 + 1e-6).contains(&p)));
     }
 
     #[test]

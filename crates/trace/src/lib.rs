@@ -18,7 +18,7 @@
 //!   so unlike the in-process reservoir there is no sampling cap). The
 //!   rows are the registry's own [`graphrare_telemetry::PathSummary`],
 //!   printed by the same [`graphrare_telemetry::render_paths`] table.
-//! - [`diff`]: per-path total-time comparison of two runs with a
+//! - [`diff`](fn@diff): per-path total-time comparison of two runs with a
 //!   configurable regression threshold — the CI perf gate.
 //!
 //! Parsing is strict: the whole stream must pass

@@ -28,6 +28,12 @@ fi
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings as errors)"
+# Catches intra-doc links left dangling by a removed or renamed item. The
+# vendored stubs are excluded: they mirror external crates' API surface,
+# docs included, and are not this workspace's to fix.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 
