@@ -8,8 +8,8 @@
 
 use graphrare_datasets::Split;
 use graphrare_entropy::{EntropySequences, RelativeEntropyTable};
-use graphrare_gnn::metrics::macro_auc;
-use graphrare_gnn::{build_model, evaluate, Backbone, GnnModel, GraphTensors, Trainer};
+use graphrare_gnn::metrics::{accuracy, macro_auc};
+use graphrare_gnn::{build_model, evaluate, Backbone, EvalResult, GnnModel, GraphTensors, Trainer};
 use graphrare_graph::{metrics, Graph};
 use graphrare_rl::{AgentState, PpoStats, RolloutBuffer};
 use graphrare_telemetry as telemetry;
@@ -64,21 +64,6 @@ pub struct RareReport {
     /// Strictly observational: every other field is bit-identical
     /// whether or not telemetry was on.
     pub telemetry: Option<telemetry::Summary>,
-}
-
-/// Training-set performance snapshot (accuracy, loss and — if the reward
-/// needs it — macro AUC).
-fn perf_snapshot(
-    model: &dyn GnnModel,
-    gt: &GraphTensors,
-    labels: &[usize],
-    train_mask: &[usize],
-    num_classes: usize,
-    want_auc: bool,
-) -> PerfSnapshot {
-    let eval = evaluate(model, gt, labels, train_mask);
-    let auc = if want_auc { macro_auc(&eval.logits, labels, train_mask, num_classes) } else { 0.5 };
-    PerfSnapshot { accuracy: eval.accuracy, loss: eval.loss, auc }
 }
 
 /// Every mutable piece of the Algorithm-1 loop, captured as plain data
@@ -431,11 +416,24 @@ impl RareDriver {
         }
         self.trainer.restore(&warm_snap);
         self.warm_params = self.trainer.snapshot();
-        self.prev =
-            perf_snapshot(model, gt0, labels, &split.train, self.num_classes, self.want_auc);
+        // One eval forward scores the loop's start on both masks.
+        let eval = evaluate(model, gt0, labels, &split.train);
+        self.prev = self.perf_snapshot(&eval);
         self.max_acc = self.prev.accuracy;
-        self.best_val = evaluate(model, gt0, labels, &split.val).accuracy;
+        self.best_val = accuracy(&eval.logits, labels, &split.val);
         self.best_params = self.trainer.snapshot();
+    }
+
+    /// Training-set performance snapshot from an eval on the training mask:
+    /// its accuracy and loss, and — if the reward needs it — the macro AUC
+    /// of its logits.
+    fn perf_snapshot(&self, eval: &EvalResult) -> PerfSnapshot {
+        let auc = if self.want_auc {
+            macro_auc(&eval.logits, &self.labels, &self.split.train, self.num_classes)
+        } else {
+            0.5
+        };
+        PerfSnapshot { accuracy: eval.accuracy, loss: eval.loss, auc }
     }
 
     /// The dataset's original graph `G_0`. With entropy refreshes the
@@ -491,15 +489,12 @@ impl RareDriver {
         self.rewired.apply(&self.topo, &self.state)?;
         let gt = self.rewired.tensors();
 
-        // Lines 9–13: evaluate; fine-tune on improvement.
-        let cur = perf_snapshot(
-            self.model.as_ref(),
-            gt,
-            &self.labels,
-            &self.split.train,
-            self.num_classes,
-            self.want_auc,
-        );
+        // Lines 9–13: evaluate; fine-tune on improvement. The step's one
+        // eval forward also scores the validation mask, unless a fine-tune
+        // epoch moved the parameters after it.
+        let eval = evaluate(self.model.as_ref(), gt, &self.labels, &self.split.train);
+        let cur = self.perf_snapshot(&eval);
+        let mut logits = eval.logits;
         let finetuned = cur.accuracy > self.max_acc;
         if finetuned {
             self.max_acc = cur.accuracy;
@@ -510,6 +505,9 @@ impl RareDriver {
                 &self.split.train,
                 self.cfg.finetune_epochs,
             );
+            if self.cfg.finetune_epochs > 0 {
+                logits = evaluate(self.model.as_ref(), gt, &self.labels, &self.split.val).logits;
+            }
         }
 
         // Lines 14–16: reward and transition bookkeeping.
@@ -520,14 +518,14 @@ impl RareDriver {
         let window_end = self.window_steps == self.cfg.update_every;
 
         // Traces + best-checkpoint tracking.
-        let val_eval = evaluate(self.model.as_ref(), gt, &self.labels, &self.split.val);
+        let val_acc = accuracy(&logits, &self.labels, &self.split.val);
         let hom = self.rewired.homophily_ratio();
         let g_t_edges = self.rewired.num_edges();
         self.traces.train_acc.push(self.prev.accuracy);
-        self.traces.val_acc.push(val_eval.accuracy);
+        self.traces.val_acc.push(val_acc);
         self.traces.homophily.push(hom);
-        if val_eval.accuracy > self.best_val {
-            self.best_val = val_eval.accuracy;
+        if val_acc > self.best_val {
+            self.best_val = val_acc;
             self.best_params = self.trainer.snapshot();
             self.best_edges.clear();
             self.best_edges.extend(self.rewired.graph().edges().map(|(u, v)| (u as u32, v as u32)));
@@ -550,7 +548,7 @@ impl RareDriver {
                 .u64("step", t as u64)
                 .f64("reward", reward as f64)
                 .f64("train_acc", self.prev.accuracy)
-                .f64("val_acc", val_eval.accuracy)
+                .f64("val_acc", val_acc)
                 .f64("loss", self.prev.loss)
                 .f64("homophily", hom)
                 .u64("edges", g_t_edges as u64)

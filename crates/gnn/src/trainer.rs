@@ -59,6 +59,7 @@ pub fn evaluate(
     labels: &[usize],
     mask: &[usize],
 ) -> EvalResult {
+    let _span = graphrare_telemetry::span("train.eval");
     let mut tape = Tape::new();
     // Dropout disabled: rng is unused but required by the signature.
     let mut rng = StdRng::seed_from_u64(0);
@@ -72,6 +73,7 @@ pub fn evaluate(
         total / mask.len() as f64
     };
     let logits = tape.value(logits).clone();
+    graphrare_telemetry::counter("train.evals", 1);
     EvalResult { accuracy: accuracy(&logits, labels, mask), loss, logits }
 }
 

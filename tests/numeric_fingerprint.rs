@@ -4,8 +4,9 @@
 //!
 //! Each run case calls `graphrare::run` for a few steps on one generated
 //! heterophilic graph with 96 sparse bag-of-words features and asserts
-//! the exact bits of `test_acc` and `best_val_acc`, plus a CRC-32 of the
-//! little-endian bytes of `model_params` (what `--save-model` persists).
+//! the exact bits of `test_acc` and `best_val_acc`, a CRC-32 of the
+//! little-endian bytes of `model_params` (what `--save-model` persists),
+//! and a CRC-32 of the per-step training and validation accuracy traces.
 //! The refresh-mode cases run GCN with the entropy sequences re-ranked
 //! every few steps, and also CRC-32 the optimised graph's edge list.
 //! The ranking cases CRC-32 every node's addition and deletion rankings,
@@ -17,7 +18,7 @@
 //! every constant; one that legitimately changes the float summation
 //! order must update them and say why in CHANGES.md.
 
-use graphrare::{run, GraphRareConfig, RewirerKind};
+use graphrare::{run, GraphRareConfig, RewirerKind, RunTraces};
 use graphrare_datasets::{generate_spec, stratified_split, Dataset, DatasetSpec, Split};
 use graphrare_entropy::{
     CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
@@ -33,16 +34,29 @@ fn params_crc(params: &[graphrare_tensor::Matrix]) -> u32 {
     crc32(&bytes)
 }
 
+/// CRC-32 of the per-step training accuracies then validation accuracies,
+/// as little-endian `f64` bits.
+fn traces_crc(traces: &RunTraces) -> u32 {
+    let bytes: Vec<u8> = traces
+        .train_acc
+        .iter()
+        .chain(&traces.val_acc)
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+    crc32(&bytes)
+}
+
 /// `(backbone, rewirer, test_acc bits, best_val_acc bits, model_params
-/// CRC-32)`.
-const EXPECTED: [(Backbone, RewirerKind, u64, u64, u32); 7] = [
-    (Backbone::Mlp, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe2aaaaaaaaaaab, 0x780034ee),
-    (Backbone::Gcn, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xdd3cc625),
-    (Backbone::Sage, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe8000000000000, 0x1cebdbf1),
-    (Backbone::Gat, RewirerKind::Ppo, 0x3fd5555555555555, 0x3fe0000000000000, 0xc8df78cc),
-    (Backbone::H2gcn, RewirerKind::Ppo, 0x3fdaaaaaaaaaaaab, 0x3fe5555555555555, 0x58f08c5c),
-    (Backbone::Gcn, RewirerKind::Dhgr, 0x3fdaaaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0x28e61c7e),
-    (Backbone::Gcn, RewirerKind::Reference, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0xcf74d57a),
+/// CRC-32, traces CRC-32)`.
+#[rustfmt::skip]
+const EXPECTED: [(Backbone, RewirerKind, u64, u64, u32, u32); 7] = [
+    (Backbone::Mlp, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe2aaaaaaaaaaab, 0x780034ee, 0x5abe916f),
+    (Backbone::Gcn, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xdd3cc625, 0x3e18d0bc),
+    (Backbone::Sage, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe8000000000000, 0x1cebdbf1, 0x3deb9b65),
+    (Backbone::Gat, RewirerKind::Ppo, 0x3fd5555555555555, 0x3fe0000000000000, 0xc8df78cc, 0x7e4bf033),
+    (Backbone::H2gcn, RewirerKind::Ppo, 0x3fdaaaaaaaaaaaab, 0x3fe5555555555555, 0x58f08c5c, 0x7b560826),
+    (Backbone::Gcn, RewirerKind::Dhgr, 0x3fdaaaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0x28e61c7e, 0xb2cef36c),
+    (Backbone::Gcn, RewirerKind::Reference, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0xcf74d57a, 0x0425f200),
 ];
 
 /// The 72-node graph, its split and the 6-step serial config every run
@@ -81,13 +95,15 @@ fn every_backbone_reproduces_its_fingerprint() {
             report.test_acc.to_bits(),
             report.best_val_acc.to_bits(),
             params_crc(&report.model_params),
+            traces_crc(&report.traces),
         ));
     }
-    let render = |rows: &[(Backbone, RewirerKind, u64, u64, u32)]| -> String {
+    let render = |rows: &[(Backbone, RewirerKind, u64, u64, u32, u32)]| -> String {
         rows.iter()
-            .map(|(b, r, t, v, c)| {
+            .map(|(b, r, t, v, c, tc)| {
                 format!(
-                    "    (Backbone::{b:?}, RewirerKind::{r:?}, {t:#018x}, {v:#018x}, {c:#010x}),\n"
+                    "    (Backbone::{b:?}, RewirerKind::{r:?}, {t:#018x}, {v:#018x}, {c:#010x}, \
+                     {tc:#010x}),\n"
                 )
             })
             .collect()
@@ -96,10 +112,12 @@ fn every_backbone_reproduces_its_fingerprint() {
 }
 
 /// `(rewirer, entropy_refresh_every, test_acc bits, best_val_acc bits,
-/// model_params CRC-32, CRC-32 of the optimised graph's edge list)`.
-const EXPECTED_REFRESH: [(RewirerKind, usize, u64, u64, u32, u32); 2] = [
-    (RewirerKind::Ppo, 2, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0x41427131, 0x90031d3c),
-    (RewirerKind::Dhgr, 3, 0x3fd5555555555555, 0x3fdaaaaaaaaaaaab, 0xc182f8ca, 0xcbe7411f),
+/// model_params CRC-32, CRC-32 of the optimised graph's edge list, traces
+/// CRC-32)`.
+#[rustfmt::skip]
+const EXPECTED_REFRESH: [(RewirerKind, usize, u64, u64, u32, u32, u32); 2] = [
+    (RewirerKind::Ppo, 2, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0x41427131, 0x90031d3c, 0xb2cef36c),
+    (RewirerKind::Dhgr, 3, 0x3fd5555555555555, 0x3fdaaaaaaaaaaaab, 0xc182f8ca, 0xcbe7411f, 0xb2cef36c),
 ];
 
 /// CRC-32 of an edge list as little-endian `u64` endpoint pairs.
@@ -129,12 +147,16 @@ fn refresh_mode_reproduces_its_fingerprint() {
             report.best_val_acc.to_bits(),
             params_crc(&report.model_params),
             edges_crc(&report.optimized_graph.edge_vec()),
+            traces_crc(&report.traces),
         ));
     }
     let render: String = got
         .iter()
-        .map(|(r, e, t, v, c, ec)| {
-            format!("    (RewirerKind::{r:?}, {e}, {t:#018x}, {v:#018x}, {c:#010x}, {ec:#010x}),\n")
+        .map(|(r, e, t, v, c, ec, tc)| {
+            format!(
+                "    (RewirerKind::{r:?}, {e}, {t:#018x}, {v:#018x}, {c:#010x}, {ec:#010x}, \
+                 {tc:#010x}),\n"
+            )
         })
         .collect();
     assert_eq!(

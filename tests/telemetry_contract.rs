@@ -4,9 +4,10 @@
 //! entropy-refresh mode under the DRL agent, a heuristic and no
 //! rewiring), the JSONL stream
 //! carries one schema-stable `iter` event per outer DRL iteration plus
-//! `span` events, and the run-scoped aggregate lands in
+//! `span` events, the run-scoped aggregate lands in
 //! [`RareReport::telemetry`] with per-path self time and exact
-//! percentiles.
+//! percentiles, and the `train.eval` spans count the eval forwards a run
+//! pays for.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -74,21 +75,24 @@ fn assert_reports_bit_identical(a: &RareReport, b: &RareReport) {
     assert_eq!(bits(a), bits(b));
 }
 
-/// Runs `cfg` on the fixture with telemetry off, then on with an
-/// in-memory sink, requires bit-identical reports, and returns the
+/// Runs `backbone` under `cfg` on the fixture with telemetry off, then on
+/// with an in-memory sink, requires bit-identical reports, and returns the
 /// enabled run's report and events. Callers hold [`exclusive`].
-fn run_off_then_on(cfg: &GraphRareConfig) -> (RareReport, Vec<telemetry::Event>) {
+fn run_off_then_on(
+    backbone: Backbone,
+    cfg: &GraphRareConfig,
+) -> (RareReport, Vec<telemetry::Event>) {
     let (g, split) = heterophilic_fixture();
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
-    let off = run(&g, &split, Backbone::Gcn, cfg).unwrap();
+    let off = run(&g, &split, backbone, cfg).unwrap();
     assert!(off.telemetry.is_none(), "disabled run must not carry an aggregate");
 
     telemetry::reset();
     let (sink, events) = telemetry::VecSink::new();
     telemetry::add_sink(Box::new(sink));
     telemetry::set_enabled(true);
-    let on = run(&g, &split, Backbone::Gcn, cfg).unwrap();
+    let on = run(&g, &split, backbone, cfg).unwrap();
     telemetry::set_enabled(false);
     telemetry::clear_sinks();
 
@@ -101,7 +105,7 @@ fn run_off_then_on(cfg: &GraphRareConfig) -> (RareReport, Vec<telemetry::Event>)
 fn reports_are_bit_identical_with_telemetry_on_and_off() {
     let _x = exclusive();
     let cfg = GraphRareConfig::fast().with_seed(11);
-    let (on, events) = run_off_then_on(&cfg);
+    let (on, events) = run_off_then_on(Backbone::Gcn, &cfg);
 
     // The enabled run carries a run-scoped aggregate covering the whole
     // of Algorithm 1: one outer iteration per DRL step, one driver.run
@@ -185,7 +189,7 @@ fn refresh_mode_reports_are_bit_identical_with_telemetry_on_and_off() {
         let mut cfg = GraphRareConfig::fast().with_seed(11);
         cfg.rewirer = kind;
         cfg.entropy_refresh_every = 2;
-        let (_, events) = run_off_then_on(&cfg);
+        let (_, events) = run_off_then_on(Backbone::Gcn, &cfg);
 
         // A boundary follows every second step except the last.
         let boundaries = (cfg.steps - 1) / cfg.entropy_refresh_every;
@@ -201,6 +205,64 @@ fn refresh_mode_reports_are_bit_identical_with_telemetry_on_and_off() {
             _ => assert!(builds <= 1 + boundaries, "{name}: {builds} builds"),
         }
     }
+}
+
+#[test]
+fn each_step_pays_for_one_eval_forward_unless_it_fine_tuned() {
+    let _x = exclusive();
+    fn str_of<'a>(e: &'a telemetry::Event, key: &str) -> &'a str {
+        match e.field(key) {
+            Some(telemetry::Value::Str(s)) => s,
+            other => panic!("{} event field {key} is {other:?}", e.kind()),
+        }
+    }
+    let id_of = |e: &telemetry::Event, key: &str| match e.field(key) {
+        Some(&telemetry::Value::U64(id)) => Some(id),
+        _ => None,
+    };
+    let mut finetuned_steps = 0;
+    for backbone in [Backbone::Gcn, Backbone::Gat] {
+        for kind in [RewirerKind::Ppo, RewirerKind::None] {
+            let what = format!("{backbone:?}/{}", kind.name());
+            let mut cfg = GraphRareConfig::fast().with_seed(11);
+            cfg.rewirer = kind;
+            let (_, events) = run_off_then_on(backbone, &cfg);
+            let spans: Vec<_> = events.iter().filter(|e| e.kind() == "span").collect();
+            let named =
+                |name: &'static str| spans.iter().filter(move |e| str_of(e, "name") == name);
+            let children = |parent: Option<u64>, name: &'static str| {
+                named(name).filter(|e| id_of(e, "parent_id") == parent).count()
+            };
+
+            // A step's span closes after its `iter` event, so the k-th
+            // `driver.step` span and the k-th `iter` event are step k.
+            let iters: Vec<_> = events.iter().filter(|e| e.kind() == "iter").collect();
+            let steps: Vec<_> = named("driver.step").collect();
+            assert_eq!((iters.len(), steps.len()), (cfg.steps, cfg.steps), "{what}");
+            for (t, (iter, step)) in iters.iter().zip(&steps).enumerate() {
+                assert_eq!(iter.field("step"), Some(&telemetry::Value::U64(t as u64)), "{what}");
+                let finetuned = iter.field("finetuned") == Some(&telemetry::Value::Bool(true));
+                let epochs = children(id_of(step, "span_id"), "train.epoch");
+                assert_eq!(epochs, if finetuned { cfg.finetune_epochs } else { 0 }, "{what} {t}");
+                // The step's eval forward scores the reward and the
+                // validation trace; only a fine-tune epoch calls for a
+                // second one.
+                let evals = children(id_of(step, "span_id"), "train.eval");
+                assert_eq!(evals, 1 + usize::from(epochs > 0), "{what}: step {t}");
+                finetuned_steps += usize::from(finetuned);
+            }
+
+            // Outside the steps, the warm-up and the finish phase validate
+            // after every epoch; on top come the warm-up's closing score
+            // of both masks and the final test.
+            let outside = |name: &'static str| {
+                named(name).filter(|e| !str_of(e, "path").contains("driver.step/")).count()
+            };
+            assert!(outside("train.epoch") > 0, "{what}: no warm-up or finish epoch");
+            assert_eq!(outside("train.eval"), outside("train.epoch") + 2, "{what}");
+        }
+    }
+    assert!(finetuned_steps > 0, "no step fine-tuned, so the second forward went unchecked");
 }
 
 #[test]
