@@ -16,6 +16,12 @@
 //!           [--save-model PATH | --load-model PATH] [--run-id N]
 //! ```
 //!
+//! The ten run flags, `--input` through `--rewirer`, are
+//! [`graphrare::RunSpec`]'s: `graphrare-client submit` parses them with
+//! the same code and the same defaults (GCN, λ 1.0, 160 steps, seed 42,
+//! split seed 0, k-cap 10, `--algo ppo`, `--rewirer ppo`, threads 0), and
+//! [`graphrare::RunSpec::to_config`] builds the run's config for both.
+//!
 //! `--rewirer` selects the strategy that proposes per-step topology
 //! edits: `ppo` (the paper's DRL module, default), `dhgr`
 //! (feature/label-similarity rewiring), `reference` (feature-kNN
@@ -57,9 +63,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use graphrare::{
-    persist, GraphRareConfig, RareDriver, RareReport, RewireError, RewirerKind, RlAlgo,
-};
+use graphrare::{persist, GraphRareConfig, RareDriver, RareReport, RewireError, RunSpec};
 use graphrare_datasets::{stratified_split, Split};
 use graphrare_gnn::metrics::accuracy;
 use graphrare_gnn::{build_model, evaluate, Backbone, GraphTensors, Trainer};
@@ -71,19 +75,12 @@ use graphrare_telemetry::{self as telemetry, progress};
 // carry alloc count/bytes/peak attribution.
 graphrare_telemetry::install_counting_allocator!();
 
+/// The run's shared flags, plus the ones only the CLI takes.
+#[derive(Default)]
 struct Args {
-    input: PathBuf,
+    spec: RunSpec,
     output: Option<PathBuf>,
-    backbone: Backbone,
-    lambda: f64,
-    steps: usize,
-    seed: u64,
-    split_seed: u64,
-    k_cap: usize,
-    algo: RlAlgo,
-    rewirer: RewirerKind,
     entropy_refresh_every: usize,
-    threads: usize,
     quiet: bool,
     telemetry: bool,
     telemetry_out: Option<PathBuf>,
@@ -109,105 +106,54 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        input: PathBuf::new(),
-        output: None,
-        backbone: Backbone::Gcn,
-        lambda: 1.0,
-        steps: 160,
-        seed: 42,
-        split_seed: 0,
-        k_cap: 10,
-        algo: RlAlgo::Ppo,
-        rewirer: RewirerKind::Ppo,
-        entropy_refresh_every: 0,
-        threads: 0,
-        quiet: false,
-        telemetry: false,
-        telemetry_out: None,
-        checkpoint_every: 0,
-        checkpoint_dir: None,
-        resume: false,
-        save_model: None,
-        load_model: None,
-        run_id: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
+    let mut args = Args::default();
+    let mut argv = std::env::args().skip(1);
+    // `--input ""` counts as given: it fails when the bundle is read.
     let mut have_input = false;
-    while i < argv.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--input" => {
-                args.input = PathBuf::from(value(&mut i));
-                have_input = true;
+    while let Some(flag) = argv.next() {
+        have_input |= flag == "--input";
+        match args.spec.parse_flag(&flag, &mut argv) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("{e}");
+                usage()
             }
-            "--output" => args.output = Some(PathBuf::from(value(&mut i))),
-            "--backbone" => {
-                let v = value(&mut i);
-                args.backbone = Backbone::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown backbone {v}");
-                    usage()
-                })
-            }
-            "--lambda" => args.lambda = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--steps" => args.steps = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--split-seed" => args.split_seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--k-cap" => args.k_cap = value(&mut i).parse().unwrap_or_else(|_| usage()),
+        }
+        let mut value = || argv.next().unwrap_or_else(|| usage());
+        match flag.as_str() {
+            "--output" => args.output = Some(PathBuf::from(value())),
             "--entropy-refresh-every" => {
-                args.entropy_refresh_every = value(&mut i).parse().unwrap_or_else(|_| usage())
+                args.entropy_refresh_every = value().parse().unwrap_or_else(|_| usage())
             }
-            "--threads" => args.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--quiet" => args.quiet = true,
             "--telemetry" => args.telemetry = true,
-            "--telemetry-out" => args.telemetry_out = Some(PathBuf::from(value(&mut i))),
+            "--telemetry-out" => args.telemetry_out = Some(PathBuf::from(value())),
             "--checkpoint-every" => {
-                args.checkpoint_every = value(&mut i).parse().unwrap_or_else(|_| usage())
+                args.checkpoint_every = value().parse().unwrap_or_else(|_| usage())
             }
-            "--checkpoint-dir" => args.checkpoint_dir = Some(PathBuf::from(value(&mut i))),
+            "--checkpoint-dir" => args.checkpoint_dir = Some(PathBuf::from(value())),
             "--resume" => args.resume = true,
-            "--save-model" => args.save_model = Some(PathBuf::from(value(&mut i))),
-            "--load-model" => args.load_model = Some(PathBuf::from(value(&mut i))),
-            "--run-id" => match value(&mut i).parse() {
+            "--save-model" => args.save_model = Some(PathBuf::from(value())),
+            "--load-model" => args.load_model = Some(PathBuf::from(value())),
+            "--run-id" => match value().parse() {
                 Ok(id) if id > 0 => args.run_id = Some(id),
                 _ => {
                     eprintln!("--run-id must be a positive integer");
                     usage()
                 }
             },
-            "--algo" => {
-                let v = value(&mut i).to_lowercase();
-                args.algo = RlAlgo::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown algorithm {v}");
-                    usage()
-                })
-            }
-            "--rewirer" => {
-                let v = value(&mut i).to_lowercase();
-                args.rewirer = match RewirerKind::parse(&v) {
-                    Some(kind) => kind,
-                    None => {
-                        eprintln!("unknown rewirer {v}");
-                        usage()
-                    }
-                }
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument {other}");
                 usage()
             }
         }
-        i += 1;
     }
     if !have_input {
         usage();
     }
-    if let Err(e) = graphrare::validate_lambda(args.lambda) {
+    if let Err(e) = graphrare::validate_lambda(args.spec.lambda) {
         eprintln!("{e}");
         usage();
     }
@@ -262,35 +208,31 @@ fn rewire_failed(e: RewireError) -> String {
     format!("rewire failed: {e}")
 }
 
-/// Runs the DRL loop stepwise, checkpointing every `every` steps, and
-/// returns the final report. `resume` starts from the newest checkpoint
-/// in `dir` when one exists.
-fn run_checkpointed(
+/// Runs the DRL loop stepwise and returns the final report. With
+/// `--resume` the driver comes from the newest checkpoint in
+/// `--checkpoint-dir` when there is one; with `--checkpoint-every N` a
+/// checkpoint is written there after every `N`th step.
+fn run(
     graph: &Graph,
     split: &Split,
     args: &Args,
     cfg: &GraphRareConfig,
-    dir: &Path,
 ) -> Result<RareReport, String> {
-    let mut driver = match (args.resume, persist::latest_checkpoint(dir)) {
-        (true, Some((step, path))) => {
-            progress!("resuming from {} (step {step})", path.display());
-            persist::resume_driver(&path, graph, split, args.backbone, cfg)
-                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?
-        }
-        (true, None) => {
-            progress!("no checkpoint found in {}, starting fresh", dir.display());
-            RareDriver::new(graph, split, args.backbone, cfg)
-        }
-        (false, _) => RareDriver::new(graph, split, args.backbone, cfg),
+    let backbone = args.spec.backbone;
+    let mut driver = match &args.checkpoint_dir {
+        Some(dir) if args.resume => persist::open_driver(dir, graph, split, backbone, cfg)?,
+        _ => RareDriver::new(graph, split, backbone, cfg),
     };
     while driver.try_step().map_err(rewire_failed)? {
         let done = driver.step_index();
-        if args.checkpoint_every > 0 && done % args.checkpoint_every == 0 {
-            let path = persist::checkpoint_path(dir, done);
-            let bytes = persist::save_checkpoint(&path, &driver)
-                .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
-            progress!("checkpoint written: {} ({bytes} bytes)", path.display());
+        match &args.checkpoint_dir {
+            Some(dir) if args.checkpoint_every > 0 && done % args.checkpoint_every == 0 => {
+                let path = persist::checkpoint_path(dir, done);
+                let bytes = persist::save_checkpoint(&path, &driver)
+                    .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
+                progress!("checkpoint written: {} ({bytes} bytes)", path.display());
+            }
+            _ => {}
         }
     }
     driver.try_finish().map_err(rewire_failed)
@@ -332,16 +274,17 @@ fn run_main() -> ExitCode {
         }
     }
 
-    let graph = match io::read_graph(&args.input) {
+    let spec = &args.spec;
+    let graph = match io::read_graph(Path::new(&spec.input)) {
         Ok(g) => g,
         Err(e) => {
-            eprintln!("failed to read {}: {e}", args.input.display());
+            eprintln!("failed to read {}: {e}", spec.input);
             return ExitCode::FAILURE;
         }
     };
     progress!(
         "loaded {}: {} nodes, {} edges, {} classes, {} features, homophily {:.3}",
-        args.input.display(),
+        spec.input,
         graph.num_nodes(),
         graph.num_edges(),
         graph.num_classes(),
@@ -349,7 +292,7 @@ fn run_main() -> ExitCode {
         metrics::homophily_ratio(&graph)
     );
 
-    let split = stratified_split(graph.labels(), graph.num_classes(), args.split_seed);
+    let split = stratified_split(graph.labels(), graph.num_classes(), spec.split_seed);
 
     if let Some(model_path) = &args.load_model {
         return match eval_saved_model(model_path, &graph, &split) {
@@ -361,29 +304,19 @@ fn run_main() -> ExitCode {
         };
     }
 
-    let mut cfg = GraphRareConfig::default().with_seed(args.seed);
-    cfg.entropy.lambda = args.lambda;
-    cfg.steps = args.steps;
-    cfg.k_cap = args.k_cap;
-    cfg.algo = args.algo;
-    cfg.rewirer = args.rewirer;
+    let mut cfg = spec.to_config();
     cfg.entropy_refresh_every = args.entropy_refresh_every;
-    cfg.threads = args.threads;
 
     progress!(
         "running {}-RARE ({:?}, rewirer {}, {} DRL steps, lambda {}, k-cap {}) ...",
-        args.backbone.name(),
-        args.algo,
-        args.rewirer.name(),
+        spec.backbone.name(),
+        spec.algo,
+        spec.rewirer.name(),
         cfg.steps,
-        args.lambda,
-        args.k_cap
+        spec.lambda,
+        spec.k_cap
     );
-    let result = match &args.checkpoint_dir {
-        Some(dir) => run_checkpointed(&graph, &split, &args, &cfg, dir),
-        None => graphrare::run(&graph, &split, args.backbone, &cfg).map_err(rewire_failed),
-    };
-    let report = match result {
+    let report = match run(&graph, &split, &args, &cfg) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("{e}");

@@ -1,7 +1,8 @@
-//! Configuration of the full GraphRARE framework.
+//! Configuration of the full GraphRARE framework: every knob of a run
+//! ([`GraphRareConfig`]) and the few a user chooses ([`RunSpec`]).
 
 use graphrare_entropy::{EntropySequences, RelativeEntropyConfig, SequenceConfig};
-use graphrare_gnn::{ModelConfig, TrainConfig};
+use graphrare_gnn::{Backbone, ModelConfig, TrainConfig};
 use graphrare_rl::PpoConfig;
 
 use crate::reward::RewardKind;
@@ -187,6 +188,151 @@ impl GraphRareConfig {
     }
 }
 
+/// A run as its user describes it: the ten value flags the `graphrare`
+/// CLI and `graphrare-client submit` share, parsed by
+/// [`RunSpec::parse_flag`] and turned into a config by
+/// [`RunSpec::to_config`]. The serving daemon receives one over the wire
+/// and builds its config the same way, which is what makes a served run
+/// bit-identical to a CLI run of the same flags.
+///
+/// The defaults: no input, GCN, 160 steps, seed 42, split seed 0, k/d
+/// cap 10, λ 1.0, `ppo`, 0 threads (resolved from the environment), not
+/// paced, rewirer `ppo`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunSpec {
+    /// Graph bundle prefix (`<input>.edges/.features/.labels`).
+    pub input: String,
+    /// GNN backbone to wrap.
+    pub backbone: Backbone,
+    /// DRL steps to run.
+    pub steps: u64,
+    /// Master seed (drives model/train/ppo/shuffle sub-seeds).
+    pub seed: u64,
+    /// Train/val/test split seed.
+    pub split_seed: u64,
+    /// Per-node cap on both `k` and `d`.
+    pub k_cap: u64,
+    /// Relative-entropy mixing weight (Eq. 9).
+    pub lambda: f64,
+    /// RL algorithm.
+    pub algo: RlAlgo,
+    /// Worker threads (0 = resolve from the environment).
+    pub threads: u64,
+    /// Served runs only: the daemon advances a paced run only while the
+    /// client has granted it step budget. Pacing changes timing, never
+    /// results, so [`RunSpec::to_config`] ignores it; the CLI never sets
+    /// it.
+    pub paced: bool,
+    /// Edit-proposal strategy.
+    pub rewirer: RewirerKind,
+}
+
+impl Default for RunSpec {
+    fn default() -> Self {
+        RunSpec {
+            input: String::new(),
+            backbone: Backbone::Gcn,
+            steps: 160,
+            seed: 42,
+            split_seed: 0,
+            k_cap: 10,
+            lambda: 1.0,
+            algo: RlAlgo::Ppo,
+            threads: 0,
+            paced: false,
+            rewirer: RewirerKind::Ppo,
+        }
+    }
+}
+
+impl RunSpec {
+    /// Sets the field of `flag` when it is one of the ten run flags
+    /// (`--input --backbone --lambda --steps --seed --split-seed --k-cap
+    /// --threads --algo --rewirer`), taking its value from `rest`.
+    /// Returns `Ok(false)` and takes nothing for any other flag. Backbone,
+    /// algorithm and rewirer names are case-insensitive; a missing or
+    /// malformed value is an error that names the flag.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = || rest.next().ok_or_else(|| format!("missing value for {flag}"));
+        match flag {
+            "--input" => self.input = value()?,
+            "--backbone" => {
+                let v = value()?;
+                self.backbone =
+                    Backbone::parse(&v).ok_or_else(|| format!("unknown backbone {v}"))?;
+            }
+            "--lambda" => self.lambda = parse_number(&value()?, flag)?,
+            "--steps" => self.steps = parse_number(&value()?, flag)?,
+            "--seed" => self.seed = parse_number(&value()?, flag)?,
+            "--split-seed" => self.split_seed = parse_number(&value()?, flag)?,
+            "--k-cap" => self.k_cap = parse_number(&value()?, flag)?,
+            "--threads" => self.threads = parse_number(&value()?, flag)?,
+            "--algo" => {
+                let v = value()?.to_lowercase();
+                self.algo = RlAlgo::parse(&v).ok_or_else(|| format!("unknown algorithm {v}"))?;
+            }
+            "--rewirer" => {
+                let v = value()?.to_lowercase();
+                self.rewirer =
+                    RewirerKind::parse(&v).ok_or_else(|| format!("unknown rewirer {v}"))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The run's config: the defaults reseeded from `seed`, with λ, the
+    /// step budget, the k/d cap, the algorithm, the rewirer and the
+    /// thread count from the spec. `entropy_refresh_every` stays 0; the
+    /// CLI's `--entropy-refresh-every` sets it afterwards.
+    pub fn to_config(&self) -> GraphRareConfig {
+        let mut cfg = GraphRareConfig::default().with_seed(self.seed);
+        cfg.entropy.lambda = self.lambda;
+        cfg.steps = self.steps as usize;
+        cfg.k_cap = self.k_cap as usize;
+        cfg.algo = self.algo;
+        cfg.rewirer = self.rewirer;
+        cfg.threads = self.threads as usize;
+        cfg
+    }
+
+    /// The serving daemon's admission check: refuses the values a
+    /// hostile client could abuse.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.input.is_empty() {
+            return Err("empty input prefix".into());
+        }
+        if self.steps == 0 {
+            return Err("steps must be positive".into());
+        }
+        if self.steps > 1_000_000 {
+            return Err(format!("steps {} exceeds serving cap 1000000", self.steps));
+        }
+        validate_lambda(self.lambda)?;
+        if self.k_cap == 0 || self.k_cap > 10_000 {
+            return Err(format!("k_cap {} outside 1..=10000", self.k_cap));
+        }
+        // The count is process-wide and every kernel call spawns up to that
+        // many scoped threads, so one client's value reaches every tenant.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if self.threads > cores as u64 {
+            return Err(format!(
+                "threads {} exceeds the host's {cores} hardware threads",
+                self.threads
+            ));
+        }
+        Ok(())
+    }
+}
+
+fn parse_number<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid value {s:?} for {flag}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,6 +361,32 @@ mod tests {
             assert_eq!(RlAlgo::parse(algo.name()), Some(algo));
         }
         assert_eq!(RlAlgo::parse("sac"), None);
+    }
+
+    #[test]
+    fn validate_refuses_what_a_client_could_abuse() {
+        let sample = RunSpec { input: "data/toy".into(), threads: 1, ..RunSpec::default() };
+        assert!(sample.validate().is_ok());
+        type Mutator = fn(&mut RunSpec);
+        let cases: [(&str, Mutator); 6] = [
+            ("empty input", |s| s.input.clear()),
+            ("zero steps", |s| s.steps = 0),
+            ("huge steps", |s| s.steps = 2_000_000),
+            ("nan lambda", |s| s.lambda = f64::NAN),
+            ("zero k_cap", |s| s.k_cap = 0),
+            ("huge threads", |s| s.threads = 1 << 20),
+        ];
+        for (why, mutate) in cases {
+            let mut spec = sample.clone();
+            mutate(&mut spec);
+            assert!(spec.validate().is_err(), "accepted spec with {why}");
+        }
+        let mut spec = sample;
+        spec.threads = 1 << 20;
+        assert!(spec.validate().unwrap_err().contains("threads"), "message must name the field");
+        // 0 resolves from the environment, as on the CLI.
+        spec.threads = 0;
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   policy plus deterministic heuristic baselines, all behind one
 //!   [`Rewirer`] trait and one shared apply pipeline.
 //! * [`reward`] — Eq. 11 and the AUC-reward ablation.
-//! * [`config`] — all knobs of a run.
+//! * [`config`] — all knobs of a run, and the [`RunSpec`] a user picks
+//!   them from (the CLI's and the serving daemon's one description of a
+//!   run).
 //! * [`driver`] — Algorithm 1 end-to-end ([`run`]) and stepwise
 //!   ([`RareDriver`], for checkpoint/resume).
 //! * [`persist`] — checkpoint and model-artifact files (`graphrare-store`
@@ -55,7 +57,7 @@ pub mod state;
 pub mod topology;
 pub mod variants;
 
-pub use config::{validate_lambda, GraphRareConfig, RlAlgo, SequenceMode};
+pub use config::{validate_lambda, GraphRareConfig, RlAlgo, RunSpec, SequenceMode};
 pub use driver::{run, DriverSnapshot, RareDriver, RareReport, RunTraces};
 pub use persist::{
     load_model, load_snapshot, resume_driver, save_checkpoint, save_model, ModelArtifact,

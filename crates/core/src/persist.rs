@@ -9,16 +9,18 @@
 //!   checkpoint produces a final report **bit-identical** to an
 //!   uninterrupted run — floats travel as raw IEEE-754 bits and both
 //!   RNG streams resume mid-sequence. A run's checkpoints share one
-//!   directory under [`checkpoint_path`] names; [`latest_checkpoint`]
-//!   finds the one to resume from (the CLI's `--resume` and the
-//!   serving daemon both scan through it).
+//!   directory under [`checkpoint_path`] names; [`open_driver`]
+//!   resumes the newest one ([`latest_checkpoint`]) or starts afresh
+//!   (the CLI's `--resume` and the serving daemon both open runs
+//!   through it).
 //! * **Model artifacts** (`save_model` / `load_model`) carry the
 //!   best-validation parameters and optimised topology of a finished
 //!   run, enough to re-evaluate the model without retraining.
 //!
 //! Every load validates magic, version, CRCs (in the store layer) and
 //! then cross-checks the artifact against the config/graph it is being
-//! restored into; all failures are typed [`StoreError`]s, never panics.
+//! restored into; all failures are typed [`StoreError`]s (or, from
+//! [`open_driver`], a message naming the file), never panics.
 
 use std::path::{Path, PathBuf};
 
@@ -370,6 +372,26 @@ pub fn latest_checkpoint(dir: &Path) -> Option<(usize, PathBuf)> {
             Some((step, entry.path()))
         })
         .max()
+}
+
+/// Opens the run whose checkpoints live in `dir`: resumes the newest one
+/// there through [`resume_driver`], or builds a fresh driver when `dir`
+/// holds none. The CLI's `--resume` and the serving daemon both open
+/// their runs here. The error names the checkpoint that was refused.
+pub fn open_driver(
+    dir: &Path,
+    graph: &Graph,
+    split: &Split,
+    backbone: Backbone,
+    cfg: &GraphRareConfig,
+) -> Result<RareDriver, String> {
+    let Some((step, path)) = latest_checkpoint(dir) else {
+        telemetry::progress!("no checkpoint found in {}, starting fresh", dir.display());
+        return Ok(RareDriver::new(graph, split, backbone, cfg));
+    };
+    telemetry::progress!("resuming from {} (step {step})", path.display());
+    resume_driver(&path, graph, split, backbone, cfg)
+        .map_err(|e| format!("cannot resume from {}: {e}", path.display()))
 }
 
 // ---------------------------------------------------------------------------

@@ -33,9 +33,7 @@
 //!
 //! [`RewiredGraph`]: crate::rewire::RewiredGraph
 
-use graphrare_rl::{
-    AgentState, GlobalPolicy, PpoAgent, PpoConfig, PpoStats, RolloutBuffer, ValueNet,
-};
+use graphrare_rl::{AgentState, Mlp, PpoAgent, PpoConfig, PpoStats, RolloutBuffer};
 use graphrare_tensor::optim::AdamSnapshot;
 use graphrare_tensor::{CsrMatrix, DenseRow};
 
@@ -210,8 +208,8 @@ impl PpoRewirer {
     fn new(num_nodes: usize, cfg: &GraphRareConfig) -> Self {
         let state_dim = 2 * num_nodes;
         let seed = cfg.ppo.seed;
-        let policy = GlobalPolicy::new(state_dim, HIDDEN, 2 * num_nodes, seed);
-        let value = ValueNet::new(state_dim, HIDDEN, seed.wrapping_add(17));
+        let policy = Mlp::policy(state_dim, HIDDEN, 2 * num_nodes, seed);
+        let value = Mlp::value(state_dim, HIDDEN, seed.wrapping_add(17));
         let agent_cfg = match cfg.algo {
             RlAlgo::Ppo => cfg.ppo,
             RlAlgo::A2c => PpoConfig::a2c(seed),

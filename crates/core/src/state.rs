@@ -87,7 +87,7 @@ impl TopoState {
 
     /// Policy-network features: node-interleaved `(k_v / k_max_v,
     /// d_v / d_max_v)` pairs, the flat state vector of
-    /// [`GlobalPolicy`](graphrare_rl::GlobalPolicy).
+    /// policy ([`Mlp::policy`](graphrare_rl::Mlp::policy)).
     pub fn features(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(2 * self.k.len());
         for v in 0..self.k.len() {

@@ -4,7 +4,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use graphrare_datasets::{generate_spec, DatasetSpec};
+use graphrare::{persist, RunSpec};
+use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
 use graphrare_graph::{io, metrics};
 
 fn fixture_dir(name: &str) -> PathBuf {
@@ -130,4 +131,43 @@ fn cli_usage_on_bad_flags() {
         assert!(stderr.contains("must be finite and non-negative"), "--lambda {lambda}: {stderr}");
         assert!(stderr.contains("usage:"), "--lambda {lambda}: {stderr}");
     }
+}
+
+#[test]
+fn cli_model_equals_the_library_run_of_its_spec() {
+    let dir = fixture_dir("spec");
+    let input = dir.join("toy");
+    let cli_model = dir.join("cli.grrs");
+    let lib_model = dir.join("lib.grrs");
+    io::write_graph(&small_graph(), &input).unwrap();
+
+    // Every shared run flag away from its default, names in mixed case.
+    let input_arg = input.to_str().unwrap();
+    #[rustfmt::skip]
+    let flags = [
+        "--input", input_arg, "--backbone", "Gat", "--lambda", "0.5", "--steps", "6",
+        "--seed", "4", "--split-seed", "2", "--k-cap", "6", "--threads", "1",
+        "--algo", "A2C", "--rewirer", "DHGR",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_graphrare"))
+        .args(flags)
+        .args(["--quiet", "--save-model", cli_model.to_str().unwrap()])
+        .output()
+        .expect("CLI binary runs");
+    assert!(out.status.success(), "CLI failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let mut spec = RunSpec::default();
+    let mut rest = flags.iter().map(|s| s.to_string());
+    while let Some(flag) = rest.next() {
+        assert_eq!(spec.parse_flag(&flag, &mut rest), Ok(true), "{flag}");
+    }
+    let graph = io::read_graph(&input).unwrap();
+    let split = stratified_split(graph.labels(), graph.num_classes(), spec.split_seed);
+    let report = graphrare::run(&graph, &split, spec.backbone, &spec.to_config()).unwrap();
+    persist::save_model(&lib_model, &report).unwrap();
+    assert!(
+        std::fs::read(&cli_model).unwrap() == std::fs::read(&lib_model).unwrap(),
+        "the CLI's model differs from the library run of the same spec"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }

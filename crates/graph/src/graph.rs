@@ -130,11 +130,6 @@ impl Graph {
         self.adj.neighbors(v)
     }
 
-    /// One-hop neighbours of `v` collected into a `Vec`.
-    pub fn neighbor_vec(&self, v: usize) -> Vec<usize> {
-        self.neighbors(v).collect()
-    }
-
     /// Whether the undirected edge `{u, v}` exists.
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
@@ -316,7 +311,7 @@ mod tests {
         let g = path_graph(4);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 2);
-        assert_eq!(g.neighbor_vec(1), vec![0, 2]);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(g.max_degree(), 2);
         assert!((g.mean_degree() - 1.5).abs() < 1e-12);
     }

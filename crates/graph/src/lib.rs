@@ -3,7 +3,7 @@
 //! Graph data structures and topology utilities for the GraphRARE
 //! workspace: the attributed [`Graph`] type (`G = (V, E, X, A)` of the
 //! paper's Table I), propagation operators for GNN layers ([`ops`]),
-//! homophily/degree statistics ([`metrics`], including Eq. 1's edge
+//! homophily and class statistics ([`metrics`], including Eq. 1's edge
 //! homophily ratio), and BFS candidate enumeration ([`traversal`]).
 //!
 //! Topology edits are the primitive that GraphRARE's

@@ -1,4 +1,4 @@
-//! Graph-level statistics: homophily ratio (Eq. 1) and degree summaries.
+//! Graph-level statistics: homophily ratios (Eq. 1) and class counts.
 
 use crate::graph::Graph;
 
@@ -51,33 +51,6 @@ pub fn class_counts(g: &Graph) -> Vec<usize> {
     counts
 }
 
-/// Summary of a degree distribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegreeStats {
-    /// Smallest degree.
-    pub min: usize,
-    /// Largest degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-}
-
-/// Degree distribution summary of `g`.
-pub fn degree_stats(g: &Graph) -> DegreeStats {
-    let n = g.num_nodes();
-    if n == 0 {
-        return DegreeStats { min: 0, max: 0, mean: 0.0 };
-    }
-    let mut min = usize::MAX;
-    let mut max = 0;
-    for v in 0..n {
-        let d = g.degree(v);
-        min = min.min(d);
-        max = max.max(d);
-    }
-    DegreeStats { min, max, mean: g.mean_degree() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +93,5 @@ mod tests {
     fn class_counts_tally() {
         let g = labeled(&[], vec![0, 1, 1, 2, 2, 2], 3);
         assert_eq!(class_counts(&g), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn degree_stats_of_star() {
-        let g = labeled(&[(0, 1), (0, 2), (0, 3)], vec![0; 4], 1);
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 1.5).abs() < 1e-12);
     }
 }

@@ -107,14 +107,6 @@ pub fn row_norm_adj_into(g: &Graph, out: &mut CsrMatrix, scratch: &mut OperatorS
     });
 }
 
-/// Unnormalised adjacency `A` as a CSR matrix.
-pub fn adjacency(g: &Graph) -> CsrMatrix {
-    let n = g.num_nodes();
-    CsrMatrix::from_row_builder(n, n, |v, out| {
-        out.extend(g.neighbor_slice(v).iter().map(|&u| (u as usize, 1.0)));
-    })
-}
-
 /// Strict two-hop neighbourhood operator used by H2GCN: `N_2(v)` contains
 /// nodes at distance exactly 2 (neighbours-of-neighbours, excluding `v` and
 /// its one-hop neighbours), row-normalised.

@@ -120,11 +120,6 @@ pub fn connected_components(g: &Graph) -> Vec<usize> {
     comp
 }
 
-/// Number of connected components.
-pub fn num_components(g: &Graph) -> usize {
-    connected_components(g).into_iter().max().map_or(0, |m| m + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,12 +173,5 @@ mod tests {
     fn components_of_disconnected_graph() {
         let g = Graph::from_edges(5, &[(0, 1), (3, 4)], Matrix::zeros(5, 1), vec![0; 5], 1);
         assert_eq!(connected_components(&g), vec![0, 0, 1, 2, 2]);
-        assert_eq!(num_components(&g), 3);
-    }
-
-    #[test]
-    fn single_component_path() {
-        let g = path(4);
-        assert_eq!(num_components(&g), 1);
     }
 }

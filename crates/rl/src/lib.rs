@@ -4,9 +4,9 @@
 //! Policy Optimization implementation over multi-discrete action spaces,
 //! replacing the paper's OpenAI Gym + Stable-Baselines3 stack.
 //!
-//! * [`policy`] — the multi-discrete stochastic policy, the paper's
-//!   MLP over the whole state ([`policy::GlobalPolicy`]), and the critic
-//!   ([`policy::ValueNet`]).
+//! * [`policy`] — one MLP type ([`policy::Mlp`]) for the multi-discrete
+//!   stochastic policy, the paper's MLP over the whole state, and for the
+//!   critic.
 //! * [`buffer`] — rollout storage and GAE(λ) advantage estimation.
 //! * [`ppo`] — the clipped-surrogate PPO update ([`ppo::PpoAgent`]). The
 //!   [`PpoConfig::a2c`] preset turns the same agent into synchronous A2C,
@@ -25,6 +25,6 @@ pub mod ppo;
 pub mod snapshot;
 
 pub use buffer::{gae, normalize, RolloutBuffer};
-pub use policy::{GlobalPolicy, ValueNet, ACTION_ARITY};
+pub use policy::{Mlp, ACTION_ARITY};
 pub use ppo::{PpoAgent, PpoConfig, PpoStats};
 pub use snapshot::AgentState;

@@ -21,7 +21,7 @@ use graphrare_tensor::param::{clip_grad_norm, zero_grads, Param};
 use graphrare_tensor::{Matrix, Tape};
 
 use crate::buffer::{gae, normalize, RolloutBuffer};
-use crate::policy::{GlobalPolicy, ValueNet, ACTION_ARITY};
+use crate::policy::{Mlp, ACTION_ARITY};
 use crate::snapshot::AgentState;
 
 /// PPO hyper-parameters (defaults follow Stable-Baselines3).
@@ -105,8 +105,8 @@ pub struct PpoStats {
 
 /// A PPO agent: stochastic multi-discrete policy plus critic.
 pub struct PpoAgent {
-    policy: GlobalPolicy,
-    value: ValueNet,
+    policy: Mlp,
+    value: Mlp,
     cfg: PpoConfig,
     opt: Adam,
     rng: StdRng,
@@ -114,8 +114,9 @@ pub struct PpoAgent {
 }
 
 impl PpoAgent {
-    /// Creates an agent from a policy, a critic and a config.
-    pub fn new(policy: GlobalPolicy, value: ValueNet, cfg: PpoConfig) -> Self {
+    /// Creates an agent from a policy ([`Mlp::policy`]), a critic
+    /// ([`Mlp::value`]) and a config.
+    pub fn new(policy: Mlp, value: Mlp, cfg: PpoConfig) -> Self {
         let mut params = policy.params();
         params.extend(value.params());
         Self {
@@ -159,11 +160,11 @@ impl PpoAgent {
     pub fn act(&mut self, state: &[f32]) -> (Vec<u8>, f32, f32) {
         let mut tape = Tape::new();
         let s = tape.constant(Matrix::row_vector(state));
-        let l = self.policy.logits(&mut tape, s);
+        let l = self.policy.forward(&mut tape, s);
         let v = self.value.forward(&mut tape, s);
         let logits = tape.value(l).row(0);
         let value = tape.value(v).scalar_value();
-        let heads = self.policy.heads();
+        let heads = self.policy.outputs() / ACTION_ARITY;
         let mut actions = Vec::with_capacity(heads);
         let mut log_prob = 0.0f32;
         let mut probs = [0f32; ACTION_ARITY];
@@ -202,8 +203,8 @@ impl PpoAgent {
         );
         normalize(&mut advantages);
 
-        let heads = self.policy.heads();
-        let state_dim = self.policy.state_dim();
+        let heads = self.policy.outputs() / ACTION_ARITY;
+        let state_dim = self.policy.inputs();
         let mut stats = PpoStats::default();
         let mut updates = 0usize;
 
@@ -236,7 +237,7 @@ impl PpoAgent {
                 zero_grads(&self.params);
                 let mut tape = Tape::new();
                 let s = tape.constant(states);
-                let logits = self.policy.logits(&mut tape, s);
+                let logits = self.policy.forward(&mut tape, s);
                 let logp = tape.multi_discrete_log_prob(logits, ACTION_ARITY, actions);
                 let diff = tape.add_const(logp, neg_old);
                 let ratio = tape.exp(diff);
@@ -322,8 +323,8 @@ mod tests {
     use super::*;
 
     fn agent_with(state_dim: usize, heads: usize, cfg: PpoConfig) -> PpoAgent {
-        let policy = GlobalPolicy::new(state_dim, 32, heads, cfg.seed);
-        let value = ValueNet::new(state_dim, 32, cfg.seed + 1);
+        let policy = Mlp::policy(state_dim, 32, heads, cfg.seed);
+        let value = Mlp::value(state_dim, 32, cfg.seed + 1);
         PpoAgent::new(policy, value, cfg)
     }
 

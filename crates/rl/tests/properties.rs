@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use graphrare_rl::{gae, normalize, GlobalPolicy, PpoAgent, PpoConfig, ValueNet, ACTION_ARITY};
+use graphrare_rl::{gae, normalize, Mlp, PpoAgent, PpoConfig, ACTION_ARITY};
 use graphrare_tensor::{Matrix, Tape};
 
 proptest! {
@@ -74,8 +74,8 @@ proptest! {
     /// three actions.
     #[test]
     fn initial_policy_explores_every_action(seed in 0u64..500) {
-        let policy = GlobalPolicy::new(4, 16, 2, seed);
-        let value = ValueNet::new(4, 16, seed + 1);
+        let policy = Mlp::policy(4, 16, 2, seed);
+        let value = Mlp::value(4, 16, seed + 1);
         let mut agent =
             PpoAgent::new(policy, value, PpoConfig { seed, ..Default::default() });
         let state = [0.2f32, -0.1, 0.5, 0.0];
@@ -96,11 +96,11 @@ proptest! {
         state in proptest::collection::vec(-1.0f32..1.0, 6),
         seed in 0u64..100,
     ) {
-        let policy = GlobalPolicy::new(6, 8, 3, seed);
-        let eval = |p: &GlobalPolicy| {
+        let policy = Mlp::policy(6, 8, 3, seed);
+        let eval = |p: &Mlp| {
             let mut t = Tape::new();
             let s = t.constant(Matrix::row_vector(&state));
-            let l = p.logits(&mut t, s);
+            let l = p.forward(&mut t, s);
             t.value(l).clone()
         };
         prop_assert_eq!(eval(&policy), eval(&policy));

@@ -8,6 +8,8 @@
 //!          [--lambda F] [--steps N] [--seed N] [--split-seed N]
 //!          [--k-cap N] [--algo ppo|a2c] [--threads N] [--paced]
 //!          [--rewirer ppo|dhgr|reference|none]
+//!                              the `graphrare` CLI's run flags and
+//!                              defaults, plus --paced
 //!   status   RUN_ID
 //!   watch    RUN_ID            poll until the run reaches a terminal state
 //!   result   RUN_ID --out PATH write the model artifact bytes to PATH
@@ -26,8 +28,6 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use graphrare::{RewirerKind, RlAlgo};
-use graphrare_gnn::Backbone;
 use graphrare_serve::{Connection, Listen, Request, Response, RunInfo, RunSpec, RunState};
 
 fn usage() -> ! {
@@ -70,61 +70,24 @@ fn unexpected(resp: Response) -> ExitCode {
     }
 }
 
+/// The shared run flags ([`RunSpec::parse_flag`], with the CLI's
+/// defaults) plus `--paced`.
 fn parse_spec(args: &[String]) -> Result<RunSpec, String> {
-    let mut spec = RunSpec {
-        input: String::new(),
-        backbone: Backbone::Gcn,
-        steps: 160,
-        seed: 42,
-        split_seed: 0,
-        k_cap: 10,
-        lambda: 1.0,
-        algo: RlAlgo::Ppo,
-        threads: 0,
-        paced: false,
-        rewirer: RewirerKind::Ppo,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i).cloned().ok_or_else(|| format!("missing value for {}", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--input" => spec.input = value(&mut i)?,
-            "--backbone" => {
-                let v = value(&mut i)?;
-                spec.backbone =
-                    Backbone::parse(&v).ok_or_else(|| format!("unknown backbone {v}"))?;
-            }
-            "--lambda" => spec.lambda = parse_num(&value(&mut i)?, "--lambda")?,
-            "--steps" => spec.steps = parse_num(&value(&mut i)?, "--steps")?,
-            "--seed" => spec.seed = parse_num(&value(&mut i)?, "--seed")?,
-            "--split-seed" => spec.split_seed = parse_num(&value(&mut i)?, "--split-seed")?,
-            "--k-cap" => spec.k_cap = parse_num(&value(&mut i)?, "--k-cap")?,
-            "--threads" => spec.threads = parse_num(&value(&mut i)?, "--threads")?,
-            "--algo" => {
-                let v = value(&mut i)?.to_lowercase();
-                spec.algo = RlAlgo::parse(&v).ok_or_else(|| format!("unknown algorithm {v}"))?;
-            }
-            "--rewirer" => {
-                let v = value(&mut i)?.to_lowercase();
-                spec.rewirer =
-                    RewirerKind::parse(&v).ok_or_else(|| format!("unknown rewirer {v}"))?;
-            }
+    let mut spec = RunSpec::default();
+    let mut args = args.iter().cloned();
+    while let Some(flag) = args.next() {
+        if spec.parse_flag(&flag, &mut args)? {
+            continue;
+        }
+        match flag.as_str() {
             "--paced" => spec.paced = true,
             other => return Err(format!("unknown submit flag {other}")),
         }
-        i += 1;
     }
     if spec.input.is_empty() {
         return Err("submit requires --input".into());
     }
     Ok(spec)
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid value {s:?} for {flag}"))
 }
 
 fn run_id_arg(args: &[String]) -> Result<u64, String> {
@@ -236,7 +199,10 @@ fn main() -> ExitCode {
         }
         "budget" => {
             let parsed = run_id_arg(args).and_then(|id| match args.get(1) {
-                Some(steps) => parse_num::<u64>(steps, "STEPS").map(|steps| (id, steps)),
+                Some(steps) => match steps.parse() {
+                    Ok(steps) => Ok((id, steps)),
+                    Err(_) => Err(format!("invalid value {steps:?} for STEPS")),
+                },
                 None => Err("budget requires RUN_ID STEPS".into()),
             });
             parsed.map(|(run_id, steps)| match request(&Request::StepBudget { run_id, steps }) {

@@ -11,8 +11,8 @@
 //!
 //! - **Bit-identity**: a served run's result artifact is byte-for-byte
 //!   identical to a solo `graphrare` CLI run with the same spec and
-//!   seed — the daemon builds its config exactly as the CLI does and
-//!   persists through the same deterministic `save_model` path.
+//!   seed — both build their config with [`RunSpec::to_config`] and
+//!   persist through the same deterministic `save_model` path.
 //! - **Admission control**: at most `max_runs` runs step concurrently
 //!   and at most `max_queue` wait behind them; submissions past that
 //!   get an explicit [`proto::Response::Busy`], never unbounded queues.

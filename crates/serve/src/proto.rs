@@ -20,7 +20,7 @@
 
 use std::io::{Read, Write};
 
-use graphrare::{validate_lambda, RewirerKind, RlAlgo};
+use graphrare::{RewirerKind, RlAlgo};
 use graphrare_gnn::Backbone;
 use graphrare_store::crc32;
 use graphrare_store::wire::{ByteReader, ByteWriter};
@@ -208,81 +208,11 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), P
     w.flush().map_err(|e| ProtoError::Io(e.to_string()))
 }
 
-/// Everything needed to reproduce a solo `graphrare` CLI run: the
-/// daemon builds its [`graphrare::GraphRareConfig`] from these fields
-/// exactly the way the CLI builds it from flags, which is what makes
-/// served results bit-identical to solo runs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunSpec {
-    /// Graph bundle prefix (`<input>.edges/.features/.labels`),
-    /// resolved on the daemon's filesystem.
-    pub input: String,
-    /// GNN backbone to wrap.
-    pub backbone: Backbone,
-    /// DRL steps to run.
-    pub steps: u64,
-    /// Master seed (drives model/train/ppo/shuffle sub-seeds).
-    pub seed: u64,
-    /// Train/val/test split seed.
-    pub split_seed: u64,
-    /// Per-node candidate cap.
-    pub k_cap: u64,
-    /// Relative-entropy mixing weight.
-    pub lambda: f64,
-    /// RL algorithm.
-    pub algo: RlAlgo,
-    /// Worker threads (0 = resolve from the environment, as the CLI); at
-    /// most the host's hardware threads.
-    pub threads: u64,
-    /// Paced mode: the run only advances while it has step budget
-    /// granted via [`Request::StepBudget`].
-    pub paced: bool,
-    /// Edit-proposal strategy (the CLI's `--rewirer`).
-    pub rewirer: RewirerKind,
-}
-
-impl RunSpec {
-    /// Mirrors the `graphrare` CLI's config construction, field for
-    /// field. `entropy_refresh_every` stays 0: the protocol has no field
-    /// for it.
-    pub fn to_config(&self) -> graphrare::GraphRareConfig {
-        let mut cfg = graphrare::GraphRareConfig::default().with_seed(self.seed);
-        cfg.entropy.lambda = self.lambda;
-        cfg.steps = self.steps as usize;
-        cfg.k_cap = self.k_cap as usize;
-        cfg.algo = self.algo;
-        cfg.rewirer = self.rewirer;
-        cfg.threads = self.threads as usize;
-        cfg
-    }
-
-    /// Validates the fields a hostile client could abuse.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.input.is_empty() {
-            return Err("empty input prefix".into());
-        }
-        if self.steps == 0 {
-            return Err("steps must be positive".into());
-        }
-        if self.steps > 1_000_000 {
-            return Err(format!("steps {} exceeds serving cap 1000000", self.steps));
-        }
-        validate_lambda(self.lambda)?;
-        if self.k_cap == 0 || self.k_cap > 10_000 {
-            return Err(format!("k_cap {} outside 1..=10000", self.k_cap));
-        }
-        // The count is process-wide and every kernel call spawns up to that
-        // many scoped threads, so one client's value reaches every tenant.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if self.threads > cores as u64 {
-            return Err(format!(
-                "threads {} exceeds the host's {cores} hardware threads",
-                self.threads
-            ));
-        }
-        Ok(())
-    }
-}
+/// The run a client submits: core's [`graphrare::RunSpec`], the same
+/// description the `graphrare` CLI parses its flags into. The daemon
+/// builds its config with the same [`RunSpec::to_config`], which is what
+/// makes served results bit-identical to solo runs.
+pub use graphrare::RunSpec;
 
 fn backbone_tag(b: Backbone) -> u8 {
     match b {
@@ -939,49 +869,6 @@ mod tests {
                 "cut at {cut}"
             );
         }
-    }
-
-    #[test]
-    fn spec_validation_rejects_abuse() {
-        assert!(sample_spec().validate().is_ok());
-        type Mutator = Box<dyn Fn(&mut RunSpec)>;
-        let cases: [(&str, Mutator); 6] = [
-            ("empty input", Box::new(|s| s.input.clear())),
-            ("zero steps", Box::new(|s| s.steps = 0)),
-            ("huge steps", Box::new(|s| s.steps = 2_000_000)),
-            ("nan lambda", Box::new(|s| s.lambda = f64::NAN)),
-            ("zero k_cap", Box::new(|s| s.k_cap = 0)),
-            ("huge threads", Box::new(|s| s.threads = 1 << 20)),
-        ];
-        for (why, mutate) in cases {
-            let mut spec = sample_spec();
-            mutate(&mut spec);
-            assert!(spec.validate().is_err(), "accepted spec with {why}");
-        }
-        let mut spec = sample_spec();
-        spec.threads = 1 << 20;
-        assert!(spec.validate().unwrap_err().contains("threads"), "message must name the field");
-        // 0 resolves from the environment, as on the CLI.
-        spec.threads = 0;
-        assert!(spec.validate().is_ok());
-    }
-
-    #[test]
-    fn spec_config_matches_cli_construction() {
-        let spec = sample_spec();
-        let cfg = spec.to_config();
-        let mut expected = graphrare::GraphRareConfig::default().with_seed(spec.seed);
-        expected.entropy.lambda = spec.lambda;
-        expected.steps = spec.steps as usize;
-        expected.k_cap = spec.k_cap as usize;
-        expected.algo = spec.algo;
-        expected.rewirer = spec.rewirer;
-        expected.threads = spec.threads as usize;
-        assert_eq!(cfg.steps, expected.steps);
-        assert_eq!(cfg.seed, expected.seed);
-        assert_eq!(cfg.entropy.lambda, expected.entropy.lambda);
-        assert_eq!(cfg.rewirer, RewirerKind::Dhgr, "spec rewirer must reach the config");
-        assert_eq!(cfg.entropy_refresh_every, 0, "refresh mode must stay off under serving");
     }
 
     #[test]

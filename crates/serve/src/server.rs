@@ -316,7 +316,10 @@ impl Server {
 }
 
 /// Rebuilds the run table from the state directory: finished runs keep
-/// their terminal states, anything else re-queues for resumption.
+/// their terminal states, anything else re-queues for resumption. A
+/// directory without a `spec.grrs` is a submit that never completed (no
+/// client got its id): it is skipped, and its id does not count when the
+/// next id is chosen.
 fn recover_state(shared: &Arc<Shared>) -> Result<(), String> {
     let runs_root = shared.cfg.state_dir.join("runs");
     let mut table = shared.table.lock().unwrap();
@@ -326,6 +329,9 @@ fn recover_state(shared: &Arc<Shared>) -> Result<(), String> {
     for entry in entries.flatten() {
         let Ok(run_id) = entry.file_name().to_string_lossy().parse::<u64>() else { continue };
         let dir = entry.path();
+        if !dir.join("spec.grrs").exists() {
+            continue;
+        }
         let spec = match read_spec(&dir) {
             Ok(spec) => spec,
             Err(e) => return Err(format!("run {run_id}: unreadable spec: {e}")),
@@ -411,16 +417,7 @@ fn run_one(
     let input = PathBuf::from(&spec.input);
     let graph = io::read_graph(&input).map_err(|e| format!("cannot read {}: {e}", spec.input))?;
     let split = stratified_split(graph.labels(), graph.num_classes(), spec.split_seed);
-    let cfg = spec.to_config();
-
-    let mut driver = match persist::latest_checkpoint(dir) {
-        Some((step, path)) => {
-            telemetry::progress!("resuming from {} (step {step})", path.display());
-            persist::resume_driver(&path, &graph, &split, spec.backbone, &cfg)
-                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?
-        }
-        None => RareDriver::new(&graph, &split, spec.backbone, &cfg),
-    };
+    let mut driver = persist::open_driver(dir, &graph, &split, spec.backbone, &spec.to_config())?;
 
     let checkpoint = |driver: &RareDriver, done: usize| -> Result<(), String> {
         let path = persist::checkpoint_path(dir, done);
@@ -614,6 +611,7 @@ fn submit(shared: &Arc<Shared>, spec: RunSpec) -> Response {
             return Response::Error(format!("cannot create {}: {e}", dir.display()));
         }
         if let Err(e) = write_spec(&dir, &spec) {
+            let _ = std::fs::remove_dir_all(&dir);
             return Response::Error(format!("cannot persist spec: {e}"));
         }
         table.next_id += 1;

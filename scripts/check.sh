@@ -223,6 +223,17 @@ target/release/graphrare --input "$smoke_dir/toy" --steps 6 --seed 2 --threads 1
     --save-model "$serve_dir/solo-2.grrs" > /dev/null
 cmp "$serve_dir/served-1.grrs" "$serve_dir/solo-1.grrs"
 cmp "$serve_dir/served-2.grrs" "$serve_dir/solo-2.grrs"
+# Every shared run flag away from its default, names in mixed case: the
+# client's spec and the CLI's flags must make the same run. --rewirer
+# stays ppo so that --algo a2c takes effect.
+run_flags=(--backbone GAT --lambda 0.5 --steps 6 --seed 4 --split-seed 2 --k-cap 6
+    --threads 1 --algo A2C)
+run_all=$(client submit --input "$smoke_dir/toy" "${run_flags[@]}" | sed -n 's/^run_id=//p')
+client watch "$run_all" > /dev/null 2>&1
+client result "$run_all" --out "$serve_dir/served-flags.grrs" > /dev/null
+target/release/graphrare --input "$smoke_dir/toy" "${run_flags[@]}" --quiet \
+    --save-model "$serve_dir/solo-flags.grrs" > /dev/null
+cmp "$serve_dir/served-flags.grrs" "$serve_dir/solo-flags.grrs"
 
 # Run 3 is paced: advance it to step 4 (past two checkpoints), then
 # kill the daemon outright — no chance to checkpoint on the way down.

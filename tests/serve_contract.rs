@@ -4,7 +4,8 @@
 //! daemon, a shutdown/restart cycle resumes interrupted runs from their
 //! checkpoints to the same bits, a bad input bundle fails its own run
 //! with a typed error and frees its slot, and a daemon starts over the
-//! socket files a killed one left behind.
+//! socket files a killed one left behind and over the run directory an
+//! unfinished submit left behind.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -382,6 +383,57 @@ fn corrupted_checkpoint_fails_the_run_but_daemon_keeps_serving() {
 
         server.request_shutdown();
         server.join();
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn an_unfinished_submit_does_not_stop_a_restart() {
+    let dir = fixture_dir("unfinished-submit");
+    let input = dir.join("toy");
+    io::write_graph(&small_graph(), &input).unwrap();
+    let state = dir.join("state");
+    let run_dir = state.join("runs").join("000001");
+    // A daemon killed between creating a run's directory and making its
+    // spec durable leaves the directory holding only the spec's temp
+    // file. `Submitted` is sent after the spec is durable, so no client
+    // ever got this id.
+    std::fs::create_dir_all(&run_dir).unwrap();
+    std::fs::write(run_dir.join("spec.grrs.tmp.4242"), b"partial").unwrap();
+
+    let server = Server::start(ServeConfig::new(&state), &[]).unwrap();
+    match server.handle(Request::ListRuns) {
+        Response::RunList(runs) => assert!(runs.is_empty(), "{runs:?}"),
+        other => panic!("list failed: {other:?}"),
+    }
+
+    // A submit whose spec cannot be written removes the directory it
+    // made: here the spec's path is taken by a directory.
+    std::fs::create_dir_all(run_dir.join("spec.grrs")).unwrap();
+    let run_spec = spec(&input, 17, 6, false);
+    match server.handle(Request::SubmitRun(run_spec.clone())) {
+        Response::Error(e) => assert!(e.contains("cannot persist spec"), "{e}"),
+        other => panic!("expected a spec write failure, got {other:?}"),
+    }
+    assert!(!run_dir.exists(), "a failed submit must not leave its directory behind");
+
+    // The id is free again, and the run it gets matches a solo run.
+    let run_id = submit_ok(&server, run_spec.clone());
+    assert_eq!(run_id, 1);
+    assert_eq!(wait_terminal(&server, run_id), RunState::Done);
+    assert_eq!(fetch_artifact(&server, run_id), solo_artifact(&dir, &run_spec));
+    server.request_shutdown();
+    server.join();
+
+    // A spec that is present but corrupt still refuses start.
+    std::fs::write(run_dir.join("spec.grrs"), b"not a container").unwrap();
+    match Server::start(ServeConfig::new(&state), &[]) {
+        Err(e) => assert!(e.contains("run 1: unreadable spec"), "{e}"),
+        Ok(server) => {
+            server.request_shutdown();
+            server.join();
+            panic!("a corrupt spec must refuse start");
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }
