@@ -34,6 +34,7 @@
 //! [`RewiredGraph`]: crate::rewire::RewiredGraph
 
 use graphrare_rl::{AgentState, Mlp, PpoAgent, PpoConfig, PpoStats, RolloutBuffer};
+use graphrare_telemetry as telemetry;
 use graphrare_tensor::optim::AdamSnapshot;
 use graphrare_tensor::{CsrMatrix, DenseRow};
 
@@ -253,6 +254,7 @@ impl Rewirer for PpoRewirer {
         if !window_end {
             return None;
         }
+        let _span = telemetry::span("rl.update");
         // Terminal windows bootstrap from 0, continuing ones from the
         // critic's value of the state the next window starts in.
         let last_value =

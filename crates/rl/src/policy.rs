@@ -9,7 +9,7 @@
 //! The critic ([`Mlp::value`]) is the same MLP with one output.
 //!
 //! The policy emits logits in the layout consumed by
-//! [`Tape::multi_discrete_log_prob`]: heads are interleaved per node —
+//! [`Tape::multi_discrete`]: heads are interleaved per node —
 //! head `2i` is node `i`'s `k` head, head `2i+1` its `d` head.
 
 use rand::rngs::StdRng;

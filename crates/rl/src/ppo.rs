@@ -238,7 +238,7 @@ impl PpoAgent {
                 let mut tape = Tape::new();
                 let s = tape.constant(states);
                 let logits = self.policy.forward(&mut tape, s);
-                let logp = tape.multi_discrete_log_prob(logits, ACTION_ARITY, actions);
+                let (logp, entropy) = tape.multi_discrete(logits, ACTION_ARITY, actions);
                 let diff = tape.add_const(logp, neg_old);
                 let ratio = tape.exp(diff);
                 let surr1 = tape.mul_const(ratio, adv.clone());
@@ -253,7 +253,6 @@ impl PpoAgent {
                 let vsq = tape.square(verr);
                 let value_loss = tape.mean_all(vsq);
 
-                let entropy = tape.multi_discrete_entropy(logits, ACTION_ARITY);
                 let mean_entropy = tape.mean_all(entropy);
 
                 let scaled_v = tape.scale(value_loss, self.cfg.vf_coef);

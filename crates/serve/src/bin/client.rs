@@ -98,6 +98,95 @@ fn run_id_arg(args: &[String]) -> Result<u64, String> {
     }
 }
 
+/// A command line, parsed before any connection is made: the request to
+/// send, and what to do with its answer.
+enum Command {
+    /// Send the request once and print its answer.
+    Once(Request),
+    /// Poll the run's status until it reaches a terminal state.
+    Watch(u64),
+    /// Fetch the run's result and write its artifact to the path.
+    Result(u64, String),
+}
+
+/// Parses `command` and its arguments; `Ok(None)` for an unknown command.
+fn parse_command(command: &str, args: &[String]) -> Result<Option<Command>, String> {
+    Ok(Some(match command {
+        "submit" => Command::Once(Request::SubmitRun(parse_spec(args)?)),
+        "status" => Command::Once(Request::Status(run_id_arg(args)?)),
+        "watch" => Command::Watch(run_id_arg(args)?),
+        "result" => {
+            let id = run_id_arg(args)?;
+            match (args.get(1).map(String::as_str), args.get(2)) {
+                (Some("--out"), Some(path)) => Command::Result(id, path.clone()),
+                (Some("--out"), None) => return Err("missing value for --out".into()),
+                _ => return Err("result requires RUN_ID --out PATH".into()),
+            }
+        }
+        "budget" => {
+            let run_id = run_id_arg(args)?;
+            let steps = args.get(1).ok_or("budget requires RUN_ID STEPS")?;
+            let steps = steps.parse().map_err(|_| format!("invalid value {steps:?} for STEPS"))?;
+            Command::Once(Request::StepBudget { run_id, steps })
+        }
+        "snapshot" => Command::Once(Request::Snapshot(run_id_arg(args)?)),
+        "cancel" => Command::Once(Request::Cancel(run_id_arg(args)?)),
+        "list" => Command::Once(Request::ListRuns),
+        "stats" => Command::Once(Request::ServerStats),
+        "shutdown" => Command::Once(Request::Shutdown),
+        _ => return Ok(None),
+    }))
+}
+
+/// Prints the daemon's answer to `req` and converts it to an exit code.
+fn answer(req: &Request, resp: Response) -> ExitCode {
+    match (req, resp) {
+        (Request::SubmitRun(_), Response::Submitted(run_id)) => println!("run_id={run_id}"),
+        (Request::Status(_), Response::RunStatus(info)) => print_info(&info),
+        (Request::StepBudget { .. }, Response::BudgetGranted { run_id, remaining }) => {
+            println!("run_id={run_id}");
+            println!("budget_remaining={remaining}");
+        }
+        (Request::Snapshot(_), Response::SnapshotAck { run_id, checkpoint_step }) => {
+            println!("run_id={run_id}");
+            println!("checkpoint_step={checkpoint_step}");
+        }
+        (Request::Cancel(_), Response::Cancelled(run_id)) => {
+            println!("run_id={run_id}");
+            println!("cancelled=1");
+        }
+        (Request::ListRuns, Response::RunList(infos)) => {
+            println!("runs={}", infos.len());
+            for info in infos {
+                println!(
+                    "run {} state={} step={}/{} test_acc={:.6}",
+                    info.run_id,
+                    info.state.name(),
+                    info.step,
+                    info.total_steps,
+                    info.test_acc
+                );
+            }
+        }
+        (Request::ServerStats, Response::Stats(stats)) => {
+            println!("active={}", stats.active);
+            println!("queued={}", stats.queued);
+            println!("submitted={}", stats.submitted);
+            println!("completed={}", stats.completed);
+            println!("failed={}", stats.failed);
+            println!("cancelled={}", stats.cancelled);
+            println!("steps_total={}", stats.steps_total);
+            println!("requests={}", stats.requests);
+            for (name, value) in &stats.counters {
+                println!("counter.{name}={value}");
+            }
+        }
+        (Request::Shutdown, Response::ShuttingDown) => println!("shutting_down=1"),
+        (_, other) => return unexpected(other),
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut connect = None;
@@ -119,8 +208,19 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    let (Some(endpoint), Some(command)) = (connect, rest.first().cloned()) else { usage() };
-    let args = &rest[1..];
+    let (Some(endpoint), Some(command)) = (connect, rest.first()) else { usage() };
+    // Usage errors exit 2 whether or not a daemon is listening.
+    let command = match parse_command(command, &rest[1..]) {
+        Ok(Some(command)) => command,
+        Ok(None) => {
+            eprintln!("unknown command {command}");
+            usage()
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut conn = match Connection::connect(&endpoint) {
         Ok(conn) => conn,
@@ -130,163 +230,49 @@ fn main() -> ExitCode {
         conn.request(req).map_err(|e| format!("request failed: {e}"))
     };
 
-    let outcome: Result<ExitCode, String> = match command.as_str() {
-        "submit" => parse_spec(args).map(|spec| match request(&Request::SubmitRun(spec)) {
-            Ok(Response::Submitted(run_id)) => {
-                println!("run_id={run_id}");
-                ExitCode::SUCCESS
-            }
-            Ok(other) => unexpected(other),
+    match command {
+        Command::Once(req) => match request(&req) {
+            Ok(resp) => answer(&req, resp),
             Err(e) => fail(&e),
-        }),
-        "status" => run_id_arg(args).map(|id| match request(&Request::Status(id)) {
-            Ok(Response::RunStatus(info)) => {
-                print_info(&info);
-                ExitCode::SUCCESS
-            }
-            Ok(other) => unexpected(other),
-            Err(e) => fail(&e),
-        }),
-        "watch" => run_id_arg(args).map(|id|
-
-            // Poll until terminal; each status round-trip reuses the
-            // same connection.
-            loop {
-                match request(&Request::Status(id)) {
-                    Ok(Response::RunStatus(info)) => {
-                        eprintln!(
-                            "run {} {} step {}/{}",
-                            info.run_id,
-                            info.state.name(),
-                            info.step,
-                            info.total_steps
-                        );
-                        if info.state.is_terminal() {
-                            print_info(&info);
-                            break if info.state == RunState::Done {
-                                ExitCode::SUCCESS
-                            } else {
-                                ExitCode::FAILURE
-                            };
-                        }
-                    }
-                    Ok(other) => break unexpected(other),
-                    Err(e) => break fail(&e),
-                }
-                std::thread::sleep(Duration::from_millis(150));
-            }),
-        "result" => {
-            let parsed = run_id_arg(args).and_then(|id| match args.get(1).map(String::as_str) {
-                Some("--out") => match args.get(2) {
-                    Some(path) => Ok((id, path.clone())),
-                    None => Err("missing value for --out".into()),
-                },
-                _ => Err("result requires RUN_ID --out PATH".into()),
-            });
-            parsed.map(|(id, path)| match request(&Request::FetchResult(id)) {
-                Ok(Response::RunResult { run_id, artifact }) => {
-                    if let Err(e) = std::fs::write(&path, &artifact) {
-                        return fail(&format!("cannot write {path}: {e}"));
-                    }
-                    println!("run_id={run_id}");
-                    println!("artifact_bytes={}", artifact.len());
-                    println!("artifact_path={path}");
-                    ExitCode::SUCCESS
-                }
-                Ok(other) => unexpected(other),
-                Err(e) => fail(&e),
-            })
-        }
-        "budget" => {
-            let parsed = run_id_arg(args).and_then(|id| match args.get(1) {
-                Some(steps) => match steps.parse() {
-                    Ok(steps) => Ok((id, steps)),
-                    Err(_) => Err(format!("invalid value {steps:?} for STEPS")),
-                },
-                None => Err("budget requires RUN_ID STEPS".into()),
-            });
-            parsed.map(|(run_id, steps)| match request(&Request::StepBudget { run_id, steps }) {
-                Ok(Response::BudgetGranted { run_id, remaining }) => {
-                    println!("run_id={run_id}");
-                    println!("budget_remaining={remaining}");
-                    ExitCode::SUCCESS
-                }
-                Ok(other) => unexpected(other),
-                Err(e) => fail(&e),
-            })
-        }
-        "snapshot" => run_id_arg(args).map(|id| match request(&Request::Snapshot(id)) {
-            Ok(Response::SnapshotAck { run_id, checkpoint_step }) => {
-                println!("run_id={run_id}");
-                println!("checkpoint_step={checkpoint_step}");
-                ExitCode::SUCCESS
-            }
-            Ok(other) => unexpected(other),
-            Err(e) => fail(&e),
-        }),
-        "cancel" => run_id_arg(args).map(|id| match request(&Request::Cancel(id)) {
-            Ok(Response::Cancelled(run_id)) => {
-                println!("run_id={run_id}");
-                println!("cancelled=1");
-                ExitCode::SUCCESS
-            }
-            Ok(other) => unexpected(other),
-            Err(e) => fail(&e),
-        }),
-        "list" => Ok(match request(&Request::ListRuns) {
-            Ok(Response::RunList(infos)) => {
-                println!("runs={}", infos.len());
-                for info in infos {
-                    println!(
-                        "run {} state={} step={}/{} test_acc={:.6}",
+        },
+        // Poll until terminal; each status round-trip reuses the same
+        // connection.
+        Command::Watch(id) => loop {
+            match request(&Request::Status(id)) {
+                Ok(Response::RunStatus(info)) => {
+                    eprintln!(
+                        "run {} {} step {}/{}",
                         info.run_id,
                         info.state.name(),
                         info.step,
-                        info.total_steps,
-                        info.test_acc
+                        info.total_steps
                     );
+                    if info.state.is_terminal() {
+                        print_info(&info);
+                        break if info.state == RunState::Done {
+                            ExitCode::SUCCESS
+                        } else {
+                            ExitCode::FAILURE
+                        };
+                    }
                 }
-                ExitCode::SUCCESS
+                Ok(other) => break unexpected(other),
+                Err(e) => break fail(&e),
             }
-            Ok(other) => unexpected(other),
-            Err(e) => fail(&e),
-        }),
-        "stats" => Ok(match request(&Request::ServerStats) {
-            Ok(Response::Stats(stats)) => {
-                println!("active={}", stats.active);
-                println!("queued={}", stats.queued);
-                println!("submitted={}", stats.submitted);
-                println!("completed={}", stats.completed);
-                println!("failed={}", stats.failed);
-                println!("cancelled={}", stats.cancelled);
-                println!("steps_total={}", stats.steps_total);
-                println!("requests={}", stats.requests);
-                for (name, value) in &stats.counters {
-                    println!("counter.{name}={value}");
+            std::thread::sleep(Duration::from_millis(150));
+        },
+        Command::Result(id, path) => match request(&Request::FetchResult(id)) {
+            Ok(Response::RunResult { run_id, artifact }) => {
+                if let Err(e) = std::fs::write(&path, &artifact) {
+                    return fail(&format!("cannot write {path}: {e}"));
                 }
+                println!("run_id={run_id}");
+                println!("artifact_bytes={}", artifact.len());
+                println!("artifact_path={path}");
                 ExitCode::SUCCESS
             }
             Ok(other) => unexpected(other),
             Err(e) => fail(&e),
-        }),
-        "shutdown" => Ok(match request(&Request::Shutdown) {
-            Ok(Response::ShuttingDown) => {
-                println!("shutting_down=1");
-                ExitCode::SUCCESS
-            }
-            Ok(other) => unexpected(other),
-            Err(e) => fail(&e),
-        }),
-        _ => {
-            eprintln!("unknown command {command}");
-            usage()
-        }
-    };
-    match outcome {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
+        },
     }
 }

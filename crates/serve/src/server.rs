@@ -443,6 +443,11 @@ fn run_one(
             }
             return Ok(RunState::Interrupted);
         }
+        // Checked before the budget wait, so a paced run whose grant ran
+        // out on its last step still finishes.
+        if driver.is_done() {
+            break;
+        }
         if spec.paced && ctl.budget.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(5));
             continue;
@@ -451,12 +456,9 @@ fn run_one(
         // slipping past the restore shape checks) is a per-run failure:
         // the worker reports it and the slot keeps serving other runs,
         // instead of the old hot-path panic taking the thread down.
-        let stepped = driver
+        driver
             .try_step()
             .map_err(|e| format!("rewire engine rejected the run's topology state: {e}"))?;
-        if !stepped {
-            break;
-        }
         let done = driver.step_index();
         ctl.step.store(done as u64, Ordering::SeqCst);
         shared.steps_total.fetch_add(1, Ordering::SeqCst);

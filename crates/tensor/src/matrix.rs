@@ -10,6 +10,9 @@ use std::fmt;
 
 use crate::parallel;
 
+/// Independent accumulator chains per pass of [`Matrix::matmul_nt`].
+const NT_CHAINS: usize = 8;
+
 /// A dense row-major matrix of `f32` values.
 ///
 /// Row `r` occupies `data[r * cols .. (r + 1) * cols]`. Vectors are
@@ -268,8 +271,13 @@ impl Matrix {
 
     /// `self * rhs^T` without materialising the transpose.
     ///
-    /// Parallelised over output rows; each dot product is computed whole on
-    /// one thread, so the result is bit-identical to serial execution.
+    /// Each output is one dot product summed in ascending `k` from `+0.0`.
+    /// A pass walks one row of `self` against eight rows of `rhs` and
+    /// keeps one accumulator per output, so the eight chains hide each
+    /// other's add latency without reordering any sum; the last
+    /// `rhs.rows % 8` outputs run one chain at a time.
+    /// Parallelised over output rows, each computed whole on one thread,
+    /// so the result is bit-identical to serial execution.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
@@ -278,12 +286,25 @@ impl Matrix {
         );
         let _kernel = kernel_telemetry!("matmul_nt", self.rows);
         let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let k = self.cols;
         parallel::par_for_each_row(&mut out.data, rhs.rows, |i, out_row| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = rhs.row(j);
+            let a_row = &self.row(i)[..k];
+            let blocked = out_row.len() - out_row.len() % NT_CHAINS;
+            let (blocks, rest) = out_row.split_at_mut(blocked);
+            for (jb, block) in blocks.chunks_exact_mut(NT_CHAINS).enumerate() {
+                let b: [&[f32]; NT_CHAINS] =
+                    std::array::from_fn(|c| &rhs.row(jb * NT_CHAINS + c)[..k]);
+                let mut acc = [0.0f32; NT_CHAINS];
+                for (t, &a) in a_row.iter().enumerate() {
+                    for (acc, b) in acc.iter_mut().zip(&b) {
+                        *acc += a * b[t];
+                    }
+                }
+                block.copy_from_slice(&acc);
+            }
+            for (j, o) in rest.iter_mut().enumerate() {
                 let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
+                for (&a, &b) in a_row.iter().zip(rhs.row(blocked + j)) {
                     acc += a * b;
                 }
                 *o = acc;
@@ -510,6 +531,48 @@ mod tests {
         let b = Matrix::from_fn(4, 3, |r, c| (2 * r + c) as f32);
         let via_t = a.matmul(&b.transpose());
         assert!(a.matmul_nt(&b).max_abs_diff(&via_t) < 1e-6);
+    }
+
+    /// `matmul_nt`'s eight chains against the one-chain loop, by bits:
+    /// 1–3 rows, 1–17 outputs (both sides of an eight-output block) and
+    /// shared dimensions 0, 1, 7, 9 and 33, on entries drawn from signed
+    /// zeros and random values, and on rows whose products are all
+    /// `-0.0` (the sum from `+0.0` reads `+0.0`).
+    #[test]
+    fn matmul_nt_matches_the_one_chain_loop_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn one_chain(a: &Matrix, b: &Matrix) -> Matrix {
+            Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+                let mut acc = 0.0;
+                for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                acc
+            })
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(8);
+        let entry = |rng: &mut StdRng| match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-3.0f32..3.0),
+        };
+        for rows in 1..=3 {
+            for outputs in 1..=17 {
+                for k in [0, 1, 7, 9, 33] {
+                    let a = Matrix::from_fn(rows, k, |_, _| entry(&mut rng));
+                    let b = Matrix::from_fn(outputs, k, |_, _| entry(&mut rng));
+                    let what = format!("{rows}x{k} * ({outputs}x{k})^T");
+                    assert_eq!(bits(&a.matmul_nt(&b)), bits(&one_chain(&a, &b)), "{what}");
+                    let neg = a.map(|_| -0.0);
+                    let pos = b.map(|x| x.abs() + 1.0);
+                    let got = neg.matmul_nt(&pos);
+                    assert_eq!(bits(&got), bits(&one_chain(&neg, &pos)), "-0.0 products, {what}");
+                    assert!(got.as_slice().iter().all(|x| x.to_bits() == 0), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

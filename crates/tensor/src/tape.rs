@@ -13,15 +13,16 @@
 //!   only what the workspace's GNN models and the PPO update record.
 //! * Sparse operands ([`CsrMatrix`]) are constants — gradients only flow
 //!   through dense inputs, matching how GNN propagation matrices are used.
-//! * Fused ops (`EdgeAttention`, `MultiDiscreteLogProb`,
-//!   `MultiDiscreteEntropy`, `NllMasked`) keep tapes small for the two hot
-//!   paths: GAT layers and PPO updates over multi-discrete action spaces.
+//! * Fused ops (`EdgeAttention`, the `MultiDiscreteLogProb` /
+//!   `MultiDiscreteEntropy` pair of [`Tape::multi_discrete`], `NllMasked`)
+//!   keep tapes small for the two hot paths: GAT layers and PPO updates
+//!   over multi-discrete action spaces.
 
 use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::matrix::{log_softmax_slice, softmax_slice, Matrix};
+use crate::matrix::{softmax_slice, Matrix};
 use crate::param::Param;
 use crate::sparse::CsrMatrix;
 
@@ -118,8 +119,18 @@ enum Op {
     AddConst { x: usize },
     NllMasked { logp: usize, targets: Rc<Vec<usize>>, mask: Rc<Vec<usize>> },
     EdgeAttention { wh: usize, sl: usize, sr: usize, nbrs: Rc<AdjList>, slope: f32 },
-    MultiDiscreteLogProb { logits: usize, arity: usize, actions: Rc<Vec<u8>> },
-    MultiDiscreteEntropy { logits: usize, arity: usize },
+    MultiDiscreteLogProb { logits: usize, actions: Rc<Vec<u8>>, cache: Rc<MultiDiscreteCache> },
+    MultiDiscreteEntropy { logits: usize, cache: Rc<MultiDiscreteCache> },
+}
+
+/// What the backward arms of [`Tape::multi_discrete`]'s two nodes read,
+/// built once by its forward: per logit, the head's softmax probability
+/// `p` and the entropy gradient `−p (ln p + H)` (left at 0 where `p = 0`),
+/// in heads of `arity` logits.
+struct MultiDiscreteCache {
+    arity: usize,
+    p: Matrix,
+    dentropy: Matrix,
 }
 
 struct Node {
@@ -421,18 +432,22 @@ impl Tape {
         self.push(out, Op::EdgeAttention { wh: wh.idx, sl: sl.idx, sr: sr.idx, nbrs, slope }, ng)
     }
 
-    /// Fused multi-discrete log-probability.
+    /// Fused multi-discrete log-probability and entropy.
     ///
     /// `logits` is `B x (H * arity)`: `H` independent categorical heads of
     /// `arity` choices each. `actions` holds the chosen action per
-    /// `(sample, head)` in row-major order. Output is `B x 1`:
-    /// `Σ_h log softmax(logits[r, h·arity ..])[action[r, h]]`.
-    pub fn multi_discrete_log_prob(
+    /// `(sample, head)` in row-major order. Returns two `B x 1` nodes:
+    /// the log-probability `Σ_h log softmax(logits[r, h·arity ..])[action[r, h]]`
+    /// and the entropy `Σ_h H(softmax(logits[r, h·arity ..]))`.
+    ///
+    /// Each head's softmax is computed once, here; both nodes' backward
+    /// arms read it from one shared cache and call no `exp` or `ln`.
+    pub fn multi_discrete(
         &mut self,
         logits: Var,
         arity: usize,
         actions: Rc<Vec<u8>>,
-    ) -> Var {
+    ) -> (Var, Var) {
         let lg = self.val(logits.idx);
         assert!(
             arity > 0 && lg.cols().is_multiple_of(arity),
@@ -440,45 +455,56 @@ impl Tape {
         );
         let heads = lg.cols() / arity;
         assert_eq!(actions.len(), lg.rows() * heads, "action table size mismatch");
-        let mut out = Matrix::zeros(lg.rows(), 1);
-        let mut scratch = vec![0f32; arity];
+        let mut log_prob = Matrix::zeros(lg.rows(), 1);
+        let mut entropy = Matrix::zeros(lg.rows(), 1);
+        let mut p = Matrix::zeros(lg.rows(), lg.cols());
+        let mut dentropy = Matrix::zeros(lg.rows(), lg.cols());
         for r in 0..lg.rows() {
-            let row = lg.row(r);
-            let mut total = 0.0;
+            let (mut lp_total, mut ent_total) = (0.0, 0.0);
             for h in 0..heads {
-                scratch.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                log_softmax_slice(&mut scratch);
-                total += scratch[actions[r * heads + h] as usize];
+                let span = h * arity..(h + 1) * arity;
+                let z = &lg.row(r)[span.clone()];
+                let ph = &mut p.row_mut(r)[span.clone()];
+                // `softmax_slice` and `log_softmax_slice` share this max
+                // and these exponentials; for non-negative terms the sum
+                // from `+0.0` and `Iterator::sum`'s from `-0.0` agree.
+                let max = z.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                for (q, &v) in ph.iter_mut().zip(z) {
+                    *q = (v - max).exp();
+                }
+                let sum: f32 = ph.iter().sum();
+                lp_total += z[actions[r * heads + h] as usize] - max - sum.ln();
+                if sum > 0.0 {
+                    for q in ph.iter_mut() {
+                        *q /= sum;
+                    }
+                }
+                // `ln p`, then `−p (ln p + H)` over it; `p = 0` keeps 0.
+                let dh = &mut dentropy.row_mut(r)[span];
+                for (d, &q) in dh.iter_mut().zip(ph.iter()) {
+                    if q > 0.0 {
+                        *d = q.ln();
+                    }
+                }
+                let plogp: f32 =
+                    ph.iter().zip(dh.iter()).filter(|&(&q, _)| q > 0.0).map(|(&q, &l)| q * l).sum();
+                ent_total -= plogp;
+                let ent = -plogp;
+                for (d, &q) in dh.iter_mut().zip(ph.iter()) {
+                    if q > 0.0 {
+                        *d = -q * (*d + ent);
+                    }
+                }
             }
-            out.set(r, 0, total);
+            log_prob.set(r, 0, lp_total);
+            entropy.set(r, 0, ent_total);
         }
+        let cache = Rc::new(MultiDiscreteCache { arity, p, dentropy });
         let ng = self.ng(logits);
-        self.push(out, Op::MultiDiscreteLogProb { logits: logits.idx, arity, actions }, ng)
-    }
-
-    /// Fused multi-discrete entropy: `B x 1` with
-    /// `Σ_h H(softmax(logits[r, h·arity ..]))`.
-    pub fn multi_discrete_entropy(&mut self, logits: Var, arity: usize) -> Var {
-        let lg = self.val(logits.idx);
-        assert!(
-            arity > 0 && lg.cols().is_multiple_of(arity),
-            "logit width must be a multiple of arity"
-        );
-        let heads = lg.cols() / arity;
-        let mut out = Matrix::zeros(lg.rows(), 1);
-        let mut p = vec![0f32; arity];
-        for r in 0..lg.rows() {
-            let row = lg.row(r);
-            let mut total = 0.0;
-            for h in 0..heads {
-                p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                softmax_slice(&mut p);
-                total -= p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
-            }
-            out.set(r, 0, total);
-        }
-        let ng = self.ng(logits);
-        self.push(out, Op::MultiDiscreteEntropy { logits: logits.idx, arity }, ng)
+        let op = Op::MultiDiscreteLogProb { logits: logits.idx, actions, cache: cache.clone() };
+        let lp = self.push(log_prob, op, ng);
+        let ent = self.push(entropy, Op::MultiDiscreteEntropy { logits: logits.idx, cache }, ng);
+        (lp, ent)
     }
 
     // ---------------------------------------------------------------
@@ -644,52 +670,43 @@ impl Tape {
                     .filter_map(|(p, d)| Some((p, d?)))
                     .collect()
             }
-            Op::MultiDiscreteLogProb { logits, arity, actions } => {
-                let lg = self.val(*logits);
-                let heads = lg.cols() / arity;
-                let mut dl = Matrix::zeros(lg.rows(), lg.cols());
-                let mut p = vec![0f32; *arity];
-                for r in 0..lg.rows() {
+            Op::MultiDiscreteLogProb { logits, actions, cache } => {
+                // d log p_a / dz_k = [k = a] − p_k for each head.
+                let arity = cache.arity;
+                let heads = cache.p.cols() / arity;
+                let mut dl = Matrix::zeros(cache.p.rows(), cache.p.cols());
+                for r in 0..dl.rows() {
                     let gr = g.get(r, 0);
                     if gr == 0.0 {
                         continue;
                     }
-                    let row = lg.row(r);
-                    for h in 0..heads {
-                        p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                        softmax_slice(&mut p);
+                    let drow = dl.row_mut(r);
+                    for (h, (dh, ph)) in drow
+                        .chunks_exact_mut(arity)
+                        .zip(cache.p.row(r).chunks_exact(arity))
+                        .enumerate()
+                    {
                         let chosen = actions[r * heads + h] as usize;
-                        let drow = dl.row_mut(r);
-                        for (k, &pk) in p.iter().enumerate() {
+                        for (k, (d, &pk)) in dh.iter_mut().zip(ph).enumerate() {
                             let ind = if k == chosen { 1.0 } else { 0.0 };
-                            drow[h * arity + k] += gr * (ind - pk);
+                            *d += gr * (ind - pk);
                         }
                     }
                 }
                 vec![(*logits, dl)]
             }
-            Op::MultiDiscreteEntropy { logits, arity } => {
-                // dH/dz_k = -p_k (log p_k + H) for each head.
-                let lg = self.val(*logits);
-                let heads = lg.cols() / arity;
-                let mut dl = Matrix::zeros(lg.rows(), lg.cols());
-                let mut p = vec![0f32; *arity];
-                for r in 0..lg.rows() {
+            Op::MultiDiscreteEntropy { logits, cache } => {
+                // dH/dz_k = −p_k (ln p_k + H) for each head.
+                let mut dl = Matrix::zeros(cache.p.rows(), cache.p.cols());
+                for r in 0..dl.rows() {
                     let gr = g.get(r, 0);
                     if gr == 0.0 {
                         continue;
                     }
-                    let row = lg.row(r);
-                    for h in 0..heads {
-                        p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                        softmax_slice(&mut p);
-                        let ent: f32 =
-                            -p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
-                        let drow = dl.row_mut(r);
-                        for (k, &pk) in p.iter().enumerate() {
-                            if pk > 0.0 {
-                                drow[h * arity + k] += gr * (-pk * (pk.ln() + ent));
-                            }
+                    let terms = cache.p.row(r).iter().zip(cache.dentropy.row(r));
+                    for (d, (&pk, &dk)) in dl.row_mut(r).iter_mut().zip(terms) {
+                        if pk > 0.0 {
+                            *d += gr * dk;
                         }
                     }
                 }
@@ -964,7 +981,7 @@ mod tests {
         let logp0 = {
             let mut t = Tape::new();
             let x = t.constant(x0.clone());
-            let lp = t.multi_discrete_log_prob(x, 3, actions.clone());
+            let (lp, _) = t.multi_discrete(x, 3, actions.clone());
             t.value(lp).clone()
         };
         // Every ratio lies outside [1 - clip, 1 + clip], so the two
@@ -976,7 +993,7 @@ mod tests {
         let critic = Rc::new(Matrix::column(&[0.4, -0.2, 0.3, 0.1, -0.5, 0.6]));
         let neg_ret = Rc::new(Matrix::column(&[-0.3, 0.2, 0.5, -0.1]));
         check_grad(&x0, 1e-2, move |t, logits| {
-            let logp = t.multi_discrete_log_prob(logits, 3, actions.clone());
+            let (logp, entropy) = t.multi_discrete(logits, 3, actions.clone());
             let diff = t.add_const(logp, neg_old.clone());
             let ratio = t.exp(diff);
             let surr1 = t.mul_const(ratio, adv.clone());
@@ -992,7 +1009,6 @@ mod tests {
             let vsq = t.square(verr);
             let value_loss = t.mean_all(vsq);
 
-            let entropy = t.multi_discrete_entropy(logits, 3);
             let mean_entropy = t.mean_all(entropy);
 
             let scaled_v = t.scale(value_loss, vf_coef);
@@ -1031,8 +1047,9 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_multi_discrete_log_prob() {
-        // 2 samples, 2 heads of arity 3.
+    fn gradcheck_multi_discrete() {
+        // 2 samples, 2 heads of arity 3; the log-probability and the
+        // entropy are checked alone and together.
         let x0 = Matrix::from_vec(
             2,
             6,
@@ -1040,33 +1057,27 @@ mod tests {
         );
         let actions = Rc::new(vec![0u8, 2, 1, 1]);
         let weights = Rc::new(Matrix::from_vec(2, 1, vec![0.7, -1.3]));
-        check_grad(&x0, 1e-2, move |t, x| {
-            let lp = t.multi_discrete_log_prob(x, 3, actions.clone());
-            let w = t.mul_const(lp, weights.clone());
-            t.sum_all(w)
-        });
-    }
-
-    #[test]
-    fn gradcheck_multi_discrete_entropy() {
-        let x0 = Matrix::from_vec(
-            2,
-            6,
-            vec![0.3, -0.1, 0.8, 0.2, 0.5, -0.7, 1.0, 0.0, -0.4, -0.2, 0.6, 0.9],
-        );
-        check_grad(&x0, 1e-2, |t, x| {
-            let e = t.multi_discrete_entropy(x, 3);
-            t.mean_all(e)
-        });
+        for (w_lp, w_ent) in [(1.0, 0.0), (0.0, 1.0), (1.0, -0.4)] {
+            let (actions, weights) = (actions.clone(), weights.clone());
+            check_grad(&x0, 1e-2, move |t, x| {
+                let (lp, ent) = t.multi_discrete(x, 3, actions.clone());
+                let w = t.mul_const(lp, weights.clone());
+                let lp_sum = t.sum_all(w);
+                let ent_mean = t.mean_all(ent);
+                let a = t.scale(lp_sum, w_lp);
+                let b = t.scale(ent_mean, w_ent);
+                t.add(a, b)
+            });
+        }
     }
 
     #[test]
     fn multi_discrete_log_prob_matches_manual() {
         let mut t = Tape::new();
         let logits = t.constant(Matrix::from_vec(1, 6, vec![1.0, 2.0, 3.0, 0.0, 0.0, 0.0]));
-        let lp = t.multi_discrete_log_prob(logits, 3, Rc::new(vec![2u8, 0]));
+        let (lp, _) = t.multi_discrete(logits, 3, Rc::new(vec![2u8, 0]));
         let mut head1 = [1.0f32, 2.0, 3.0];
-        log_softmax_slice(&mut head1);
+        crate::matrix::log_softmax_slice(&mut head1);
         let want = head1[2] + (1.0f32 / 3.0).ln();
         assert!((t.value(lp).get(0, 0) - want).abs() < 1e-5);
     }
@@ -1075,10 +1086,140 @@ mod tests {
     fn multi_discrete_entropy_uniform_is_ln_arity() {
         let mut t = Tape::new();
         let logits = t.constant(Matrix::zeros(2, 6));
-        let e = t.multi_discrete_entropy(logits, 3);
+        let (_, e) = t.multi_discrete(logits, 3, Rc::new(vec![1u8; 4]));
         let want = 2.0 * 3.0f32.ln();
         assert!((t.value(e).get(0, 0) - want).abs() < 1e-5);
         assert!((t.value(e).get(1, 0) - want).abs() < 1e-5);
+    }
+
+    /// The separate log-probability op `multi_discrete` replaced, forward
+    /// and backward as it was: both recompute each head's softmax.
+    /// Returns the `B x 1` value and the logits gradient for upstream `g`.
+    fn removed_log_prob(lg: &Matrix, arity: usize, actions: &[u8], g: &Matrix) -> (Matrix, Matrix) {
+        let heads = lg.cols() / arity;
+        let mut out = Matrix::zeros(lg.rows(), 1);
+        let mut scratch = vec![0f32; arity];
+        for r in 0..lg.rows() {
+            let row = lg.row(r);
+            let mut total = 0.0;
+            for h in 0..heads {
+                scratch.copy_from_slice(&row[h * arity..(h + 1) * arity]);
+                crate::matrix::log_softmax_slice(&mut scratch);
+                total += scratch[actions[r * heads + h] as usize];
+            }
+            out.set(r, 0, total);
+        }
+        let mut dl = Matrix::zeros(lg.rows(), lg.cols());
+        let mut p = vec![0f32; arity];
+        for r in 0..lg.rows() {
+            let gr = g.get(r, 0);
+            if gr == 0.0 {
+                continue;
+            }
+            let row = lg.row(r);
+            for h in 0..heads {
+                p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
+                softmax_slice(&mut p);
+                let chosen = actions[r * heads + h] as usize;
+                let drow = dl.row_mut(r);
+                for (k, &pk) in p.iter().enumerate() {
+                    let ind = if k == chosen { 1.0 } else { 0.0 };
+                    drow[h * arity + k] += gr * (ind - pk);
+                }
+            }
+        }
+        (out, dl)
+    }
+
+    /// The separate entropy op `multi_discrete` replaced, as it was.
+    fn removed_entropy(lg: &Matrix, arity: usize, g: &Matrix) -> (Matrix, Matrix) {
+        let heads = lg.cols() / arity;
+        let mut out = Matrix::zeros(lg.rows(), 1);
+        let mut p = vec![0f32; arity];
+        for r in 0..lg.rows() {
+            let row = lg.row(r);
+            let mut total = 0.0;
+            for h in 0..heads {
+                p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
+                softmax_slice(&mut p);
+                total -= p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
+            }
+            out.set(r, 0, total);
+        }
+        let mut dl = Matrix::zeros(lg.rows(), lg.cols());
+        for r in 0..lg.rows() {
+            let gr = g.get(r, 0);
+            if gr == 0.0 {
+                continue;
+            }
+            let row = lg.row(r);
+            for h in 0..heads {
+                p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
+                softmax_slice(&mut p);
+                let ent: f32 = -p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
+                let drow = dl.row_mut(r);
+                for (k, &pk) in p.iter().enumerate() {
+                    if pk > 0.0 {
+                        drow[h * arity + k] += gr * (-pk * (pk.ln() + ent));
+                    }
+                }
+            }
+        }
+        (out, dl)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `multi_discrete`'s values and logits gradients equal the two ops it
+    /// replaced bit for bit: on random logits, and on heads whose
+    /// smallest probability underflows to 0, with upstream gradients that
+    /// include 0 (a skipped row) and both signs.
+    #[test]
+    fn multi_discrete_matches_the_removed_ops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let (rows, heads, arity) = (7, 9, 3);
+        let mut lg = Matrix::from_fn(rows, heads * arity, |_, _| rng.gen_range(-4.0f32..4.0));
+        // Underflowing heads: e^-200 is 0 in f32, so p = 0 for one or two
+        // choices and `ln p` is never taken there.
+        lg.row_mut(0)[..3].copy_from_slice(&[0.0, -200.0, 0.0]);
+        lg.row_mut(1)[3..6].copy_from_slice(&[-200.0, 5.0, -150.0]);
+        lg.row_mut(2)[..3].copy_from_slice(&[0.0, 0.0, 0.0]);
+        let actions: Vec<u8> = (0..rows * heads).map(|_| rng.gen_range(0..arity as u8)).collect();
+        let actions = Rc::new(actions);
+        let g_lp = Matrix::from_fn(rows, 1, |r, _| [0.7, -1.3, 0.0, 2.5, -0.1, 1.0, -0.0][r]);
+        let g_ent = Matrix::from_fn(rows, 1, |r, _| [-0.4, 0.0, 1.1, -2.0, 0.3, -0.05, 0.9][r]);
+        let (want_lp, want_dlp) = removed_log_prob(&lg, arity, &actions, &g_lp);
+        let (want_ent, want_dent) = removed_entropy(&lg, arity, &g_ent);
+
+        // Each arm alone, then both into one gradient as the PPO loss
+        // takes them.
+        for (use_lp, use_ent) in [(true, false), (false, true), (true, true)] {
+            let mut t = Tape::new();
+            let x = t.leaf(lg.clone());
+            let (lp, ent) = t.multi_discrete(x, arity, actions.clone());
+            assert_eq!(bits(t.value(lp)), bits(&want_lp), "log-prob value");
+            assert_eq!(bits(t.value(ent)), bits(&want_ent), "entropy value");
+            let weighted_lp = t.mul_const(lp, Rc::new(g_lp.clone()));
+            let weighted_ent = t.mul_const(ent, Rc::new(g_ent.clone()));
+            let loss = match (use_lp, use_ent) {
+                (true, false) => t.sum_all(weighted_lp),
+                (false, true) => t.sum_all(weighted_ent),
+                _ => {
+                    let a = t.sum_all(weighted_lp);
+                    let b = t.sum_all(weighted_ent);
+                    t.add(a, b)
+                }
+            };
+            t.backward(loss);
+            let want = match (use_lp, use_ent) {
+                (true, false) => want_dlp.clone(),
+                (false, true) => want_dent.clone(),
+                _ => want_dent.add(&want_dlp),
+            };
+            assert_eq!(bits(t.grad(x).unwrap()), bits(&want), "grad ({use_lp}, {use_ent})");
+        }
     }
 
     #[test]

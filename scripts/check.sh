@@ -253,15 +253,16 @@ wait "$serve_pid" 2>/dev/null || true
 rm -f "$sock"
 
 # Daemon lifetime 2 over the same state dir: run 3 comes back from its
-# newest checkpoint and finishes bit-identical to an uninterrupted solo
-# run. This lifetime streams telemetry for the lint below.
+# newest checkpoint (step 4) and, granted exactly its remaining 2 steps,
+# finishes bit-identical to an uninterrupted solo run. This lifetime
+# streams telemetry for the lint below.
 target/release/graphrare-serve --listen "unix:$sock" --state-dir "$serve_dir/state" \
     --max-runs 2 --checkpoint-every 2 --quiet \
     --telemetry-out "$serve_dir/serve-events.jsonl" &
 serve2_pid=$!
 for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.05; done
 [ -S "$sock" ] || { echo "restarted daemon socket never appeared" >&2; exit 1; }
-client budget "$run3" 6 > /dev/null
+client budget "$run3" 2 > /dev/null
 client watch "$run3" > /dev/null 2>&1
 client result "$run3" --out "$serve_dir/served-3.grrs" > /dev/null
 target/release/graphrare --input "$smoke_dir/toy" --steps 6 --seed 3 --threads 1 --quiet \

@@ -6,7 +6,10 @@
 //! heterophilic graph with 96 sparse bag-of-words features and asserts
 //! the exact bits of `test_acc` and `best_val_acc`, a CRC-32 of the
 //! little-endian bytes of `model_params` (what `--save-model` persists),
-//! and a CRC-32 of the per-step training and validation accuracy traces.
+//! a CRC-32 of the per-step training and validation accuracy traces,
+//! and a CRC-32 of every PPO update's diagnostics. The last one pins the
+//! update's own arithmetic: a last-bit change in the policy rarely flips
+//! a sampled action, so it seldom reaches the other columns.
 //! The refresh-mode cases run GCN with the entropy sequences re-ranked
 //! every few steps, and also CRC-32 the optimised graph's edge list.
 //! The ranking cases CRC-32 every node's addition and deletion rankings,
@@ -46,17 +49,30 @@ fn traces_crc(traces: &RunTraces) -> u32 {
     crc32(&bytes)
 }
 
+/// CRC-32 of each PPO update's policy loss, value loss, entropy and
+/// approximate KL, in update order, as little-endian `f32` bits. A
+/// heuristic strategy records no update, so its CRC is that of no bytes.
+fn ppo_stats_crc(traces: &RunTraces) -> u32 {
+    let bytes: Vec<u8> = traces
+        .ppo_stats
+        .iter()
+        .flat_map(|s| [s.policy_loss, s.value_loss, s.entropy, s.approx_kl])
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+    crc32(&bytes)
+}
+
 /// `(backbone, rewirer, test_acc bits, best_val_acc bits, model_params
-/// CRC-32, traces CRC-32)`.
+/// CRC-32, traces CRC-32, PPO stats CRC-32)`.
 #[rustfmt::skip]
-const EXPECTED: [(Backbone, RewirerKind, u64, u64, u32, u32); 7] = [
-    (Backbone::Mlp, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe2aaaaaaaaaaab, 0x780034ee, 0x5abe916f),
-    (Backbone::Gcn, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xdd3cc625, 0x3e18d0bc),
-    (Backbone::Sage, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe8000000000000, 0x1cebdbf1, 0x3deb9b65),
-    (Backbone::Gat, RewirerKind::Ppo, 0x3fd5555555555555, 0x3fe0000000000000, 0xc8df78cc, 0x7e4bf033),
-    (Backbone::H2gcn, RewirerKind::Ppo, 0x3fdaaaaaaaaaaaab, 0x3fe5555555555555, 0x58f08c5c, 0x7b560826),
-    (Backbone::Gcn, RewirerKind::Dhgr, 0x3fdaaaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0x28e61c7e, 0xb2cef36c),
-    (Backbone::Gcn, RewirerKind::Reference, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0xcf74d57a, 0x0425f200),
+const EXPECTED: [(Backbone, RewirerKind, u64, u64, u32, u32, u32); 7] = [
+    (Backbone::Mlp, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe2aaaaaaaaaaab, 0x780034ee, 0x5abe916f, 0x9d99e13b),
+    (Backbone::Gcn, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0xdd3cc625, 0x3e18d0bc, 0x698357ff),
+    (Backbone::Sage, RewirerKind::Ppo, 0x3fe2aaaaaaaaaaab, 0x3fe8000000000000, 0x1cebdbf1, 0x3deb9b65, 0xecd41133),
+    (Backbone::Gat, RewirerKind::Ppo, 0x3fd5555555555555, 0x3fe0000000000000, 0xc8df78cc, 0x7e4bf033, 0x7bf5803f),
+    (Backbone::H2gcn, RewirerKind::Ppo, 0x3fdaaaaaaaaaaaab, 0x3fe5555555555555, 0x58f08c5c, 0x7b560826, 0xe8b8e3b4),
+    (Backbone::Gcn, RewirerKind::Dhgr, 0x3fdaaaaaaaaaaaab, 0x3fdaaaaaaaaaaaab, 0x28e61c7e, 0xb2cef36c, 0x00000000),
+    (Backbone::Gcn, RewirerKind::Reference, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0xcf74d57a, 0x0425f200, 0x00000000),
 ];
 
 /// The 72-node graph, its split and the 6-step serial config every run
@@ -96,14 +112,15 @@ fn every_backbone_reproduces_its_fingerprint() {
             report.best_val_acc.to_bits(),
             params_crc(&report.model_params),
             traces_crc(&report.traces),
+            ppo_stats_crc(&report.traces),
         ));
     }
-    let render = |rows: &[(Backbone, RewirerKind, u64, u64, u32, u32)]| -> String {
+    let render = |rows: &[(Backbone, RewirerKind, u64, u64, u32, u32, u32)]| -> String {
         rows.iter()
-            .map(|(b, r, t, v, c, tc)| {
+            .map(|(b, r, t, v, c, tc, pc)| {
                 format!(
                     "    (Backbone::{b:?}, RewirerKind::{r:?}, {t:#018x}, {v:#018x}, {c:#010x}, \
-                     {tc:#010x}),\n"
+                     {tc:#010x}, {pc:#010x}),\n"
                 )
             })
             .collect()
@@ -113,11 +130,13 @@ fn every_backbone_reproduces_its_fingerprint() {
 
 /// `(rewirer, entropy_refresh_every, test_acc bits, best_val_acc bits,
 /// model_params CRC-32, CRC-32 of the optimised graph's edge list, traces
-/// CRC-32)`.
+/// CRC-32, PPO stats CRC-32)`.
+type RefreshRow = (RewirerKind, usize, u64, u64, u32, u32, u32, u32);
+
 #[rustfmt::skip]
-const EXPECTED_REFRESH: [(RewirerKind, usize, u64, u64, u32, u32, u32); 2] = [
-    (RewirerKind::Ppo, 2, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0x41427131, 0x90031d3c, 0xb2cef36c),
-    (RewirerKind::Dhgr, 3, 0x3fd5555555555555, 0x3fdaaaaaaaaaaaab, 0xc182f8ca, 0xcbe7411f, 0xb2cef36c),
+const EXPECTED_REFRESH: [RefreshRow; 2] = [
+    (RewirerKind::Ppo, 2, 0x3fe0000000000000, 0x3fdaaaaaaaaaaaab, 0x41427131, 0x90031d3c, 0xb2cef36c, 0x1c9fc482),
+    (RewirerKind::Dhgr, 3, 0x3fd5555555555555, 0x3fdaaaaaaaaaaaab, 0xc182f8ca, 0xcbe7411f, 0xb2cef36c, 0x00000000),
 ];
 
 /// CRC-32 of an edge list as little-endian `u64` endpoint pairs.
@@ -148,14 +167,15 @@ fn refresh_mode_reproduces_its_fingerprint() {
             params_crc(&report.model_params),
             edges_crc(&report.optimized_graph.edge_vec()),
             traces_crc(&report.traces),
+            ppo_stats_crc(&report.traces),
         ));
     }
     let render: String = got
         .iter()
-        .map(|(r, e, t, v, c, ec, tc)| {
+        .map(|(r, e, t, v, c, ec, tc, pc)| {
             format!(
                 "    (RewirerKind::{r:?}, {e}, {t:#018x}, {v:#018x}, {c:#010x}, {ec:#010x}, \
-                 {tc:#010x}),\n"
+                 {tc:#010x}, {pc:#010x}),\n"
             )
         })
         .collect();

@@ -2,8 +2,9 @@
 //! bit-identical to solo runs, admission control refuses overload with
 //! a typed `Busy`, corrupt connections are dropped without harming the
 //! daemon, a shutdown/restart cycle resumes interrupted runs from their
-//! checkpoints to the same bits, a bad input bundle fails its own run
-//! with a typed error and frees its slot, and a daemon starts over the
+//! checkpoints to the same bits, a paced run granted exactly its steps
+//! finishes, a bad input bundle fails its own run with a typed error and
+//! frees its slot, and a daemon starts over the
 //! socket files a killed one left behind and over the run directory an
 //! unfinished submit left behind.
 
@@ -304,6 +305,27 @@ fn shutdown_checkpoints_and_restart_resumes_to_identical_bits() {
         server.request_shutdown();
         server.join();
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_paced_run_granted_exactly_its_steps_finishes() {
+    let dir = fixture_dir("exact-budget");
+    let input = dir.join("toy");
+    io::write_graph(&small_graph(), &input).unwrap();
+    let server = Server::start(ServeConfig::new(dir.join("state")), &[]).unwrap();
+    let run_spec = spec(&input, 21, 2, true);
+    let run_id = submit_ok(&server, run_spec.clone());
+    match server.handle(Request::StepBudget { run_id, steps: 2 }) {
+        Response::BudgetGranted { remaining, .. } => assert_eq!(remaining, 2),
+        other => panic!("budget failed: {other:?}"),
+    }
+    // The second granted step is the run's last: the worker finishes the
+    // run with no budget left, without waiting for a grant it cannot use.
+    assert_eq!(wait_terminal(&server, run_id), RunState::Done);
+    assert_eq!(fetch_artifact(&server, run_id), solo_artifact(&dir, &run_spec));
+    server.request_shutdown();
+    server.join();
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -6,13 +6,13 @@
 //! carries one schema-stable `iter` event per outer DRL iteration plus
 //! `span` events, the run-scoped aggregate lands in
 //! [`RareReport::telemetry`] with per-path self time and exact
-//! percentiles, and the `train.eval` spans count the eval forwards a run
-//! pays for.
+//! percentiles, the `train.eval` spans count the eval forwards a run
+//! pays for, and each PPO update runs inside one `rl.update` span.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use graphrare::{run, GraphRareConfig, RareReport, RewirerKind};
+use graphrare::{run, GraphRareConfig, RareReport, RewirerKind, RlAlgo};
 use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec, Split};
 use graphrare_gnn::Backbone;
 use graphrare_graph::Graph;
@@ -263,6 +263,52 @@ fn each_step_pays_for_one_eval_forward_unless_it_fine_tuned() {
         }
     }
     assert!(finetuned_steps > 0, "no step fine-tuned, so the second forward went unchecked");
+}
+
+#[test]
+fn each_ppo_update_runs_in_one_rl_update_span_inside_its_step() {
+    let _x = exclusive();
+    let num = |e: &telemetry::Event, key: &str| match e.field(key) {
+        Some(&telemetry::Value::U64(v)) => v,
+        other => panic!("{} event field {key} is {other:?}", e.kind()),
+    };
+    let name_is = |e: &telemetry::Event, name: &str| {
+        e.kind() == "span" && e.field("name") == Some(&telemetry::Value::Str(name.into()))
+    };
+    for (kind, algo) in [
+        (RewirerKind::Ppo, RlAlgo::Ppo),
+        (RewirerKind::Ppo, RlAlgo::A2c),
+        (RewirerKind::Dhgr, RlAlgo::Ppo),
+        (RewirerKind::None, RlAlgo::Ppo),
+    ] {
+        let what = format!("{}/{algo:?}", kind.name());
+        let mut cfg = GraphRareConfig::fast().with_seed(11);
+        cfg.rewirer = kind;
+        cfg.algo = algo;
+        let (_, events) = run_off_then_on(Backbone::Gcn, &cfg);
+        let updates: Vec<_> = events.iter().filter(|e| e.kind() == "ppo_update").collect();
+        let spans: Vec<_> = events.iter().filter(|e| name_is(e, "rl.update")).collect();
+        let steps: Vec<_> = events.iter().filter(|e| name_is(e, "driver.step")).collect();
+        assert_eq!(steps.len(), cfg.steps, "{what}");
+        if kind != RewirerKind::Ppo {
+            assert!(updates.is_empty() && spans.is_empty(), "{what}: a heuristic updated");
+            continue;
+        }
+        // The k-th `rl.update` span closes just before the k-th
+        // `ppo_update` event, and its parent is the `driver.step` span of
+        // the step that event names.
+        assert_eq!(updates.len(), cfg.steps / cfg.update_every, "{what}");
+        assert_eq!(spans.len(), updates.len(), "{what}: one rl.update span per update");
+        for (update, span) in updates.iter().zip(&spans) {
+            let step = steps[num(update, "step") as usize];
+            assert_eq!(num(span, "parent_id"), num(step, "span_id"), "{what}");
+            assert_eq!(
+                span.field("path"),
+                Some(&telemetry::Value::Str("driver.run/driver.step/rl.update".into())),
+                "{what}"
+            );
+        }
+    }
 }
 
 #[test]
