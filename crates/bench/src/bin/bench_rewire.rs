@@ -28,14 +28,12 @@
 //! homophily bits, `gcn_norm` rows); a mismatch exits non-zero, which is
 //! what `scripts/check.sh` relies on for its smoke. `--quick` shrinks
 //! the graphs for that smoke; `--check-only` skips the timed passes (the
-//! equivalence replays and the arena still run).
+//! equivalence replays still run).
 //!
 //! The report opens with the run envelope (git rev, hardware threads,
-//! worker threads, seed), the fields `e2e_bench` prints, and ends with a
-//! head-to-head **arena**: one end-to-end driver
-//! run per strategy on the same small synthetic heterophilic dataset
-//! (reduced-budget config), recording final validation/test accuracy and
-//! the homophily shift each strategy achieves.
+//! worker threads, seed), the fields `e2e_bench` prints. The bench only
+//! times and checks equivalence; the strategies' accuracies are compared
+//! over data splits by `repro_ablation_rl`'s strategy arena.
 //!
 //! Graphs are heterophilic by construction (target homophily 0.15, the
 //! regime GraphRARE targets) so deletion prefixes are non-trivial and
@@ -52,11 +50,11 @@ use graphrare::rewire::RewiredGraph;
 use graphrare::rewirer::build_rewirer;
 use graphrare::topology::{EditMode, TopologyOptimizer};
 use graphrare::{GraphRareConfig, RewirerKind, TopoState};
-use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
+use graphrare_datasets::{generate_spec, DatasetSpec};
 use graphrare_entropy::{
     CandidatePool, EntropySequences, RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
 };
-use graphrare_gnn::{Backbone, GraphTensors};
+use graphrare_gnn::GraphTensors;
 use graphrare_graph::metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,14 +78,6 @@ struct CellRecord {
     steps: usize,
     full_ns_per_step: u128,
     incremental_ns_per_step: u128,
-}
-
-struct ArenaRecord {
-    strategy: &'static str,
-    best_val_acc: f64,
-    test_acc: f64,
-    original_homophily: f64,
-    optimized_homophily: f64,
 }
 
 /// Median total wall time of `runs` full replays of `f`.
@@ -224,37 +214,6 @@ fn verify(inst: &Instance) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// One end-to-end driver run per strategy on the same dataset and seed:
-/// the head-to-head accuracy arena.
-fn run_arena(n: usize) -> Vec<ArenaRecord> {
-    let g = generate_spec(&heterophilic_spec(n), 11);
-    let split = stratified_split(g.labels(), g.num_classes(), 0);
-    let mut records = Vec::new();
-    for kind in RewirerKind::ALL {
-        let mut cfg = GraphRareConfig::fast().with_seed(11);
-        cfg.rewirer = kind;
-        let t = Instant::now();
-        let report = graphrare::run(&g, &split, Backbone::Gcn, &cfg).expect("GraphRARE run failed");
-        telemetry::progress!(
-            "arena {:<9} val {:.3} test {:.3} homophily {:.3} -> {:.3}  ({:.2}s)",
-            kind.name(),
-            report.best_val_acc,
-            report.test_acc,
-            report.original_homophily,
-            report.optimized_homophily,
-            t.elapsed().as_secs_f64()
-        );
-        records.push(ArenaRecord {
-            strategy: kind.name(),
-            best_val_acc: report.best_val_acc as f64,
-            test_acc: report.test_acc as f64,
-            original_homophily: report.original_homophily as f64,
-            optimized_homophily: report.optimized_homophily as f64,
-        });
-    }
-    records
 }
 
 fn main() {
@@ -394,8 +353,6 @@ fn main() {
         }
     }
 
-    let arena = run_arena(if quick { 120 } else { 240 });
-
     let counters = telemetry::snapshot().since(&counter_base);
 
     let mut json = String::new();
@@ -429,16 +386,6 @@ fn main() {
             "    {{\"strategy\": \"{}\", \"regime\": \"{}\", \"n\": {}, \"base_edges\": {}, \"steps\": {}, \"full_ns_per_step\": {}, \"incremental_ns_per_step\": {}, \"speedup\": {:.2}}}{comma}",
             r.strategy, r.regime, r.n, r.edges, r.steps, r.full_ns_per_step,
             r.incremental_ns_per_step, speedup
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"arena\": [\n");
-    for (i, a) in arena.iter().enumerate() {
-        let comma = if i + 1 < arena.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"strategy\": \"{}\", \"best_val_acc\": {:.6}, \"test_acc\": {:.6}, \"original_homophily\": {:.6}, \"optimized_homophily\": {:.6}}}{comma}",
-            a.strategy, a.best_val_acc, a.test_acc, a.original_homophily, a.optimized_homophily
         );
     }
     json.push_str("  ]\n}\n");

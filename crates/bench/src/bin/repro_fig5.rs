@@ -5,7 +5,7 @@
 //! accuracy *degradation* versus GraphRARE (deeper = worse in the paper's
 //! heatmaps; here: larger positive numbers).
 
-use graphrare::{run_fixed_kd, GraphRareConfig};
+use graphrare::run_fixed_kd;
 use graphrare_bench::{mean, rare_report, Budget, HarnessOptions, TextTable};
 use graphrare_datasets::Dataset;
 use graphrare_gnn::Backbone;
@@ -48,11 +48,7 @@ fn main() {
                         .iter()
                         .enumerate()
                         .map(|(i, s)| {
-                            let mut cfg =
-                                GraphRareConfig::default().with_seed(opts.seed + i as u64);
-                            cfg.train.epochs = budget.epochs;
-                            cfg.train.patience = budget.patience;
-                            cfg.k_cap = 10;
+                            let cfg = budget.config(opts.seed + i as u64);
                             run_fixed_kd(&g, s, backbone, k, del, &cfg).test_acc
                         })
                         .collect();

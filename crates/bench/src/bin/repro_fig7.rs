@@ -2,7 +2,7 @@
 //! versus the graphs optimised by the four GraphRARE models, on all seven
 //! datasets.
 
-use graphrare_bench::{mean, rare_report, Budget, HarnessOptions, TextTable};
+use graphrare_bench::{mean, publish, rare_report, Budget, HarnessOptions, TextTable};
 use graphrare_gnn::Backbone;
 
 fn main() {
@@ -51,11 +51,12 @@ fn main() {
         table.row(row);
     }
 
-    println!(
-        "\nFig. 7 — homophily ratio: original vs optimised graphs ({:?} scale, {} splits)\n",
-        opts.scale, opts.splits
+    publish(
+        &format!(
+            "Fig. 7 — homophily ratio: original vs optimised graphs ({:?} scale, {} splits)",
+            opts.scale, opts.splits
+        ),
+        &table,
+        "results/fig7.csv",
     );
-    println!("{}", table.render());
-    table.write_csv(std::path::Path::new("results/fig7.csv")).expect("write csv");
-    println!("CSV written to results/fig7.csv");
 }

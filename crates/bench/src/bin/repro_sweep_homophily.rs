@@ -8,8 +8,9 @@
 //! low `H` that shrinks toward parity as `H` grows (the paper's
 //! observation (1) vs (2) in Sec. V-D).
 
-use graphrare::{run, run_plain, GraphRareConfig};
-use graphrare_bench::{mean, mean_std_pct, Budget, HarnessOptions, TextTable};
+use graphrare_bench::{
+    mean, mean_std_pct, publish, run_method, Budget, HarnessOptions, Method, TextTable,
+};
 use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
 use graphrare_gnn::Backbone;
 
@@ -39,14 +40,10 @@ fn main() {
         let mut gcn_accs = Vec::new();
         let mut rare_accs = Vec::new();
         for i in 0..opts.splits as u64 {
-            let split = stratified_split(g.labels(), g.num_classes(), opts.seed + i);
-            let mut cfg = GraphRareConfig::default().with_seed(opts.seed + i);
-            cfg.steps = budget.rare_steps;
-            cfg.train.epochs = budget.epochs;
-            cfg.train.patience = budget.patience;
-            gcn_accs.push(run_plain(&g, &split, Backbone::Gcn, &cfg).test_acc);
-            rare_accs
-                .push(run(&g, &split, Backbone::Gcn, &cfg).expect("GraphRARE run failed").test_acc);
+            let seed = opts.seed + i;
+            let split = stratified_split(g.labels(), g.num_classes(), seed);
+            gcn_accs.push(run_method(Method::Plain(Backbone::Gcn), &g, &split, seed, &budget));
+            rare_accs.push(run_method(Method::Rare(Backbone::Gcn), &g, &split, seed, &budget));
         }
         graphrare_telemetry::progress!("H={h:.2} done");
         table.row(vec![
@@ -58,11 +55,12 @@ fn main() {
         ]);
     }
 
-    println!(
-        "\nExtension sweep — GraphRARE advantage vs homophily ratio ({} splits, seed {})\n",
-        opts.splits, opts.seed
+    publish(
+        &format!(
+            "Extension sweep — GraphRARE advantage vs homophily ratio ({} splits, seed {})",
+            opts.splits, opts.seed
+        ),
+        &table,
+        "results/sweep_homophily.csv",
     );
-    println!("{}", table.render());
-    table.write_csv(std::path::Path::new("results/sweep_homophily.csv")).expect("write csv");
-    println!("CSV written to results/sweep_homophily.csv");
 }

@@ -2,59 +2,22 @@
 //! for all seventeen methods on the seven datasets, plus the per-backbone
 //! improvement rows of the GraphRARE variants.
 
-use std::collections::HashMap;
-
-use graphrare_bench::{mean, mean_std_pct, run_method, Budget, HarnessOptions, Method, TextTable};
+use graphrare_bench::{
+    accuracy_grid, mean, run_method, Budget, GridRow, HarnessOptions, Method, TextTable,
+};
 use graphrare_gnn::Backbone;
 
 fn main() {
     let opts = HarnessOptions::from_args();
     let budget = Budget::default();
     let methods = Method::table3_rows();
-
-    let mut table = TextTable::new(
-        &std::iter::once("Method")
-            .chain(opts.datasets.iter().map(|d| d.name()))
-            .chain(std::iter::once("Average"))
-            .collect::<Vec<_>>(),
-    );
-
-    // accs[method][dataset] = per-split accuracies.
-    let mut accs: HashMap<String, Vec<Vec<f64>>> = HashMap::new();
-    for method in &methods {
-        let mut per_dataset = Vec::new();
-        for d in &opts.datasets {
-            let g = opts.graph(*d);
-            let splits = opts.splits_for(&g);
-            let cells: Vec<f64> = splits
-                .iter()
-                .enumerate()
-                .map(|(i, split)| {
-                    run_method(*method, &g, split, opts.seed + i as u64, &budget).test_acc
-                })
-                .collect();
-            graphrare_telemetry::progress!(
-                "{:<16} {:<10} {}",
-                method.name(),
-                d.name(),
-                mean_std_pct(&cells)
-            );
-            per_dataset.push(cells);
-        }
-        accs.insert(method.name(), per_dataset);
-    }
-
-    for method in &methods {
-        let per_dataset = &accs[&method.name()];
-        let mut cells = vec![method.name()];
-        let mut dataset_means = Vec::new();
-        for split_accs in per_dataset {
-            cells.push(mean_std_pct(split_accs));
-            dataset_means.push(mean(split_accs));
-        }
-        cells.push(format!("{:.2}", 100.0 * mean(&dataset_means)));
-        table.row(cells);
-    }
+    let rows = methods
+        .iter()
+        .map(|&m| {
+            GridRow::new(vec![m.name()], move |g, s, seed| run_method(m, g, s, seed, &budget))
+        })
+        .collect();
+    let (table, accs) = accuracy_grid(&opts, &["Method"], rows);
 
     println!(
         "\nTable III — node classification accuracy ({:?} scale, {} splits, seed {})\n",
@@ -63,12 +26,14 @@ fn main() {
     println!("{}", table.render());
 
     // Improvement rows: RARE vs its own backbone, averaged over datasets.
+    let average = |method: Method| {
+        let row = methods.iter().position(|&m| m == method).expect("a Table III row");
+        100.0 * mean(&accs[row].iter().map(|v| mean(v)).collect::<Vec<_>>())
+    };
     let mut improvements = TextTable::new(&["Enhanced model", "Backbone avg", "RARE avg", "Δ"]);
     for backbone in [Backbone::Gcn, Backbone::Sage, Backbone::Gat, Backbone::H2gcn] {
-        let plain = &accs[&Method::Plain(backbone).name()];
-        let rare = &accs[&Method::Rare(backbone).name()];
-        let plain_avg = 100.0 * mean(&plain.iter().map(|v| mean(v)).collect::<Vec<_>>());
-        let rare_avg = 100.0 * mean(&rare.iter().map(|v| mean(v)).collect::<Vec<_>>());
+        let plain_avg = average(Method::Plain(backbone));
+        let rare_avg = average(Method::Rare(backbone));
         improvements.row(vec![
             Method::Rare(backbone).name(),
             format!("{plain_avg:.2}"),

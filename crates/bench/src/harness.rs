@@ -1,12 +1,16 @@
-//! Shared experiment orchestration for the `repro_*` binaries.
+//! Shared experiment orchestration for the `repro_*` binaries: the
+//! options they parse, the one budgeted run config, the one method
+//! runner and the one accuracy grid that runs their tables.
 
-use std::time::Instant;
+use std::path::Path;
 
-use graphrare::{run, GraphRareConfig, RareReport};
+use graphrare::{run, run_plain, GraphRareConfig, RareReport};
 use graphrare_baselines::{run_baseline, BaselineConfig, BaselineKind};
 use graphrare_datasets::{generate_spec, ten_splits, Dataset, Split};
-use graphrare_gnn::{build_model, fit, Backbone, GraphTensors, ModelConfig, TrainConfig};
+use graphrare_gnn::{Backbone, TrainConfig};
 use graphrare_graph::Graph;
+
+use crate::table::{mean, mean_std_pct, TextTable};
 
 /// Experiment scale: `Mini` uses the scaled-down dataset specs (default),
 /// `Full` the exact Table II sizes.
@@ -19,11 +23,12 @@ pub enum Scale {
 }
 
 /// Command-line options shared by all repro binaries.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HarnessOptions {
     /// Dataset scale.
     pub scale: Scale,
-    /// Number of data splits evaluated per cell (the paper uses 10).
+    /// Number of data splits evaluated per cell, 1 to 10 (the paper
+    /// uses 10).
     pub splits: usize,
     /// Base seed.
     pub seed: u64,
@@ -37,10 +42,53 @@ impl Default for HarnessOptions {
     }
 }
 
+const USAGE: &str = "[--full] [--splits 1..=10] [--seed N] [--datasets name,name,...] [--quiet]";
+
 impl HarnessOptions {
-    /// Parses options from the process arguments:
-    /// `--full`, `--splits N`, `--seed N`, `--datasets name,name`,
-    /// `--quiet`.
+    /// Parses `--full`, `--splits N` (1 to 10), `--seed N`,
+    /// `--datasets name,name` (case-insensitive) and `--quiet` (accepted
+    /// here, applied by [`HarnessOptions::from_args`]). An error names
+    /// the flag at fault.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut opts = Self::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--full" => opts.scale = Scale::Full,
+                "--quiet" => {}
+                "--splits" => {
+                    let v = value()?;
+                    opts.splits = v
+                        .parse()
+                        .ok()
+                        .filter(|n| (1..=10).contains(n))
+                        .ok_or_else(|| format!("--splits takes 1 to 10, got `{v}`"))?;
+                }
+                "--seed" => {
+                    let v = value()?;
+                    opts.seed =
+                        v.parse().map_err(|_| format!("--seed takes a number, got `{v}`"))?;
+                }
+                "--datasets" => {
+                    opts.datasets = value()?
+                        .split(',')
+                        .map(|name| {
+                            Dataset::ALL
+                                .into_iter()
+                                .find(|d| d.name().eq_ignore_ascii_case(name))
+                                .ok_or_else(|| format!("--datasets: unknown dataset `{name}`"))
+                        })
+                        .collect::<Result<_, _>>()?;
+                }
+                other => return Err(format!("unknown argument {other}")),
+            }
+        }
+        Ok(opts)
+    }
+
+    /// Parses the process arguments with [`HarnessOptions::parse`]; on
+    /// an error prints it and a usage line and exits with status 2.
     ///
     /// Also initialises the telemetry registry from
     /// `GRAPHRARE_TELEMETRY`, so every repro binary honours the same
@@ -49,38 +97,26 @@ impl HarnessOptions {
     /// machine-parseable tables.
     pub fn from_args() -> Self {
         graphrare_telemetry::init_from_env();
-        let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => opts.scale = Scale::Full,
-                "--quiet" => graphrare_telemetry::set_quiet(true),
-                "--splits" => {
-                    i += 1;
-                    opts.splits = args[i].parse().expect("--splits needs a number");
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        match Self::parse(&args) {
+            Ok(opts) => {
+                // Every flag value parsed as a number or a dataset name,
+                // so a `--quiet` argument is the flag itself.
+                if args.iter().any(|a| a == "--quiet") {
+                    graphrare_telemetry::set_quiet(true);
                 }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args[i].parse().expect("--seed needs a number");
-                }
-                "--datasets" => {
-                    i += 1;
-                    opts.datasets = args[i]
-                        .split(',')
-                        .map(|name| {
-                            Dataset::ALL
-                                .into_iter()
-                                .find(|d| d.name().eq_ignore_ascii_case(name))
-                                .unwrap_or_else(|| panic!("unknown dataset {name}"))
-                        })
-                        .collect();
-                }
-                other => panic!("unknown argument {other}"),
+                opts
             }
-            i += 1;
+            Err(e) => {
+                let name = Path::new(&program)
+                    .file_name()
+                    .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
+                eprintln!("{name}: {e}\nusage: {name} {USAGE}");
+                std::process::exit(2);
+            }
         }
-        opts
     }
 
     /// Generates a dataset graph at the configured scale.
@@ -94,7 +130,7 @@ impl HarnessOptions {
     /// The first `self.splits` of the paper's ten-splits protocol.
     pub fn splits_for(&self, g: &Graph) -> Vec<Split> {
         let mut all = ten_splits(g.labels(), g.num_classes(), self.seed);
-        all.truncate(self.splits.clamp(1, 10));
+        all.truncate(self.splits);
         all
     }
 }
@@ -148,11 +184,6 @@ impl Method {
             Method::Rare(b) => format!("{}-RARE", b.name()),
         }
     }
-
-    /// Whether this is one of "our" GraphRARE rows.
-    pub fn is_rare(&self) -> bool {
-        matches!(self, Method::Rare(_))
-    }
 }
 
 /// Per-run budget knobs for the harness.
@@ -172,48 +203,42 @@ impl Default for Budget {
     }
 }
 
-/// Result of one (method, dataset, split) cell.
-#[derive(Clone, Copy, Debug)]
-pub struct CellResult {
-    /// Test accuracy at the best-validation checkpoint.
-    pub test_acc: f64,
-    /// Wall-clock seconds spent.
-    pub seconds: f64,
+impl Budget {
+    /// The run config of one cell: [`GraphRareConfig::with_seed`] plus
+    /// this budget's DRL steps, epochs and patience. GraphRARE, its
+    /// ablations and the plain backbones all run under it, so a backbone
+    /// row shares its init and dropout seeds with the RARE run it is
+    /// compared against.
+    pub fn config(&self, seed: u64) -> GraphRareConfig {
+        let mut cfg = GraphRareConfig::default().with_seed(seed);
+        cfg.steps = self.rare_steps;
+        cfg.train.epochs = self.epochs;
+        cfg.train.patience = self.patience;
+        cfg
+    }
 }
 
-/// Runs one method on one split.
-pub fn run_method(
-    method: Method,
-    graph: &Graph,
-    split: &Split,
-    seed: u64,
-    budget: &Budget,
-) -> CellResult {
-    let start = Instant::now();
-    let train = TrainConfig {
-        epochs: budget.epochs,
-        patience: budget.patience,
-        seed: seed.wrapping_add(101),
-        ..Default::default()
-    };
-    let test_acc = match method {
-        Method::Plain(backbone) => {
-            let model_cfg = ModelConfig { seed, ..Default::default() };
-            let model = build_model(backbone, graph.feat_dim(), graph.num_classes(), &model_cfg);
-            let labels = graph.labels().to_vec();
-            fit(model.as_ref(), &GraphTensors::new(graph), &labels, split, &train).test_acc
-        }
+/// Runs one method on one split and returns its test accuracy.
+pub fn run_method(method: Method, graph: &Graph, split: &Split, seed: u64, budget: &Budget) -> f64 {
+    match method {
+        Method::Plain(backbone) => run_plain(graph, split, backbone, &budget.config(seed)).test_acc,
         Method::Sota(kind) => {
+            let train = TrainConfig {
+                epochs: budget.epochs,
+                patience: budget.patience,
+                seed: seed.wrapping_add(101),
+                ..Default::default()
+            };
             let cfg = BaselineConfig { train, seed, ..Default::default() };
             run_baseline(kind, graph, split, &cfg).test_acc
         }
         Method::Rare(backbone) => rare_report(backbone, graph, split, seed, budget).test_acc,
-    };
-    CellResult { test_acc, seconds: start.elapsed().as_secs_f64() }
+    }
 }
 
-/// Runs GraphRARE wrapping `backbone` and returns the full report (used
-/// by the figure binaries that need traces and graphs, not just accuracy).
+/// Runs GraphRARE wrapping `backbone` under `budget.config(seed)` and
+/// returns the full report (used by the figure binaries that need
+/// traces and graphs, not just accuracy).
 pub fn rare_report(
     backbone: Backbone,
     graph: &Graph,
@@ -221,11 +246,105 @@ pub fn rare_report(
     seed: u64,
     budget: &Budget,
 ) -> RareReport {
-    let mut cfg = GraphRareConfig::default().with_seed(seed);
-    cfg.steps = budget.rare_steps;
-    cfg.train.epochs = budget.epochs;
-    cfg.train.patience = budget.patience;
-    run(graph, split, backbone, &cfg).expect("GraphRARE run failed")
+    run(graph, split, backbone, &budget.config(seed)).expect("GraphRARE run failed")
+}
+
+/// The run that scores one split of a grid row, called as
+/// `cell(graph, split, seed)`.
+type Cell<'a> = Box<dyn Fn(&Graph, &Split, u64) -> f64 + 'a>;
+
+/// One row of an [`accuracy_grid`]: its label cells and the run that
+/// scores one split.
+pub struct GridRow<'a> {
+    labels: Vec<String>,
+    cell: Cell<'a>,
+}
+
+impl<'a> GridRow<'a> {
+    /// A row labelled `labels` whose cells `cell` scores.
+    pub fn new(labels: Vec<String>, cell: impl Fn(&Graph, &Split, u64) -> f64 + 'a) -> Self {
+        Self { labels, cell: Box::new(cell) }
+    }
+
+    /// A row running GraphRARE on `backbone` under `budget.config(seed)`
+    /// as `tweak` edits it.
+    pub fn rare(
+        labels: Vec<String>,
+        backbone: Backbone,
+        budget: Budget,
+        tweak: impl Fn(&mut GraphRareConfig) + 'a,
+    ) -> Self {
+        Self::new(labels, move |g, s, seed| {
+            let mut cfg = budget.config(seed);
+            tweak(&mut cfg);
+            run(g, s, backbone, &cfg).expect("GraphRARE run failed").test_acc
+        })
+    }
+}
+
+/// Runs every row on every split of every dataset in `opts`, building
+/// each dataset's graph and splits once; split `i` runs with seed
+/// `opts.seed + i`.
+///
+/// Returns the table (`label_header`, one `mean±std` column per dataset,
+/// and `Average`, the mean of the dataset means) and the per-split
+/// accuracies as `accs[row][dataset][split]`.
+pub fn accuracy_grid(
+    opts: &HarnessOptions,
+    label_header: &[&str],
+    rows: Vec<GridRow>,
+) -> (TextTable, Vec<Vec<Vec<f64>>>) {
+    let data: Vec<(Dataset, Graph, Vec<Split>)> = opts
+        .datasets
+        .iter()
+        .map(|&d| {
+            let g = opts.graph(d);
+            let splits = opts.splits_for(&g);
+            (d, g, splits)
+        })
+        .collect();
+    let header: Vec<&str> = label_header
+        .iter()
+        .copied()
+        .chain(data.iter().map(|(d, _, _)| d.name()))
+        .chain(std::iter::once("Average"))
+        .collect();
+    let mut table = TextTable::new(&header);
+    let mut accs = Vec::with_capacity(rows.len());
+    for row in rows {
+        let per_dataset: Vec<Vec<f64>> = data
+            .iter()
+            .map(|(d, g, splits)| {
+                let cells: Vec<f64> = (0u64..)
+                    .zip(splits)
+                    .map(|(i, split)| (row.cell)(g, split, opts.seed + i))
+                    .collect();
+                graphrare_telemetry::progress!(
+                    "{:<24} {:<10} {}",
+                    row.labels.join(" "),
+                    d.name(),
+                    mean_std_pct(&cells)
+                );
+                cells
+            })
+            .collect();
+        let dataset_means: Vec<f64> = per_dataset.iter().map(|v| mean(v)).collect();
+        let mut cells = row.labels;
+        cells.extend(per_dataset.iter().map(|v| mean_std_pct(v)));
+        cells.push(format!("{:.2}", 100.0 * mean(&dataset_means)));
+        table.row(cells);
+        accs.push(per_dataset);
+    }
+    (table, accs)
+}
+
+/// Prints `heading` and `table`, writes the table as CSV to `csv` and
+/// says so.
+pub fn publish(heading: &str, table: &TextTable, csv: &str) {
+    println!("\n{heading}\n");
+    println!("{}", table.render());
+    table.write_csv(Path::new(csv)).expect("write csv");
+    println!("CSV written to {csv}");
 }
 
 #[cfg(test)]
@@ -236,7 +355,7 @@ mod tests {
     fn table3_rows_match_paper_count() {
         let rows = Method::table3_rows();
         assert_eq!(rows.len(), 17, "4 traditional + MLP + 9 SOTA - overlap + 4 RARE");
-        assert_eq!(rows.iter().filter(|m| m.is_rare()).count(), 4);
+        assert_eq!(rows.iter().filter(|m| matches!(m, Method::Rare(_))).count(), 4);
         let names: std::collections::HashSet<String> = rows.iter().map(Method::name).collect();
         assert_eq!(names.len(), rows.len(), "duplicate method row");
     }
@@ -263,8 +382,72 @@ mod tests {
         let g = opts.graph(Dataset::Cornell);
         let splits = opts.splits_for(&g);
         let budget = Budget { epochs: 10, patience: 10, rare_steps: 4 };
-        let cell = run_method(Method::Plain(Backbone::Mlp), &g, &splits[0], 0, &budget);
-        assert!((0.0..=1.0).contains(&cell.test_acc));
-        assert!(cell.seconds >= 0.0);
+        let acc = run_method(Method::Plain(Backbone::Mlp), &g, &splits[0], 0, &budget);
+        assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    fn budget_config_is_the_hand_built_run_config() {
+        let budget = Budget { epochs: 33, patience: 7, rare_steps: 19 };
+        for seed in [0, 42, u64::MAX] {
+            let cfg = budget.config(seed);
+            let mut want = GraphRareConfig::default().with_seed(seed);
+            want.steps = 19;
+            want.train.epochs = 33;
+            want.train.patience = 7;
+            assert_eq!(cfg.steps, want.steps);
+            assert_eq!(cfg.train.epochs, want.train.epochs);
+            assert_eq!(cfg.train.patience, want.train.patience);
+            assert_eq!(cfg.seed, want.seed);
+            assert_eq!(cfg.model.seed, want.model.seed);
+            assert_eq!(cfg.train.seed, want.train.seed);
+            assert_eq!(cfg.ppo.seed, want.ppo.seed);
+            assert_eq!(cfg.sequence_mode, want.sequence_mode);
+            // And every other field.
+            assert_eq!(format!("{cfg:?}"), format!("{want:?}"));
+        }
+    }
+
+    #[test]
+    fn accuracy_grid_tabulates_each_cell() {
+        let opts = HarnessOptions {
+            splits: 3,
+            seed: 10,
+            datasets: vec![Dataset::Cornell, Dataset::Texas],
+            ..Default::default()
+        };
+        // accuracy = f(row, dataset, seed), with the dataset read off the
+        // graph it was handed.
+        let cornell = opts.graph(Dataset::Cornell).edge_vec();
+        let acc = |row: f64, g: &Graph, seed: u64| {
+            let dataset = if g.edge_vec() == cornell { 0.0 } else { 0.2 };
+            0.1 * row + dataset + 0.01 * (seed - 10) as f64
+        };
+        let rows = vec![
+            GridRow::new(vec!["A".into(), "x".into()], |g, _, seed| acc(0.0, g, seed)),
+            GridRow::new(vec!["B".into(), "y".into()], |g, _, seed| acc(1.0, g, seed)),
+        ];
+        let (table, accs) = accuracy_grid(&opts, &["Row", "Tag"], rows);
+
+        // Each split's seed is opts.seed + i: the accuracies step by 0.01.
+        assert_eq!(accs.len(), 2);
+        assert!(accs.iter().all(|per_dataset| per_dataset.len() == 2));
+        assert!(accs.iter().flatten().all(|splits| splits.len() == 3));
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        assert!(close(accs[1][1][2], 0.1 + 0.2 + 0.02));
+        assert!(close(accs[0][0][0], 0.0));
+
+        let csv =
+            std::env::temp_dir().join(format!("graphrare-grid-test-{}.csv", std::process::id()));
+        table.write_csv(&csv).unwrap();
+        let text = std::fs::read_to_string(&csv).unwrap();
+        let _ = std::fs::remove_file(&csv);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "Row,Tag,Cornell,Texas,Average");
+        // Row A: Cornell 0, 1, 2 %; Texas 20, 21, 22 %; population std
+        // sqrt(2/3) %; Average (1 + 21) / 2 = 11 %.
+        assert_eq!(lines[1], "A,x,1.00±0.82,21.00±0.82,11.00");
+        assert_eq!(lines[2], "B,y,11.00±0.82,31.00±0.82,21.00");
+        assert_eq!(lines.len(), 3);
     }
 }

@@ -15,11 +15,21 @@
 //! | `repro_fig6` | Fig. 6 — training curves (accuracy, homophily, reward) |
 //! | `repro_fig7` | Fig. 7 — homophily: original vs optimised graphs |
 //! | `repro_fig8` | Fig. 8 — pairwise relative-entropy heat matrices |
+//! | `repro_ablation_rl` | extension — strategy arena: PPO, A2C, random k,d, `dhgr`, `reference`, `none` |
+//! | `repro_sweep_homophily` | extension — GraphRARE advantage vs homophily ratio |
 //!
-//! All binaries accept `--full` (exact Table II sizes), `--splits N`,
-//! `--seed N` and `--datasets a,b,...`; defaults run the mini-scaled
-//! datasets with 3 splits. Outputs are printed as aligned text tables and
-//! written as CSV under `results/`.
+//! All binaries accept `--full` (exact Table II sizes), `--splits N`
+//! (1 to 10), `--seed N` and `--datasets a,b,...`; defaults run the
+//! mini-scaled datasets with 3 splits, and a malformed line exits 2 with
+//! a usage line. Every run is configured by [`Budget::config`], every
+//! accuracy table (Tables III–V, the arena) is run by [`accuracy_grid`],
+//! and a plain backbone always trains through [`run_method`]'s
+//! `graphrare::run_plain` call. Outputs are printed as aligned text
+//! tables and written as CSV under `results/`.
+//!
+//! `bench_rewire` is the one component bench: it times incremental
+//! rewiring against a full rebuild per strategy and regime, checks the
+//! two bit-identical, and writes `BENCH_rewire.json`.
 
 #![warn(missing_docs)]
 
@@ -28,5 +38,7 @@ pub mod harness;
 pub mod table;
 
 pub use envelope::envelope_json;
-pub use harness::{rare_report, run_method, Budget, CellResult, HarnessOptions, Method, Scale};
+pub use harness::{
+    accuracy_grid, publish, rare_report, run_method, Budget, GridRow, HarnessOptions, Method, Scale,
+};
 pub use table::{mean, mean_std_pct, TextTable};

@@ -175,10 +175,10 @@ cargo build -q --release -p graphrare-bench --bin bench_rewire
 # over every strategy x regime cell and exits non-zero on any divergence.
 target/release/bench_rewire --quick --check-only --output "$smoke_dir/bench_rewire.json"
 
-echo "==> rewirer arena smoke (every --rewirer strategy end-to-end; matrix rows present)"
+echo "==> rewirer arena smoke (every --rewirer strategy end-to-end; matrix and arena rows present)"
 # Each strategy drives a short run through the CLI and must produce a
 # result line; the quick bench report above must carry one matrix row
-# per strategy x regime cell and one arena row per strategy.
+# per strategy x regime cell.
 for strategy in ppo dhgr reference none; do
     target/release/graphrare --input "$smoke_dir/toy" --steps 6 --seed 1 --quiet \
         --rewirer "$strategy" > "$smoke_dir/rewirer_$strategy.out"
@@ -189,8 +189,16 @@ for strategy in ppo dhgr reference none; do
             "$smoke_dir/bench_rewire.json" ||
             { echo "bench_rewire.json missing $strategy x $regime row" >&2; exit 1; }
     done
-    grep -q "{\"strategy\": \"$strategy\", \"best_val_acc\"" "$smoke_dir/bench_rewire.json" ||
-        { echo "bench_rewire.json missing arena row for $strategy" >&2; exit 1; }
+done
+# The strategy arena on one split of Cornell, run from the smoke
+# directory so its CSV lands there and the committed results/ stays
+# untouched: one row per strategy.
+cargo build -q --release -p graphrare-bench --bin repro_ablation_rl
+arena_bin="$PWD/target/release/repro_ablation_rl"
+(cd "$smoke_dir" && "$arena_bin" --splits 1 --datasets cornell --quiet > arena.out)
+for strategy in PPO A2C random dhgr reference none; do
+    [ "$(grep -cF "($strategy)," "$smoke_dir/results/ablation_rl.csv")" = 1 ] ||
+        { echo "ablation_rl.csv does not have exactly one $strategy row" >&2; exit 1; }
 done
 
 echo "==> serving daemon smoke (concurrent runs bit-identical to solo; kill -9 resume)"
