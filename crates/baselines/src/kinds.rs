@@ -5,7 +5,7 @@
 //! drops ancillary engineering (custom schedulers, auxiliary losses),
 //! uniformly across methods — see DESIGN.md for the substitution table.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use graphrare_datasets::Split;
 use graphrare_gnn::{fit, FitReport, Gcn, GraphTensors, TrainConfig};
@@ -124,8 +124,8 @@ pub fn run_baseline(
         BaselineKind::MixHop => {
             let ops = vec![
                 Operator::Identity,
-                Operator::Sparse(Rc::new(ops::gcn_norm(graph))),
-                Operator::Sparse(Rc::new(ops::gcn_norm_power(graph, 2, 1e-4))),
+                Operator::Sparse(Arc::new(ops::gcn_norm(graph))),
+                Operator::Sparse(Arc::new(ops::gcn_norm_power(graph, 2, 1e-4))),
             ];
             let model = OperatorGnn::new(
                 "MixHop",
@@ -140,14 +140,14 @@ pub fn run_baseline(
             fit(&model, &GraphTensors::new(graph), &labels, split, &cfg.train)
         }
         BaselineKind::Ugcn => {
-            let extra = transforms::cosine_knn_edges(graph.features(), cfg.knn_k);
-            let rewired = transforms::union_graph(graph, &extra);
+            let extra = graph.features().cosine_knn(cfg.knn_k, |_, _| true);
+            let rewired = graph.with_edges(graph.edges().chain(extra));
             let model = Gcn::new(in_dim, cfg.hidden, out_dim, cfg.dropout, cfg.seed);
             fit(&model, &GraphTensors::new(&rewired), &labels, split, &cfg.train)
         }
         BaselineKind::SimpGcn => {
             let blended = transforms::blended_operator(graph, cfg.knn_k, cfg.blend_gamma);
-            let ops = vec![Operator::Sparse(Rc::new(blended)), Operator::Identity];
+            let ops = vec![Operator::Sparse(Arc::new(blended)), Operator::Identity];
             let model = OperatorGnn::new(
                 "SimP-GCN",
                 ops,
@@ -164,8 +164,8 @@ pub fn run_baseline(
             let (near, far) = transforms::geometric_bucket_operators(graph, cfg.seed);
             let ops = vec![
                 Operator::Identity,
-                Operator::Sparse(Rc::new(near)),
-                Operator::Sparse(Rc::new(far)),
+                Operator::Sparse(Arc::new(near)),
+                Operator::Sparse(Arc::new(far)),
             ];
             let model = OperatorGnn::new(
                 "Geom-GCN",
@@ -182,8 +182,8 @@ pub fn run_baseline(
         BaselineKind::GbkGnn => {
             let (sim, dis) = transforms::gated_operators(graph);
             let ops = vec![
-                Operator::Sparse(Rc::new(sim)),
-                Operator::Sparse(Rc::new(dis)),
+                Operator::Sparse(Arc::new(sim)),
+                Operator::Sparse(Arc::new(dis)),
                 Operator::Identity,
             ];
             let model = OperatorGnn::new(
@@ -200,7 +200,7 @@ pub fn run_baseline(
         }
         BaselineKind::PolarGnn => {
             let signed = transforms::signed_operator(graph, cfg.polar_threshold);
-            let ops = vec![Operator::Sparse(Rc::new(signed)), Operator::Identity];
+            let ops = vec![Operator::Sparse(Arc::new(signed)), Operator::Identity];
             let model = OperatorGnn::new(
                 "Polar-GNN",
                 ops,
@@ -219,7 +219,7 @@ pub fn run_baseline(
                 &split.train,
                 cfg.label_prop_steps,
             );
-            let ops = vec![Operator::Sparse(Rc::new(weighted)), Operator::Identity];
+            let ops = vec![Operator::Sparse(Arc::new(weighted)), Operator::Identity];
             let model = OperatorGnn::new(
                 "HOG-GCN",
                 ops,
@@ -240,7 +240,8 @@ pub fn run_baseline(
         BaselineKind::OtgNet => {
             // Static-graph variant: class-aware propagation squeezed through
             // a narrow information bottleneck (quarter hidden width).
-            let ops = vec![Operator::Sparse(Rc::new(ops::row_norm_adj(graph))), Operator::Identity];
+            let ops =
+                vec![Operator::Sparse(Arc::new(ops::row_norm_adj(graph))), Operator::Identity];
             let model = OperatorGnn::new(
                 "OTGNet",
                 ops,

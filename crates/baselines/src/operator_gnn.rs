@@ -5,7 +5,7 @@
 //! factors that out: each layer owns one `Linear` per operator and either
 //! concatenates or sums the branch outputs.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +18,7 @@ use graphrare_tensor::{CsrMatrix, Param, Tape, Var};
 #[derive(Clone)]
 pub enum Operator {
     /// Propagate over a fixed sparse matrix.
-    Sparse(Rc<CsrMatrix>),
+    Sparse(Arc<CsrMatrix>),
     /// Use the input unchanged (the ego/self branch).
     Identity,
 }
@@ -146,6 +146,8 @@ impl GnnModel for OperatorGnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
+
     use graphrare_graph::{ops, Graph};
     use graphrare_tensor::Matrix;
 
@@ -166,7 +168,7 @@ mod tests {
         let (g, gt) = toy();
         let model = OperatorGnn::new(
             "test-concat",
-            vec![Operator::Identity, Operator::Sparse(Rc::new(ops::gcn_norm(&g)))],
+            vec![Operator::Identity, Operator::Sparse(Arc::new(ops::gcn_norm(&g)))],
             Combine::Concat,
             4,
             8,
@@ -186,7 +188,7 @@ mod tests {
         let (g, gt) = toy();
         let model = OperatorGnn::new(
             "test-sum",
-            vec![Operator::Sparse(Rc::new(ops::row_norm_adj(&g))), Operator::Identity],
+            vec![Operator::Sparse(Arc::new(ops::row_norm_adj(&g))), Operator::Identity],
             Combine::Sum,
             4,
             8,
@@ -206,7 +208,7 @@ mod tests {
         let (g, gt) = toy();
         let model = OperatorGnn::new(
             "test-grad",
-            vec![Operator::Identity, Operator::Sparse(Rc::new(ops::gcn_norm(&g)))],
+            vec![Operator::Identity, Operator::Sparse(Arc::new(ops::gcn_norm(&g)))],
             Combine::Sum,
             4,
             6,

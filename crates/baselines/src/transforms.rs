@@ -6,67 +6,23 @@
 //! adjacency, latent-geometry buckets, label-propagated homophily
 //! weights). This module builds those operators; `kinds` assembles them
 //! into models.
+//!
+//! Feature similarities are the graph's shared CSR features under the
+//! tensor crate's one cosine primitive ([`CsrMatrix::cosine`],
+//! [`CsrMatrix::cosine_knn`]), the same one the `dhgr` and `reference`
+//! rewiring strategies use.
 
 use graphrare_graph::{ops, Graph};
-use graphrare_tensor::{init, CsrMatrix, Matrix};
+use graphrare_tensor::{init, CsrMatrix, DenseRow, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Cosine similarity of two feature rows (0 when either is all-zero).
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let mut dot = 0.0;
-    let mut na = 0.0;
-    let mut nb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
-    }
-}
-
-/// Top-`k` cosine-similarity neighbours per node over raw features
-/// (UGCN/SimP-GCN's kNN graph). Returns undirected edges, deduplicated.
-pub fn cosine_knn_edges(features: &Matrix, k: usize) -> Vec<(usize, usize)> {
-    let n = features.rows();
-    let mut edges = std::collections::BTreeSet::new();
-    let mut sims: Vec<(f32, usize)> = Vec::with_capacity(n.saturating_sub(1));
-    for v in 0..n {
-        sims.clear();
-        for u in 0..n {
-            if u != v {
-                sims.push((cosine(features.row(v), features.row(u)), u));
-            }
-        }
-        sims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, u) in sims.iter().take(k) {
-            edges.insert((v.min(u), v.max(u)));
-        }
-    }
-    edges.into_iter().collect()
-}
-
-/// The input graph with extra undirected edges unioned in.
-pub fn union_graph(g: &Graph, extra: &[(usize, usize)]) -> Graph {
-    let mut out = g.clone();
-    for &(u, v) in extra {
-        out.add_edge(u, v);
-    }
-    out
-}
 
 /// SimP-GCN's blended propagation: `γ·Â + (1−γ)·S` where `S` is the
 /// row-normalised kNN feature graph.
 pub fn blended_operator(g: &Graph, knn_k: usize, gamma: f32) -> CsrMatrix {
     let n = g.num_nodes();
     let a_hat = ops::gcn_norm(g);
-    let knn = cosine_knn_edges(g.features(), knn_k);
-    let knn_graph = Graph::from_edges(n, &knn, Matrix::zeros(n, 1), vec![0; n], 1);
-    let s = ops::row_norm_adj(&knn_graph);
+    let s = ops::row_norm_adj(&g.with_edges(g.features().cosine_knn(knn_k, |_, _| true)));
     let mut triplets = Vec::new();
     for r in 0..n {
         for (c, w) in a_hat.row_entries(r) {
@@ -84,7 +40,8 @@ pub fn blended_operator(g: &Graph, knn_k: usize, gamma: f32) -> CsrMatrix {
 /// rows are normalised by degree.
 pub fn signed_operator(g: &Graph, threshold: f32) -> CsrMatrix {
     let n = g.num_nodes();
-    let feats = g.features();
+    let (feats, mut row) = (g.features(), DenseRow::default());
+    let norms = feats.row_norms();
     let mut triplets = Vec::new();
     for v in 0..n {
         let deg = g.degree(v);
@@ -92,8 +49,9 @@ pub fn signed_operator(g: &Graph, threshold: f32) -> CsrMatrix {
             continue;
         }
         let w = 1.0 / deg as f32;
+        feats.load_row(v, &mut row);
         for u in g.neighbors(v) {
-            let sign = if cosine(feats.row(v), feats.row(u)) >= threshold { 1.0 } else { -1.0 };
+            let sign = if feats.cosine(u, v, &row, &norms) >= threshold { 1.0 } else { -1.0 };
             triplets.push((v, u, sign * w));
         }
     }
@@ -106,7 +64,8 @@ pub fn signed_operator(g: &Graph, threshold: f32) -> CsrMatrix {
 /// degree.
 pub fn gated_operators(g: &Graph) -> (CsrMatrix, CsrMatrix) {
     let n = g.num_nodes();
-    let feats = g.features();
+    let (feats, mut row) = (g.features(), DenseRow::default());
+    let norms = feats.row_norms();
     let mut sim = Vec::new();
     let mut dis = Vec::new();
     for v in 0..n {
@@ -115,8 +74,9 @@ pub fn gated_operators(g: &Graph) -> (CsrMatrix, CsrMatrix) {
             continue;
         }
         let w = 1.0 / deg as f32;
+        feats.load_row(v, &mut row);
         for u in g.neighbors(v) {
-            let gate = 1.0 / (1.0 + (-4.0 * cosine(feats.row(v), feats.row(u))).exp());
+            let gate = 1.0 / (1.0 + (-4.0 * feats.cosine(u, v, &row, &norms)).exp());
             sim.push((v, u, gate * w));
             dis.push((v, u, (1.0 - gate) * w));
         }
@@ -133,7 +93,7 @@ pub fn geometric_bucket_operators(g: &Graph, seed: u64) -> (CsrMatrix, CsrMatrix
     let n = g.num_nodes();
     let mut rng = StdRng::seed_from_u64(seed);
     let proj = init::normal(&mut rng, g.feat_dim(), 2, 1.0 / (g.feat_dim().max(1) as f32).sqrt());
-    let latent = g.features().matmul(&proj);
+    let latent = g.features().spmm(&proj);
     let dist = |v: usize, u: usize| -> f32 {
         let (a, b) = (latent.row(v), latent.row(u));
         ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2)).sqrt()
@@ -220,14 +180,16 @@ pub fn label_prop_homophily_operator(g: &Graph, train: &[usize], steps: usize) -
 /// neighbours (keeping at least one neighbour).
 pub fn similarity_rewire(g: &Graph, k_add: usize, d_del: usize) -> Graph {
     let n = g.num_nodes();
-    let feats = g.features().clone();
+    let feats = g.features();
     let mut out = g.clone();
     // Deletions first, computed on the original topology. A removal is
     // skipped when it would leave either endpoint isolated.
     if d_del > 0 {
+        let (norms, mut row) = (feats.row_norms(), DenseRow::default());
         for v in 0..n {
+            feats.load_row(v, &mut row);
             let mut nbrs: Vec<(f32, usize)> =
-                g.neighbors(v).map(|u| (cosine(feats.row(v), feats.row(u)), u)).collect();
+                g.neighbors(v).map(|u| (feats.cosine(u, v, &row, &norms), u)).collect();
             nbrs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let mut removed = 0usize;
             for &(_, u) in &nbrs {
@@ -241,18 +203,8 @@ pub fn similarity_rewire(g: &Graph, k_add: usize, d_del: usize) -> Graph {
         }
     }
     if k_add > 0 {
-        let mut sims: Vec<(f32, usize)> = Vec::new();
-        for v in 0..n {
-            sims.clear();
-            for u in 0..n {
-                if u != v && !g.has_edge(v, u) {
-                    sims.push((cosine(feats.row(v), feats.row(u)), u));
-                }
-            }
-            sims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            for &(_, u) in sims.iter().take(k_add) {
-                out.add_edge(v, u);
-            }
+        for (u, v) in feats.cosine_knn(k_add, |v, u| !g.has_edge(v, u)) {
+            out.add_edge(u, v);
         }
     }
     out
@@ -277,28 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn cosine_basics() {
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert_eq!(cosine(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn knn_connects_same_block() {
         let g = blocky_graph();
-        let edges = cosine_knn_edges(g.features(), 2);
+        let edges = g.features().cosine_knn(2, |_, _| true);
         for &(u, v) in &edges {
             assert_eq!(g.label(u), g.label(v), "kNN edge ({u},{v}) crosses blocks");
         }
-    }
-
-    #[test]
-    fn union_graph_only_adds() {
-        let g = blocky_graph();
-        let u = union_graph(&g, &[(0, 1), (0, 3)]);
-        assert_eq!(u.num_edges(), g.num_edges() + 1, "(0,3) already existed");
-        assert!(u.has_edge(0, 1));
     }
 
     #[test]
@@ -383,7 +319,7 @@ mod tests {
     fn nan_features_do_not_panic_transforms() {
         // A NaN feature row drives every cosine similarity (and latent
         // distance) involving that node to NaN, which used to panic the
-        // `partial_cmp(..).unwrap()` comparators in `cosine_knn_edges`,
+        // `partial_cmp(..).unwrap()` comparators of the kNN graph,
         // `similarity_rewire` and the `geometric_bucket_operators`
         // median. `total_cmp` keeps the orderings total and the outputs
         // deterministic.
@@ -392,8 +328,11 @@ mod tests {
         feats.set(1, 0, 1.0);
         feats.set(2, 1, 1.0);
         feats.set(3, 0, 1.0);
-        assert_eq!(cosine_knn_edges(&feats, 1), cosine_knn_edges(&feats, 1));
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)], feats, vec![0, 1, 0, 1], 2);
+        assert_eq!(
+            g.features().cosine_knn(1, |_, _| true),
+            g.features().cosine_knn(1, |_, _| true)
+        );
         let rewired = similarity_rewire(&g, 1, 1);
         assert!(rewired.num_edges() > 0);
         let (near, far) = geometric_bucket_operators(&g, 3);

@@ -11,12 +11,12 @@
 //! reference-graph rewiring (`reference`) and no rewiring (`none`).
 
 use graphrare::{run_random_kd, RewirerKind, RlAlgo};
-use graphrare_bench::{accuracy_grid, publish, Budget, GridRow, HarnessOptions};
+use graphrare_bench::{accuracy_grid, publish, Budget, GridRow, HarnessOptions, Reads};
 use graphrare_datasets::Dataset;
 use graphrare_gnn::Backbone;
 
 fn main() {
-    let mut opts = HarnessOptions::from_args();
+    let mut opts = HarnessOptions::from_args(Reads::ALL);
     if opts.datasets.len() == Dataset::ALL.len() {
         opts.datasets = Dataset::HETEROPHILIC.to_vec();
     }

@@ -6,12 +6,12 @@
 //! heatmaps; here: larger positive numbers).
 
 use graphrare::run_fixed_kd;
-use graphrare_bench::{mean, rare_report, Budget, HarnessOptions, TextTable};
+use graphrare_bench::{mean, rare_report, Budget, HarnessOptions, Reads, TextTable};
 use graphrare_datasets::Dataset;
 use graphrare_gnn::Backbone;
 
 fn main() {
-    let mut opts = HarnessOptions::from_args();
+    let mut opts = HarnessOptions::from_args(Reads::ALL);
     // The paper shows Chameleon, Squirrel and Cora; keep that default but
     // honour an explicit --datasets flag.
     if opts.datasets.len() == Dataset::ALL.len() {

@@ -3,12 +3,12 @@
 //! homophily ratio of the evolving topology, and (c) the mean episode
 //! reward of the DRL module.
 
-use graphrare_bench::{rare_report, Budget, HarnessOptions, TextTable};
+use graphrare_bench::{rare_report, Budget, HarnessOptions, Reads, TextTable};
 use graphrare_datasets::Dataset;
 use graphrare_gnn::Backbone;
 
 fn main() {
-    let mut opts = HarnessOptions::from_args();
+    let mut opts = HarnessOptions::from_args(Reads { datasets: 1, ..Reads::ALL });
     if opts.datasets.len() == Dataset::ALL.len() {
         opts.datasets = vec![Dataset::Cornell];
     }

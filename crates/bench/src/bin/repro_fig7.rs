@@ -2,11 +2,11 @@
 //! versus the graphs optimised by the four GraphRARE models, on all seven
 //! datasets.
 
-use graphrare_bench::{mean, publish, rare_report, Budget, HarnessOptions, TextTable};
+use graphrare_bench::{mean, publish, rare_report, Budget, HarnessOptions, Reads, TextTable};
 use graphrare_gnn::Backbone;
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads::ALL);
     let budget = Budget::default();
     let backbones = [Backbone::Gcn, Backbone::Sage, Backbone::Gat, Backbone::H2gcn];
 

@@ -4,12 +4,12 @@
 //! (mean entropy of same-label vs cross-label pairs plus a coarse ASCII
 //! heat matrix over label-sorted nodes).
 
-use graphrare_bench::{HarnessOptions, TextTable};
+use graphrare_bench::{HarnessOptions, Reads, TextTable};
 use graphrare_datasets::Dataset;
 use graphrare_entropy::{RelativeEntropyConfig, RelativeEntropyTable};
 
 fn main() {
-    let mut opts = HarnessOptions::from_args();
+    let mut opts = HarnessOptions::from_args(Reads { splits: false, ..Reads::ALL });
     if opts.datasets.len() == Dataset::ALL.len() {
         opts.datasets = vec![Dataset::Wisconsin, Dataset::Cora];
     }

@@ -9,7 +9,7 @@
 //! observation (1) vs (2) in Sec. V-D).
 
 use graphrare_bench::{
-    mean, mean_std_pct, publish, run_method, Budget, HarnessOptions, Method, TextTable,
+    mean, mean_std_pct, publish, run_method, Budget, HarnessOptions, Method, Reads, TextTable,
 };
 use graphrare_datasets::{generate_spec, stratified_split, DatasetSpec};
 use graphrare_gnn::Backbone;
@@ -17,7 +17,7 @@ use graphrare_gnn::Backbone;
 const HOMOPHILY_GRID: [f64; 7] = [0.05, 0.15, 0.25, 0.4, 0.55, 0.7, 0.85];
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads { full: false, datasets: 0, ..Reads::ALL });
     let budget = Budget::default();
 
     let mut table =

@@ -2,11 +2,11 @@
 //! datasets (nodes, edges, features, classes, homophily ratio), comparing
 //! the paper's reported values against the generated graphs.
 
-use graphrare_bench::{HarnessOptions, Scale, TextTable};
+use graphrare_bench::{HarnessOptions, Reads, Scale, TextTable};
 use graphrare_graph::metrics::homophily_ratio;
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads { splits: false, ..Reads::ALL });
     let mut table = TextTable::new(&[
         "Datasets",
         "#Nodes",

@@ -3,12 +3,12 @@
 //! improvement rows of the GraphRARE variants.
 
 use graphrare_bench::{
-    accuracy_grid, mean, run_method, Budget, GridRow, HarnessOptions, Method, TextTable,
+    accuracy_grid, mean, run_method, Budget, GridRow, HarnessOptions, Method, Reads, TextTable,
 };
 use graphrare_gnn::Backbone;
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads::ALL);
     let budget = Budget::default();
     let methods = Method::table3_rows();
     let rows = methods

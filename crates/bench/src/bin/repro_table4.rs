@@ -2,13 +2,13 @@
 //! ({0.1, 0.5, 1.0, 10.0}) weighting structural entropy in Eq. (9), for
 //! the four GraphRARE-enhanced backbones on every dataset.
 
-use graphrare_bench::{accuracy_grid, publish, Budget, GridRow, HarnessOptions};
+use graphrare_bench::{accuracy_grid, publish, Budget, GridRow, HarnessOptions, Reads};
 use graphrare_gnn::Backbone;
 
 const LAMBDAS: [f64; 4] = [0.1, 0.5, 1.0, 10.0];
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads::ALL);
     let budget = Budget::default();
     let mut rows = Vec::new();
     for backbone in [Backbone::Gcn, Backbone::Sage, Backbone::Gat, Backbone::H2gcn] {

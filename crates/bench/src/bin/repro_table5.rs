@@ -11,12 +11,12 @@
 
 use graphrare::{run_random_kd, EditMode, RewardKind, SequenceMode};
 use graphrare_bench::{
-    accuracy_grid, publish, run_method, Budget, GridRow, HarnessOptions, Method,
+    accuracy_grid, publish, run_method, Budget, GridRow, HarnessOptions, Method, Reads,
 };
 use graphrare_gnn::Backbone;
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads::ALL);
     let budget = Budget::default();
     let gcn = Backbone::Gcn;
     let mut rows = vec![GridRow::new(vec!["GCN".into()], move |g, s, seed| {

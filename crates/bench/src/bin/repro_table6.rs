@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use graphrare::{run, GraphRareConfig};
 use graphrare_baselines::{run_baseline, BaselineConfig, BaselineKind};
-use graphrare_bench::{HarnessOptions, TextTable};
+use graphrare_bench::{HarnessOptions, Reads, TextTable};
 use graphrare_datasets::Dataset;
 use graphrare_entropy::{EntropySequences, RelativeEntropyTable};
 use graphrare_gnn::{build_model, Backbone, GraphTensors, ModelConfig, TrainConfig, Trainer};
@@ -38,7 +38,7 @@ fn time_backbone(b: Backbone, g: &graphrare_graph::Graph, epochs: usize, seed: u
 }
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args(Reads { splits: false, ..Reads::ALL });
     let datasets: Vec<Dataset> =
         opts.datasets.iter().copied().filter(|d| Dataset::HETEROPHILIC.contains(d)).collect();
     let epochs = timing_epochs(matches!(opts.scale, graphrare_bench::Scale::Full));

@@ -42,22 +42,53 @@ impl Default for HarnessOptions {
     }
 }
 
-const USAGE: &str = "[--full] [--splits 1..=10] [--seed N] [--datasets name,name,...] [--quiet]";
+/// The flags a repro binary reads besides `--seed` and `--quiet`, which
+/// every one reads. Passing a flag the binary does not read is a usage
+/// error, not a silent no-op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reads {
+    /// `--full`.
+    pub full: bool,
+    /// `--splits N`.
+    pub splits: bool,
+    /// The most names `--datasets` takes; 0 when the binary reads no
+    /// `--datasets`.
+    pub datasets: usize,
+}
+
+impl Reads {
+    /// Every flag, `--datasets` with any number of names.
+    pub const ALL: Reads = Reads { full: true, splits: true, datasets: usize::MAX };
+
+    /// The usage line's flags.
+    fn usage(self) -> String {
+        let flags = [
+            (self.full, "[--full] "),
+            (self.splits, "[--splits 1..=10] "),
+            (true, "[--seed N] "),
+            (self.datasets == 1, "[--datasets name] "),
+            (self.datasets > 1, "[--datasets name,name,...] "),
+        ];
+        flags.iter().filter(|(read, _)| *read).map(|(_, flag)| *flag).collect::<String>()
+            + "[--quiet]"
+    }
+}
 
 impl HarnessOptions {
     /// Parses `--full`, `--splits N` (1 to 10), `--seed N`,
     /// `--datasets name,name` (case-insensitive) and `--quiet` (accepted
-    /// here, applied by [`HarnessOptions::from_args`]). An error names
-    /// the flag at fault.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// here, applied by [`HarnessOptions::from_args`]), each only if
+    /// `reads` says the binary reads it. An error names the flag at
+    /// fault.
+    pub fn parse(args: &[String], reads: Reads) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut args = args.iter();
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--full" => opts.scale = Scale::Full,
+                "--full" if reads.full => opts.scale = Scale::Full,
                 "--quiet" => {}
-                "--splits" => {
+                "--splits" if reads.splits => {
                     let v = value()?;
                     opts.splits = v
                         .parse()
@@ -70,7 +101,7 @@ impl HarnessOptions {
                     opts.seed =
                         v.parse().map_err(|_| format!("--seed takes a number, got `{v}`"))?;
                 }
-                "--datasets" => {
+                "--datasets" if reads.datasets > 0 => {
                     opts.datasets = value()?
                         .split(',')
                         .map(|name| {
@@ -80,6 +111,16 @@ impl HarnessOptions {
                                 .ok_or_else(|| format!("--datasets: unknown dataset `{name}`"))
                         })
                         .collect::<Result<_, _>>()?;
+                    if opts.datasets.len() > reads.datasets {
+                        return Err(format!(
+                            "--datasets: this binary runs at most {} dataset(s), got {}",
+                            reads.datasets,
+                            opts.datasets.len()
+                        ));
+                    }
+                }
+                "--full" | "--splits" | "--datasets" => {
+                    return Err(format!("{flag}: this binary does not read it"));
                 }
                 other => return Err(format!("unknown argument {other}")),
             }
@@ -88,19 +129,20 @@ impl HarnessOptions {
     }
 
     /// Parses the process arguments with [`HarnessOptions::parse`]; on
-    /// an error prints it and a usage line and exits with status 2.
+    /// an error prints it and the usage line of the flags in `reads`,
+    /// and exits with status 2 before running anything.
     ///
     /// Also initialises the telemetry registry from
     /// `GRAPHRARE_TELEMETRY`, so every repro binary honours the same
     /// observability switches as the `graphrare` CLI. Progress lines go
     /// to stderr (suppressed by `--quiet`); stdout carries only the
     /// machine-parseable tables.
-    pub fn from_args() -> Self {
+    pub fn from_args(reads: Reads) -> Self {
         graphrare_telemetry::init_from_env();
         let mut argv = std::env::args();
         let program = argv.next().unwrap_or_default();
         let args: Vec<String> = argv.collect();
-        match Self::parse(&args) {
+        match Self::parse(&args, reads) {
             Ok(opts) => {
                 // Every flag value parsed as a number or a dataset name,
                 // so a `--quiet` argument is the flag itself.
@@ -113,7 +155,7 @@ impl HarnessOptions {
                 let name = Path::new(&program)
                     .file_name()
                     .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
-                eprintln!("{name}: {e}\nusage: {name} {USAGE}");
+                eprintln!("{name}: {e}\nusage: {name} {}", reads.usage());
                 std::process::exit(2);
             }
         }

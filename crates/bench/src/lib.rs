@@ -18,10 +18,11 @@
 //! | `repro_ablation_rl` | extension — strategy arena: PPO, A2C, random k,d, `dhgr`, `reference`, `none` |
 //! | `repro_sweep_homophily` | extension — GraphRARE advantage vs homophily ratio |
 //!
-//! All binaries accept `--full` (exact Table II sizes), `--splits N`
-//! (1 to 10), `--seed N` and `--datasets a,b,...`; defaults run the
-//! mini-scaled datasets with 3 splits, and a malformed line exits 2 with
-//! a usage line. Every run is configured by [`Budget::config`], every
+//! The flags are `--full` (exact Table II sizes), `--splits N` (1 to
+//! 10), `--seed N`, `--datasets a,b,...` and `--quiet`; each binary
+//! accepts only the ones it reads ([`Reads`]). Defaults run the
+//! mini-scaled datasets with 3 splits, and a malformed line or an unread
+//! flag exits 2 with a usage line. Every run is configured by [`Budget::config`], every
 //! accuracy table (Tables III–V, the arena) is run by [`accuracy_grid`],
 //! and a plain backbone always trains through [`run_method`]'s
 //! `graphrare::run_plain` call. Outputs are printed as aligned text
@@ -39,6 +40,7 @@ pub mod table;
 
 pub use envelope::envelope_json;
 pub use harness::{
-    accuracy_grid, publish, rare_report, run_method, Budget, GridRow, HarnessOptions, Method, Scale,
+    accuracy_grid, publish, rare_report, run_method, Budget, GridRow, HarnessOptions, Method,
+    Reads, Scale,
 };
 pub use table::{mean, mean_std_pct, TextTable};

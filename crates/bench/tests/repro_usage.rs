@@ -1,30 +1,37 @@
-//! A malformed `repro_*` command line is a usage error with exit code 2
-//! and no panic; a well-formed one runs.
+//! A malformed `repro_*` command line, or one passing a flag the binary
+//! does not read, is a usage error with exit code 2 and no panic; a
+//! well-formed one runs.
 
 use std::process::Command;
 
 #[test]
 fn malformed_lines_exit_2_without_a_panic() {
-    for args in [
-        &["--splits"][..],
-        &["--splits", "abc"],
-        &["--splits", "0"],
-        &["--splits", "20"],
-        &["--seed", "x"],
-        &["--datasets"],
-        &["--datasets", "nope"],
-        &["--frob"],
+    for (bin, name, args) in [
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--splits"][..]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--splits", "abc"]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--splits", "0"]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--splits", "20"]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--seed", "x"]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--datasets"]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--datasets", "nope"]),
+        (env!("CARGO_BIN_EXE_repro_table3"), "repro_table3", &["--frob"]),
+        (env!("CARGO_BIN_EXE_repro_table2"), "repro_table2", &["--splits", "3"]),
+        (env!("CARGO_BIN_EXE_repro_fig8"), "repro_fig8", &["--splits", "3"]),
+        (
+            env!("CARGO_BIN_EXE_repro_sweep_homophily"),
+            "repro_sweep_homophily",
+            &["--datasets", "cornell,texas"],
+        ),
+        (env!("CARGO_BIN_EXE_repro_sweep_homophily"), "repro_sweep_homophily", &["--full"]),
+        (env!("CARGO_BIN_EXE_repro_fig6"), "repro_fig6", &["--datasets", "cornell,texas"]),
     ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_repro_table2"))
-            .args(args)
-            .output()
-            .expect("repro_table2 starts");
+        let output = Command::new(bin).args(args).output().expect("the binary starts");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(stderr.contains(args[0]), "{args:?} names no flag: {stderr}");
-        assert!(stderr.contains("usage: repro_table2"), "{args:?}: {stderr}");
-        assert!(output.stdout.is_empty(), "{args:?} printed a table");
+        assert_eq!(output.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains(args[0]), "{name} {args:?} names no flag: {stderr}");
+        assert!(stderr.contains(&format!("usage: {name}")), "{name} {args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{name} {args:?} printed a table");
     }
 }
 
@@ -33,7 +40,7 @@ fn a_well_formed_line_runs() {
     let dir = std::env::temp_dir().join(format!("graphrare-repro-usage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let output = Command::new(env!("CARGO_BIN_EXE_repro_table2"))
-        .args(["--splits", "1", "--datasets", "CORNELL,texas", "--quiet"])
+        .args(["--datasets", "CORNELL,texas", "--quiet"])
         .current_dir(&dir)
         .output()
         .expect("repro_table2 starts");

@@ -204,15 +204,13 @@ impl RareDriver {
         let mut driver = Self::build(graph, split, backbone, cfg);
         let n = graph.num_nodes();
         check_edges("anchor", &snap.anchor_edges, n)?;
-        let at_g0 =
-            snap.anchor_edges.iter().map(|&(u, v)| (u as usize, v as usize)).eq(graph.edges());
-        if !at_g0 {
+        if !widened(&snap.anchor_edges).eq(graph.edges()) {
             if cfg.entropy_refresh_every == 0 {
                 return Err("snapshot is anchored on a refreshed graph, but this config runs \
                             without entropy refreshes"
                     .to_string());
             }
-            driver.reanchor(Some(with_edges(graph, &snap.anchor_edges)));
+            driver.reanchor(Some(graph.with_edges(widened(&snap.anchor_edges))));
         }
         // Validate the snapshot against the anchored driver, then
         // overwrite its loop state.
@@ -665,7 +663,7 @@ impl RareDriver {
         // better-validating (graph, parameters) pair wins. The guard means a
         // mid-training mis-selection of a rewired graph can never leave the
         // enhanced model below its own backbone at convergence.
-        let best_graph = with_edges(self.original_graph(), &self.best_edges);
+        let best_graph = self.original_graph().with_edges(widened(&self.best_edges));
         let best_edges = best_graph.edge_vec();
         let mut winner = 0;
         let mut winner_params = self.best_params.clone();
@@ -816,17 +814,9 @@ fn check_adam_shapes(
     Ok(())
 }
 
-/// `like` with its edges replaced by `edges` (features, labels and
-/// classes shared).
-fn with_edges(like: &Graph, edges: &[(u32, u32)]) -> Graph {
-    let edges: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (u as usize, v as usize)).collect();
-    Graph::from_edges(
-        like.num_nodes(),
-        &edges,
-        like.features().clone(),
-        like.labels().to_vec(),
-        like.num_classes(),
-    )
+/// A stored `u32` edge list as `usize` pairs.
+fn widened(edges: &[(u32, u32)]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    edges.iter().map(|&(u, v)| (u as usize, v as usize))
 }
 
 /// Runs the full GraphRARE framework (Algorithm 1) on one data split,

@@ -33,6 +33,8 @@
 //!
 //! [`RewiredGraph`]: crate::rewire::RewiredGraph
 
+use std::sync::Arc;
+
 use graphrare_rl::{AgentState, Mlp, PpoAgent, PpoConfig, PpoStats, RolloutBuffer};
 use graphrare_telemetry as telemetry;
 use graphrare_tensor::optim::AdamSnapshot;
@@ -298,8 +300,9 @@ enum Criteria {
     Hold,
     /// DHGR similarity scoring: cosine feature similarity plus a
     /// training-label agreement term, thresholded at `tau` (the median
-    /// score over the original graph's edges).
-    Dhgr { feats: CsrMatrix, norms: Vec<f32>, known: Vec<Option<usize>>, tau: f32 },
+    /// score over the original graph's edges). `feats` is the graph's
+    /// own feature matrix.
+    Dhgr { feats: Arc<CsrMatrix>, norms: Vec<f32>, known: Vec<Option<usize>>, tau: f32 },
     /// Reference-graph membership: the symmetric feature-kNN relation.
     Reference { relation: FxHashSet<u64> },
 }
@@ -348,7 +351,7 @@ impl Criteria {
         let Criteria::Dhgr { feats, norms, known, .. } = self else {
             unreachable!("dhgr_score on a non-DHGR criteria");
         };
-        let mut score = cosine(feats.row_dot(u, row), norms[v], norms[u]);
+        let mut score = feats.cosine(u, v, row, norms);
         if let (Some(a), Some(b)) = (known[v], known[u]) {
             score += if a == b { 0.25 } else { -0.25 };
         }
@@ -397,8 +400,8 @@ impl TargetDriven {
 
     fn dhgr(topo: &TopologyOptimizer, cfg: &GraphRareConfig, train_mask: &[usize]) -> Self {
         let base = topo.base();
-        let feats = CsrMatrix::from_dense(base.features());
-        let norms = row_norms(&feats);
+        let feats = Arc::clone(base.features());
+        let norms = feats.row_norms();
         let mut known = vec![None; base.num_nodes()];
         for &v in train_mask {
             known[v] = Some(base.labels()[v]);
@@ -425,8 +428,15 @@ impl TargetDriven {
         Self::with_criteria(RewirerKind::Dhgr, topo, cfg.k_cap, criteria)
     }
 
+    /// The reference relation is the symmetric feature-kNN graph: every
+    /// node's top-`K` most cosine-similar other nodes
+    /// ([`CsrMatrix::cosine_knn`]), `K` tracking the graph's average
+    /// degree, clamped to a small band.
     fn reference(topo: &TopologyOptimizer, cfg: &GraphRareConfig) -> Self {
-        let relation = knn_relation(topo.base());
+        let base = topo.base();
+        let k = (2 * base.num_edges()).checked_div(base.num_nodes()).map_or(2, |k| k.clamp(2, 8));
+        let knn = base.features().cosine_knn(k, |_, _| true);
+        let relation = knn.into_iter().map(|(u, v)| edge_key(u, v)).collect();
         Self::with_criteria(
             RewirerKind::Reference,
             topo,
@@ -521,60 +531,6 @@ fn prefix_targets(
         }
     }
     (k_target, d_target)
-}
-
-/// Euclidean norm of every feature row, as `f32`.
-fn row_norms(feats: &CsrMatrix) -> Vec<f32> {
-    let mut row = DenseRow::default();
-    (0..feats.rows())
-        .map(|v| {
-            feats.load_row(v, &mut row);
-            feats.row_dot::<f32>(v, &row).sqrt()
-        })
-        .collect()
-}
-
-/// Cosine similarity from a feature dot and the two rows' norms; 0 when
-/// either row is zero.
-fn cosine(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
-    if norm_a == 0.0 || norm_b == 0.0 {
-        return 0.0;
-    }
-    dot / (norm_a * norm_b)
-}
-
-/// The symmetric feature-kNN reference relation: for every node, its
-/// top-`K` most cosine-similar other nodes (ties broken by node index, so
-/// the relation is fully deterministic). `K` tracks the graph's average
-/// degree, clamped to a small band.
-fn knn_relation(base: &graphrare_graph::Graph) -> FxHashSet<u64> {
-    let n = base.num_nodes();
-    let k = if n == 0 { 2 } else { (2 * base.num_edges() / n.max(1)).clamp(2, 8) };
-    let feats = CsrMatrix::from_dense(base.features());
-    let norms = row_norms(&feats);
-    let mut relation = FxHashSet::default();
-    let mut row = DenseRow::default();
-    let mut sims: Vec<(f32, usize)> = Vec::with_capacity(n.saturating_sub(1));
-    for v in 0..n {
-        feats.load_row(v, &mut row);
-        sims.clear();
-        for u in 0..n {
-            if u != v {
-                sims.push((cosine(feats.row_dot(u, &row), norms[v], norms[u]), u));
-            }
-        }
-        // Highest similarity first; equal similarities prefer the lower
-        // node index. That is a strict total order, so selecting the top
-        // `k` yields the same set as a full sort, whatever the iteration
-        // order.
-        if sims.len() > k {
-            sims.select_nth_unstable_by(k, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        }
-        for &(_, u) in sims.iter().take(k) {
-            relation.insert(edge_key(v, u));
-        }
-    }
-    relation
 }
 
 #[cfg(test)]
@@ -733,8 +689,8 @@ mod tests {
 
     /// Cosine over dense rows: an `f32` dot over every column, summed
     /// by `Iterator::sum`.
-    fn dense_cosine(g: &Graph, v: usize, u: usize) -> f32 {
-        let (a, b) = (g.features().row(v), g.features().row(u));
+    fn dense_cosine(x: &Matrix, v: usize, u: usize) -> f32 {
+        let (a, b) = (x.row(v), x.row(u));
         let norm = |r: &[f32]| r.iter().map(|x| x * x).sum::<f32>().sqrt();
         let (na, nb) = (norm(a), norm(b));
         if na == 0.0 || nb == 0.0 {
@@ -787,6 +743,7 @@ mod tests {
     #[test]
     fn feature_similarities_match_the_dense_cosine_on_zero_overlap_pairs() {
         let g = zero_overlap_graph();
+        let x = g.features().to_dense();
         let n = g.num_nodes();
         // The reference relation: every node's top-K by dense cosine,
         // from a full sort.
@@ -794,21 +751,24 @@ mod tests {
         let mut want = FxHashSet::default();
         for v in 0..n {
             let mut sims: Vec<(f32, usize)> =
-                (0..n).filter(|&u| u != v).map(|u| (dense_cosine(&g, v, u), u)).collect();
+                (0..n).filter(|&u| u != v).map(|u| (dense_cosine(&x, v, u), u)).collect();
             sims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
             want.extend(sims.iter().take(k).map(|&(_, u)| edge_key(v, u)));
         }
         assert!(want.contains(&edge_key(2, 0)), "node 2's zero tie must go to node 0");
-        assert_eq!(knn_relation(&g), want);
+        let mut cfg = GraphRareConfig::fast().with_seed(5);
+        let topo = optimizer(&g, &cfg);
+        let Criteria::Reference { relation } = TargetDriven::reference(&topo, &cfg).criteria else {
+            unreachable!("the reference strategy keeps a relation")
+        };
+        assert_eq!(relation, want);
 
         // DHGR: the same median-calibrated score and prefix targets,
         // from dense cosines.
-        let mut cfg = GraphRareConfig::fast().with_seed(5);
         cfg.rewirer = RewirerKind::Dhgr;
         let train: Vec<usize> = (0..n).step_by(2).collect();
-        let topo = optimizer(&g, &cfg);
         let score = |v: usize, u: usize| {
-            let mut s = dense_cosine(&g, v, u);
+            let mut s = dense_cosine(&x, v, u);
             if train.contains(&v) && train.contains(&u) {
                 s += if g.labels()[v] == g.labels()[u] { 0.25 } else { -0.25 };
             }

@@ -179,7 +179,7 @@ mod tests {
         let b = generate_mini(Dataset::Cornell, 7);
         assert_eq!(a.edge_vec(), b.edge_vec());
         assert_eq!(a.labels(), b.labels());
-        assert!(a.features().max_abs_diff(b.features()) == 0.0);
+        assert_eq!(a.features(), b.features());
     }
 
     #[test]
@@ -190,7 +190,7 @@ mod tests {
         // similarity ranking built on top.
         let g = generate_mini(Dataset::Cora, 7);
         for v in 0..g.num_nodes() {
-            assert!(g.features().row(v).iter().all(|x| x.is_finite()), "node {v}");
+            assert!(g.features().row_entries(v).all(|(_, x)| x.is_finite()), "node {v}");
         }
     }
 
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn features_are_sparse_binary() {
         let g = generate_mini(Dataset::Texas, 5);
-        let f = g.features();
+        let f = g.features().to_dense();
         assert!(f.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
         let density = f.sum() / f.len() as f32;
         assert!(density > 0.0 && density < 0.3, "density {density}");
@@ -256,12 +256,13 @@ mod tests {
         let g = generate_mini(Dataset::Wisconsin, 9);
         let classes = g.num_classes();
         let dim = g.feat_dim();
+        let feats = g.features().to_dense();
         let mut centroids = Matrix::zeros(classes, dim);
         let mut counts = vec![0f32; classes];
         for v in 0..g.num_nodes() {
             let l = g.label(v);
             counts[l] += 1.0;
-            for (j, &x) in g.features().row(v).iter().enumerate() {
+            for (j, &x) in feats.row(v).iter().enumerate() {
                 centroids.add_at(l, j, x);
             }
         }
@@ -273,7 +274,7 @@ mod tests {
         }
         let mut correct = 0usize;
         for v in 0..g.num_nodes() {
-            let x = g.features().row(v);
+            let x = feats.row(v);
             let best = (0..classes)
                 .max_by(|&a, &b| {
                     let da: f32 = x.iter().zip(centroids.row(a)).map(|(&p, &q)| p * q).sum();

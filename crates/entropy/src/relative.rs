@@ -10,9 +10,12 @@
 //! normaliser is one constant shift that the rescale cancels; it is
 //! therefore never computed.
 //!
-//! The features are held as CSR rows and every dot goes through
-//! [`CsrMatrix::row_dot`]: only stored entries are multiplied, and the
-//! result equals the dense loop's bit for bit on finite features.
+//! The table reads the graph's own CSR features (it keeps a handle on
+//! them, not a copy) and every dot goes through [`CsrMatrix::row_dot`]:
+//! only stored entries are multiplied, and the result equals the dense
+//! loop's bit for bit on finite features.
+
+use std::sync::Arc;
 
 use graphrare_graph::Graph;
 use graphrare_tensor::{CsrMatrix, DenseRow, Matrix};
@@ -47,7 +50,7 @@ const JS_ROUNDING_MARGIN: f64 = 1e-6;
 /// Built once before training (Algorithm 1, lines 1–5); a query costs
 /// the stored features of the two nodes plus `O(M)` for `H_s`.
 pub struct RelativeEntropyTable {
-    features: CsrMatrix,
+    features: Arc<CsrMatrix>,
     structural: StructuralEntropyTable,
     lambda: f64,
     f_offset: f64,
@@ -60,11 +63,7 @@ impl RelativeEntropyTable {
         // Scoped guards give each build phase its own node in the span
         // tree; the stopwatch laps only feed the summary event below.
         let mut clock = graphrare_telemetry::Stopwatch::start();
-        let features = {
-            let _span = graphrare_telemetry::span("entropy.feature_table");
-            CsrMatrix::from_dense(g.features())
-        };
-        let feature_ns = clock.lap_ns();
+        let features = Arc::clone(g.features());
         let structural = {
             let _span = graphrare_telemetry::span("entropy.structural_table");
             StructuralEntropyTable::new(g)
@@ -78,7 +77,6 @@ impl RelativeEntropyTable {
         graphrare_telemetry::emit_with(|| {
             graphrare_telemetry::Event::new("entropy_table")
                 .u64("nodes", g.num_nodes() as u64)
-                .u64("feature_ns", feature_ns)
                 .u64("structural_ns", structural_ns)
                 .u64("range_ns", range_ns)
         });

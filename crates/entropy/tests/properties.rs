@@ -52,8 +52,8 @@ fn arb_signed_graph() -> impl Strategy<Value = Graph> {
 
 /// The dense `f64` feature dot: every column, summed by
 /// `Iterator::sum`.
-fn dense_dot(g: &Graph, v: usize, u: usize) -> f64 {
-    let (a, b) = (g.features().row(v), g.features().row(u));
+fn dense_dot(x: &Matrix, v: usize, u: usize) -> f64 {
+    let (a, b) = (x.row(v), x.row(u));
     a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum()
 }
 
@@ -65,10 +65,11 @@ type Ranking = Vec<(u32, f32)>;
 /// and the ids an untruncated build ranks for the sampled pool.
 fn oracle_rankings(g: &Graph, lambda: f64, cfg: &SequenceConfig) -> Vec<(Ranking, Ranking)> {
     let n = g.num_nodes();
+    let x = g.features().to_dense();
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for v in 0..n {
         for u in (v + 1)..n {
-            let d = dense_dot(g, v, u);
+            let d = dense_dot(&x, v, u);
             lo = lo.min(d);
             hi = hi.max(d);
         }
@@ -79,7 +80,7 @@ fn oracle_rankings(g: &Graph, lambda: f64, cfg: &SequenceConfig) -> Vec<(Ranking
         (lo, 1.0 / (hi - lo))
     };
     let h = |v: usize, u: usize| -> f32 {
-        let hf = ((dense_dot(g, v, u) - offset) * scale).clamp(0.0, 1.0);
+        let hf = ((dense_dot(&x, v, u) - offset) * scale).clamp(0.0, 1.0);
         (hf + lambda * structural_entropy(g, v, u)) as f32
     };
     let untruncated = match cfg.pool {

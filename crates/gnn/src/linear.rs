@@ -1,6 +1,6 @@
 //! A dense affine layer shared by all models.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
@@ -45,7 +45,7 @@ impl Linear {
     /// features from [`GraphTensors::input`](crate::GraphTensors::input):
     /// `spmm(x, W) + b`, bit-identical to [`forward`](Linear::forward)
     /// on the densified input.
-    pub fn forward_sparse(&self, tape: &mut Tape, x: Rc<CsrMatrix>) -> Var {
+    pub fn forward_sparse(&self, tape: &mut Tape, x: Arc<CsrMatrix>) -> Var {
         let w = tape.param(&self.weight);
         let y = tape.spmm(x, w);
         self.add_bias(tape, y)

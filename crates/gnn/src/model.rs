@@ -2,14 +2,15 @@
 
 use std::cell::OnceCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
 use graphrare_graph::{ops, Graph};
 use graphrare_tensor::{AdjList, CsrMatrix, Param, Tape, Var};
 
-/// One graph topology with lazily built propagation operators, plus the
-/// node features as the models consume them.
+/// One graph topology with lazily built propagation operators, over the
+/// graph's own node features.
 ///
 /// GraphRARE re-trains the GNN on a *changing* topology (`G_t`, `G_{t+1}`,
 /// …). A `GraphTensors` either snapshots one topology, or follows the
@@ -18,21 +19,21 @@ use graphrare_tensor::{AdjList, CsrMatrix, Param, Tape, Var};
 /// Operators are built on first use: a GCN never pays for the two-hop
 /// operator H2GCN needs.
 ///
-/// Models read the features only in CSR form, through
-/// [`input`](GraphTensors::input): bag-of-words features are mostly
-/// zeros, so a model's first projection `X · W` is
-/// `tape.spmm(input, W)`.
+/// Models read the features only through [`input`](GraphTensors::input),
+/// which hands out the graph's shared CSR matrix ([`Graph::features`]):
+/// bag-of-words features are mostly zeros, so a model's first projection
+/// `X · W` is `tape.spmm(input, W)`, and building a `GraphTensors`
+/// copies no feature values.
 pub struct GraphTensors {
     graph: Graph,
-    features: Rc<CsrMatrix>,
     /// Incrementally maintained `d̂^{-1/2}` vector: only edit endpoints
     /// change degree, so [`apply_flips`](GraphTensors::apply_flips)
     /// re-derives just those entries and `gcn_norm` (re)builds skip
     /// their from-scratch degree pass.
     inv_sqrt: Vec<f32>,
-    gcn: OnceCell<Rc<CsrMatrix>>,
-    row: OnceCell<Rc<CsrMatrix>>,
-    two_hop: OnceCell<Rc<CsrMatrix>>,
+    gcn: OnceCell<Arc<CsrMatrix>>,
+    row: OnceCell<Arc<CsrMatrix>>,
+    two_hop: OnceCell<Arc<CsrMatrix>>,
     attn: OnceCell<Rc<AdjList>>,
     /// Reusable scratch for the in-place operator rebuilds, so warm
     /// topology updates allocate nothing.
@@ -40,11 +41,10 @@ pub struct GraphTensors {
 }
 
 impl GraphTensors {
-    /// Snapshots `g` (topology and features).
+    /// Snapshots `g`'s topology; the features stay shared with `g`.
     pub fn new(g: &Graph) -> Self {
         Self {
             graph: g.clone(),
-            features: Rc::new(CsrMatrix::from_dense(g.features())),
             inv_sqrt: ops::inv_sqrt_degrees(g),
             gcn: OnceCell::new(),
             row: OnceCell::new(),
@@ -81,35 +81,36 @@ impl GraphTensors {
 
     /// The node features a forward pass starts from.
     ///
-    /// Evaluation (`train == false`) and `p == 0` get the cached matrix
-    /// itself, so eval forwards copy no features. Training with `p > 0`
+    /// Evaluation (`train == false`) and `p == 0` get the graph's own
+    /// matrix, so eval forwards copy no features. Training with `p > 0`
     /// gets a fresh [`CsrMatrix::dropout`] copy, which draws from `rng`
     /// exactly what `Tape::dropout` draws on the dense features; its
     /// projection `tape.spmm(input, W)` is bit-identical to the dense
     /// `matmul` (see [`CsrMatrix::from_dense`]).
-    pub fn input(&self, train: bool, p: f32, rng: &mut StdRng) -> Rc<CsrMatrix> {
+    pub fn input(&self, train: bool, p: f32, rng: &mut StdRng) -> Arc<CsrMatrix> {
+        let features = self.graph.features();
         if train && p > 0.0 {
-            Rc::new(self.features.dropout(p, rng))
+            Arc::new(features.dropout(p, rng))
         } else {
-            self.features.clone()
+            Arc::clone(features)
         }
     }
 
     /// GCN-normalised operator `D̂^{-1/2}(A+I)D̂^{-1/2}`.
-    pub fn gcn_norm(&self) -> Rc<CsrMatrix> {
+    pub fn gcn_norm(&self) -> Arc<CsrMatrix> {
         self.gcn
-            .get_or_init(|| Rc::new(ops::gcn_norm_with_inv(&self.graph, &self.inv_sqrt)))
+            .get_or_init(|| Arc::new(ops::gcn_norm_with_inv(&self.graph, &self.inv_sqrt)))
             .clone()
     }
 
     /// Row-normalised adjacency `D^{-1}A`.
-    pub fn row_norm(&self) -> Rc<CsrMatrix> {
-        self.row.get_or_init(|| Rc::new(ops::row_norm_adj(&self.graph))).clone()
+    pub fn row_norm(&self) -> Arc<CsrMatrix> {
+        self.row.get_or_init(|| Arc::new(ops::row_norm_adj(&self.graph))).clone()
     }
 
     /// Row-normalised strict two-hop operator (H2GCN's `N_2`).
-    pub fn two_hop(&self) -> Rc<CsrMatrix> {
-        self.two_hop.get_or_init(|| Rc::new(ops::row_norm_two_hop(&self.graph))).clone()
+    pub fn two_hop(&self) -> Arc<CsrMatrix> {
+        self.two_hop.get_or_init(|| Arc::new(ops::row_norm_two_hop(&self.graph))).clone()
     }
 
     /// Attention neighbour lists (self + one-hop) for GAT.
@@ -129,11 +130,12 @@ impl GraphTensors {
     /// the snapshot graph applies the whole batch in one CSR splice, the
     /// `d̂^{-1/2}` entries of the flip endpoints are re-derived, and every
     /// *already built* operator is rebuilt by its `ops::*_into` builder.
-    /// Each rebuild goes through `Rc::make_mut`: at refcount 1 (the steady
-    /// state — tapes drop their operator handles between steps) the cached
-    /// storage is refilled in place with zero allocations, while an
-    /// outstanding handle from before the call triggers a copy-on-write
-    /// clone first and keeps observing the pre-edit operator. Operators
+    /// Each rebuild goes through `Arc::make_mut` (`Rc::make_mut` for the
+    /// attention lists): at refcount 1 (the steady state — tapes drop
+    /// their operator handles between steps) the cached storage is
+    /// refilled in place with zero allocations, while an outstanding
+    /// handle from before the call triggers a copy-on-write clone first
+    /// and keeps observing the pre-edit operator. Operators
     /// not built yet stay lazy and build from the edited graph on first
     /// use. Features are untouched — rewiring never changes `X`.
     pub fn apply_flips(&mut self, flips: &[(usize, usize, bool)]) {
@@ -148,17 +150,17 @@ impl GraphTensors {
             ops::gcn_norm_with_inv_into(
                 &self.graph,
                 &self.inv_sqrt,
-                Rc::make_mut(rc),
+                Arc::make_mut(rc),
                 &mut self.op_scratch,
             );
         }
         if let Some(rc) = self.two_hop.get_mut() {
             rebuilds += 1;
-            ops::row_norm_two_hop_into(&self.graph, Rc::make_mut(rc), &mut self.op_scratch);
+            ops::row_norm_two_hop_into(&self.graph, Arc::make_mut(rc), &mut self.op_scratch);
         }
         if let Some(rc) = self.row.get_mut() {
             rebuilds += 1;
-            ops::row_norm_adj_into(&self.graph, Rc::make_mut(rc), &mut self.op_scratch);
+            ops::row_norm_adj_into(&self.graph, Arc::make_mut(rc), &mut self.op_scratch);
         }
         if let Some(rc) = self.attn.get_mut() {
             rebuilds += 1;
@@ -253,7 +255,7 @@ mod tests {
         let gt = GraphTensors::new(&toy());
         let a = gt.gcn_norm();
         let b = gt.gcn_norm();
-        assert!(Rc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -267,15 +269,16 @@ mod tests {
     }
 
     #[test]
-    fn eval_input_is_the_cached_feature_matrix() {
+    fn eval_input_is_the_graphs_feature_matrix() {
         use rand::{Rng, SeedableRng};
-        let gt = GraphTensors::new(&toy());
+        let g = toy();
+        let gt = GraphTensors::new(&g);
         let mut rng = StdRng::seed_from_u64(5);
         let a = gt.input(false, 0.5, &mut rng);
-        assert!(Rc::ptr_eq(&a, &gt.input(false, 0.5, &mut rng)), "eval forwards copy features");
-        assert!(Rc::ptr_eq(&a, &gt.input(true, 0.0, &mut rng)), "p = 0 copies features");
+        assert!(Arc::ptr_eq(&a, g.features()), "eval forwards copy features");
+        assert!(Arc::ptr_eq(&a, &gt.input(true, 0.0, &mut rng)), "p = 0 copies features");
         assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(5).gen::<u64>(), "eval drew from rng");
-        assert_eq!(a.to_dense(), *toy().features());
+        assert_eq!(a.to_dense(), Matrix::from_fn(4, 3, |r, c| ((r + c) % 2) as f32));
     }
 
     #[test]
@@ -382,19 +385,19 @@ mod tests {
         let mut gt = GraphTensors::new(&toy());
         let before = gt.gcn_norm();
         gt.apply_flips(&[]);
-        assert!(Rc::ptr_eq(&before, &gt.gcn_norm()));
+        assert!(Arc::ptr_eq(&before, &gt.gcn_norm()));
     }
 
     #[test]
     fn apply_flips_preserves_outstanding_snapshots() {
-        // An Rc handed out before the batch must keep observing the
-        // pre-edit operator (Rc::make_mut clones the shared cache).
+        // An Arc handed out before the batch must keep observing the
+        // pre-edit operator (Arc::make_mut clones the shared cache).
         let mut gt = GraphTensors::new(&toy());
         let before = gt.gcn_norm();
         let before_bits = (*before).clone();
         gt.apply_flips(&[(0, 2, true)]);
         assert_eq!(*before, before_bits, "outstanding snapshot changed");
-        assert!(!Rc::ptr_eq(&before, &gt.gcn_norm()));
+        assert!(!Arc::ptr_eq(&before, &gt.gcn_norm()));
         assert_matches_fresh(&gt);
     }
 

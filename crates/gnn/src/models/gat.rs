@@ -1,11 +1,11 @@
 //! Graph Attention Network (Veličković et al., ICLR 2018).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use graphrare_tensor::{init, CsrMatrix, Matrix, Param, Tape, Var};
+use graphrare_tensor::{init, CsrMatrix, Param, Tape, Var};
 
 use crate::model::{GnnModel, GraphTensors};
 
@@ -36,7 +36,7 @@ impl Head {
     }
 
     /// The head over the sparse node features: attention over `x · W`.
-    fn forward_sparse(&self, tape: &mut Tape, gt: &GraphTensors, x: Rc<CsrMatrix>) -> Var {
+    fn forward_sparse(&self, tape: &mut Tape, gt: &GraphTensors, x: Arc<CsrMatrix>) -> Var {
         let w = tape.param(&self.w);
         let wh = tape.spmm(x, w);
         self.attend(tape, gt, wh)
@@ -92,15 +92,6 @@ impl Gat {
     pub fn num_heads(&self) -> usize {
         self.heads.len()
     }
-
-    /// Attention coefficients of the first head on the current topology
-    /// (diagnostic helper; re-runs a forward pass without dropout).
-    pub fn first_layer_logits(&self, gt: &GraphTensors) -> Matrix {
-        let mut tape = Tape::new();
-        let x = gt.input(false, 0.0, &mut StdRng::seed_from_u64(0));
-        let h = self.heads[0].forward_sparse(&mut tape, gt, x);
-        tape.value(h).clone()
-    }
 }
 
 impl GnnModel for Gat {
@@ -131,6 +122,7 @@ impl GnnModel for Gat {
 mod tests {
     use super::*;
     use graphrare_graph::Graph;
+    use graphrare_tensor::Matrix;
 
     fn toy() -> GraphTensors {
         let g = Graph::from_edges(
@@ -182,13 +174,5 @@ mod tests {
                 p.name()
             );
         }
-    }
-
-    #[test]
-    fn single_head_output_layer_shape() {
-        let gt = toy();
-        let m = Gat::new(6, 8, 3, 1, 0.0, 7);
-        let logits = m.first_layer_logits(&gt);
-        assert_eq!(logits.shape(), (5, 8));
     }
 }

@@ -84,7 +84,7 @@ proptest! {
         let features =
             Matrix::from_fn(n, g.feat_dim(), |r, c| {
                 let src = perm.iter().position(|&p| p == r).unwrap();
-                g.features().get(src, c)
+                g.features().get(src, c).unwrap_or(0.0)
             });
         let edges: Vec<(usize, usize)> =
             g.edge_vec().into_iter().map(|(u, v)| (perm[u], perm[v])).collect();

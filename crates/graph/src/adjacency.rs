@@ -104,12 +104,12 @@ impl CsrAdjacency {
     ///
     /// # Panics
     /// Panics when `n` exceeds [`MAX_NODES`].
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> (Self, usize) {
+    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> (Self, usize) {
         Self::check_node_count(n);
         let mut keys: Vec<u64> = edges
-            .iter()
-            .filter(|&&(u, v)| u != v && u < n && v < n)
-            .map(|&(u, v)| edge_key(u, v))
+            .into_iter()
+            .filter(|&(u, v)| u != v && u < n && v < n)
+            .map(|(u, v)| edge_key(u, v))
             .collect();
         keys.sort_unstable();
         keys.dedup();
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn from_edges_dedups_and_sorts() {
-        let (adj, m) = CsrAdjacency::from_edges(4, &[(1, 0), (0, 1), (2, 2), (3, 1), (9, 0)]);
+        let (adj, m) = CsrAdjacency::from_edges(4, [(1, 0), (0, 1), (2, 2), (3, 1), (9, 0)]);
         assert_eq!(m, 2);
         assert_eq!(adj.neighbors(1), &[0, 3]);
         assert_eq!(adj.neighbors(0), &[1]);
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn single_edits_splice() {
-        let (mut adj, _) = CsrAdjacency::from_edges(4, &[(0, 2)]);
+        let (mut adj, _) = CsrAdjacency::from_edges(4, [(0, 2)]);
         assert!(adj.insert(0, 1));
         assert!(!adj.insert(1, 0));
         assert_eq!(adj.neighbors(0), &[1, 2]);
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn batched_changes_match_singles() {
-        let (mut a, _) = CsrAdjacency::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let (mut a, _) = CsrAdjacency::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let mut b = a.clone();
         // Remove (1,2), add (0,4) and (1,3) as one batch on `a` ...
         let mut changes = vec![
@@ -393,7 +393,7 @@ mod tests {
     fn small_batch_on_large_graph_matches_singles() {
         // 4 * B < n: the comparison-sort branch (large batches on the
         // small test graphs above all take the counting scatter).
-        let (mut a, _) = CsrAdjacency::from_edges(40, &[(0, 1), (5, 6), (6, 7)]);
+        let (mut a, _) = CsrAdjacency::from_edges(40, [(0, 1), (5, 6), (6, 7)]);
         let mut b = a.clone();
         let mut changes = vec![(2u32, 7u32, true), (7, 2, true), (5, 6, false), (6, 5, false)];
         a.apply_changes(&mut changes, 2, 2);
@@ -411,7 +411,7 @@ mod tests {
 
     #[test]
     fn apply_flips_matches_directed_changes() {
-        let (mut a, _) = CsrAdjacency::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let (mut a, _) = CsrAdjacency::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let mut b = a.clone();
         // Twice, so the second batch runs on warm scratch buffers.
         for flips in [
@@ -442,17 +442,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the CsrAdjacency u32 id space")]
     fn from_edges_rejects_node_counts_beyond_u32_ids() {
-        let _ = CsrAdjacency::from_edges(MAX_NODES + 7, &[]);
+        let _ = CsrAdjacency::from_edges(MAX_NODES + 7, []);
     }
 
     #[test]
     fn clone_and_eq_ignore_splice_scratch() {
-        let (mut a, _) = CsrAdjacency::from_edges(6, &[(0, 1), (2, 3)]);
+        let (mut a, _) = CsrAdjacency::from_edges(6, [(0, 1), (2, 3)]);
         // Warm the scratch on `a` only; the logical value is unchanged
         // by a no-op pair of flips.
         a.apply_flips(&[(4, 5, true)], 1, 0);
         a.apply_flips(&[(4, 5, false)], 0, 1);
-        let (b, _) = CsrAdjacency::from_edges(6, &[(0, 1), (2, 3)]);
+        let (b, _) = CsrAdjacency::from_edges(6, [(0, 1), (2, 3)]);
         assert_eq!(a, b);
         let c = a.clone();
         assert_eq!(c, a);

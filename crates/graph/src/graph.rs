@@ -1,6 +1,8 @@
 //! The attributed graph type `G = (V, E, X, A)` from the paper's Table I.
 
-use graphrare_tensor::Matrix;
+use std::sync::Arc;
+
+use graphrare_tensor::{CsrMatrix, Matrix};
 
 use crate::adjacency::{edge_key, unkey, CsrAdjacency, EdgeEdit};
 
@@ -8,7 +10,11 @@ use crate::adjacency::{edge_key, unkey, CsrAdjacency, EdgeEdit};
 ///
 /// Matches the paper's formulation `G = (V, E, X, A)`: `n` nodes, an
 /// undirected edge set, an `n x d` feature matrix and per-node class
-/// labels. Adjacency is CSR-backed ([`CsrAdjacency`]): neighbour lists are
+/// labels. The features are held once, as a shared CSR matrix
+/// ([`features`](Graph::features)): bag-of-words rows are mostly zeros,
+/// every consumer reads that one matrix, and cloning a graph or giving
+/// it new edges ([`with_edges`](Graph::with_edges)) copies no feature
+/// values. Adjacency is CSR-backed ([`CsrAdjacency`]): neighbour lists are
 /// sorted slices of one flat array, so iteration is contiguous, membership
 /// is a binary search, clones are `memcpy`s, and a whole batch of topology
 /// edits — the core operation of GraphRARE's optimisation module — is
@@ -20,13 +26,14 @@ use crate::adjacency::{edge_key, unkey, CsrAdjacency, EdgeEdit};
 pub struct Graph {
     adj: CsrAdjacency,
     num_edges: usize,
-    features: Matrix,
+    features: Arc<CsrMatrix>,
     labels: Vec<usize>,
     num_classes: usize,
 }
 
 impl Graph {
-    /// Creates a graph with `n` isolated nodes.
+    /// Creates a graph with `n` isolated nodes. The dense `features`
+    /// are stored as their nonzero entries ([`CsrMatrix::from_dense`]).
     ///
     /// # Panics
     /// Panics if `features` does not have `n` rows, `labels` does not have
@@ -35,6 +42,7 @@ impl Graph {
         assert_eq!(features.rows(), n, "feature matrix must have n rows");
         assert_eq!(labels.len(), n, "labels must have n entries");
         assert!(labels.iter().all(|&l| l < num_classes), "labels must be < num_classes");
+        let features = Arc::new(CsrMatrix::from_dense(&features));
         Self { adj: CsrAdjacency::new(n), num_edges: 0, features, labels, num_classes }
     }
 
@@ -49,10 +57,23 @@ impl Graph {
         num_classes: usize,
     ) -> Self {
         let mut g = Self::new(n, features, labels, num_classes);
-        let (adj, num_edges) = CsrAdjacency::from_edges(n, edges);
-        g.adj = adj;
-        g.num_edges = num_edges;
+        (g.adj, g.num_edges) = CsrAdjacency::from_edges(n, edges.iter().copied());
         g
+    }
+
+    /// This graph's nodes, features and labels over a new undirected
+    /// edge list (duplicates and self-loops ignored, as in
+    /// [`from_edges`](Graph::from_edges)). The features are shared, not
+    /// copied.
+    pub fn with_edges(&self, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+        let (adj, num_edges) = CsrAdjacency::from_edges(self.num_nodes(), edges);
+        Graph {
+            adj,
+            num_edges,
+            features: Arc::clone(&self.features),
+            labels: self.labels.clone(),
+            num_classes: self.num_classes,
+        }
     }
 
     /// Number of nodes.
@@ -67,9 +88,10 @@ impl Graph {
         self.num_edges
     }
 
-    /// The `n x d` node feature matrix.
+    /// The `n x d` node feature matrix, shared by every clone of this
+    /// graph and every graph [`with_edges`](Graph::with_edges) made.
     #[inline]
-    pub fn features(&self) -> &Matrix {
+    pub fn features(&self) -> &Arc<CsrMatrix> {
         &self.features
     }
 
@@ -251,15 +273,6 @@ impl Graph {
         self.edges().collect()
     }
 
-    /// Replaces the feature matrix (e.g. with a precomputed embedding).
-    ///
-    /// # Panics
-    /// Panics if the row count changes.
-    pub fn set_features(&mut self, features: Matrix) {
-        assert_eq!(features.rows(), self.num_nodes(), "set_features: row count mismatch");
-        self.features = features;
-    }
-
     /// The descending degree sequence `d(v)` of Eq. (5): degrees of `v` and
     /// its one-hop neighbours, sorted in descending order.
     pub fn degree_profile(&self, v: usize) -> Vec<usize> {
@@ -377,6 +390,19 @@ mod tests {
         let g = Graph::from_edges(5, &edges, Matrix::zeros(5, 1), vec![0; 5], 1);
         assert_eq!(g.degree_profile(0), vec![4, 1, 1, 1, 1]);
         assert_eq!(g.degree_profile(1), vec![4, 1]);
+    }
+
+    #[test]
+    fn with_edges_shares_the_features_and_labels() {
+        let feats =
+            Matrix::from_fn(5, 3, |r, c| if (r + c) % 2 == 0 { r as f32 - 1.5 } else { 0.0 });
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2)], feats.clone(), vec![0, 1, 0, 1, 0], 2);
+        let h = g.with_edges([(3, 4), (4, 3), (2, 2), (0, 9), (0, 4)]);
+        assert!(Arc::ptr_eq(h.features(), g.features()));
+        assert_eq!(h.features().to_dense(), feats);
+        assert_eq!(h.edge_vec(), vec![(0, 4), (3, 4)]);
+        assert_eq!((h.labels(), h.num_classes()), (g.labels(), 2));
+        assert!(Arc::ptr_eq(g.clone().features(), g.features()), "a clone copies features");
     }
 
     #[test]

@@ -210,9 +210,15 @@ pub fn write_graph_via(
     }
     write(&prefix.with_extension("labels"), labels.as_bytes())?;
 
+    // Every column of every row, unstored ones as `0`: the graph holds
+    // only the nonzero entries, so a `-0` read in is written as `0`.
+    let x = g.features();
     let mut feats = String::new();
-    for r in 0..g.num_nodes() {
-        let row: Vec<String> = g.features().row(r).iter().map(|v| format!("{v}")).collect();
+    for r in 0..x.rows() {
+        let mut stored = x.row_entries(r).peekable();
+        let row: Vec<String> = (0..x.cols())
+            .map(|c| stored.next_if(|&(col, _)| col == c).map_or(0.0, |(_, v)| v).to_string())
+            .collect();
         let _ = writeln!(feats, "{}", row.join(" "));
     }
     write(&prefix.with_extension("features"), feats.as_bytes())?;
@@ -247,8 +253,62 @@ mod tests {
         assert_eq!(back.edge_vec(), g.edge_vec());
         assert_eq!(back.labels(), g.labels());
         assert_eq!(back.num_classes(), 2);
-        assert!(back.features().max_abs_diff(g.features()) < 1e-6);
+        assert_eq!(back.features(), g.features());
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// The three files `write_graph_via` produces, by extension.
+    fn bundle(g: &Graph) -> Vec<(String, Vec<u8>)> {
+        let mut files = Vec::new();
+        write_graph_via(g, Path::new("toy"), &mut |p, bytes| {
+            files.push((p.display().to_string(), bytes.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        files
+    }
+
+    fn read_bundle(files: &[(String, Vec<u8>)]) -> Graph {
+        let text = |ext: &str| {
+            let (_, bytes) = files.iter().find(|(p, _)| p.ends_with(ext)).unwrap();
+            String::from_utf8(bytes.clone()).unwrap()
+        };
+        assemble(
+            parse_edge_list(&text(".edges")).unwrap(),
+            parse_features(&text(".features")).unwrap(),
+            parse_labels(&text(".labels")).unwrap(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn write_read_write_is_byte_identical() {
+        // Signed, fractional and large entries, an all-zero row and an
+        // all-zero column.
+        let feats = Matrix::from_vec(
+            4,
+            3,
+            vec![1.0, 0.0, -0.5, 0.1, 0.0, 3.25e7, 0.0, 0.0, 0.0, -7.0, 0.0, 1e-3],
+        );
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 3)], feats, vec![0, 1, 1, 0], 2);
+        let first = bundle(&g);
+        let back = read_bundle(&first);
+        assert_eq!(back.features(), g.features());
+        assert_eq!(bundle(&back), first);
+    }
+
+    #[test]
+    fn a_negative_zero_feature_reads_back_and_writes_as_zero() {
+        let files = vec![
+            ("toy.edges".to_string(), b"0 1\n".to_vec()),
+            ("toy.labels".to_string(), b"0\n1\n".to_vec()),
+            ("toy.features".to_string(), b"-0 1.5\n2 -0.0\n".to_vec()),
+        ];
+        let g = read_bundle(&files);
+        assert_eq!(g.features().nnz(), 2, "a -0 feature is not stored");
+        let written = bundle(&g);
+        let (_, feats) = written.iter().find(|(p, _)| p.ends_with(".features")).unwrap();
+        assert_eq!(String::from_utf8_lossy(feats), "0 1.5\n2 0\n");
     }
 
     #[test]

@@ -741,14 +741,6 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), ProtoEr
     write_frame(w, kind, &payload)
 }
 
-/// Reads one request frame (server side).
-pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtoError> {
-    match read_frame(r)? {
-        FrameRead::Frame(kind, payload) => Ok(Some(Request::decode(kind, &payload)?)),
-        FrameRead::Eof | FrameRead::Idle => Ok(None),
-    }
-}
-
 /// Reads one response frame (client side); EOF is a typed error — the
 /// server always answers before closing.
 pub fn read_response(r: &mut impl Read) -> Result<Response, ProtoError> {
@@ -794,8 +786,11 @@ mod tests {
         for req in reqs {
             let mut buf = Vec::new();
             write_request(&mut buf, &req).unwrap();
-            let got = read_request(&mut buf.as_slice()).unwrap().unwrap();
-            assert_eq!(got, req);
+            // The daemon's read: one frame, then the request decoder.
+            let FrameRead::Frame(kind, payload) = read_frame(&mut buf.as_slice()).unwrap() else {
+                panic!("no frame for {req:?}");
+            };
+            assert_eq!(Request::decode(kind, &payload).unwrap(), req);
         }
     }
 
@@ -839,7 +834,6 @@ mod tests {
     #[test]
     fn clean_eof_is_not_an_error() {
         assert!(matches!(read_frame(&mut [].as_slice()).unwrap(), FrameRead::Eof));
-        assert!(read_request(&mut [].as_slice()).unwrap().is_none());
     }
 
     #[test]

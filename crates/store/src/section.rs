@@ -104,13 +104,9 @@ impl TopologyRecord {
         }
     }
 
-    /// The edge list widened back to `usize` pairs.
-    pub fn edge_vec(&self) -> Vec<(usize, usize)> {
-        self.edges.iter().map(|&(u, v)| (u as usize, v as usize)).collect()
-    }
-
     /// Rebuilds a full graph by combining this topology with the features
-    /// and labels of `base` (the graph the topology was derived from).
+    /// and labels of `base` (the graph the topology was derived from),
+    /// through [`Graph::with_edges`]: the features are shared, not copied.
     /// Fails with a typed error if the shapes do not line up.
     pub fn to_graph(&self, base: &Graph) -> Result<Graph, StoreError> {
         if self.n as usize != base.num_nodes() {
@@ -136,13 +132,7 @@ impl TopologyRecord {
                 context: format!("topology edge ({u},{v}) references a node >= {}", self.n),
             });
         }
-        Ok(Graph::from_edges(
-            self.n as usize,
-            &self.edge_vec(),
-            base.features().clone(),
-            base.labels().to_vec(),
-            base.num_classes(),
-        ))
+        Ok(base.with_edges(self.edges.iter().map(|&(u, v)| (u as usize, v as usize))))
     }
 }
 

@@ -104,11 +104,17 @@ impl Event {
     /// `{"v":3,"event":"<kind>",...fields...}`.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(64 + 16 * self.fields.len());
+        self.write_json_line(&mut out);
+        out
+    }
+
+    /// Appends [`to_json_line`](Event::to_json_line)'s line to `out`.
+    pub fn write_json_line(&self, out: &mut String) {
         let _ = write!(out, "{{\"v\":{SCHEMA_VERSION},\"event\":");
-        escape_json_str(self.kind, &mut out);
+        escape_json_str(self.kind, out);
         for (key, value) in &self.fields {
             out.push(',');
-            escape_json_str(key, &mut out);
+            escape_json_str(key, out);
             out.push(':');
             match value {
                 Value::U64(n) => {
@@ -121,12 +127,11 @@ impl Event {
                     let _ = write!(out, "{x}");
                 }
                 Value::F64(_) => out.push_str("null"),
-                Value::Str(s) => escape_json_str(s, &mut out),
+                Value::Str(s) => escape_json_str(s, out),
                 Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             }
         }
         out.push('}');
-        out
     }
 }
 

@@ -12,7 +12,9 @@
 //! the rewiring heuristics' cosines) go through one primitive:
 //! [`CsrMatrix::load_row`] scatters one row into a [`DenseRow`] and
 //! [`CsrMatrix::row_dot`] dots any row against it over that row's stored
-//! entries only.
+//! entries only. Feature cosines build on it in one place beside it:
+//! [`CsrMatrix::row_norms`], [`CsrMatrix::cosine`] and the top-k cosine
+//! kNN graph [`CsrMatrix::cosine_knn`].
 
 use std::ops::{Add, Mul};
 
@@ -116,7 +118,9 @@ impl CsrMatrix {
     }
 
     /// The non-zero entries of a dense matrix (entries equal to `0.0`,
-    /// either sign, are left out).
+    /// either sign, are left out). A graph's features are converted by
+    /// this once, when the graph is built, and every consumer reads that
+    /// one matrix.
     ///
     /// `from_dense(m).spmm(w)` is bit-identical to `m.matmul(w)`: both
     /// add `m[r][k] · w[k]` over the row's non-zero `k` in ascending
@@ -412,6 +416,62 @@ impl CsrMatrix {
         self.row_entries_inner(r)
             .fold(A::from(0.0), |acc, (c, x)| acc + A::from(x) * A::from(row.values[c]))
     }
+
+    /// The Euclidean norm of every row, in `f32`: the square root of
+    /// the row's sum of squares folded from `+0.0` in column order,
+    /// which is its [`row_dot`](CsrMatrix::row_dot) with itself and the
+    /// dense loop over every column bit for bit.
+    pub fn row_norms(&self) -> Vec<f32> {
+        (0..self.rows)
+            .map(|r| self.row_entries_inner(r).fold(0.0f32, |acc, (_, x)| acc + x * x).sqrt())
+            .collect()
+    }
+
+    /// Cosine similarity of rows `u` and `v`, with row `v` loaded in
+    /// `row` and `norms` from [`row_norms`](CsrMatrix::row_norms): their
+    /// `f32` [`row_dot`](CsrMatrix::row_dot) over the product of the two
+    /// norms, and 0 when either row is all zero. For finite rows this is
+    /// bit for bit the dense loop that folds the dot and both sums of
+    /// squares from `+0.0` over every column.
+    pub fn cosine(&self, u: usize, v: usize, row: &DenseRow, norms: &[f32]) -> f32 {
+        let (norm_u, norm_v) = (norms[u], norms[v]);
+        if norm_u == 0.0 || norm_v == 0.0 {
+            return 0.0;
+        }
+        self.row_dot::<f32>(u, row) / (norm_v * norm_u)
+    }
+
+    /// The cosine kNN graph of the rows: each row `v` joined to the `k`
+    /// other rows `u` most [`cosine`](CsrMatrix::cosine)-similar to it
+    /// among those `keep(v, u)` accepts, as undirected `(lo, hi)` pairs,
+    /// sorted and without duplicates. Candidates rank by similarity
+    /// descending, equal similarities by ascending row: a strict total
+    /// order (`total_cmp`, so a NaN similarity has its place too), so
+    /// the chosen set does not depend on how they are visited.
+    pub fn cosine_knn(
+        &self,
+        k: usize,
+        mut keep: impl FnMut(usize, usize) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let norms = self.row_norms();
+        let (mut row, mut sims, mut edges) = (DenseRow::default(), Vec::new(), Vec::new());
+        for v in 0..self.rows {
+            self.load_row(v, &mut row);
+            sims.clear();
+            sims.extend(
+                (0..self.rows)
+                    .filter(|&u| u != v && keep(v, u))
+                    .map(|u| (self.cosine(u, v, &row, &norms), u)),
+            );
+            if sims.len() > k {
+                sims.select_nth_unstable_by(k, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            }
+            edges.extend(sims.iter().take(k).map(|&(_, u)| (v.min(u), v.max(u))));
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
 }
 
 #[cfg(test)]
@@ -510,6 +570,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use std::rc::Rc;
+        use std::sync::Arc;
 
         let dense = ragged();
         let csr = CsrMatrix::from_dense(&dense);
@@ -537,7 +598,7 @@ mod tests {
 
                 let mut ts = Tape::new();
                 let ws = ts.leaf(w.clone());
-                let ys = ts.spmm(Rc::new(dropped), ws);
+                let ys = ts.spmm(Arc::new(dropped), ws);
                 let ls = ts.mul_const(ys, g.clone());
                 let ls = ts.sum_all(ls);
                 ts.backward(ls);
@@ -579,6 +640,112 @@ mod tests {
         let cancel = CsrMatrix::from_dense(&Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, -1.0]));
         cancel.load_row(0, &mut row);
         assert_eq!(cancel.row_dot::<f64>(1, &row).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// The dense cosine the shared primitive replaced: one `f32` loop
+    /// over every column, folding the dot and both sums of squares from
+    /// `+0.0`.
+    fn dense_cosine(a: &[f32], b: &[f32]) -> f32 {
+        let mut dot = 0.0;
+        let mut na = 0.0;
+        let mut nb = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            dot += x * y;
+            na += x * x;
+            nb += y * y;
+        }
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na.sqrt() * nb.sqrt())
+        }
+    }
+
+    /// The dense kNN graph the shared primitive replaced: every node's
+    /// top `k` others from a full sort. `keep` is the primitive's
+    /// candidate filter (the replaced function had none).
+    fn dense_cosine_knn_edges(
+        features: &Matrix,
+        k: usize,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let n = features.rows();
+        let mut edges = std::collections::BTreeSet::new();
+        let mut sims: Vec<(f32, usize)> = Vec::with_capacity(n.saturating_sub(1));
+        for v in 0..n {
+            sims.clear();
+            for u in 0..n {
+                if u != v && keep(v, u) {
+                    sims.push((dense_cosine(features.row(v), features.row(u)), u));
+                }
+            }
+            sims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for &(_, u) in sims.iter().take(k) {
+                edges.insert((v.min(u), v.max(u)));
+            }
+        }
+        edges.into_iter().collect()
+    }
+
+    /// 40 seeded rows over 12 columns: about a quarter of the entries
+    /// nonzero and signed, rows 3, 17 and 29 all zero, rows 5 and 23
+    /// holding `-0.0` entries, rows 8 and 9 equal (a tie) and row 11 a
+    /// negated copy of row 10.
+    fn cosine_rows() -> Matrix {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0xC051);
+        let mut m = Matrix::from_fn(40, 12, |_, _| {
+            if rng.gen::<f32>() < 0.25 {
+                rng.gen::<f32>() * 4.0 - 2.0
+            } else {
+                0.0
+            }
+        });
+        for c in 0..12 {
+            for r in [3, 17, 29] {
+                m.set(r, c, 0.0);
+            }
+            m.set(9, c, m.get(8, c));
+            m.set(11, c, -m.get(10, c));
+            if c % 2 == 0 {
+                m.set(5, c, -0.0);
+                m.set(23, c, -0.0);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn cosines_match_the_dense_cosine_bit_for_bit() {
+        let dense = cosine_rows();
+        let m = CsrMatrix::from_dense(&dense);
+        let norms = m.row_norms();
+        let mut row = DenseRow::default();
+        for v in 0..m.rows() {
+            let squares: f32 = dense.row(v).iter().fold(0.0, |acc, &x| acc + x * x);
+            assert_eq!(norms[v].to_bits(), squares.sqrt().to_bits(), "norm of {v}");
+            m.load_row(v, &mut row);
+            for u in 0..m.rows() {
+                let want = dense_cosine(dense.row(v), dense.row(u));
+                assert_eq!(m.cosine(u, v, &row, &norms).to_bits(), want.to_bits(), "({v},{u})");
+            }
+        }
+    }
+
+    #[test]
+    fn cosine_knn_matches_the_dense_knn_graph() {
+        let dense = cosine_rows();
+        let m = CsrMatrix::from_dense(&dense);
+        let n = m.rows();
+        // Unfiltered, as the replaced function ran, and with a filter
+        // that drops some candidates of every row.
+        let every = |_: usize, _: usize| true;
+        let some = |v: usize, u: usize| (v + 2 * u) % 5 != 1;
+        for k in [0, 1, 2, 8, n] {
+            assert_eq!(m.cosine_knn(k, every), dense_cosine_knn_edges(&dense, k, every), "k = {k}");
+            assert_eq!(m.cosine_knn(k, some), dense_cosine_knn_edges(&dense, k, some), "k = {k}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   over multi-discrete action spaces.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -98,7 +99,7 @@ pub struct Var {
 enum Op {
     Leaf,
     MatMul(usize, usize),
-    SpMM { m: Rc<CsrMatrix>, x: usize },
+    SpMM { m: Arc<CsrMatrix>, x: usize },
     Add(usize, usize),
     Neg(usize),
     Scale(usize, f32),
@@ -221,8 +222,9 @@ impl Tape {
         self.push(v, Op::MatMul(a.idx, b.idx), ng)
     }
 
-    /// Sparse-constant times dense-variable product.
-    pub fn spmm(&mut self, m: Rc<CsrMatrix>, x: Var) -> Var {
+    /// Sparse-constant times dense-variable product. The operand is an
+    /// `Arc` so a graph's shared feature matrix enters the tape as is.
+    pub fn spmm(&mut self, m: Arc<CsrMatrix>, x: Var) -> Var {
         let v = m.spmm(self.val(x.idx));
         let ng = self.ng(x);
         self.push(v, Op::SpMM { m, x: x.idx }, ng)
@@ -901,7 +903,7 @@ mod tests {
 
     #[test]
     fn gradcheck_spmm() {
-        let m = Rc::new(CsrMatrix::from_triplets(
+        let m = Arc::new(CsrMatrix::from_triplets(
             3,
             3,
             &[(0, 1, 2.0), (1, 0, -1.0), (1, 2, 0.5), (2, 2, 1.0)],

@@ -2,7 +2,7 @@
 //! shapes, extreme values, and autograd corner cases that the unit tests'
 //! happy paths don't reach.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use graphrare_tensor::matrix::softmax_slice;
 use graphrare_tensor::optim::Adam;
@@ -126,9 +126,9 @@ fn deep_chain_gradient_is_product() {
 
 #[test]
 fn spmm_through_two_tapes_is_consistent() {
-    // The same CSR operator shared by Rc across tapes gives identical
+    // The same CSR operator shared by Arc across tapes gives identical
     // results (no hidden state).
-    let m = Rc::new(CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]));
+    let m = Arc::new(CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]));
     let x = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
     let run = || {
         let mut t = Tape::new();

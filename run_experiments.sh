@@ -12,8 +12,8 @@ RUN() {
   echo "--- $name done (tail of output):"
   tail -3 "results/${name}.txt"
 }
-RUN repro_table2 --splits 3
-RUN repro_fig8   --splits 3
+RUN repro_table2
+RUN repro_fig8
 RUN repro_fig6   --splits 3
 RUN repro_fig7   --splits 3
 RUN repro_table3 --splits 3

@@ -169,6 +169,37 @@ if ! target/release/graphrare-trace diff scripts/baselines/rewire_smoke.jsonl \
     exit 1
 fi
 
+echo "==> count gate (exact event, span and allocation totals vs committed baseline)"
+# Counts cannot flake the way times do: the same toy smoke at one thread
+# must produce exactly the committed totals. Two threads are not pinned:
+# the worker threads' allocations vary run to run. A change that adds a
+# forward pass, an event or an allocation on the hot path moves a count;
+# if it is meant to, regenerate the baseline with:
+#   target/release/telemetry_lint --make-fixture DIR/toy
+#   target/release/graphrare --input DIR/toy --steps 6 --seed 1 --quiet \
+#       --threads 1 --telemetry-out DIR/counts.jsonl
+#   and the five `key value` lines this gate prints for DIR/counts.jsonl,
+#   into scripts/baselines/counts.txt.
+target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 6 --seed 1 --quiet --threads 1 \
+    --telemetry-out "$smoke_dir/counts.jsonl" > /dev/null
+counts() {
+    local run
+    run=$(grep '"event":"span","name":"driver\.run"' "$1")
+    echo "events $(wc -l < "$1")"
+    echo "kernel_spans $(grep -c '"event":"span","name":"kernel\.' "$1")"
+    echo "train_eval_spans $(grep -c '"event":"span","name":"train\.eval"' "$1")"
+    echo "driver_run_alloc_n $(echo "$run" | sed -n 's/.*"alloc_n":\([0-9]*\).*/\1/p')"
+    echo "driver_run_alloc_bytes $(echo "$run" | sed -n 's/.*"alloc_bytes":\([0-9]*\).*/\1/p')"
+}
+if ! diff <(grep -v '^#' scripts/baselines/counts.txt) <(counts "$smoke_dir/counts.jsonl") \
+    > "$smoke_dir/counts.diff"; then
+    cat "$smoke_dir/counts.diff" >&2
+    echo "toy-smoke counts differ from scripts/baselines/counts.txt (< baseline, > this run)" >&2
+    exit 1
+fi
+
 echo "==> incremental rewiring smoke (full vs incremental must be bit-identical)"
 cargo build -q --release -p graphrare-bench --bin bench_rewire
 # The binary lock-steps RewiredGraph against materialize + fresh tensors

@@ -214,37 +214,50 @@ fn ranking_graph(nodes: usize, seed: u64) -> graphrare_graph::Graph {
     generate_spec(&spec, seed)
 }
 
+/// `g`'s topology and labels over other features.
+fn with_features(g: &graphrare_graph::Graph, features: Matrix) -> graphrare_graph::Graph {
+    graphrare_graph::Graph::from_edges(
+        g.num_nodes(),
+        &g.edge_vec(),
+        features,
+        g.labels().to_vec(),
+        g.num_classes(),
+    )
+}
+
 #[test]
 fn entropy_rankings_reproduce_their_fingerprint() {
     // 1,300 nodes: the exact pair scan's range switches to the sampled
     // one above 1,200 nodes. 1,600 nodes: sampled on every side. The
     // third graph's feature rows are all equal, so its range is
     // degenerate and every pair's feature entropy is 0.
-    let mut flat = ranking_graph(300, 3);
-    flat.set_features(Matrix::from_fn(300, 32, |_, c| (c % 3) as f32));
+    let flat =
+        with_features(&ranking_graph(300, 3), Matrix::from_fn(300, 32, |_, c| (c % 3) as f32));
     // The `drl-loop` benchmark shape: its 3-hop rings cover nearly every
     // node, so each node ranks hundreds of candidates for 16 slots.
     let drl = generate_spec(&Dataset::Chameleon.spec().scaled(600, 128), 1);
     // At most two signed nonzeros per row out of 32 columns: most pairs
     // share no nonzero column and their feature dot is exactly zero.
-    let mut signed = ranking_graph(300, 4);
-    signed.set_features(Matrix::from_fn(300, 32, |r, c| {
-        if c == r % 32 {
-            if (r / 32) % 2 == 0 {
-                1.5
+    let signed = with_features(
+        &ranking_graph(300, 4),
+        Matrix::from_fn(300, 32, |r, c| {
+            if c == r % 32 {
+                if (r / 32) % 2 == 0 {
+                    1.5
+                } else {
+                    -1.5
+                }
+            } else if c == (7 * r + 3) % 32 {
+                if r % 3 == 0 {
+                    -0.75
+                } else {
+                    0.5
+                }
             } else {
-                -1.5
+                0.0
             }
-        } else if c == (7 * r + 3) % 32 {
-            if r % 3 == 0 {
-                -0.75
-            } else {
-                0.5
-            }
-        } else {
-            0.0
-        }
-    }));
+        }),
+    );
     let ring = SequenceConfig::default();
     let sample = SequenceConfig {
         pool: CandidatePool::GlobalSample { per_node: 64, seed: 0x5EED },

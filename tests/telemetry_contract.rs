@@ -140,11 +140,11 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
         "rewire.operators must nest under rewire.apply"
     );
     // The entropy precompute runs before the driver.run span opens, so
-    // its spans are roots; the feature/structural tables nest nowhere.
+    // its spans are roots; the structural table nests nowhere.
     let build =
         summary.paths_named("entropy.sequence_build").next().expect("entropy.sequence_build path");
     assert!(build.p50_ns > 0 && build.self_ns > 0);
-    assert!(summary.path("entropy.feature_table").is_some(), "precompute spans are roots");
+    assert!(summary.path("entropy.structural_table").is_some(), "precompute spans are roots");
     // The sequence build reports how many addition candidates it scored
     // and for how many it computed H_s, as counters and event fields.
     let (pairs, js_evals) = (summary.counter("entropy.pairs"), summary.counter("entropy.js_evals"));
